@@ -422,13 +422,14 @@ def _run_firstvar(cfg: RunConfig, states):
     params = scenario.params
     q0 = params.resolve_q0(st.grid.ndim)
     lam, _ = diffuse_mean_curvature_norm(st, params)
+    conjugate = np.inf if q0 == 1.0 else q0 / (q0 - 1.0)
     rows = []
     worst = 0.0
     duality_ok = True
     for k in range(count):
         eta = smooth_test_field(st.grid, seed + k)
         res = first_variation_identity(st, eta, params)
-        bound = lam ** (1.0 / q0) * eta_lq_norm(st, eta, q0 / (q0 - 1.0))
+        bound = lam ** (1.0 / q0) * eta_lq_norm(st, eta, conjugate)
         ok = abs(res.lhs) <= bound * (1.0 + 1e-6)
         duality_ok &= ok
         worst = max(worst, res.residual)

@@ -110,8 +110,10 @@ def tilt_excess(fields: DensityFields, region: Region,
     return integrate(fields.tilt_e, region, supersample=supersample)
 
 
-def _curvature_integrands(state: PhaseFieldState, q0: float, threshold: float):
-    """Included-cell quotient integrand and the gradient-mass split."""
+def _curvature_quotient(state: PhaseFieldState, threshold: float):
+    """|f|/(eps|grad u|) on cells with eps|grad u| >= threshold (0 elsewhere,
+    and where a zero gradient makes it non-finite), the eps|grad u|^2 mass,
+    and the inclusion mask."""
     eps = state.epsilon
     grad_mag = density_fields(state).grad_mag.values
     eps_grad = eps * grad_mag
@@ -120,7 +122,7 @@ def _curvature_integrands(state: PhaseFieldState, q0: float, threshold: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = np.where(included, np.abs(state.f.values) / eps_grad, 0.0)
     quotient = np.where(np.isfinite(quotient), quotient, 0.0)
-    return quotient ** q0 * mass, mass, included
+    return quotient, mass, included
 
 
 def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams,
@@ -133,10 +135,10 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams,
     """
     region = region if region is not None else Region.whole()
     q0 = params.resolve_q0(state.grid.ndim)
-    integrand, mass, included = _curvature_integrands(
-        state, q0, params.grad_threshold)
+    quotient, mass, included = _curvature_quotient(state, params.grad_threshold)
     g = state.grid
-    lam = integrate(ScalarField(g, integrand), region, params.supersample)
+    lam = integrate(ScalarField(g, quotient ** q0 * mass), region,
+                    params.supersample)
     total_mass = integrate(ScalarField(g, mass), region, params.supersample)
     excl = integrate(ScalarField(g, np.where(included, 0.0, mass)), region,
                      params.supersample)
@@ -203,11 +205,7 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
     lhs, _ = diffuse_mean_curvature_norm(state, check_params)
     w = g.node_weights()
     c1 = (np.sum(np.abs(state.f.values) ** s * w)) ** (1.0 / s) / np.sqrt(eps)
-    grad_mag = density_fields(state).grad_mag.values
-    eps_grad = eps * grad_mag
-    included = eps_grad >= params.grad_threshold
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.where(included, np.abs(state.f.values) / eps_grad, 0.0)
+    quotient, _, _ = _curvature_quotient(state, params.grad_threshold)
     c2 = (np.sum(quotient ** t * w)) ** (1.0 / t)
     rhs = c1 ** 2 * c2 ** (q0 - 2.0)
     return HolderCheck(lhs=float(lhs), rhs=float(rhs),
@@ -289,10 +287,13 @@ def _require_compact_support(eta: VectorField, margin_cells: float = 4.0):
 
 def eta_lq_norm(state: PhaseFieldState, eta: VectorField, q: float) -> float:
     """||eta||_{L^q(mu)} with |eta| the Euclidean norm, used by the duality
-    bound on the first variation."""
+    bound on the first variation. q = inf gives the mu-essential sup: the
+    max of |eta| over nodes carrying mu mass."""
     dens = density_fields(state)
     mag = np.sqrt(np.sum(eta.values ** 2, axis=0))
     w = state.grid.node_weights()
+    if np.isinf(q):
+        return float(np.max(mag, where=dens.mu.values * w > 0, initial=0.0))
     return float(np.sum(mag ** q * dens.mu.values * w) ** (1.0 / q))
 
 

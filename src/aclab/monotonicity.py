@@ -76,7 +76,7 @@ def _validate_radii(state: PhaseFieldState, radii, min_count=5):
     if radii.ndim != 1 or len(radii) < min_count:
         raise ValueError(f"need at least {min_count} radii")
     dr = np.diff(radii)
-    if np.any(dr <= 0) or np.any(np.abs(dr - dr[0]) > 1e-9 * dr[0]):
+    if np.any(dr <= 0) or np.any(np.abs(dr - dr[:1]) > 1e-9 * dr[:1]):
         raise ValueError("radii must be strictly ascending and uniform")
     floor = max(4.0 * state.grid.h, state.epsilon)
     if radii[0] < floor - 1e-12:

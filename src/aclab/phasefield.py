@@ -14,9 +14,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .fields import PERIODIC, Grid, ScalarField, laplacian
 
@@ -236,14 +237,75 @@ def _laplacian_matrix(points: tuple, h: float, boundary: str) -> sp.csr_matrix:
     return total.tocsr()
 
 
+# Every Newton system is solved to this relative residual; a poor direction
+# is caught by the step acceptance test on the true nonlinear residual.
+_LINEAR_RTOL = 1e-10
+_LINEAR_MAXITER = 500
+
+
+def _laplacian_eigenvalues(points: tuple, h: float, boundary: str) -> np.ndarray:
+    """Eigenvalues of -lap_h in the transform basis that diagonalises it,
+    summed over axes: (4/h^2) sin^2(pi k/m) for k < n, with m = n in the
+    FFT basis (periodic) and m = 2(n-1) in the DCT-I basis (zero-flux),
+    whose even extension is the mirror ghost."""
+    total = np.zeros((1,) * len(points))
+    for ax, n in enumerate(points):
+        m = n if boundary == PERIODIC else 2 * (n - 1)
+        shape = [1] * len(points)
+        shape[ax] = n
+        lam = np.sin(np.pi * np.arange(n) / m) ** 2
+        total = total + (4.0 / h ** 2) * lam.reshape(shape)
+    return total
+
+
+def spsolve(grid: Grid, lap_mat: sp.csr_matrix, epsilon: float,
+            diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Preconditioned MINRES solve of one Newton system K du = rhs, where
+
+        K = diag(diag) - eps*lap_h,    diag = W''(u)/eps + 1/dtau,
+
+    i.e. (I/dtau - J) on pseudo-transient steps and -J (1/dtau dropped) on
+    pure-Newton steps. With D = node_weights/h^d, D*K is symmetric, so
+    MINRES runs on D*K du = D*rhs (the same iterates as on the symmetrised
+    D^{1/2} K D^{-1/2}). The preconditioner is (D*P)^{-1} with
+    P = c*I - eps*lap_h and c = max|diag|: symmetric positive definite, and
+    applied exactly by DCT-I (zero-flux) or FFT (periodic). Matvecs use the
+    sparse Laplacian `lap_mat`.
+    """
+    shape = grid.shape
+    d = (grid.node_weights() / grid.h ** grid.ndim).ravel()
+    diag = diag.ravel()
+    c = float(np.max(np.abs(diag)))
+    inv_symbol = 1.0 / (c + epsilon * _laplacian_eigenvalues(
+        grid.points, grid.h, grid.boundary))
+
+    def matvec(x):
+        return d * (diag * x - epsilon * (lap_mat @ x))
+
+    def precondition(y):
+        y = (y / d).reshape(shape)
+        if grid.boundary == PERIODIC:
+            x = scipy.fft.ifftn(scipy.fft.fftn(y) * inv_symbol).real
+        else:
+            x = scipy.fft.dctn(y, type=1, overwrite_x=True) * inv_symbol
+            x = scipy.fft.idctn(x, type=1, overwrite_x=True)
+        return x.ravel()
+
+    n = d.size
+    du, _ = minres(LinearOperator((n, n), matvec=matvec), d * rhs.ravel(),
+                   M=LinearOperator((n, n), matvec=precondition),
+                   rtol=_LINEAR_RTOL, maxiter=_LINEAR_MAXITER)
+    return du.reshape(shape)
+
+
 def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
                      u_init: ScalarField, tol: float = 1e-10,
                      max_iter: int = 50) -> PhaseFieldState:
     """Damped Newton via pseudo-transient continuation on the discrete
     residual R(u) = eps*lap_h(u) - W'(u)/eps - f.
 
-    Every step solves the sparse stencil system (I/dtau - J) du = R, which
-    is a semi-implicit gradient-flow step for finite dtau and the exact
+    Every step solves (I/dtau - J) du = R by preconditioned MINRES (see
+    `spsolve`), a semi-implicit gradient-flow step for finite dtau and the
     Newton step as dtau -> infinity. Steps are accepted when either the
     residual max-norm or the discrete energy
 
@@ -253,9 +315,9 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     initial guesses follow the flow through residual humps into the right
     basin, as in the 1-d picture du/dt = -W'(u)/eps. dtau grows on accepted
     steps and collapses to pure Newton once the residual contracts strongly,
-    giving the usual quadratic tail. Deterministic throughout (direct sparse
-    solves, fixed ordering). Raises SolverError with the best residual when
-    max_iter accepted steps cannot reach tol.
+    giving the usual quadratic tail. Deterministic throughout (fixed linear
+    tolerance and ordering, single-worker transforms). Raises SolverError
+    with the best residual when max_iter accepted steps cannot reach tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -284,15 +346,13 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
         return make_state(ScalarField(grid, u), f, epsilon)
     fu = energy(u, laplacian(ScalarField(grid, u)).values)
 
-    ident = sp.identity(lap_mat.shape[0], format="csr")
     dtau = epsilon / 4.0
     pure_newton = False
     for _ in range(max_iter):
-        jac = (epsilon * lap_mat
-               - sp.diags(double_well_second(u).ravel() / epsilon)).tocsr()
+        w2 = double_well_second(u) / epsilon
         while True:
-            mat = jac if pure_newton else (jac - ident / dtau)
-            du = spsolve(mat.tocsc(), -r.ravel()).reshape(grid.shape)
+            du = spsolve(grid, lap_mat, epsilon,
+                         w2 if pure_newton else w2 + 1.0 / dtau, r)
             trial = u + du
             rt_field = resid(trial)
             rt = float(np.max(np.abs(rt_field)))

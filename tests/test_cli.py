@@ -1,6 +1,7 @@
 """Config parsing, CLI subcommands, exit codes, and output reproducibility."""
 
 import json
+import math
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_minimal_run_smoke(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenario"] == "inline-planar"
     assert "norms" in summary["analyses"]
+
+
+def test_firstvar_in_one_dimension(tmp_path):
+    # q0 = n + 1 = 1 in 1-d, so the duality bound uses the sup norm of eta
+    cfg = write_cfg(tmp_path, "scenario = stack-2-1d\nanalyses = firstvar\n"
+                    f"out = {tmp_path/'out'}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "firstvar.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    for row in rows:
+        assert all(math.isfinite(float(cell)) for cell in row)
+        assert row[-1] == "1"
 
 
 def test_registry_scenario_run(tmp_path):

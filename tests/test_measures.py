@@ -162,6 +162,14 @@ def test_holder_check_circle(circle_state):
     assert res.q0 == pytest.approx(4.0)
 
 
+def test_holder_check_zero_threshold_is_finite(planar_state):
+    # the far field has grad u = 0 and f = 0: the 0/0 quotient counts as 0
+    params = AnalysisParams(grad_threshold=0.0)
+    res = corollary_holder_check(planar_state, s=3.0, t=6.0, params=params)
+    assert np.isfinite(res.c2) and np.isfinite(res.rhs)
+    assert res.holds
+
+
 def test_holder_check_preconditions(circle_state):
     with pytest.raises(ValueError, match="s must exceed 2"):
         corollary_holder_check(circle_state, s=2.0, t=6.0)
@@ -216,6 +224,14 @@ def test_first_variation_duality_bound(circle_state):
         res = first_variation_identity(circle_state, eta, params)
         bound = lam ** (1 / q0) * eta_lq_norm(circle_state, eta, q0 / (q0 - 1))
         assert abs(res.lhs) <= bound * (1.0 + 1e-6)
+
+
+def test_eta_linf_norm_is_sup_over_mu_support():
+    eta = smooth_test_field(constant_state(0.0).grid, seed=3)
+    peak = float(np.max(np.sqrt(np.sum(eta.values ** 2, axis=0))))
+    # mu = W(0)/eps > 0 everywhere, and mu = 0 everywhere on a pure phase
+    assert eta_lq_norm(constant_state(0.0), eta, np.inf) == peak
+    assert eta_lq_norm(constant_state(1.0), eta, np.inf) == 0.0
 
 
 def test_first_variation_rejects_boundary_support(circle_state):

@@ -108,6 +108,13 @@ def test_density_ratio_layer_through_center():
     assert np.max(np.abs(prof[:, 1] - target)) <= 0.02 * target
 
 
+def test_density_ratio_single_radius(circle_state):
+    one = density_ratio_profile(circle_state, (0.0, 0.0), [0.3])
+    many = density_ratio_profile(circle_state, (0.0, 0.0), [0.3, 0.35, 0.4])
+    assert one.shape == (1, 2)
+    assert one[0, 0] == 0.3 and one[0, 1] == many[0, 1]
+
+
 # ---------------------------------------------------------------- slab
 
 def test_slab_containment_matches_plain(circle_state):

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from aclab import (Grid, LayerSpec, ScalarField, SolverError, ZERO_FLUX,
-                   build_layer_stack, build_radial_layer, constants,
-                   double_well, double_well_prime, heteroclinic, make_state,
-                   manufactured_forcing, solve_stationary)
+from aclab import (Grid, LayerSpec, PERIODIC, ScalarField, SolverError,
+                   ZERO_FLUX, build_layer_stack, build_radial_layer,
+                   constants, double_well, double_well_prime, heteroclinic,
+                   laplacian, make_state, manufactured_forcing,
+                   solve_stationary)
+from aclab import phasefield
+from aclab.phasefield import double_well_second, residual_field
 
 
 # ---------------------------------------------------------------- potential
@@ -195,3 +200,81 @@ def test_solver_deterministic():
     a = solve_stationary(g, eps, f, init, tol=1e-10)
     b = solve_stationary(g, eps, f, init, tol=1e-10)
     assert np.array_equal(a.u.values, b.u.values)
+
+
+# ---------------------------------------------------------------- every boundary and dimension
+
+def centered_grid(points, boundary):
+    return Grid(extent=(2.0,) * len(points), points=points, boundary=boundary,
+                origin=(-1.0,) * len(points))
+
+
+def stencil_matrix(grid):
+    """Direct-solve oracle: the discrete Laplacian assembled column by
+    column from the stencil applied to unit vectors."""
+    n = int(np.prod(grid.shape))
+    cols = []
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        cols.append(laplacian(ScalarField(grid, e.reshape(grid.shape)))
+                    .values.ravel())
+    return sp.csc_matrix(np.column_stack(cols))
+
+
+@pytest.mark.parametrize("boundary,points", [
+    (ZERO_FLUX, (41,)), (ZERO_FLUX, (41, 41)), (ZERO_FLUX, (13, 13, 13)),
+    (PERIODIC, (40,)), (PERIODIC, (40, 40)), (PERIODIC, (12, 12, 12))])
+@pytest.mark.parametrize("pure_newton", [False, True])
+def test_newton_linear_solve_matches_direct_solve(boundary, points,
+                                                   pure_newton):
+    g = centered_grid(points, boundary)
+    eps = 3.0 * g.h
+    u_star = build_radial_layer(g, eps, (0.0,) * g.ndim, 0.5)
+    f = manufactured_forcing(u_star, eps)
+    rng = np.random.default_rng(len(points))
+    u = u_star.values + 0.01 * rng.standard_normal(g.shape)
+    r = residual_field(ScalarField(g, u), f, eps)
+    shift = 0.0 if pure_newton else 4.0 / eps  # 1/dtau at the first step
+    diag = double_well_second(u) / eps + shift
+    # (I/dtau - J) du = R, J = eps*lap_h - diag(W''(u))/eps
+    mat = sp.diags(diag.ravel()) - eps * stencil_matrix(g)
+    want = scipy.sparse.linalg.spsolve(mat.tocsc(), r.ravel())
+    lap_mat = phasefield._laplacian_matrix(g.points, g.h, g.boundary)
+    got = phasefield.spsolve(g, lap_mat, eps, diag, r).ravel()
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_solver_periodic_2d():
+    eps = 0.1
+    g = centered_grid((96, 96), PERIODIC)
+    u_star = build_radial_layer(g, eps, (0.0, 0.0), 0.5)
+    f = manufactured_forcing(u_star, eps)
+    rng = np.random.default_rng(5)
+    init = ScalarField(g, u_star.values + 0.01 * rng.standard_normal(g.shape))
+    st = solve_stationary(g, eps, f, init, tol=1e-10)
+    assert st.residual_norm <= 1e-10
+    assert np.max(np.abs(st.u.values - u_star.values)) <= 1e-6
+
+
+def test_solver_1d_two_layers_from_far_guess():
+    eps = 0.05
+    g = grid1d(201)
+    u_star = build_layer_stack(g, eps, LayerSpec(positions=(-0.3, 0.3)))
+    f = manufactured_forcing(u_star, eps)
+    init = ScalarField(g, np.clip(2.0 * u_star.values, -0.5, 0.5))
+    st = solve_stationary(g, eps, f, init, tol=1e-10)
+    assert st.residual_norm <= 1e-10
+    assert np.max(np.abs(st.u.values - u_star.values)) <= 1e-6
+
+
+def test_solver_3d_sphere():
+    eps = 0.15
+    g = centered_grid((33, 33, 33), ZERO_FLUX)
+    u_star = build_radial_layer(g, eps, (0.0, 0.0, 0.0), 0.5)
+    f = manufactured_forcing(u_star, eps)
+    rng = np.random.default_rng(7)
+    init = ScalarField(g, u_star.values + 0.01 * rng.standard_normal(g.shape))
+    st = solve_stationary(g, eps, f, init, tol=1e-10)
+    assert st.residual_norm <= 1e-10
+    assert np.max(np.abs(st.u.values - u_star.values)) <= 1e-6
