@@ -90,6 +90,15 @@ def _ints(value: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse integer list {value!r}") from exc
 
 
+def _number(kv: dict, key: str, kind=float):
+    """kv[key] as a float (or kind), naming the key when it does not parse."""
+    try:
+        return kind(kv[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse {kind.__name__} "
+                          f"{kv[key]!r}") from exc
+
+
 def _bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "1", "on"):
@@ -131,15 +140,10 @@ def _inline_grid(kv: dict, default: Grid = None) -> Grid:
 
 
 def _analysis_params(kv: dict) -> AnalysisParams:
-    kwargs = {}
-    if "analysis.q0" in kv:
-        kwargs["q0"] = float(kv["analysis.q0"])
-    if "analysis.tau" in kv:
-        kwargs["tau"] = float(kv["analysis.tau"])
-    if "analysis.supersample" in kv:
-        kwargs["supersample"] = int(kv["analysis.supersample"])
-    if "analysis.grad_threshold" in kv:
-        kwargs["grad_threshold"] = float(kv["analysis.grad_threshold"])
+    kinds = {"q0": float, "tau": float, "supersample": int,
+             "grad_threshold": float}
+    kwargs = {name: _number(kv, f"analysis.{name}", kind)
+              for name, kind in kinds.items() if f"analysis.{name}" in kv}
     try:
         return AnalysisParams(**kwargs)
     except ValueError as exc:
@@ -182,6 +186,36 @@ def _inline_scenario(kv: dict) -> Scenario:
                         params=_analysis_params(kv), seed=seed)
     except ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _geometry(kv: dict, ndim: int) -> dict:
+    """Typed values of the analysis geometry keys present in kv."""
+    def values(key, count):
+        vals = _floats(kv[key])
+        if len(vals) != count:
+            raise ConfigError(f"{key} takes {count} values, got {len(vals)}")
+        return vals
+
+    def radii(key):
+        start, stop, count = values(key, 3)
+        if not (count.is_integer() and count >= 1):
+            raise ConfigError(f"{key}: count must be an integer >= 1, "
+                              f"got {count:g}")
+        return start, stop, int(count)
+
+    parsers = {
+        "monotonicity.center": lambda key: values(key, ndim),
+        "monotonicity.radii": radii,
+        "slab.center": lambda key: values(key, ndim),
+        "slab.radii": radii,
+        "slab.t": lambda key: values(key, 2),
+        "quantize.tau": lambda key: _number(kv, key),
+        "gdelta.delta": lambda key: _floats(kv[key]),
+        "gdelta.c0": lambda key: _number(kv, key),
+        "firstvar.count": lambda key: _number(kv, key, int),
+        "firstvar.seed": lambda key: _number(kv, key, int),
+    }
+    return {key: parse(key) for key, parse in parsers.items() if key in kv}
 
 
 def load_config(path: Path, out_override=None, strict_override=None,
@@ -236,18 +270,14 @@ def load_config(path: Path, out_override=None, strict_override=None,
     if strict_override is not None:
         strict = strict_override
 
-    geometry = {k: v for k, v in kv.items()
-                if k.split(".", 1)[0] in ("monotonicity", "slab", "quantize",
-                                          "gdelta", "firstvar")}
     return RunConfig(scenario=scenario, analyses=analyses, out_dir=out_dir,
                      strict=strict, threads=max(1, int(threads)),
-                     geometry=geometry)
+                     geometry=_geometry(kv, scenario.grid.ndim))
 
 
 def _geometry_radii(cfg: RunConfig, key: str, scenario, eps, center):
     if key in cfg.geometry:
-        start, stop, count = _floats(cfg.geometry[key])
-        return np.linspace(start, stop, int(count))
+        return np.linspace(*cfg.geometry[key])
     return default_radii(scenario, eps, center)
 
 
@@ -321,9 +351,7 @@ def _run_sweep(cfg: RunConfig, states):
 def _run_monotonicity(cfg: RunConfig, states):
     scenario = cfg.scenario
     eps, st = scenario.epsilons[0], states[0]
-    center = (_floats(cfg.geometry["monotonicity.center"])
-              if "monotonicity.center" in cfg.geometry
-              else default_center(scenario))
+    center = cfg.geometry.get("monotonicity.center") or default_center(scenario)
     radii = _geometry_radii(cfg, "monotonicity.radii", scenario, eps, center)
     rep = monotonicity_report(st, center, radii,
                               supersample=scenario.params.supersample)
@@ -341,10 +369,9 @@ def _run_slab(cfg: RunConfig, states):
     scenario = cfg.scenario
     eps, st = scenario.epsilons[0], states[0]
     g = scenario.grid
-    center = (_floats(cfg.geometry["slab.center"])
-              if "slab.center" in cfg.geometry else default_center(scenario))
+    center = cfg.geometry.get("slab.center") or default_center(scenario)
     if "slab.t" in cfg.geometry:
-        t_lo, t_hi = _floats(cfg.geometry["slab.t"])
+        t_lo, t_hi = cfg.geometry["slab.t"]
     else:
         # widest slab clearing the default radii's sphere poles by > 2h
         t_lo = g.lo[-1] + 0.5 * g.h
@@ -366,8 +393,7 @@ def _run_slab(cfg: RunConfig, states):
 def _run_quantize(cfg: RunConfig, states):
     scenario = cfg.scenario
     eps, st = scenario.epsilons[0], states[0]
-    tau = (float(cfg.geometry["quantize.tau"])
-           if "quantize.tau" in cfg.geometry else scenario.params.tau)
+    tau = cfg.geometry.get("quantize.tau", scenario.params.tau)
     lines = default_lines(scenario, eps)
     rep = quantization_check(st, lines, tau=tau)
     rows = []
@@ -388,10 +414,8 @@ def _run_quantize(cfg: RunConfig, states):
 
 
 def _run_gdelta(cfg: RunConfig, states):
-    deltas = (_floats(cfg.geometry["gdelta.delta"])
-              if "gdelta.delta" in cfg.geometry else (0.1, 0.01))
-    c0 = (float(cfg.geometry["gdelta.c0"])
-          if "gdelta.c0" in cfg.geometry else 2.0)
+    deltas = cfg.geometry.get("gdelta.delta", (0.1, 0.01))
+    c0 = cfg.geometry.get("gdelta.c0", 2.0)
     rows = []
     values = {}
     worst = np.inf
@@ -415,10 +439,8 @@ def _run_gdelta(cfg: RunConfig, states):
 def _run_firstvar(cfg: RunConfig, states):
     scenario = cfg.scenario
     st = states[0]
-    count = (int(cfg.geometry["firstvar.count"])
-             if "firstvar.count" in cfg.geometry else 5)
-    seed = (int(cfg.geometry["firstvar.seed"])
-            if "firstvar.seed" in cfg.geometry else scenario.seed + 100)
+    count = cfg.geometry.get("firstvar.count", 5)
+    seed = cfg.geometry.get("firstvar.seed", scenario.seed + 100)
     params = scenario.params
     q0 = params.resolve_q0(st.grid.ndim)
     lam, _ = diffuse_mean_curvature_norm(st, params)
@@ -471,23 +493,22 @@ def run(cfg: RunConfig) -> int:
         return 1
 
     def job(name):
-        return name, _RUNNERS[name](cfg, states)
+        return _RUNNERS[name](cfg, states)
 
     results = {}
     failures = []
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             futures = [pool.submit(job, name) for name in cfg.analyses]
-            for fut in futures:
+            for name, fut in zip(cfg.analyses, futures):
                 try:
-                    name, res = fut.result()
-                    results[name] = res
+                    results[name] = fut.result()
                 except Exception as exc:
-                    failures.append(str(exc))
+                    failures.append(f"{name}: {exc}")
     else:
         for name in cfg.analyses:
             try:
-                results[name] = job(name)[1]
+                results[name] = job(name)
             except Exception as exc:
                 failures.append(f"{name}: {exc}")
 

@@ -102,9 +102,11 @@ class Grid:
     def axis_coords(self, axis) -> np.ndarray:
         return self.origin[axis] + self.h * np.arange(self.points[axis])
 
-    def meshgrid(self) -> list[np.ndarray]:
+    def meshgrid(self, sparse: bool = False) -> list[np.ndarray]:
+        """Node coordinates per axis; sparse=True keeps each axis 1-d in
+        broadcastable shape (n, 1, ...), (1, n, ...), ... instead of full."""
         return np.meshgrid(*[self.axis_coords(ax) for ax in range(self.ndim)],
-                           indexing="ij")
+                           indexing="ij", sparse=sparse)
 
     def node_weights(self) -> np.ndarray:
         """Quadrature weights for whole-domain integrals (volume h^d).
@@ -197,39 +199,52 @@ class Region:
                       direction=tuple(float(d) for d in np.atleast_1d(direction)))
 
 
-def _shift(grid: Grid, values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """values[..., i+step, ...] with the grid's ghost convention.
+def _neighbours(grid: Grid, axis: int):
+    """Index triples (nodes, i+1 neighbours, i-1 neighbours) along one axis.
 
-    Periodic wraps; zero-flux mirrors across the boundary node (ghost(-1) =
-    u[1]), which makes the central first derivative vanish at the boundary.
+    The three triples cover the interior, the first and the last node; each
+    index is a slice, so values[...] is a view, never a copy. Periodic
+    wraps; zero-flux mirrors across the boundary node (ghost(-1) = u[1]),
+    which makes the central first derivative vanish at the boundary.
     """
-    out = np.roll(values, -step, axis=axis)
-    if grid.boundary == ZERO_FLUX:
-        idx = [slice(None)] * values.ndim
-        src = [slice(None)] * values.ndim
-        if step == 1:
-            idx[axis], src[axis] = -1, -2
-        else:
-            idx[axis], src[axis] = 0, 1
-        out[tuple(idx)] = values[tuple(src)]
-    return out
+    def at(s):
+        idx = [slice(None)] * grid.ndim
+        idx[axis] = s
+        return tuple(idx)
+
+    wrap = grid.boundary == PERIODIC
+    first, second = slice(0, 1), slice(1, 2)
+    last, before_last = slice(-1, None), slice(-2, -1)
+    return ((at(slice(1, -1)), at(slice(2, None)), at(slice(None, -2))),
+            (at(first), at(second), at(last if wrap else second)),
+            (at(last), at(first if wrap else before_last), at(before_last)))
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Second-order central-difference gradient respecting the boundary tag."""
     g = f.grid
-    comps = [( _shift(g, f.values, ax, 1) - _shift(g, f.values, ax, -1)) / (2.0 * g.h)
-             for ax in range(g.ndim)]
-    return VectorField(g, np.stack(comps))
+    v = f.values
+    out = np.empty((g.ndim,) + g.shape)
+    for ax in range(g.ndim):
+        for nodes, plus, minus in _neighbours(g, ax):
+            np.subtract(v[plus], v[minus], out=out[ax][nodes])
+        out[ax] /= 2.0 * g.h
+    return VectorField(g, out)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Standard (2*dim+1)-point second-order Laplacian."""
     g = f.grid
+    v = f.values
+    twice = 2.0 * v
+    term = np.empty(g.shape)
     out = np.zeros(g.shape)
     for ax in range(g.ndim):
-        out += (_shift(g, f.values, ax, 1) - 2.0 * f.values
-                + _shift(g, f.values, ax, -1)) / g.h ** 2
+        for nodes, plus, minus in _neighbours(g, ax):
+            np.subtract(v[plus], twice[nodes], out=term[nodes])
+            term[nodes] += v[minus]
+        term /= g.h ** 2
+        out += term
     return ScalarField(g, out)
 
 
@@ -373,11 +388,6 @@ def radial_derivative(profile: np.ndarray) -> np.ndarray:
     d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dr)
     d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dr)
     return np.column_stack([r, d])
-
-
-def boundary_profile(cumulative: np.ndarray) -> np.ndarray:
-    """Sphere integrals as the radial derivative of cumulative ball integrals."""
-    return radial_derivative(cumulative)
 
 
 def _locate(grid: Grid, pts: np.ndarray):

@@ -79,12 +79,25 @@ class NormReport:
     excluded_mass_fraction: float
 
 
+def state_gradient(state: PhaseFieldState) -> np.ndarray:
+    """The node values of gradient(state.u), computed once per state."""
+    return state.derived("gradient", lambda: gradient(state.u).values)
+
+
 def density_fields(state: PhaseFieldState, axis: int = -1) -> DensityFields:
-    """Evaluate mu, xi, xi_plus, the tilt integrand for one axis, and |grad u|."""
+    """Evaluate mu, xi, xi_plus, the tilt integrand for one axis, and |grad u|.
+
+    Computed once per state and axis; later calls return the same object.
+    """
+    axis = axis % state.grid.ndim
+    return state.derived(("density_fields", axis),
+                         lambda: _density_fields(state, axis))
+
+
+def _density_fields(state: PhaseFieldState, axis: int) -> DensityFields:
     g = state.grid
-    axis = axis % g.ndim
     eps = state.epsilon
-    grad = gradient(state.u).values
+    grad = state_gradient(state)
     grad_sq = np.sum(grad * grad, axis=0)
     w = double_well(state.u.values)
     mu = 0.5 * eps * grad_sq + w / eps
@@ -243,18 +256,16 @@ def first_variation_identity(state: PhaseFieldState, eta: VectorField,
     if eta.grid != g:
         raise ValueError("eta must live on the state's grid")
     _require_compact_support(eta)
-    eps = state.epsilon
     dens = density_fields(state)
-    grad_u = gradient(state.u).values
+    grad_u = state_gradient(state)
     w = g.node_weights()
 
     comps = [gradient(ScalarField(g, eta.values[j])).values
              for j in range(g.ndim)]  # comps[j][i] = d_i eta_j
     div_eta = sum(comps[j][j] for j in range(g.ndim))
-    grad_mag = dens.grad_mag.values
-    included = eps * grad_mag >= params.grad_threshold
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu = np.where(included, grad_u / grad_mag, 0.0)
+    included, nu = state.derived(
+        ("unit_normal", params.grad_threshold),
+        lambda: _unit_normal(state, dens, params.grad_threshold))
     grad_eta_nunu = sum(comps[j][i] * nu[i] * nu[j]
                         for i in range(g.ndim) for j in range(g.ndim))
 
@@ -269,16 +280,28 @@ def first_variation_identity(state: PhaseFieldState, eta: VectorField,
                                 forcing_term=forcing, discrepancy_term=disc)
 
 
+def _unit_normal(state: PhaseFieldState, dens: DensityFields,
+                 threshold: float):
+    """The mask eps|grad u| >= threshold and the unit normal grad u/|grad u|
+    on it (0 elsewhere), as read-only arrays."""
+    grad_mag = dens.grad_mag.values
+    included = state.epsilon * grad_mag >= threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = np.where(included, state_gradient(state) / grad_mag, 0.0)
+    included.setflags(write=False)
+    nu.setflags(write=False)
+    return included, nu
+
+
 def _require_compact_support(eta: VectorField, margin_cells: float = 4.0):
     g = eta.grid
     if g.boundary == "periodic":
         return
     margin = margin_cells * g.h
-    mesh = g.meshgrid()
     near = np.zeros(g.shape, dtype=bool)
-    for ax in range(g.ndim):
-        near |= (mesh[ax] - g.lo[ax] < margin - 1e-12 * g.h)
-        near |= (g.hi[ax] - mesh[ax] < margin - 1e-12 * g.h)
+    for ax, x in enumerate(g.meshgrid(sparse=True)):
+        near |= ((x - g.lo[ax] < margin - 1e-12 * g.h)
+                 | (g.hi[ax] - x < margin - 1e-12 * g.h))
     mags = np.max(np.abs(eta.values), axis=0)
     peak = float(np.max(mags)) if mags.size else 0.0
     if peak > 0 and float(np.max(mags[near])) > 1e-12 * peak:
@@ -305,14 +328,15 @@ def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField
     and the 4h compact-support precondition holds by construction.
     """
     rng = np.random.default_rng(seed)
-    mesh = grid.meshgrid()
     centers = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
     halves = [0.5 * ext - margin_cells * grid.h for ext in grid.extent]
     if any(hw <= 0 for hw in halves):
         raise ValueError("grid too small for a compactly supported test field")
-    bump = np.ones(grid.shape)
+    # every factor depends on one coordinate: evaluate it on the 1-d axis
+    # (in broadcastable shape) and let the products fill the grid
+    bump = np.ones(())
     scaled = []
-    for m, c, hw in zip(mesh, centers, halves):
+    for m, c, hw in zip(grid.meshgrid(sparse=True), centers, halves):
         s = (m - c) / hw
         scaled.append(s)
         inside = np.abs(s) < 1.0
@@ -322,7 +346,7 @@ def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField
         bump = bump * b
     comps = []
     for _ in range(grid.ndim):
-        poly = np.full(grid.shape, rng.uniform(-1.0, 1.0))
+        poly = rng.uniform(-1.0, 1.0)
         for s in scaled:
             poly = poly + rng.uniform(-1.0, 1.0) * np.sin(np.pi * s)
             poly = poly + rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .fields import (RegionError, ScalarField, _BallQuadrature, disc_integral,
-                     gradient, radial_derivative, restrict_to_plane)
-from .measures import density_fields
+                     radial_derivative, restrict_to_plane)
+from .measures import density_fields, state_gradient
 from .phasefield import PhaseFieldState
 
 
@@ -86,14 +86,18 @@ def _validate_radii(state: PhaseFieldState, radii, min_count=5):
     return radii
 
 
+def _radial_pairing(state: PhaseFieldState, center) -> np.ndarray:
+    """<x-c, grad u> at every node."""
+    grad = state_gradient(state)
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    mesh = state.grid.meshgrid(sparse=True)
+    return sum((m - ci) * grad[i] for i, (m, ci) in enumerate(zip(mesh, c)))
+
+
 def _identity_integrands(state: PhaseFieldState, center):
     """mu, xi, <x-c,grad u>^2 and <x-c,grad u> f node arrays."""
-    g = state.grid
     dens = density_fields(state)
-    grad = gradient(state.u).values
-    mesh = g.meshgrid()
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    radial = sum((m - ci) * grad[i] for i, (m, ci) in enumerate(zip(mesh, c)))
+    radial = _radial_pairing(state, center)
     return (dens.mu.values, dens.xi.values,
             state.epsilon * radial ** 2, radial * state.f.values)
 
@@ -160,12 +164,10 @@ def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
     g = state.grid
     eps = state.epsilon
     dens = density_fields(state)
-    grad = gradient(state.u).values
-    mesh = g.meshgrid()
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    radial = sum((m - ci) * grad[i] for i, (m, ci) in enumerate(zip(mesh, c)))
+    radial = _radial_pairing(state, c)
     mu_p = restrict_to_plane(dens.mu, t)
-    dlast_p = restrict_to_plane(ScalarField(g, grad[-1]), t)
+    dlast_p = restrict_to_plane(ScalarField(g, state_gradient(state)[-1]), t)
     radial_p = restrict_to_plane(ScalarField(g, radial), t)
     return (t - c[-1]) * mu_p - eps * dlast_p * radial_p
 

@@ -11,7 +11,7 @@ solved by damped Newton with a gradient-flow warmup.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -126,12 +126,19 @@ class LayerSpec:
 @dataclass(frozen=True)
 class PhaseFieldState:
     """A triple (u, f, eps) with the max-norm residual of the discrete
-    equation recorded at construction."""
+    equation recorded at construction.
+
+    Arrays derived from the state (its gradient, the density fields, the
+    unit normal) are computed once through `derived` and kept for the
+    state's lifetime.
+    """
 
     u: ScalarField
     f: ScalarField
     epsilon: float
     residual_norm: float
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.u.grid != self.f.grid:
@@ -143,6 +150,18 @@ class PhaseFieldState:
     @property
     def grid(self) -> Grid:
         return self.u.grid
+
+    def derived(self, key, compute):
+        """The value of compute() stored under key, computed on first use.
+
+        Threads racing on a missing key may each compute it, but setdefault
+        keeps the first value stored, so every caller gets the same object.
+        Values are shared: they must be immutable (read-only arrays).
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, compute())
 
 
 def _check_epsilon(grid: Grid, epsilon: float):

@@ -43,7 +43,6 @@ class Line:
 class LineResult:
     line_id: int
     layer_count: int
-    line_energy: float
     theta_hat: float
     nearest_k: int
     quantization_residual: float
@@ -121,8 +120,8 @@ def quantization_check(state: PhaseFieldState, lines, tau: float = 0.1
             for lo, hi in windows)
         nearest = int(math.floor(theta / alpha + 0.5))
         rows.append(LineResult(
-            line_id=i, layer_count=len(windows), line_energy=theta,
-            theta_hat=theta, nearest_k=nearest,
+            line_id=i, layer_count=len(windows), theta_hat=theta,
+            nearest_k=nearest,
             quantization_residual=abs(theta - nearest * alpha) / alpha,
             potential_per_layer=pots))
     if not rows:

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from aclab.cli import ConfigError, load_config, main, parse_config_text
+import aclab
+from aclab.cli import (ANALYSES, ConfigError, load_config, main,
+                       parse_config_text)
 
 SMALL_SCENARIO = """
 scenario.kind = planar
@@ -175,3 +181,61 @@ def test_threads_match_serial(tmp_path):
     for fname in ("norms.csv", "gdelta.csv", "quantize.csv"):
         assert (tmp_path / "s" / fname).read_bytes() == \
             (tmp_path / "t" / fname).read_bytes()
+
+
+def test_threads_match_serial_on_circle_all_analyses(tmp_path):
+    # analyses running concurrently fill the per-state derived-field cache
+    base = f"scenario = circle\nanalyses = {', '.join(ANALYSES)}\n"
+    cfg1 = write_cfg(tmp_path, base + f"out = {tmp_path/'s'}\n", "s.cfg")
+    cfg2 = write_cfg(tmp_path, base + f"out = {tmp_path/'t'}\n", "t.cfg")
+    assert main(["run", "--config", str(cfg1)]) == 0
+    assert main(["run", "--config", str(cfg2), "--threads", "2"]) == 0
+    csvs = sorted(p.name for p in (tmp_path / "s").glob("*.csv"))
+    assert len(csvs) == len(ANALYSES)
+    for fname in csvs:
+        assert (tmp_path / "s" / fname).read_bytes() == \
+            (tmp_path / "t" / fname).read_bytes()
+
+
+def test_threaded_failure_names_the_analysis(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms, monotonicity\n"
+                    "monotonicity.radii = 0.01, 0.05, 5\n"
+                    f"out = {tmp_path/'out'}\n")
+    assert main(["run", "--config", str(cfg), "--threads", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "analysis failure: monotonicity: " in err
+    assert "resolution floor" in err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["failures"][0].startswith("monotonicity: ")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("analysis.q0 = abc", "analysis.q0"),
+    ("analysis.supersample = 4.5", "analysis.supersample"),
+    ("monotonicity.radii = 0.1, 0.2", "monotonicity.radii"),
+    ("monotonicity.radii = 0.1, 0.3, 2.5", "monotonicity.radii"),
+    ("slab.radii = 0.1, 0.3, 0", "slab.radii"),
+    ("slab.t = 0.1", "slab.t"),
+    ("slab.center = 0, 0, 0", "slab.center"),
+    ("monotonicity.center = 0", "monotonicity.center"),
+    ("firstvar.count = many", "firstvar.count"),
+    ("quantize.tau = x", "quantize.tau"),
+])
+def test_malformed_values_are_config_errors(tmp_path, capsys, line, key):
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms\n"
+                    f"{line}\nout = {tmp_path/'out'}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(aclab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "aclab", "list-scenarios"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "circle-sweep" in proc.stdout

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from aclab import (Grid, PERIODIC, Region, RegionError, ScalarField,
-                   ZERO_FLUX, boundary_profile, cumulative_ball_profile,
-                   gradient, integrate, laplacian, line_sample)
+                   ZERO_FLUX, cumulative_ball_profile, gradient, integrate,
+                   laplacian, line_sample, radial_derivative)
 from aclab.fields import disc_integral, plane_slice_integral, restrict_to_plane
 
 
@@ -91,6 +91,38 @@ def test_laplacian_second_order_periodic():
         errs.append(np.max(np.abs(lap + 4 * np.pi ** 2 * np.sin(2 * np.pi * x))))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
+
+
+def _rolled(grid, values, axis, step):
+    """Reference neighbour values[i+step] by np.roll with the ghost fixed up:
+    zero-flux mirrors across the boundary node, periodic wraps."""
+    out = np.roll(values, -step, axis=axis)
+    if grid.boundary == ZERO_FLUX:
+        idx = [slice(None)] * values.ndim
+        src = [slice(None)] * values.ndim
+        idx[axis], src[axis] = (-1, -2) if step == 1 else (0, 1)
+        out[tuple(idx)] = values[tuple(src)]
+    return out
+
+
+@pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])
+@pytest.mark.parametrize("points", [(40,), (24, 17), (9, 12, 10)])
+def test_stencils_match_roll_reference_bitwise(boundary, points):
+    h = 0.1
+    extent = tuple(h * (n if boundary == PERIODIC else n - 1) for n in points)
+    g = Grid(extent=extent, points=points, boundary=boundary)
+    v = np.random.default_rng(len(points)).standard_normal(g.shape)
+    grad_ref = np.stack([(_rolled(g, v, ax, 1) - _rolled(g, v, ax, -1))
+                         / (2.0 * g.h) for ax in range(g.ndim)])
+    lap_ref = np.zeros(g.shape)
+    for ax in range(g.ndim):
+        lap_ref += (_rolled(g, v, ax, 1) - 2.0 * v
+                    + _rolled(g, v, ax, -1)) / g.h ** 2
+    f = ScalarField(g, v)
+    for got, ref in ((gradient(f).values, grad_ref),
+                     (laplacian(f).values, lap_ref)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 # ---------------------------------------------------------------- integrate
@@ -205,19 +237,19 @@ def test_boundary_profile_matches_sphere_area():
     radii = np.linspace(8 * g.h, 0.5, 17)
     prof = cumulative_ball_profile(ScalarField(g, np.ones(g.shape)),
                                    (0.0, 0.0), radii, supersample=4)
-    deriv = boundary_profile(prof)
+    deriv = radial_derivative(prof)
     rel = np.abs(deriv[:, 1] - 2 * np.pi * deriv[:, 0]) / (2 * np.pi * deriv[:, 0])
     assert np.max(rel) <= 0.02
 
 
 def test_boundary_profile_needs_three_radii():
     with pytest.raises(ValueError, match="3 radii"):
-        boundary_profile(np.array([[0.1, 1.0], [0.2, 2.0]]))
+        radial_derivative(np.array([[0.1, 1.0], [0.2, 2.0]]))
 
 
 def test_boundary_profile_zero():
     prof = np.column_stack([np.linspace(0.1, 0.3, 5), np.zeros(5)])
-    assert np.all(boundary_profile(prof)[:, 1] == 0.0)
+    assert np.all(radial_derivative(prof)[:, 1] == 0.0)
 
 
 # ---------------------------------------------------------------- lines/planes

@@ -1,12 +1,16 @@
 """Density fields, curvature norms, the first-variation identity, and the
 Hoelder chain."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from aclab import (AnalysisParams, Grid, Region, ScalarField, VectorField,
-                   ZERO_FLUX, constants, corollary_holder_check,
+from aclab import (AnalysisParams, Grid, PERIODIC, Region, ScalarField,
+                   VectorField, ZERO_FLUX, constants, corollary_holder_check,
                    density_fields, diffuse_mean_curvature_norm,
                    first_variation_identity, integrate, make_state,
                    norm_report, smooth_test_field, tilt_excess,
@@ -54,6 +58,52 @@ def test_pointwise_density_identities():
     assert np.all(d.mu.values >= 0)
     assert np.all(np.abs(d.xi.values) <= d.mu.values * (1 + 1e-12) + 1e-15)
     assert np.all(d.tilt_e.values <= eps * grad_sq * (1 + 1e-12) + 1e-15)
+
+
+def random_state(n=33, seed=6, eps=0.1):
+    g = Grid(extent=(1.0, 1.0), points=(n, n), boundary=ZERO_FLUX)
+    u = ScalarField(g, np.random.default_rng(seed).uniform(-1, 1, g.shape))
+    return make_state(u, ScalarField(g, np.zeros(g.shape)), eps)
+
+
+def test_density_fields_computed_once_per_state_and_axis():
+    st = random_state()
+    d = density_fields(st)
+    assert density_fields(st) is d
+    assert density_fields(st, axis=1) is d  # axis -1 is axis 1 in 2-d
+    d0 = density_fields(st, axis=0)
+    assert d0 is not d and d0.axis == 0
+    assert d0.mu is not d.mu and np.array_equal(d0.mu.values, d.mu.values)
+    for field in (d.mu, d.xi, d.xi_plus, d.tilt_e, d.grad_mag):
+        with pytest.raises(ValueError):
+            field.values[0, 0] = 1.0
+    # a fresh state of the same data computes the same arrays
+    fresh = density_fields(make_state(st.u, st.f, st.epsilon))
+    assert fresh is not d
+    assert np.array_equal(fresh.tilt_e.values, d.tilt_e.values)
+
+
+def test_density_fields_shared_by_racing_threads():
+    # all threads make their first call at once; each must get the one
+    # object the cache kept, even when several computed it
+    st = random_state(n=257)
+    workers = 8
+    barrier = threading.Barrier(workers)
+
+    def first_call(_):
+        barrier.wait(timeout=60)
+        return density_fields(st)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            got = list(pool.map(first_call, range(workers), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == workers
+    assert all(d is got[0] for d in got)
+    assert density_fields(st) is got[0]
 
 
 def test_equidistribution_ratio_and_refinement(planar_state, planar_state_fine):
@@ -232,6 +282,45 @@ def test_eta_linf_norm_is_sup_over_mu_support():
     # mu = W(0)/eps > 0 everywhere, and mu = 0 everywhere on a pure phase
     assert eta_lq_norm(constant_state(0.0), eta, np.inf) == peak
     assert eta_lq_norm(constant_state(1.0), eta, np.inf) == 0.0
+
+
+def meshgrid_test_field(grid, seed, margin_cells=5.0):
+    """smooth_test_field evaluated on the full meshgrid, as a reference."""
+    rng = np.random.default_rng(seed)
+    centers = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
+    halves = [0.5 * ext - margin_cells * grid.h for ext in grid.extent]
+    bump = np.ones(grid.shape)
+    scaled = []
+    for m, c, hw in zip(grid.meshgrid(), centers, halves):
+        s = (m - c) / hw
+        scaled.append(s)
+        with np.errstate(divide="ignore", over="ignore"):
+            b = np.where(np.abs(s) < 1.0,
+                         np.exp(1.0 - 1.0 / np.maximum(1.0 - s * s, 1e-300)),
+                         0.0)
+        bump = bump * b
+    comps = []
+    for _ in range(grid.ndim):
+        poly = np.full(grid.shape, rng.uniform(-1.0, 1.0))
+        for s in scaled:
+            poly = poly + rng.uniform(-1.0, 1.0) * np.sin(np.pi * s)
+            poly = poly + rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)
+        comps.append(bump * poly)
+    return np.stack(comps)
+
+
+@pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])
+@pytest.mark.parametrize("points", [(64,), (41, 30), (21, 24, 19)])
+def test_smooth_test_field_matches_meshgrid_reference(boundary, points):
+    h = 0.05
+    extent = tuple(h * (n if boundary == PERIODIC else n - 1) for n in points)
+    g = Grid(extent=extent, points=points, boundary=boundary,
+             origin=(-0.3,) * len(points))
+    for seed in (0, 11):
+        got = smooth_test_field(g, seed).values
+        ref = meshgrid_test_field(g, seed)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_first_variation_rejects_boundary_support(circle_state):
