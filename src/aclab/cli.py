@@ -139,15 +139,29 @@ def _inline_grid(kv: dict, default: Grid = None) -> Grid:
         raise ConfigError(str(exc)) from exc
 
 
+_ANALYSIS_KINDS = {"q0": float, "tau": float, "supersample": int,
+                   "grad_threshold": float}
+
+# scenario.* keys holding one number, with its type
+_SCENARIO_NUMBERS = {"seed": int, "axis": int, "first_sign": int,
+                     "radius": float, "value": float, "noise": float}
+
+
 def _analysis_params(kv: dict) -> AnalysisParams:
-    kinds = {"q0": float, "tau": float, "supersample": int,
-             "grad_threshold": float}
     kwargs = {name: _number(kv, f"analysis.{name}", kind)
-              for name, kind in kinds.items() if f"analysis.{name}" in kv}
+              for name, kind in _ANALYSIS_KINDS.items()
+              if f"analysis.{name}" in kv}
     try:
         return AnalysisParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _scenario_numbers(kv: dict) -> dict:
+    """Typed values of the numeric scenario.* keys present in kv."""
+    return {name: _number(kv, f"scenario.{name}", kind)
+            for name, kind in _SCENARIO_NUMBERS.items()
+            if f"scenario.{name}" in kv}
 
 
 def _inline_scenario(kv: dict) -> Scenario:
@@ -156,66 +170,71 @@ def _inline_scenario(kv: dict) -> Scenario:
     epsilons = _floats(kv.get("scenario.epsilon", "0.05"))
     if any(e <= 0 for e in epsilons):
         raise ConfigError("scenario.epsilon entries must be positive")
-    seed = int(kv.get("scenario.seed", "0"))
+    num = _scenario_numbers(kv)
+    center = _floats(kv.get("scenario.center", "0,0"))
+    radius = num.get("radius", 0.5)
     if kind in ("planar", "stack"):
-        positions = _floats(kv.get("scenario.positions", "0.0"))
-        axis = int(kv.get("scenario.axis", "-1"))
-        first_sign = int(kv.get("scenario.first_sign", "1"))
-        profile = LayerStackProfile(positions=positions, axis=axis,
-                                    first_sign=first_sign)
+        profile = LayerStackProfile(
+            positions=_floats(kv.get("scenario.positions", "0.0")),
+            axis=num.get("axis", -1), first_sign=num.get("first_sign", 1))
     elif kind == "circle":
-        profile = RadialProfile(
-            center=_floats(kv.get("scenario.center", "0,0")),
-            radius=float(kv.get("scenario.radius", "0.5")))
+        profile = RadialProfile(center=center, radius=radius)
     elif kind == "bubble":
-        profile = SolvedBubbleProfile(
-            center=_floats(kv.get("scenario.center", "0,0")),
-            radius=float(kv.get("scenario.radius", "0.5")))
+        profile = SolvedBubbleProfile(center=center, radius=radius)
     elif kind == "constant":
-        profile = ConstantProfile(float(kv.get("scenario.value", "0.0")))
+        profile = ConstantProfile(num.get("value", 0.0))
     elif kind == "solved-circle":
         profile = SolvedFromForcingProfile(
-            base=RadialProfile(center=_floats(kv.get("scenario.center", "0,0")),
-                               radius=float(kv.get("scenario.radius", "0.5"))),
-            noise_amplitude=float(kv.get("scenario.noise", "0.01")))
+            base=RadialProfile(center=center, radius=radius),
+            noise_amplitude=num.get("noise", 0.01))
     else:
         raise ConfigError(f"unknown scenario.kind {kind!r}")
     try:
         return Scenario(name=kv.get("scenario.name", f"inline-{kind}"),
                         grid=grid, epsilons=epsilons, profile=profile,
-                        params=_analysis_params(kv), seed=seed)
+                        params=_analysis_params(kv), seed=num.get("seed", 0))
     except ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _geometry(kv: dict, ndim: int) -> dict:
-    """Typed values of the analysis geometry keys present in kv."""
-    def values(key, count):
-        vals = _floats(kv[key])
-        if len(vals) != count:
-            raise ConfigError(f"{key} takes {count} values, got {len(vals)}")
-        return vals
+def _values(kv: dict, key: str, count: int) -> tuple[float, ...]:
+    vals = _floats(kv[key])
+    if len(vals) != count:
+        raise ConfigError(f"{key} takes {count} values, got {len(vals)}")
+    return vals
 
-    def radii(key):
-        start, stop, count = values(key, 3)
-        if not (count.is_integer() and count >= 1):
-            raise ConfigError(f"{key}: count must be an integer >= 1, "
-                              f"got {count:g}")
-        return start, stop, int(count)
 
-    parsers = {
-        "monotonicity.center": lambda key: values(key, ndim),
-        "monotonicity.radii": radii,
-        "slab.center": lambda key: values(key, ndim),
-        "slab.radii": radii,
-        "slab.t": lambda key: values(key, 2),
-        "quantize.tau": lambda key: _number(kv, key),
-        "gdelta.delta": lambda key: _floats(kv[key]),
-        "gdelta.c0": lambda key: _number(kv, key),
-        "firstvar.count": lambda key: _number(kv, key, int),
-        "firstvar.seed": lambda key: _number(kv, key, int),
-    }
-    return {key: parse(key) for key, parse in parsers.items() if key in kv}
+def _radii(kv: dict, key: str, ndim: int) -> tuple[float, float, int]:
+    start, stop, count = _values(kv, key, 3)
+    if not (count.is_integer() and count >= 1):
+        raise ConfigError(f"{key}: count must be an integer >= 1, "
+                          f"got {count:g}")
+    return start, stop, int(count)
+
+
+# Analysis geometry keys: parser(kv, key, grid ndim) -> typed value
+_GEOMETRY = {
+    "monotonicity.center": _values,
+    "monotonicity.radii": _radii,
+    "slab.center": _values,
+    "slab.radii": _radii,
+    "slab.t": lambda kv, key, ndim: _values(kv, key, 2),
+    "quantize.tau": lambda kv, key, ndim: _number(kv, key),
+    "gdelta.delta": lambda kv, key, ndim: _floats(kv[key]),
+    "gdelta.c0": lambda kv, key, ndim: _number(kv, key),
+    "firstvar.count": lambda kv, key, ndim: _number(kv, key, int),
+    "firstvar.seed": lambda kv, key, ndim: _number(kv, key, int),
+}
+
+# Every key a config may set; any other key is a config error.
+_KEYS = frozenset(
+    ["scenario", "analyses", "out", "strict",
+     "scenario.kind", "scenario.name", "scenario.epsilon",
+     "scenario.positions", "scenario.center",
+     "grid.extent", "grid.points", "grid.boundary", "grid.origin"]
+    + [f"scenario.{name}" for name in _SCENARIO_NUMBERS]
+    + [f"analysis.{name}" for name in _ANALYSIS_KINDS]
+    + list(_GEOMETRY))
 
 
 def load_config(path: Path, out_override=None, strict_override=None,
@@ -225,8 +244,13 @@ def load_config(path: Path, out_override=None, strict_override=None,
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     kv = parse_config_text(text)
+    unknown = sorted(set(kv) - _KEYS)
+    if unknown:
+        raise ConfigError(f"{', '.join(unknown)}: unknown config key")
 
     if "scenario" in kv:
+        # corpus scenarios keep their own seed; scenario.seed must still parse
+        _scenario_numbers(kv)
         corpus = standard_corpus()
         name = kv["scenario"]
         if name not in corpus:
@@ -272,7 +296,9 @@ def load_config(path: Path, out_override=None, strict_override=None,
 
     return RunConfig(scenario=scenario, analyses=analyses, out_dir=out_dir,
                      strict=strict, threads=max(1, int(threads)),
-                     geometry=_geometry(kv, scenario.grid.ndim))
+                     geometry={key: parse(kv, key, scenario.grid.ndim)
+                               for key, parse in _GEOMETRY.items()
+                               if key in kv})
 
 
 def _geometry_radii(cfg: RunConfig, key: str, scenario, eps, center):

@@ -112,17 +112,36 @@ class Grid:
         """Quadrature weights for whole-domain integrals (volume h^d).
 
         Zero-flux axes get trapezoid end-weights (boundary cells are half
-        cells); periodic axes are plain midpoint cells.
+        cells); periodic axes are plain midpoint cells. Built once per grid
+        and returned as the same read-only array on every call.
         """
-        w = np.ones(()).reshape((1,) * self.ndim)
-        for ax in range(self.ndim):
-            wax = np.ones(self.points[ax])
-            if self.boundary == ZERO_FLUX:
-                wax[0] = wax[-1] = 0.5
-            shape = [1] * self.ndim
-            shape[ax] = self.points[ax]
-            w = w * wax.reshape(shape)
-        return w * self.h ** self.ndim
+        w = self.__dict__.get("_node_weights")
+        if w is None:
+            w = _unit_weights(self) * self.h ** self.ndim
+            w.setflags(write=False)
+            # setdefault: threads racing on a first call share one array
+            w = self.__dict__.setdefault("_node_weights", w)
+        return w
+
+
+def _unit_weights(grid: Grid) -> np.ndarray:
+    """Node weights in units of h^d: 1/2 on zero-flux faces, 1 elsewhere."""
+    w = np.ones(()).reshape((1,) * grid.ndim)
+    for ax in range(grid.ndim):
+        wax = np.ones(grid.points[ax])
+        if grid.boundary == ZERO_FLUX:
+            wax[0] = wax[-1] = 0.5
+        shape = [1] * grid.ndim
+        shape[ax] = grid.points[ax]
+        w = w * wax.reshape(shape)
+    return w
+
+
+def _transverse(grid: Grid) -> Grid:
+    """The grid of a hyperplane {x_last = t}: the first ndim-1 axes."""
+    nd = grid.ndim - 1
+    return Grid(extent=grid.extent[:nd], points=grid.points[:nd],
+                boundary=grid.boundary, origin=grid.origin[:nd])
 
 
 @dataclass(frozen=True)
@@ -248,28 +267,28 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(g, out)
 
 
-def _check_ball_margin(grid: Grid, center, radius, what="ball"):
+def _check_ball_margin(grid: Grid, center, radius, what="ball region",
+                       axis="axis"):
     h = grid.h
     for ax in range(grid.ndim):
         lo_gap = (center[ax] - radius) - grid.lo[ax]
         hi_gap = grid.hi[ax] - (center[ax] + radius)
         if lo_gap < 2.0 * h - 1e-12 * h or hi_gap < 2.0 * h - 1e-12 * h:
             raise RegionError(
-                f"{what} region violates the 2h domain margin on axis {ax}: "
+                f"{what} violates the 2h domain margin on {axis} {ax}: "
                 f"needs >= {2.0 * h:.6g}, has {min(lo_gap, hi_gap):.6g}")
 
 
-def _subcell_offsets(h: float, ndim: int, supersample: int) -> np.ndarray:
-    """Centers of supersample^ndim subcells of one cell, relative to the node."""
-    one = (np.arange(supersample) + 0.5) / supersample * h - 0.5 * h
-    return np.array(list(itertools.product(one, repeat=ndim)))
-
-
 class _BallQuadrature:
-    """Shared machinery for ball / slab-ball cell-indicator quadrature.
+    """The one cell-indicator quadrature core: balls and slab-balls, and
+    discs on the grid of a hyperplane (disc_integral).
 
     Classifies every node cell as fully inside, fully outside, or boundary;
     boundary cells get an indicator fraction from subcell-center sampling.
+    Each radius visits only the index box of nodes within radius + half the
+    cell diagonal of the center on every axis: every node outside it is
+    fully outside, and boolean gathers over the box take the same elements
+    in the same order as over the whole grid, so every sum is unchanged.
     """
 
     def __init__(self, grid: Grid, center, supersample: int, t_lo=None, t_hi=None):
@@ -282,43 +301,73 @@ class _BallQuadrature:
         self.supersample = int(supersample)
         self.t_lo = t_lo
         self.t_hi = t_hi
-        mesh = grid.meshgrid()
+        mesh = grid.meshgrid(sparse=True)
         rel = [m - c for m, c in zip(mesh, self.center)]
         self.dist = np.sqrt(sum(r * r for r in rel))
-        self.coords = mesh
         self.half_diag = _CELL_DIAG[grid.ndim] * grid.h
-        self._offsets = _subcell_offsets(grid.h, grid.ndim, self.supersample)
+        # subcell-center offsets along one axis, relative to the node
+        s = self.supersample
+        self._offsets = (np.arange(s) + 0.5) / s * grid.h - 0.5 * grid.h
         if t_lo is not None:
+            # (1, ..., 1, n): sliced on the last axis only, then broadcast
             tcoord = mesh[-1]
             half = 0.5 * grid.h
             self._slab_in = (tcoord - half >= t_lo) & (tcoord + half <= t_hi)
             self._slab_out = (tcoord + half <= t_lo) | (tcoord - half >= t_hi)
 
-    def integral_many(self, values_list, radius: float) -> list[float]:
+    def _window(self, radius: float) -> tuple[slice, ...]:
+        """Index box holding every node that is not fully outside B_radius,
+        padded by one node per side against rounding."""
         g = self.grid
-        ball_in = self.dist <= radius - self.half_diag
-        ball_out = self.dist >= radius + self.half_diag
-        if self.t_lo is None:
-            full, empty = ball_in, ball_out
-        else:
-            full = ball_in & self._slab_in
-            empty = ball_out | self._slab_out
+        reach = radius + self.half_diag
+        rel = self.center - np.asarray(g.lo)
+        lo = np.floor((rel - reach) / g.h).astype(int) - 1
+        hi = np.ceil((rel + reach) / g.h).astype(int) + 2
+        return tuple(slice(max(a, 0), max(min(b, n), 0))
+                     for a, b, n in zip(lo, hi, g.points))
+
+    def _band_fractions(self, window, band, radius: float) -> np.ndarray:
+        """Share of the supersample^d subcell centers of each band cell that
+        lie in the region. Squared distances are sums of per-axis tables
+        ((x + o) - c)^2 taken in axis order, the order in which numpy sums
+        the coordinate axis of a (cells, subcells, ndim) array."""
+        g = self.grid
+        cells = np.nonzero(band)
+        nb, s = len(cells[0]), self.supersample
+
+        def rows(table, ax):
+            shape = [nb] + [1] * g.ndim
+            shape[1 + ax] = s
+            return table[cells[ax]].reshape(shape)
+
+        d2 = None
+        for ax in range(g.ndim):
+            sub = g.axis_coords(ax)[window[ax], None] + self._offsets
+            term = rows((sub - self.center[ax]) ** 2, ax)
+            d2 = term if d2 is None else d2 + term
+        inside = d2 <= radius * radius
+        if self.t_lo is not None:  # sub holds the last axis' subcell coords
+            inside &= rows((sub >= self.t_lo) & (sub <= self.t_hi), g.ndim - 1)
+        return np.count_nonzero(inside.reshape(nb, -1), axis=1) / s ** g.ndim
+
+    def integral_many(self, values_list, radius: float) -> list[float]:
+        """Integrals of each node array over the region at one radius."""
+        g = self.grid
+        window = self._window(radius)
+        dist = self.dist[window]
+        full = dist <= radius - self.half_diag
+        empty = dist >= radius + self.half_diag
+        if self.t_lo is not None:
+            full &= self._slab_in[..., window[-1]]
+            empty |= self._slab_out[..., window[-1]]
         band = ~(full | empty)
-        frac = None
-        if band.any():
-            pts = np.stack([c[band] for c in self.coords], axis=-1)
-            sub = pts[:, None, :] + self._offsets[None, :, :]
-            inside = (np.sum((sub - self.center) ** 2, axis=-1)
-                      <= radius * radius)
-            if self.t_lo is not None:
-                tc = sub[..., -1]
-                inside &= (tc >= self.t_lo) & (tc <= self.t_hi)
-            frac = inside.mean(axis=1)
+        frac = self._band_fractions(window, band, radius) if band.any() else None
         out = []
         for values in values_list:
-            total = float(np.sum(values[full])) if full.any() else 0.0
+            box = values[window]
+            total = float(np.sum(box[full])) if full.any() else 0.0
             if frac is not None:
-                total += float(np.sum(values[band] * frac))
+                total += float(np.sum(box[band] * frac))
             out.append(total * g.h ** g.ndim)
         return out
 
@@ -352,7 +401,8 @@ def integrate(f: ScalarField, region: Region, supersample: int = 4) -> float:
 
 def cumulative_ball_profile(f: ScalarField, center, radii,
                             supersample: int = 4) -> np.ndarray:
-    """Integral of the field over concentric balls, one pass over cells.
+    """Integral of the field over concentric balls, one windowed pass over
+    the cells near each ball (see `_BallQuadrature`).
 
     Returns an array of rows (r, integral over B_r). Radii must be ascending
     and the largest ball must respect the 2h domain margin.
@@ -470,41 +520,22 @@ def restrict_to_plane(f: ScalarField, t: float) -> np.ndarray:
 
 def disc_integral(grid: Grid, plane_values: np.ndarray, center_transverse,
                   radius: float, supersample: int = 4) -> float:
-    """H^n integral of plane-restricted values over a transverse disc.
+    """H^n integral of plane-restricted values over a transverse disc: the
+    ball quadrature on the (ndim-1)-d grid of the plane.
 
     In ambient dimension 1 the "disc" is a point and the integral is the
     plane value itself (counting measure).
     """
-    nd = grid.ndim - 1
     if radius < 0:
         return 0.0
-    if nd == 0:
+    if grid.ndim == 1:
         return float(plane_values)
+    plane = _transverse(grid)
     ct = np.atleast_1d(np.asarray(center_transverse, dtype=float))
-    h = grid.h
-    axes = [grid.axis_coords(ax) for ax in range(nd)]
-    for ax in range(nd):
-        lo_gap = (ct[ax] - radius) - grid.lo[ax]
-        hi_gap = grid.hi[ax] - (ct[ax] + radius)
-        if lo_gap < 2.0 * h - 1e-12 * h or hi_gap < 2.0 * h - 1e-12 * h:
-            raise RegionError(
-                f"plane disc violates the 2h domain margin on transverse axis {ax}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    rel = [m - c for m, c in zip(mesh, ct)]
-    dist = np.sqrt(sum(r * r for r in rel))
-    half_diag = _CELL_DIAG[nd] * h
-    full = dist <= radius - half_diag
-    empty = dist >= radius + half_diag
-    band = ~(full | empty)
-    total = float(np.sum(plane_values[full])) if full.any() else 0.0
-    if band.any():
-        pts = np.stack([m[band] for m in mesh], axis=-1)
-        offs = _subcell_offsets(h, nd, supersample)
-        sub = pts[:, None, :] + offs[None, :, :]
-        inside = np.sum((sub - ct) ** 2, axis=-1) <= radius * radius
-        frac = inside.mean(axis=1)
-        total += float(np.sum(plane_values[band] * frac))
-    return total * h ** nd
+    _check_ball_margin(plane, ct, radius, what="plane disc",
+                       axis="transverse axis")
+    quad = _BallQuadrature(plane, ct, supersample)
+    return quad.integral(plane_values, radius)
 
 
 def plane_slice_integral(f: ScalarField, t: float, supersample: int = 4) -> float:
@@ -513,12 +544,5 @@ def plane_slice_integral(f: ScalarField, t: float, supersample: int = 4) -> floa
     plane = restrict_to_plane(f, t)
     if g.ndim == 1:
         return float(plane)
-    w = np.ones(()).reshape((1,) * (g.ndim - 1))
-    for ax in range(g.ndim - 1):
-        wax = np.ones(g.points[ax])
-        if g.boundary == ZERO_FLUX:
-            wax[0] = wax[-1] = 0.5
-        shape = [1] * (g.ndim - 1)
-        shape[ax] = g.points[ax]
-        w = w * wax.reshape(shape)
+    w = _unit_weights(_transverse(g))
     return float(np.sum(plane * w) * g.h ** (g.ndim - 1))

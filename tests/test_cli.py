@@ -220,6 +220,9 @@ def test_threaded_failure_names_the_analysis(tmp_path, capsys):
     ("monotonicity.center = 0", "monotonicity.center"),
     ("firstvar.count = many", "firstvar.count"),
     ("quantize.tau = x", "quantize.tau"),
+    ("scenario.seed = abc", "scenario.seed"),
+    ("scenario.radius = abc", "scenario.radius"),
+    ("scenario.radus = 0.5", "scenario.radus"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, line, key):
     cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms\n"
@@ -230,6 +233,16 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, line, key):
     assert main(["run", "--config", str(cfg)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_corpus_config_seed_keys(tmp_path):
+    # the keys a benchmark config adds to a named scenario
+    body = "scenario = circle\nanalyses = norms\nfirstvar.seed = 3\n"
+    good = write_cfg(tmp_path, body + "scenario.seed = 3\n")
+    assert main(["validate", "--config", str(good)]) == 0
+    bad = write_cfg(tmp_path, body + "scenario.seed = abc\n", name="bad.cfg")
+    assert main(["validate", "--config", str(bad)]) == 2
+    assert main(["run", "--config", str(bad)]) == 2
 
 
 def test_python_dash_m_runs_the_cli():

@@ -32,6 +32,19 @@ def test_grid_rejects_anisotropy_and_small_axes():
         Grid(extent=(1.0, 1.0, 1.0, 1.0), points=(9, 9, 9, 9))
 
 
+def test_node_weights_built_once_and_read_only():
+    g = grid2d(9)
+    w = g.node_weights()
+    assert g.node_weights() is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[1, 1] = 0.0
+    assert w[0, 0] == 0.25 * g.h ** 2 and w[1, 1] == g.h ** 2
+    # the cached array takes no part in equality or hashing
+    fresh = grid2d(9)
+    assert fresh == g and hash(fresh) == hash(g)
+
+
 def test_field_validation():
     g = grid2d(9)
     with pytest.raises(ValueError, match="shape"):
