@@ -13,7 +13,7 @@ import datetime
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,36 +76,72 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _floats(value: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {value!r}") from exc
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
-def _ints(value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse integer list {value!r}") from exc
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
 
 
-def _number(kv: dict, key: str, kind=float):
-    """kv[key] as a float (or kind), naming the key when it does not parse."""
-    try:
-        return kind(kv[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {kind.__name__} "
-                          f"{kv[key]!r}") from exc
+def _point(text: str) -> tuple[float, ...]:
+    """One coordinate per grid axis; the count is checked against the grid."""
+    return _floats(text)
 
 
-def _bool(value: str) -> bool:
-    low = value.lower()
+def _values(text: str, count: int) -> tuple[float, ...]:
+    vals = _floats(text)
+    if len(vals) != count:
+        raise ValueError(f"takes {count} values, got {len(vals)}")
+    return vals
+
+
+def _radii(text: str) -> tuple[float, float, int]:
+    start, stop, count = _values(text, 3)
+    if not (count.is_integer() and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count:g}")
+    return start, stop, int(count)
+
+
+def _bool(text: str) -> bool:
+    low = text.lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean {value!r}")
+    raise ValueError(f"cannot parse boolean {text!r}")
+
+
+def _one_of(noun: str, known):
+    def parse(text: str) -> str:
+        if text not in known:
+            raise ValueError(f"unknown {noun} {text!r}; "
+                             f"known: {', '.join(known)}")
+        return text
+    return parse
+
+
+def _analyses(text: str) -> tuple[str, ...]:
+    names = tuple(_one_of("analysis", ANALYSES)(a.strip())
+                  for a in text.split(",") if a.strip())
+    if not names:
+        raise ValueError("at least one analysis must be selected")
+    return names
+
+
+def _corpus_scenario(name: str) -> Scenario:
+    corpus = standard_corpus()
+    return corpus[_one_of("scenario", sorted(corpus))(name)]
+
+
+def _solved_circle(center, radius, **noise) -> SolvedFromForcingProfile:
+    return SolvedFromForcingProfile(RadialProfile(center, radius), **noise)
+
+
+# scenario.kind -> profile constructor, called with the kind's key fields
+_PROFILES = {"planar": LayerStackProfile, "stack": LayerStackProfile,
+             "circle": RadialProfile, "bubble": SolvedBubbleProfile,
+             "constant": ConstantProfile, "solved-circle": _solved_circle}
 
 
 @dataclass
@@ -118,123 +154,118 @@ class RunConfig:
     geometry: dict = field(default_factory=dict)
 
 
-def _inline_grid(kv: dict, default: Grid = None) -> Grid:
-    if not any(k.startswith("grid.") for k in kv):
-        if default is not None:
-            return default
-        raise ConfigError("inline scenario needs grid.extent and grid.points")
-    try:
-        extent = _floats(kv["grid.extent"])
-        points = _ints(kv["grid.points"])
-    except KeyError as exc:
-        raise ConfigError(f"missing grid key: {exc}") from exc
-    boundary = kv.get("grid.boundary", ZERO_FLUX)
-    if boundary not in (ZERO_FLUX, PERIODIC):
-        raise ConfigError(f"unknown grid.boundary {boundary!r}")
-    origin = _floats(kv["grid.origin"]) if "grid.origin" in kv else None
-    try:
-        return Grid(extent=extent, points=points, boundary=boundary,
-                    origin=origin)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+class _Key:
+    """One config key: its parser, its owners, the constructor argument its
+    value becomes, and its value when the config leaves it out (None: the
+    constructor's default)."""
+
+    def __init__(self, parse, *owners, field=None, default=None):
+        self.parse, self.owners = parse, owners
+        self.field, self.default = field, default
 
 
-_ANALYSIS_KINDS = {"q0": float, "tau": float, "supersample": int,
-                   "grad_threshold": float}
+_STACK = ("planar", "stack")
+_BALL = ("circle", "bubble", "solved-circle")
 
-# scenario.* keys holding one number, with its type
-_SCENARIO_NUMBERS = {"seed": int, "axis": int, "first_sign": int,
-                     "radius": float, "value": float, "noise": float}
-
-
-def _analysis_params(kv: dict) -> AnalysisParams:
-    kwargs = {name: _number(kv, f"analysis.{name}", kind)
-              for name, kind in _ANALYSIS_KINDS.items()
-              if f"analysis.{name}" in kv}
-    try:
-        return AnalysisParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _scenario_numbers(kv: dict) -> dict:
-    """Typed values of the numeric scenario.* keys present in kv."""
-    return {name: _number(kv, f"scenario.{name}", kind)
-            for name, kind in _SCENARIO_NUMBERS.items()
-            if f"scenario.{name}" in kv}
-
-
-def _inline_scenario(kv: dict) -> Scenario:
-    kind = kv["scenario.kind"]
-    grid = _inline_grid(kv)
-    epsilons = _floats(kv.get("scenario.epsilon", "0.05"))
-    if any(e <= 0 for e in epsilons):
-        raise ConfigError("scenario.epsilon entries must be positive")
-    num = _scenario_numbers(kv)
-    center = _floats(kv.get("scenario.center", "0,0"))
-    radius = num.get("radius", 0.5)
-    if kind in ("planar", "stack"):
-        profile = LayerStackProfile(
-            positions=_floats(kv.get("scenario.positions", "0.0")),
-            axis=num.get("axis", -1), first_sign=num.get("first_sign", 1))
-    elif kind == "circle":
-        profile = RadialProfile(center=center, radius=radius)
-    elif kind == "bubble":
-        profile = SolvedBubbleProfile(center=center, radius=radius)
-    elif kind == "constant":
-        profile = ConstantProfile(num.get("value", 0.0))
-    elif kind == "solved-circle":
-        profile = SolvedFromForcingProfile(
-            base=RadialProfile(center=center, radius=radius),
-            noise_amplitude=num.get("noise", 0.01))
-    else:
-        raise ConfigError(f"unknown scenario.kind {kind!r}")
-    try:
-        return Scenario(name=kv.get("scenario.name", f"inline-{kind}"),
-                        grid=grid, epsilons=epsilons, profile=profile,
-                        params=_analysis_params(kv), seed=num.get("seed", 0))
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _values(kv: dict, key: str, count: int) -> tuple[float, ...]:
-    vals = _floats(kv[key])
-    if len(vals) != count:
-        raise ConfigError(f"{key} takes {count} values, got {len(vals)}")
-    return vals
-
-
-def _radii(kv: dict, key: str, ndim: int) -> tuple[float, float, int]:
-    start, stop, count = _values(kv, key, 3)
-    if not (count.is_integer() and count >= 1):
-        raise ConfigError(f"{key}: count must be an integer >= 1, "
-                          f"got {count:g}")
-    return start, stop, int(count)
-
-
-# Analysis geometry keys: parser(kv, key, grid ndim) -> typed value
-_GEOMETRY = {
-    "monotonicity.center": _values,
-    "monotonicity.radii": _radii,
-    "slab.center": _values,
-    "slab.radii": _radii,
-    "slab.t": lambda kv, key, ndim: _values(kv, key, 2),
-    "quantize.tau": lambda kv, key, ndim: _number(kv, key),
-    "gdelta.delta": lambda kv, key, ndim: _floats(kv[key]),
-    "gdelta.c0": lambda kv, key, ndim: _number(kv, key),
-    "firstvar.count": lambda kv, key, ndim: _number(kv, key, int),
-    "firstvar.seed": lambda kv, key, ndim: _number(kv, key, int),
+# Every key a config may set; any other key is a config error. The owners
+# say which configs take a key and what receives its value: "run"
+# (RunConfig), "corpus" (the named scenario), "inline" and "grid" (inline
+# scenarios only), "scenario" (a Scenario field), "params"
+# (AnalysisParams), scenario kinds (a field of those kinds' profile), or an
+# analysis (its geometry, kept by key in RunConfig.geometry). The field is
+# the key's last part unless given.
+_KEYS = {
+    "analyses": _Key(_analyses, "run", default=("norms",)),
+    "out": _Key(Path, "run", default=Path("out")),
+    "strict": _Key(_bool, "run", default=False),
+    "scenario": _Key(_corpus_scenario, "corpus"),
+    "scenario.kind": _Key(_one_of("kind", tuple(_PROFILES)), "inline"),
+    "scenario.name": _Key(str, "inline"),
+    "scenario.epsilon": _Key(_floats, "scenario", field="epsilons",
+                             default=(0.05,)),
+    "scenario.seed": _Key(int, "scenario"),
+    "scenario.positions": _Key(_floats, *_STACK, default=(0.0,)),
+    "scenario.axis": _Key(int, *_STACK),
+    "scenario.first_sign": _Key(int, *_STACK),
+    # default: one zero per grid axis
+    "scenario.center": _Key(_point, *_BALL),
+    "scenario.radius": _Key(float, *_BALL, default=0.5),
+    "scenario.value": _Key(float, "constant", default=0.0),
+    "scenario.noise": _Key(float, "solved-circle", field="noise_amplitude"),
+    "grid.extent": _Key(_floats, "grid"),
+    "grid.points": _Key(_ints, "grid"),
+    "grid.boundary": _Key(_one_of("boundary", (ZERO_FLUX, PERIODIC)), "grid"),
+    "grid.origin": _Key(_floats, "grid"),
+    "analysis.q0": _Key(float, "params"),
+    "analysis.grad_threshold": _Key(float, "params"),
+    "analysis.supersample": _Key(int, "params"),
+    "analysis.tau": _Key(float, "params"),
+    "monotonicity.center": _Key(_point, "monotonicity"),
+    "monotonicity.radii": _Key(_radii, "monotonicity"),
+    "slab.center": _Key(_point, "slab"),
+    "slab.radii": _Key(_radii, "slab"),
+    "slab.t": _Key(lambda text: _values(text, 2), "slab"),
+    "quantize.tau": _Key(float, "quantize"),
+    "gdelta.delta": _Key(_floats, "gdelta"),
+    "gdelta.c0": _Key(float, "gdelta"),
+    "firstvar.count": _Key(int, "firstvar"),
+    "firstvar.seed": _Key(int, "firstvar"),
 }
 
-# Every key a config may set; any other key is a config error.
-_KEYS = frozenset(
-    ["scenario", "analyses", "out", "strict",
-     "scenario.kind", "scenario.name", "scenario.epsilon",
-     "scenario.positions", "scenario.center",
-     "grid.extent", "grid.points", "grid.boundary", "grid.origin"]
-    + [f"scenario.{name}" for name in _SCENARIO_NUMBERS]
-    + [f"analysis.{name}" for name in _ANALYSIS_KINDS]
-    + list(_GEOMETRY))
+
+def _field(key: str) -> str:
+    return _KEYS[key].field or key.rpartition(".")[2]
+
+
+def _fields(values: dict, owner: str) -> dict:
+    """Constructor arguments from the keys `owner` owns: the parsed value,
+    else the table's default."""
+    out = {}
+    for key, spec in _KEYS.items():
+        value = values.get(key, spec.default)
+        if owner in spec.owners and value is not None:
+            out[_field(key)] = value
+    return out
+
+
+def _scenario(values: dict) -> Scenario:
+    """The corpus scenario the config names, or the inline one it describes;
+    raises ValueError or ScenarioError."""
+    corpus = values.get("scenario")
+    if corpus is not None:
+        source, takes = f"scenario = {corpus.name}", {"corpus"}
+    elif "scenario.kind" in values:
+        kind = values["scenario.kind"]
+        source, takes = f"scenario.kind = {kind}", {"inline", "grid", kind}
+    else:
+        raise ValueError("config needs 'scenario = <name>' or 'scenario.kind'")
+    takes |= {"run", "scenario", "params", *ANALYSES}
+    stray = [key for key in values if takes.isdisjoint(_KEYS[key].owners)]
+    if stray:
+        raise ValueError(f"{', '.join(stray)}: not a key of '{source}'")
+
+    if corpus is not None:
+        grid = corpus.grid
+    else:
+        missing = [k for k in ("grid.extent", "grid.points") if k not in values]
+        if missing:
+            raise ValueError(f"{', '.join(missing)}: required by an "
+                             "inline scenario")
+        grid = Grid(**_fields(values, "grid"))
+        values.setdefault("scenario.center", (0.0,) * grid.ndim)
+    for key, value in values.items():
+        if _KEYS[key].parse is _point and len(value) != grid.ndim:
+            raise ValueError(f"{key}: takes {grid.ndim} values, "
+                             f"got {len(value)}")
+
+    params = AnalysisParams(**_fields(values, "params"))
+    if corpus is not None:
+        # a corpus scenario keeps its own seed; scenario.seed only must parse
+        eps = values.get("scenario.epsilon", corpus.epsilons)
+        return replace(corpus, epsilons=eps, params=params)
+    return Scenario(name=values.get("scenario.name", f"inline-{kind}"),
+                    grid=grid, profile=_PROFILES[kind](**_fields(values, kind)),
+                    params=params, **_fields(values, "scenario"))
 
 
 def load_config(path: Path, out_override=None, strict_override=None,
@@ -244,61 +275,63 @@ def load_config(path: Path, out_override=None, strict_override=None,
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     kv = parse_config_text(text)
-    unknown = sorted(set(kv) - _KEYS)
+    unknown = sorted(set(kv) - set(_KEYS))
     if unknown:
         raise ConfigError(f"{', '.join(unknown)}: unknown config key")
+    values = {}
+    for key, raw in kv.items():
+        try:
+            values[key] = _KEYS[key].parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    try:
+        scenario = _scenario(values)
+    except (ValueError, ScenarioError) as exc:
+        raise ConfigError(str(exc)) from exc
 
-    if "scenario" in kv:
-        # corpus scenarios keep their own seed; scenario.seed must still parse
-        _scenario_numbers(kv)
-        corpus = standard_corpus()
-        name = kv["scenario"]
-        if name not in corpus:
-            raise ConfigError(f"unknown scenario {name!r}; "
-                              f"known: {', '.join(sorted(corpus))}")
-        scenario = corpus[name]
-        if "scenario.epsilon" in kv:
-            eps = _floats(kv["scenario.epsilon"])
-            if any(e <= 0 for e in eps):
-                raise ConfigError("scenario.epsilon entries must be positive")
-            try:
-                scenario = Scenario(
-                    name=scenario.name, grid=scenario.grid, epsilons=eps,
-                    profile=scenario.profile, params=_analysis_params(kv),
-                    seed=scenario.seed, solver_tol=scenario.solver_tol,
-                    solver_max_iter=scenario.solver_max_iter)
-            except ScenarioError as exc:
-                raise ConfigError(str(exc)) from exc
-        elif any(k.startswith("analysis.") for k in kv):
-            scenario = Scenario(
-                name=scenario.name, grid=scenario.grid,
-                epsilons=scenario.epsilons, profile=scenario.profile,
-                params=_analysis_params(kv), seed=scenario.seed,
-                solver_tol=scenario.solver_tol,
-                solver_max_iter=scenario.solver_max_iter)
-    elif "scenario.kind" in kv:
-        scenario = _inline_scenario(kv)
+    run = _fields(values, "run")
+    return RunConfig(
+        scenario=scenario, analyses=run["analyses"],
+        out_dir=Path(out_override) if out_override else run["out"],
+        strict=run["strict"] if strict_override is None else strict_override,
+        threads=max(1, int(threads)),
+        geometry={key: value for key, value in values.items()
+                  if _KEYS[key].owners[0] in ANALYSES})
+
+
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format(v) for v in value)
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def to_config(scenario: Scenario, out: str = "out") -> str:
+    """Serialize a scenario to the flat key-value config format that
+    load_config reads back; blocks on profile kinds the config grammar
+    cannot express."""
+    prof = scenario.profile
+    if isinstance(prof, SolvedFromForcingProfile):
+        if not isinstance(prof.base, RadialProfile):
+            raise ScenarioError(
+                "only radial bases serialize for solved-from-forcing scenarios")
+        kind, fields = "solved-circle", {**vars(prof), **vars(prof.base)}
     else:
-        raise ConfigError("config needs 'scenario = <name>' or 'scenario.kind'")
-
-    analyses = tuple(a.strip() for a in kv.get("analyses", "norms").split(",")
-                     if a.strip())
-    if not analyses:
-        raise ConfigError("at least one analysis must be selected")
-    for a in analyses:
-        if a not in ANALYSES:
-            raise ConfigError(f"unknown analysis {a!r}; known: {ANALYSES}")
-
-    out_dir = Path(out_override) if out_override else Path(kv.get("out", "out"))
-    strict = _bool(kv["strict"]) if "strict" in kv else False
-    if strict_override is not None:
-        strict = strict_override
-
-    return RunConfig(scenario=scenario, analyses=analyses, out_dir=out_dir,
-                     strict=strict, threads=max(1, int(threads)),
-                     geometry={key: parse(kv, key, scenario.grid.ndim)
-                               for key, parse in _GEOMETRY.items()
-                               if key in kv})
+        kind = next((k for k, make in _PROFILES.items()
+                     if make is type(prof)), None)
+        if kind is None:
+            raise ScenarioError(f"cannot serialize profile {type(prof).__name__}")
+        fields = vars(prof)
+    sources = {"run": {"out": out},
+               "inline": {"kind": kind, "name": scenario.name},
+               "scenario": vars(scenario), "grid": vars(scenario.grid),
+               "params": vars(scenario.params), kind: fields}
+    lines = []
+    for key, spec in _KEYS.items():
+        owner = next((o for o in spec.owners if o in sources), None)
+        value = sources[owner].get(_field(key)) if owner else None
+        if value is not None:
+            lines.append(f"{key} = {_format(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def _geometry_radii(cfg: RunConfig, key: str, scenario, eps, center):

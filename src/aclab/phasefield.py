@@ -348,22 +348,20 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     weights = grid.node_weights()
     lap_mat = _laplacian_matrix(grid.points, grid.h, grid.boundary)
 
-    def resid(uv):
-        return (epsilon * laplacian(ScalarField(grid, uv)).values
-                - double_well_prime(uv) / epsilon - fv)
-
-    def energy(uv, lap_uv):
+    def resid_energy(uv):
+        """R(uv) and F(uv) from one Laplacian, freed on return."""
+        lap_uv = laplacian(ScalarField(grid, uv)).values
         dens = (-0.5 * epsilon * uv * lap_uv
                 + double_well(uv) / epsilon + fv * uv)
-        return float(np.sum(dens * weights))
+        return (epsilon * lap_uv - double_well_prime(uv) / epsilon - fv,
+                float(np.sum(dens * weights)))
 
     u = u_init.values.copy()
-    r = resid(u)
+    r, fu = resid_energy(u)
     rnorm = float(np.max(np.abs(r)))
     best = rnorm
     if rnorm <= tol:
         return make_state(ScalarField(grid, u), f, epsilon)
-    fu = energy(u, laplacian(ScalarField(grid, u)).values)
 
     dtau = epsilon / 4.0
     pure_newton = False
@@ -373,9 +371,8 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
             du = spsolve(grid, lap_mat, epsilon,
                          w2 if pure_newton else w2 + 1.0 / dtau, r)
             trial = u + du
-            rt_field = resid(trial)
+            rt_field, ft = resid_energy(trial)
             rt = float(np.max(np.abs(rt_field)))
-            ft = energy(trial, laplacian(ScalarField(grid, trial)).values)
             if np.isfinite(rt) and (rt < rnorm or (
                     not pure_newton and ft <= fu + 1e-12 * (1.0 + abs(fu)))):
                 break

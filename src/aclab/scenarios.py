@@ -153,50 +153,10 @@ def _square_grid(half_extent: float, points: int) -> Grid:
 
 def to_config(scenario: Scenario, out: str = "out") -> str:
     """Serialize a scenario to the flat key-value config format the CLI
-    reads back; blocks on profile kinds the config grammar cannot express."""
-    prof = scenario.profile
-    lines = []
-    if isinstance(prof, LayerStackProfile):
-        lines.append("scenario.kind = stack")
-        lines.append("scenario.positions = "
-                     + ", ".join(f"{p:.17g}" for p in prof.positions))
-        lines.append(f"scenario.axis = {prof.axis}")
-        lines.append(f"scenario.first_sign = {prof.first_sign}")
-    elif isinstance(prof, RadialProfile):
-        lines.append("scenario.kind = circle")
-        lines.append("scenario.center = "
-                     + ", ".join(f"{c:.17g}" for c in prof.center))
-        lines.append(f"scenario.radius = {prof.radius:.17g}")
-    elif isinstance(prof, SolvedBubbleProfile):
-        lines.append("scenario.kind = bubble")
-        lines.append("scenario.center = "
-                     + ", ".join(f"{c:.17g}" for c in prof.center))
-        lines.append(f"scenario.radius = {prof.radius:.17g}")
-    elif isinstance(prof, ConstantProfile):
-        lines.append("scenario.kind = constant")
-        lines.append(f"scenario.value = {prof.value:.17g}")
-    elif isinstance(prof, SolvedFromForcingProfile):
-        if not isinstance(prof.base, RadialProfile):
-            raise ScenarioError(
-                "only radial bases serialize for solved-from-forcing scenarios")
-        lines.append("scenario.kind = solved-circle")
-        lines.append("scenario.center = "
-                     + ", ".join(f"{c:.17g}" for c in prof.base.center))
-        lines.append(f"scenario.radius = {prof.base.radius:.17g}")
-        lines.append(f"scenario.noise = {prof.noise_amplitude:.17g}")
-    else:
-        raise ScenarioError(f"cannot serialize profile {type(prof).__name__}")
-    g = scenario.grid
-    lines.insert(0, f"scenario.name = {scenario.name}")
-    lines.append("scenario.epsilon = "
-                 + ", ".join(f"{e:.17g}" for e in scenario.epsilons))
-    lines.append(f"scenario.seed = {scenario.seed}")
-    lines.append("grid.extent = " + ", ".join(f"{e:.17g}" for e in g.extent))
-    lines.append("grid.points = " + ", ".join(str(p) for p in g.points))
-    lines.append("grid.origin = " + ", ".join(f"{o:.17g}" for o in g.origin))
-    lines.append(f"grid.boundary = {g.boundary}")
-    lines.append(f"out = {out}")
-    return "\n".join(lines) + "\n"
+    reads back; the key table lives in `aclab.cli`."""
+    from .cli import to_config as write
+
+    return write(scenario, out)
 
 
 def default_center(scenario: Scenario):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import aclab
+from aclab import build
 from aclab.cli import (ANALYSES, ConfigError, load_config, main,
                        parse_config_text)
 
@@ -223,9 +224,16 @@ def test_threaded_failure_names_the_analysis(tmp_path, capsys):
     ("scenario.seed = abc", "scenario.seed"),
     ("scenario.radius = abc", "scenario.radius"),
     ("scenario.radus = 0.5", "scenario.radus"),
+    ("grid.extent = a, 2", "grid.extent"),
+    ("grid.points = 81.5, 81", "grid.points"),
+    ("scenario.epsilon = x", "scenario.epsilon"),
+    ("strict = maybe", "strict"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, line, key):
-    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms\n"
+    # the malformed line replaces the scenario's own line for that key
+    base = "".join(f"{kept}\n" for kept in SMALL_SCENARIO.splitlines()
+                   if not kept.startswith(f"{key} ="))
+    cfg = write_cfg(tmp_path, base + "analyses = norms\n"
                     f"{line}\nout = {tmp_path/'out'}\n")
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)
@@ -243,6 +251,63 @@ def test_corpus_config_seed_keys(tmp_path):
     bad = write_cfg(tmp_path, body + "scenario.seed = abc\n", name="bad.cfg")
     assert main(["validate", "--config", str(bad)]) == 2
     assert main(["run", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("head, line, key", [
+    ("scenario = circle", "grid.points = 81, 81", "grid.points"),
+    ("scenario = circle", "scenario.kind = constant", "scenario.kind"),
+    ("scenario = circle", "scenario.radius = 0.1", "scenario.radius"),
+    ("scenario = circle", "scenario.name = x", "scenario.name"),
+    ("scenario.kind = planar", "scenario.radius = 0.1", "scenario.radius"),
+    ("scenario.kind = constant", "scenario.positions = 0", "scenario.positions"),
+])
+def test_keys_the_scenario_does_not_take_are_config_errors(
+        tmp_path, capsys, head, line, key):
+    # corpus configs take no grid or profile keys; inline configs take
+    # only the profile keys of their scenario.kind
+    grid = "" if head.startswith("scenario =") else (
+        "scenario.epsilon = 0.1\ngrid.extent = 2, 2\ngrid.points = 81, 81\n"
+        "grid.origin = -1, -1\n")
+    cfg = write_cfg(tmp_path, f"{head}\n{grid}{line}\nanalyses = norms\n"
+                    f"out = {tmp_path/'out'}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+SPHERE_3D = """
+scenario.kind = circle
+scenario.epsilon = 0.2
+grid.extent = 2, 2, 2
+grid.points = 41, 41, 41
+grid.origin = -1, -1, -1
+"""
+
+
+def test_inline_center_defaults_to_one_zero_per_axis(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, SPHERE_3D + "scenario.radius = 0.3\n"))
+    assert cfg.scenario.profile.center == (0.0, 0.0, 0.0)
+    u = build(cfg.scenario)[0].u.values
+    # a ball, not a cylinder along z: inside at the centre, outside on the axis
+    assert u[20, 20, 20] < -0.9
+    assert u[20, 20, 38] > 0.9
+    line = write_cfg(tmp_path, "scenario.kind = circle\nscenario.epsilon = 0.1\n"
+                     "grid.extent = 2\ngrid.points = 81\ngrid.origin = -1\n",
+                     "line.cfg")
+    assert load_config(line).scenario.profile.center == (0.0,)
+
+
+def test_inline_center_must_match_the_grid(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SPHERE_3D + "scenario.center = 0, 0\n"
+                    f"out = {tmp_path/'out'}\n")
+    with pytest.raises(ConfigError, match="scenario.center: takes 3 values"):
+        load_config(cfg)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config error: scenario.center" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aclab import (ConstantProfile, Grid, LayerStackProfile, Scenario,
-                   ScenarioError, SolvedBubbleProfile, ZERO_FLUX, build)
+from aclab import (AnalysisParams, ConstantProfile, Grid, LayerStackProfile,
+                   PERIODIC, RadialProfile, Scenario, ScenarioError,
+                   SolvedBubbleProfile, SolvedFromForcingProfile, ZERO_FLUX,
+                   build)
 from aclab.scenarios import default_center, default_lines, default_radii
 
 
@@ -76,7 +79,61 @@ def test_to_config_round_trip(tmp_path, corpus):
         assert loaded.grid == sc.grid
         assert loaded.epsilons == sc.epsilons
         assert loaded.profile == sc.profile
+        assert loaded.params == sc.params
         assert loaded.seed == sc.seed
+
+
+_coord = st.floats(-10.0, 10.0)
+_positive = st.floats(1e-3, 10.0)
+
+
+@st.composite
+def _scenarios(draw):
+    ndim = draw(st.integers(1, 3))
+    boundary = draw(st.sampled_from([ZERO_FLUX, PERIODIC]))
+    points = draw(st.tuples(*[st.integers(8, 40)] * ndim))
+    h = draw(st.floats(1e-3, 0.1))
+    extent = [h * (n if boundary == PERIODIC else n - 1) for n in points]
+    grid = Grid(extent=extent, points=points, boundary=boundary,
+                origin=draw(st.tuples(*[_coord] * ndim)))
+    point = st.tuples(*[_coord] * ndim)
+    radial = st.builds(RadialProfile, center=point, radius=_positive)
+    profile = draw(st.one_of(
+        st.builds(LayerStackProfile,
+                  positions=st.lists(_coord, min_size=1, max_size=3).map(tuple),
+                  axis=st.integers(-ndim, ndim - 1),
+                  first_sign=st.sampled_from([-1, 1])),
+        radial,
+        st.builds(SolvedBubbleProfile, center=point, radius=_positive),
+        st.builds(ConstantProfile, _coord),
+        st.builds(SolvedFromForcingProfile, base=radial,
+                  noise_amplitude=_positive)))
+    params = draw(st.builds(
+        AnalysisParams, q0=st.none() | st.floats(0.5, 5.0),
+        grad_threshold=st.floats(0.0, 1.0), supersample=st.integers(1, 8),
+        tau=st.floats(0.01, 0.99)))
+    return Scenario(
+        name=draw(st.text("abcxyz-0123456789", min_size=1, max_size=12)),
+        grid=grid, profile=profile, params=params,
+        epsilons=draw(st.lists(st.floats(4.0 * grid.h, 1.0), min_size=1,
+                               max_size=3).map(tuple)),
+        seed=draw(st.integers(0, 2**31)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=_scenarios())
+def test_to_config_round_trip_property(tmp_path_factory, sc):
+    from aclab.cli import load_config
+    from aclab.scenarios import to_config
+    path = tmp_path_factory.getbasetemp() / "round-trip.cfg"
+    path.write_text(to_config(sc))
+    loaded = load_config(path).scenario
+    assert loaded.name == sc.name
+    assert loaded.grid == sc.grid
+    assert loaded.epsilons == sc.epsilons
+    assert loaded.profile == sc.profile
+    assert loaded.params == sc.params
+    assert loaded.seed == sc.seed
 
 
 def test_default_geometry_helpers(corpus):
