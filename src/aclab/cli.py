@@ -11,9 +11,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +231,20 @@ def _fields(values: dict, owner: str) -> dict:
     return out
 
 
+@contextmanager
+def _naming_keys(values: dict, owner: str):
+    """Put the config keys behind a ValueError of the block in front of its
+    message: the keys of `owner` whose field the message names, else every
+    key of `owner` the config sets."""
+    try:
+        yield
+    except ValueError as exc:
+        owned = [key for key in values if owner in _KEYS[key].owners]
+        named = [key for key in owned
+                 if re.search(rf"\b{_field(key)}\b", str(exc))]
+        raise ValueError(f"{', '.join(named or owned)}: {exc}") from exc
+
+
 def _scenario(values: dict) -> Scenario:
     """The corpus scenario the config names, or the inline one it describes;
     raises ValueError or ScenarioError."""
@@ -251,14 +268,17 @@ def _scenario(values: dict) -> Scenario:
         if missing:
             raise ValueError(f"{', '.join(missing)}: required by an "
                              "inline scenario")
-        grid = Grid(**_fields(values, "grid"))
+        with _naming_keys(values, "grid"):
+            grid = Grid(**_fields(values, "grid"))
         values.setdefault("scenario.center", (0.0,) * grid.ndim)
     for key, value in values.items():
         if _KEYS[key].parse is _point and len(value) != grid.ndim:
             raise ValueError(f"{key}: takes {grid.ndim} values, "
                              f"got {len(value)}")
 
-    params = AnalysisParams(**_fields(values, "params"))
+    with _naming_keys(values, "params"):
+        params = AnalysisParams(**_fields(values, "params"))
+        params.resolve_q0(grid.ndim)
     if corpus is not None:
         # a corpus scenario keeps its own seed; scenario.seed only must parse
         eps = values.get("scenario.epsilon", corpus.epsilons)
@@ -407,46 +427,30 @@ def _run_sweep(cfg: RunConfig, states):
     return ("sweep.csv", header, rows, {"values": values, "flags": flags})
 
 
-def _run_monotonicity(cfg: RunConfig, states):
-    scenario = cfg.scenario
-    eps, st = scenario.epsilons[0], states[0]
-    center = cfg.geometry.get("monotonicity.center") or default_center(scenario)
-    radii = _geometry_radii(cfg, "monotonicity.radii", scenario, eps, center)
-    rep = monotonicity_report(st, center, radii,
-                              supersample=scenario.params.supersample)
-    rows = [tuple(_fmt(v) for v in row)
-            for row in zip(rep.radii, rep.ratio, rep.lhs, rep.term_xi,
-                           rep.term_boundary, rep.term_forcing, rep.residual)]
-    header = ("r", "ratio", "lhs", "term_xi", "term_boundary",
-              "term_forcing", "residual")
-    frag = {"values": {"aggregate_residual": rep.aggregate, "scale": rep.scale},
-            "flags": {"aggregate": _flag(rep.aggregate, "monotonicity.aggregate")}}
-    return ("monotonicity.csv", header, rows, frag)
-
-
-def _run_slab(cfg: RunConfig, states):
+def _run_identity(cfg: RunConfig, states, kind: str):
+    """The ball identity ("monotonicity") or its slab variant ("slab")."""
     scenario = cfg.scenario
     eps, st = scenario.epsilons[0], states[0]
     g = scenario.grid
-    center = cfg.geometry.get("slab.center") or default_center(scenario)
-    if "slab.t" in cfg.geometry:
-        t_lo, t_hi = cfg.geometry["slab.t"]
+    center = cfg.geometry.get(f"{kind}.center") or default_center(scenario)
+    radii = _geometry_radii(cfg, f"{kind}.radii", scenario, eps, center)
+    supersample = scenario.params.supersample
+    columns = ("ratio", "lhs", "term_xi", "term_boundary", "term_forcing")
+    if kind == "slab":
+        # default: the widest slab clearing the default radii's sphere
+        # poles by > 2h
+        slab = cfg.geometry.get("slab.t") or (g.lo[-1] + 0.5 * g.h,
+                                              g.hi[-1] - 0.5 * g.h)
+        rep = slab_report(st, center, radii, *slab, supersample=supersample)
+        columns += ("term_plane_lo", "term_plane_hi")
     else:
-        # widest slab clearing the default radii's sphere poles by > 2h
-        t_lo = g.lo[-1] + 0.5 * g.h
-        t_hi = g.hi[-1] - 0.5 * g.h
-    radii = _geometry_radii(cfg, "slab.radii", scenario, eps, center)
-    rep = slab_report(st, center, radii, t_lo, t_hi,
-                      supersample=scenario.params.supersample)
-    rows = [tuple(_fmt(v) for v in row)
-            for row in zip(rep.radii, rep.ratio, rep.lhs, rep.term_xi,
-                           rep.term_boundary, rep.term_forcing,
-                           rep.term_plane_lo, rep.term_plane_hi, rep.residual)]
-    header = ("r", "ratio", "lhs", "term_xi", "term_boundary", "term_forcing",
-              "term_plane_lo", "term_plane_hi", "residual")
+        rep = monotonicity_report(st, center, radii, supersample=supersample)
+    columns += ("residual",)
+    rows = [tuple(_fmt(v) for v in row) for row in
+            zip(rep.radii, *(getattr(rep, name) for name in columns))]
     frag = {"values": {"aggregate_residual": rep.aggregate, "scale": rep.scale},
-            "flags": {"aggregate": _flag(rep.aggregate, "slab.aggregate")}}
-    return ("slab.csv", header, rows, frag)
+            "flags": {"aggregate": _flag(rep.aggregate, f"{kind}.aggregate")}}
+    return (f"{kind}.csv", ("r",) + columns, rows, frag)
 
 
 def _run_quantize(cfg: RunConfig, states):
@@ -524,11 +528,12 @@ def _run_firstvar(cfg: RunConfig, states):
     return ("firstvar.csv", header, rows, frag)
 
 
+# one distinct callable per key: perfbench's tracer names spans by key
 _RUNNERS = {
     "norms": _run_norms,
     "sweep": _run_sweep,
-    "monotonicity": _run_monotonicity,
-    "slab": _run_slab,
+    "monotonicity": partial(_run_identity, kind="monotonicity"),
+    "slab": partial(_run_identity, kind="slab"),
     "quantize": _run_quantize,
     "gdelta": _run_gdelta,
     "firstvar": _run_firstvar,

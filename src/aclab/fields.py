@@ -268,11 +268,16 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 
 def _check_ball_margin(grid: Grid, center, radius, what="ball region",
-                       axis="axis"):
+                       axis="axis", slab=None):
+    """A slab = (t_lo, t_hi) clips the ball on the last axis, so there only
+    the clipped extent must keep the margin."""
     h = grid.h
     for ax in range(grid.ndim):
-        lo_gap = (center[ax] - radius) - grid.lo[ax]
-        hi_gap = grid.hi[ax] - (center[ax] + radius)
+        lo_end, hi_end = center[ax] - radius, center[ax] + radius
+        if slab is not None and ax == grid.ndim - 1:
+            lo_end, hi_end = max(lo_end, slab[0]), min(hi_end, slab[1])
+        lo_gap = lo_end - grid.lo[ax]
+        hi_gap = grid.hi[ax] - hi_end
         if lo_gap < 2.0 * h - 1e-12 * h or hi_gap < 2.0 * h - 1e-12 * h:
             raise RegionError(
                 f"{what} violates the 2h domain margin on {axis} {ax}: "
@@ -281,7 +286,8 @@ def _check_ball_margin(grid: Grid, center, radius, what="ball region",
 
 class _BallQuadrature:
     """The one cell-indicator quadrature core: balls and slab-balls, and
-    discs on the grid of a hyperplane (disc_integral).
+    discs on the grid of a hyperplane (disc_integral). Built only by
+    `ball_integrals`, which checks the radii and the domain margin.
 
     Classifies every node cell as fully inside, fully outside, or boundary;
     boundary cells get an indicator fraction from subcell-center sampling.
@@ -371,8 +377,26 @@ class _BallQuadrature:
             out.append(total * g.h ** g.ndim)
         return out
 
-    def integral(self, values: np.ndarray, radius: float) -> float:
-        return self.integral_many([values], radius)[0]
+
+def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
+                   slab=None) -> np.ndarray:
+    """Integrals of each node array over B_r(center), intersected with the
+    slab t_lo <= x_last <= t_hi when slab = (t_lo, t_hi) is given: one row
+    per radius, one column per array.
+
+    The one entry point into `_BallQuadrature`: the radii must be nonempty
+    and strictly ascending, and the largest ball, clipped by the slab if one
+    is given, must keep the 2h domain margin.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or len(radii) < 1:
+        raise ValueError("radii must be a nonempty 1-d sequence")
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be strictly ascending")
+    quad = _BallQuadrature(grid, np.atleast_1d(center), supersample,
+                           *(slab or ()))
+    _check_ball_margin(grid, quad.center, radii[-1], slab=slab)
+    return np.array([quad.integral_many(arrays, r) for r in radii])
 
 
 def integrate(f: ScalarField, region: Region, supersample: int = 4) -> float:
@@ -384,15 +408,10 @@ def integrate(f: ScalarField, region: Region, supersample: int = 4) -> float:
     g = f.grid
     if region.kind == "whole":
         return float(np.sum(f.values * g.node_weights()))
-    if region.kind == "ball":
-        _check_ball_margin(g, region.center, region.radius)
-        quad = _BallQuadrature(g, region.center, supersample)
-        return quad.integral(f.values, region.radius)
-    if region.kind == "slab_ball":
-        _check_ball_margin(g, region.center, region.radius)
-        quad = _BallQuadrature(g, region.center, supersample,
-                               t_lo=region.t_lo, t_hi=region.t_hi)
-        return quad.integral(f.values, region.radius)
+    if region.kind in ("ball", "slab_ball"):
+        slab = (region.t_lo, region.t_hi) if region.kind == "slab_ball" else None
+        return float(ball_integrals(g, [f.values], region.center,
+                                    [region.radius], supersample, slab)[0, 0])
     if region.kind == "plane_slice":
         return plane_slice_integral(f, region.t_lo, supersample=supersample)
     raise RegionError(f"cannot integrate over region kind {region.kind!r}; "
@@ -402,20 +421,14 @@ def integrate(f: ScalarField, region: Region, supersample: int = 4) -> float:
 def cumulative_ball_profile(f: ScalarField, center, radii,
                             supersample: int = 4) -> np.ndarray:
     """Integral of the field over concentric balls, one windowed pass over
-    the cells near each ball (see `_BallQuadrature`).
+    the cells near each ball (see `ball_integrals`).
 
     Returns an array of rows (r, integral over B_r). Radii must be ascending
     and the largest ball must respect the 2h domain margin.
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) < 1:
-        raise ValueError("radii must be a nonempty 1-d sequence")
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly ascending")
-    _check_ball_margin(f.grid, tuple(np.atleast_1d(center)), radii[-1])
-    quad = _BallQuadrature(f.grid, np.atleast_1d(center), supersample)
-    vals = np.array([quad.integral(f.values, r) for r in radii])
-    return np.column_stack([radii, vals])
+    vals = ball_integrals(f.grid, [f.values], center, radii, supersample)
+    return np.column_stack([radii, vals[:, 0]])
 
 
 def _uniform_spacing(radii: np.ndarray) -> float:
@@ -532,10 +545,11 @@ def disc_integral(grid: Grid, plane_values: np.ndarray, center_transverse,
         return float(plane_values)
     plane = _transverse(grid)
     ct = np.atleast_1d(np.asarray(center_transverse, dtype=float))
+    # checked here first so that a refusal names the disc, not a ball
     _check_ball_margin(plane, ct, radius, what="plane disc",
                        axis="transverse axis")
-    quad = _BallQuadrature(plane, ct, supersample)
-    return quad.integral(plane_values, radius)
+    return float(ball_integrals(plane, [plane_values], ct, [radius],
+                                supersample)[0, 0])
 
 
 def plane_slice_integral(f: ScalarField, t: float, supersample: int = 4) -> float:

@@ -23,12 +23,14 @@ and the spatial discretization.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .fields import (RegionError, ScalarField, _BallQuadrature, disc_integral,
+from .fields import (RegionError, ScalarField, ball_integrals, disc_integral,
                      radial_derivative, restrict_to_plane)
 from .measures import density_fields, state_gradient
 from .phasefield import PhaseFieldState
@@ -45,30 +47,17 @@ class MonotonicityReport:
     term_boundary: np.ndarray
     term_forcing: np.ndarray
     residual: np.ndarray
-    row_scale: np.ndarray
     scale: float
     aggregate: float
 
 
 @dataclass(frozen=True)
-class SlabReport:
+class SlabReport(MonotonicityReport):
     """Slab-restricted identity columns; plane terms are signed as they
     enter the right-hand side (+ at t1, - at t2)."""
 
-    radii: np.ndarray
-    ratio: np.ndarray
-    lhs: np.ndarray
-    term_xi: np.ndarray
-    term_boundary: np.ndarray
-    term_forcing: np.ndarray
     term_plane_lo: np.ndarray
     term_plane_hi: np.ndarray
-    residual: np.ndarray
-    row_scale: np.ndarray
-    scale: float
-    aggregate: float
-    t_lo: float
-    t_hi: float
 
 
 def _validate_radii(state: PhaseFieldState, radii, min_count=5):
@@ -102,28 +91,50 @@ def _identity_integrands(state: PhaseFieldState, center):
             state.epsilon * radial ** 2, radial * state.f.values)
 
 
-def _assemble(radii, n, mu_c, xi_c, bnd_c, frc_c, extra=None):
+def _d_dr(radii, values):
+    return radial_derivative(np.column_stack([radii, values]))[:, 1]
+
+
+def _identity_report(state: PhaseFieldState, center, radii, supersample,
+                     slab=None) -> MonotonicityReport:
+    """The identity's columns from one sweep of ball_integrals over the
+    radii. With a slab (t_lo, t_hi) every ball integral is slab-restricted
+    and the two plane terms enter the right-hand side after the three ball
+    terms."""
+    radii = _validate_radii(state, radii)
+    g = state.grid
+    n = g.ndim - 1
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    for t in slab or ():
+        off = abs(t - c[-1])
+        for r in radii:
+            if r - 2.0 * g.h < off < r + 2.0 * g.h:
+                raise RegionError(
+                    f"slab plane t={t} within 2h of the pole of B_{r:g}")
+
+    mu_c, xi_c, bnd_c, frc_c = ball_integrals(
+        g, _identity_integrands(state, c), c, radii, supersample, slab).T
     ratio = mu_c / radii ** n
-    lhs = radial_derivative(np.column_stack([radii, ratio]))[:, 1]
-    term_xi = -xi_c / radii ** (n + 1)
-    dbnd = radial_derivative(np.column_stack([radii, bnd_c]))[:, 1]
-    term_boundary = dbnd / radii ** (n + 2)
-    term_forcing = -frc_c / radii ** (n + 1)
-    total = term_xi + term_boundary + term_forcing
-    cols = [lhs, term_xi, term_boundary, term_forcing]
-    if extra is not None:
-        for col in extra:
-            total = total + col
-            cols.append(col)
-    residual = lhs - total
-    row_scale = np.max(np.abs(np.column_stack(cols)), axis=1)
+    lhs = _d_dr(radii, ratio)
+    terms = {"term_xi": -xi_c / radii ** (n + 1),
+             "term_boundary": _d_dr(radii, bnd_c) / radii ** (n + 2),
+             "term_forcing": -frc_c / radii ** (n + 1)}
+    if slab is not None:
+        for name, sign, t in (("term_plane_lo", 1.0, slab[0]),
+                              ("term_plane_hi", -1.0, slab[1])):
+            terms[name] = _plane_term(g, _sheet_integrand_on_plane(state, c, t),
+                                      c, t, radii, supersample, sign)
+    # left to right, never from a 0 start: 0 + -0.0 would flip zero signs
+    residual = lhs - functools.reduce(operator.add, terms.values())
     interior = slice(1, -1)
-    scale = float(np.max(row_scale[interior]))
+    scale = float(np.max(np.abs(np.column_stack([lhs, *terms.values()]))
+                         [interior]))
     max_res = float(np.max(np.abs(residual[interior])))
     aggregate = 0.0 if max_res == 0.0 else (np.inf if scale == 0.0
                                             else max_res / scale)
-    return ratio, lhs, term_xi, term_boundary, term_forcing, residual, \
-        row_scale, scale, aggregate
+    report = MonotonicityReport if slab is None else SlabReport
+    return report(radii=radii, ratio=ratio, lhs=lhs, residual=residual,
+                  scale=scale, aggregate=aggregate, **terms)
 
 
 def density_ratio_profile(state: PhaseFieldState, center, radii,
@@ -131,11 +142,9 @@ def density_ratio_profile(state: PhaseFieldState, center, radii,
     """Rows (r, r^-n mu(B_r(center))) over a uniform radius grid."""
     radii = _validate_radii(state, radii, min_count=1)
     g = state.grid
-    n = g.ndim - 1
-    dens = density_fields(state)
-    quad = _BallQuadrature(g, np.atleast_1d(center), supersample)
-    vals = np.array([quad.integral(dens.mu.values, r) for r in radii])
-    return np.column_stack([radii, vals / radii ** n])
+    mu = density_fields(state).mu.values
+    vals = ball_integrals(g, [mu], center, radii, supersample)[:, 0]
+    return np.column_stack([radii, vals / radii ** (g.ndim - 1)])
 
 
 def monotonicity_report(state: PhaseFieldState, center, radii,
@@ -145,18 +154,7 @@ def monotonicity_report(state: PhaseFieldState, center, radii,
     The aggregate is max interior |residual| over the max interior term
     magnitude; end radii use one-sided differences and are excluded.
     """
-    radii = _validate_radii(state, radii)
-    g = state.grid
-    n = g.ndim - 1
-    integrands = _identity_integrands(state, center)
-    quad = _BallQuadrature(g, np.atleast_1d(center), supersample)
-    cums = np.array([quad.integral_many(list(integrands), r) for r in radii])
-    ratio, lhs, t_xi, t_bnd, t_frc, res, row_scale, scale, agg = _assemble(
-        radii, n, cums[:, 0], cums[:, 1], cums[:, 2], cums[:, 3])
-    return MonotonicityReport(radii=radii, ratio=ratio, lhs=lhs, term_xi=t_xi,
-                              term_boundary=t_bnd, term_forcing=t_frc,
-                              residual=res, row_scale=row_scale, scale=scale,
-                              aggregate=agg)
+    return _identity_report(state, center, radii, supersample)
 
 
 def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
@@ -172,9 +170,18 @@ def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
     return (t - c[-1]) * mu_p - eps * dlast_p * radial_p
 
 
-def _disc_radius(r, offset):
-    gap = r * r - offset * offset
-    return np.sqrt(gap) if gap > 0 else -1.0
+def _plane_term(grid, plane_values, center, t, radii, supersample,
+                sign=1.0) -> np.ndarray:
+    """sign * r^-(n+1) int_{B_r(center), x_last=t} plane_values dH^n for
+    each radius r; +0 where the plane misses the open ball B_r."""
+    off = abs(t - center[-1])
+    gap = radii * radii - off * off
+    col = np.zeros(len(radii))
+    for k in np.flatnonzero(gap > 0):
+        col[k] = sign * disc_integral(grid, plane_values, center[:-1],
+                                      np.sqrt(gap[k]),
+                                      supersample) / radii[k] ** grid.ndim
+    return col
 
 
 def slab_report(state: PhaseFieldState, center, radii, t_lo: float,
@@ -187,42 +194,7 @@ def slab_report(state: PhaseFieldState, center, radii, t_lo: float,
     """
     if not t_lo < t_hi:
         raise RegionError(f"degenerate slab: t_lo={t_lo} >= t_hi={t_hi}")
-    radii = _validate_radii(state, radii)
-    g = state.grid
-    n = g.ndim - 1
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    h = g.h
-    for t in (t_lo, t_hi):
-        off = abs(t - c[-1])
-        for r in radii:
-            if r - 2.0 * h < off < r + 2.0 * h:
-                raise RegionError(
-                    f"slab plane t={t} within 2h of the pole of B_{r:g}")
-
-    integrands = _identity_integrands(state, center)
-    quad = _BallQuadrature(g, c, supersample, t_lo=t_lo, t_hi=t_hi)
-    cums = np.array([quad.integral_many(list(integrands), r) for r in radii])
-
-    plane_cols = []
-    for sign, t in ((1.0, t_lo), (-1.0, t_hi)):
-        s_plane = _sheet_integrand_on_plane(state, c, t)
-        off = abs(t - c[-1])
-        col = np.zeros(len(radii))
-        for k, r in enumerate(radii):
-            a = _disc_radius(r, off)
-            if a > 0:
-                col[k] = sign * disc_integral(g, s_plane, c[:-1], a,
-                                              supersample) / r ** (n + 1)
-        plane_cols.append(col)
-
-    ratio, lhs, t_xi, t_bnd, t_frc, res, row_scale, scale, agg = _assemble(
-        radii, n, cums[:, 0], cums[:, 1], cums[:, 2], cums[:, 3],
-        extra=plane_cols)
-    return SlabReport(radii=radii, ratio=ratio, lhs=lhs, term_xi=t_xi,
-                      term_boundary=t_bnd, term_forcing=t_frc,
-                      term_plane_lo=plane_cols[0], term_plane_hi=plane_cols[1],
-                      residual=res, row_scale=row_scale, scale=scale,
-                      aggregate=agg, t_lo=t_lo, t_hi=t_hi)
+    return _identity_report(state, center, radii, supersample, (t_lo, t_hi))
 
 
 def sheet_separation_integral(state: PhaseFieldState, x, t3: float, d: float,
@@ -238,16 +210,8 @@ def sheet_separation_integral(state: PhaseFieldState, x, t3: float, d: float,
         raise ValueError(f"empty radius range: d={d} > R={R}")
     if d < state.epsilon:
         raise ValueError(f"d={d} below the layer width eps={state.epsilon}")
-    g = state.grid
-    n = g.ndim - 1
     x = np.atleast_1d(np.asarray(x, dtype=float))
     s_abs = np.abs(_sheet_integrand_on_plane(state, x, t3))
-    off = abs(t3 - x[-1])
     rhos = np.linspace(d, R, subdivisions + 1)
-    vals = np.zeros_like(rhos)
-    for k, rho in enumerate(rhos):
-        a = _disc_radius(rho, off)
-        if a > 0:
-            vals[k] = disc_integral(g, s_abs, x[:-1], a,
-                                    supersample) / rho ** (n + 1)
+    vals = _plane_term(state.grid, s_abs, x, t3, rhos, supersample)
     return float(trapezoid(vals, rhos))

@@ -194,10 +194,11 @@ def build_layer_stack(grid: Grid, epsilon: float, spec: LayerSpec) -> ScalarFiel
     axis = spec.axis % grid.ndim
     pos = spec.positions
     gaps = [b - a for a, b in zip(pos, pos[1:])]
-    if any(g < 4.0 * epsilon for g in gaps):
+    slack = 1e-12 * grid.h  # layers that fit exactly must not fail in floats
+    if any(g < 4.0 * epsilon - slack for g in gaps):
         raise ValueError(f"overlapping layers: min gap {min(gaps)} < 4 eps")
     lo, hi = grid.lo[axis], grid.hi[axis]
-    if pos[0] - lo < 6.0 * epsilon or hi - pos[-1] < 6.0 * epsilon:
+    if min(pos[0] - lo, hi - pos[-1]) < 6.0 * epsilon - slack:
         raise ValueError("layer positions need a 6 eps margin to the domain faces")
     x = grid.meshgrid()[axis]
     signs = spec.orientations

@@ -157,6 +157,39 @@ def test_analysis_failure_exits_one(tmp_path, capsys):
     assert "resolution floor" in err
 
 
+@pytest.mark.parametrize("analysis, geometry, axis", [
+    # B_0.9((0.5, 0)) reaches past the wall x = 1
+    ("monotonicity", "monotonicity.center = 0.5, 0\n"
+     "monotonicity.radii = 0.2, 0.9, 8\n", 0),
+    # the default slab planes lie h/2 inside the faces, so the slab clips
+    # B_0.65((0, 0.5)) within 2h of the wall x_last = 1
+    ("slab", "slab.center = 0, 0.5\nslab.radii = 0.55, 0.65, 5\n", 1),
+], ids=("monotonicity", "slab"))
+def test_ball_crossing_the_domain_margin_fails_without_a_csv(
+        tmp_path, capsys, analysis, geometry, axis):
+    cfg = write_cfg(tmp_path, "scenario.kind = circle\nscenario.epsilon = 0.1\n"
+                    "grid.extent = 2, 2\ngrid.points = 81, 81\n"
+                    f"grid.origin = -1, -1\nanalyses = {analysis}\n"
+                    f"{geometry}out = {tmp_path/'out'}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"analysis failure: {analysis}: " in err
+    assert f"2h domain margin on axis {axis}" in err
+    assert not (tmp_path / "out" / f"{analysis}.csv").exists()
+
+
+def test_stack_layers_that_fit_exactly_build(tmp_path):
+    # the faces are exactly 6 eps from the layers: 0.5 - 0.2 = 6 * 0.05,
+    # which floats round to 0.3 < 0.30000000000000004
+    cfg = write_cfg(tmp_path, "scenario.kind = stack\nscenario.epsilon = 0.05\n"
+                    "scenario.positions = -0.2, 0.2\ngrid.extent = 1, 1\n"
+                    "grid.points = 81, 81\ngrid.origin = -0.5, -0.5\n"
+                    f"analyses = norms\nout = {tmp_path/'out'}\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "norms.csv").exists()
+
+
 def test_strict_escalates_warnings(tmp_path):
     # eps listed coarse-to-fine on a fixed grid: discrete xi+ grows as eps
     # shrinks for manufactured profiles, so the sweep flag warns
@@ -228,6 +261,9 @@ def test_threaded_failure_names_the_analysis(tmp_path, capsys):
     ("grid.points = 81.5, 81", "grid.points"),
     ("scenario.epsilon = x", "scenario.epsilon"),
     ("strict = maybe", "strict"),
+    ("analysis.tau = 2", "analysis.tau"),
+    ("grid.points = 4, 4", "grid.points"),
+    ("analysis.q0 = 0.5", "analysis.q0"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, line, key):
     # the malformed line replaces the scenario's own line for that key

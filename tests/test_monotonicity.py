@@ -87,6 +87,31 @@ def test_integrated_exp_weighted_comparison(circle_state):
     assert np.min(weighted - rep.ratio) >= -budget
 
 
+@pytest.mark.parametrize("report", [
+    monotonicity_report,
+    lambda st, center, radii: slab_report(st, center, radii, -0.9, 0.9),
+    density_ratio_profile,
+], ids=("ball", "slab", "ratio"))
+def test_balls_crossing_the_domain_margin_are_refused(circle_state, report):
+    # B_0.49((0.5, 0)) comes within 0.01 < 2h = 0.0125 of the wall x = 1
+    with pytest.raises(RegionError, match="2h domain margin"):
+        report(circle_state, (0.5, 0.0), np.linspace(0.1, 0.49, 6))
+
+
+def test_slab_clipping_the_ball_inside_the_domain_keeps_the_margin(
+        circle_state):
+    # B_0.66((0, 0.5)) crosses the wall x_last = 1, but the slab cuts it at
+    # x_last = 0.4, so the region it integrates keeps the margin
+    center, radii = (0.0, 0.5), np.linspace(0.3, 0.66, 7)
+    with pytest.raises(RegionError, match="2h domain margin"):
+        monotonicity_report(circle_state, center, radii)
+    rep = slab_report(circle_state, center, radii, -0.2, 0.4)
+    assert np.all(np.isfinite(rep.residual))
+    assert np.min(np.abs(rep.term_plane_hi)) > 0.0  # the plane cuts the circle
+    with pytest.raises(RegionError, match="2h domain margin on axis 1"):
+        slab_report(circle_state, center, radii, -0.2, 1.2)
+
+
 # ---------------------------------------------------------------- ratios
 
 def test_density_ratio_pure_phase():

@@ -109,7 +109,8 @@ def _scenarios(draw):
         st.builds(SolvedFromForcingProfile, base=radial,
                   noise_amplitude=_positive)))
     params = draw(st.builds(
-        AnalysisParams, q0=st.none() | st.floats(0.5, 5.0),
+        AnalysisParams,  # q0 must exceed n = ndim - 1
+        q0=st.none() | st.floats(ndim - 1, 5.0, exclude_min=True),
         grad_threshold=st.floats(0.0, 1.0), supersample=st.integers(1, 8),
         tau=st.floats(0.01, 0.99)))
     return Scenario(
