@@ -32,8 +32,9 @@ from .proofdevices import GDeltaParams, g_delta_ledger
 from .quantization import quantization_check
 from .scenarios import (ConstantProfile, LayerStackProfile, RadialProfile,
                         Scenario, ScenarioError, SolvedBubbleProfile,
-                        SolvedFromForcingProfile, build, default_center,
-                        default_lines, default_radii, standard_corpus)
+                        SolvedFromForcingProfile, build, check_buildable,
+                        default_center, default_lines, default_radii,
+                        standard_corpus)
 
 ANALYSES = ("norms", "monotonicity", "slab", "quantize", "gdelta",
             "firstvar", "sweep")
@@ -306,6 +307,7 @@ def load_config(path: Path, out_override=None, strict_override=None,
             raise ConfigError(f"{key}: {exc}") from exc
     try:
         scenario = _scenario(values)
+        check_buildable(scenario)
     except (ValueError, ScenarioError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -14,8 +14,9 @@ import numpy as np
 
 from .fields import Grid, ScalarField, ZERO_FLUX
 from .measures import AnalysisParams
-from .phasefield import (LayerSpec, PhaseFieldState, build_layer_stack,
-                         build_radial_layer, constants, make_state,
+from .phasefield import (LayerSpec, PhaseFieldState, SolverError,
+                         build_layer_stack, build_radial_layer,
+                         check_layer_fit, constants, make_state,
                          manufactured_forcing, signed_distance_ball,
                          solve_stationary)
 
@@ -45,7 +46,9 @@ class ConstantProfile:
 @dataclass(frozen=True)
 class SolvedBubbleProfile:
     """Newton solve with constant forcing balanced so a radius-R bubble is
-    stationary (f = alpha/(2R)); initial guess is the shifted tanh bubble.
+    stationary (f = n alpha/(2R), with n = ndim - 1 the sphere's mean
+    curvature times R); initial guess is the shifted tanh bubble. A solve
+    that leaves the bubble is refused (see `_check_bubble`).
 
     The solved states carry a genuinely epsilon-scaled discrepancy, unlike
     manufactured tanh profiles whose continuum discrepancy vanishes.
@@ -95,11 +98,41 @@ class Scenario:
         object.__setattr__(self, "epsilons", eps)
 
 
+def _layer_spec(profile: LayerStackProfile) -> LayerSpec:
+    return LayerSpec(positions=profile.positions, axis=profile.axis,
+                     first_sign=profile.first_sign)
+
+
+def _check_bubble_grid(scenario: Scenario):
+    if scenario.grid.ndim < 2:
+        raise ScenarioError(
+            f"scenario {scenario.name!r}: a solved bubble needs a 2-d or "
+            "3-d grid; in 1-d there is no curvature to balance")
+
+
+def check_buildable(scenario: Scenario):
+    """The scalar preconditions of build(), checked without building an
+    array: a stack's layers must fit the grid at every epsilon, and a
+    solved bubble needs a curved interface (2 or 3 grid axes). Raises
+    ScenarioError."""
+    prof = scenario.profile
+    if isinstance(prof, SolvedBubbleProfile):
+        _check_bubble_grid(scenario)
+    if isinstance(prof, SolvedFromForcingProfile):
+        prof = prof.base
+    if not isinstance(prof, LayerStackProfile):
+        return
+    for eps in scenario.epsilons:
+        try:
+            check_layer_fit(scenario.grid, eps, _layer_spec(prof))
+        except ValueError as exc:
+            raise ScenarioError(f"scenario {scenario.name!r} cannot build "
+                                f"at eps={eps:g}: {exc}") from exc
+
+
 def _base_field(grid: Grid, eps: float, profile) -> ScalarField:
     if isinstance(profile, LayerStackProfile):
-        return build_layer_stack(grid, eps, LayerSpec(
-            positions=profile.positions, axis=profile.axis,
-            first_sign=profile.first_sign))
+        return build_layer_stack(grid, eps, _layer_spec(profile))
     if isinstance(profile, RadialProfile):
         return build_radial_layer(grid, eps, profile.center, profile.radius)
     if isinstance(profile, ConstantProfile):
@@ -114,12 +147,15 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
         u = _base_field(g, eps, prof)
         return make_state(u, manufactured_forcing(u, eps), eps)
     if isinstance(prof, SolvedBubbleProfile):
-        force = constants().alpha / (2.0 * prof.radius)
+        _check_bubble_grid(scenario)
+        force = (g.ndim - 1) * constants().alpha / (2.0 * prof.radius)
         f = ScalarField(g, np.full(g.shape, force))
         dist = signed_distance_ball(g, prof.center, prof.radius)
         init = ScalarField(g, np.tanh(dist / eps) + eps * force / 4.0)
-        return solve_stationary(g, eps, f, init, tol=scenario.solver_tol,
-                                max_iter=scenario.solver_max_iter)
+        state = solve_stationary(g, eps, f, init, tol=scenario.solver_tol,
+                                 max_iter=scenario.solver_max_iter)
+        _check_bubble(state, dist)
+        return state
     if isinstance(prof, SolvedFromForcingProfile):
         u_star = _base_field(g, eps, prof.base)
         f = manufactured_forcing(u_star, eps)
@@ -129,6 +165,26 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
         return solve_stationary(g, eps, f, init, tol=scenario.solver_tol,
                                 max_iter=scenario.solver_max_iter)
     raise ScenarioError(f"unknown profile type {type(prof).__name__}")
+
+
+def _check_bubble(state: PhaseFieldState, dist: np.ndarray):
+    """Refuse a solved bubble that lost its interface. A critical bubble is
+    a saddle of the energy, so Newton can leave it for a uniform state or
+    another radius. u must change sign, and every node farther than eps
+    from the sphere (dist = |x - c| - R) must lie on the side of the zero
+    level set that the initial bubble gave it: the level-set radius stays
+    within eps of R."""
+    u, eps = state.u.values, state.epsilon
+    if not u.min() < 0.0 < u.max():
+        raise SolverError(
+            f"bubble solve lost its interface: u has no sign change "
+            f"(range [{u.min():.3g}, {u.max():.3g}])", state.residual_norm)
+    off = float(np.max(np.abs(dist[(u < 0.0) != (dist < 0.0)]), initial=0.0))
+    if off > eps:
+        raise SolverError(
+            f"bubble solve lost its interface: the zero level set lies "
+            f"{off:.3g} from radius R, beyond eps = {eps:g}",
+            state.residual_norm)
 
 
 def build(scenario: Scenario) -> list[PhaseFieldState]:

@@ -190,6 +190,26 @@ def test_stack_layers_that_fit_exactly_build(tmp_path):
     assert (tmp_path / "out" / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("layers, message", [
+    ("positions = -0.1, 0.0", "overlapping layers"),  # gap 0.1 < 4 eps
+    ("positions = -0.75", "6 eps margin"),  # 0.25 from the face < 6 eps
+    ("positions = 0.2, -0.2", "strictly increasing"),
+    ("axis = 2", "not an axis of a 2-d grid"),
+])
+def test_validate_refuses_stacks_that_cannot_build(tmp_path, capsys,
+                                                   layers, message):
+    cfg = write_cfg(tmp_path, "scenario.kind = stack\nscenario.epsilon = 0.05\n"
+                    f"scenario.{layers}\ngrid.extent = 2, 2\n"
+                    "grid.points = 161, 161\ngrid.origin = -1, -1\n"
+                    f"analyses = norms\nout = {tmp_path/'out'}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config error: scenario 'inline-stack'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_strict_escalates_warnings(tmp_path):
     # eps listed coarse-to-fine on a fixed grid: discrete xi+ grows as eps
     # shrinks for manufactured profiles, so the sweep flag warns

@@ -202,6 +202,40 @@ def test_solver_deterministic():
     assert np.array_equal(a.u.values, b.u.values)
 
 
+def test_forcing_term_rule():
+    cap, tol = phasefield._FORCING_MAX, 1e-10
+    assert phasefield.forcing_term(1.0, None, tol) == cap  # first step
+    # Eisenstat-Walker choice 2: 0.9 (r_k/r_{k-1})^2, capped at 1e-4
+    assert phasefield.forcing_term(1e-3, 1e-1, tol) == pytest.approx(9e-5)
+    assert phasefield.forcing_term(0.5, 1.0, tol) == cap
+    # near tol the floor 1e-3 tol/r_k keeps the last step from oversolving
+    assert phasefield.forcing_term(1e-7, 1e-2, tol) == pytest.approx(1e-6)
+    # and no step asks for less than the full linear solve's 1e-10
+    assert phasefield.forcing_term(1e-6, 1e-1, 1e-14) == 1e-10
+
+
+def test_newton_steps_use_forcing_terms(monkeypatch):
+    rtols = []
+
+    def recording_minres(*args, rtol, **kwargs):
+        rtols.append(rtol)
+        return minres(*args, rtol=rtol, **kwargs)
+
+    minres = phasefield.minres
+    monkeypatch.setattr(phasefield, "minres", recording_minres)
+    eps = 0.1
+    g = Grid(extent=(2.0, 2.0), points=(65, 65), boundary=ZERO_FLUX,
+             origin=(-1.0, -1.0))
+    u_star = build_radial_layer(g, eps, (0.0, 0.0), 0.5)
+    f = manufactured_forcing(u_star, eps)
+    rng = np.random.default_rng(3)
+    init = ScalarField(g, u_star.values + 0.01 * rng.standard_normal(g.shape))
+    st = solve_stationary(g, eps, f, init, tol=1e-10)
+    assert st.residual_norm <= 1e-10
+    assert rtols[0] == 1e-4
+    assert all(1e-10 <= rt <= 1e-4 for rt in rtols)
+
+
 # ---------------------------------------------------------------- every boundary and dimension
 
 def centered_grid(points, boundary):
