@@ -88,6 +88,15 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _point(text: str) -> tuple[float, ...]:
     """One coordinate per grid axis; the count is checked against the grid."""
     return _floats(text)
@@ -187,7 +196,7 @@ _KEYS = {
     "scenario.name": _Key(str, "inline"),
     "scenario.epsilon": _Key(_floats, "scenario", field="epsilons",
                              default=(0.05,)),
-    "scenario.seed": _Key(int, "scenario"),
+    "scenario.seed": _Key(_int_at_least(0), "scenario"),
     "scenario.positions": _Key(_floats, *_STACK, default=(0.0,)),
     "scenario.axis": _Key(int, *_STACK),
     "scenario.first_sign": _Key(int, *_STACK),
@@ -212,8 +221,8 @@ _KEYS = {
     "quantize.tau": _Key(float, "quantize"),
     "gdelta.delta": _Key(_floats, "gdelta"),
     "gdelta.c0": _Key(float, "gdelta"),
-    "firstvar.count": _Key(int, "firstvar"),
-    "firstvar.seed": _Key(int, "firstvar"),
+    "firstvar.count": _Key(_int_at_least(1), "firstvar"),
+    "firstvar.seed": _Key(_int_at_least(0), "firstvar"),
 }
 
 

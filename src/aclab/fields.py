@@ -145,38 +145,45 @@ def _transverse(grid: Grid) -> Grid:
 
 
 @dataclass(frozen=True)
-class ScalarField:
+class _Field:
+    """Node values on a grid, immutable after construction. The public
+    constructors copy the array they are given; every field has the shape
+    its grid implies and finite values."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self, copy: bool = True):
+        v = np.array(self.values, dtype=float) if copy else self.values
+        shape = ((self.grid.ndim,) if self._vector else ()) + self.grid.shape
+        if v.shape != shape:
+            raise ValueError(f"values shape {v.shape} != {shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("field values must be finite")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray):
+        """A field over a float64 array the package has just built and hands
+        over: checked like any other, but not copied."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        field.__post_init__(copy=False)
+        return field
+
+
+class ScalarField(_Field):
     """One real value per grid node; immutable after construction."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+    _vector = False
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(_Field):
     """One (n+1)-tuple per grid node, stored component-major."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != (self.grid.ndim,) + self.grid.shape:
-            raise ValueError(
-                f"values shape {v.shape} != {(self.grid.ndim,) + self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+    _vector = True
 
 
 @dataclass(frozen=True)
@@ -222,14 +229,13 @@ def _neighbours(grid: Grid, axis: int):
     """Index triples (nodes, i+1 neighbours, i-1 neighbours) along one axis.
 
     The three triples cover the interior, the first and the last node; each
-    index is a slice, so values[...] is a view, never a copy. Periodic
+    index is slices on the trailing grid axes, so values[...] is a view,
+    never a copy, also of fields stacked in front of the grid. Periodic
     wraps; zero-flux mirrors across the boundary node (ghost(-1) = u[1]),
     which makes the central first derivative vanish at the boundary.
     """
     def at(s):
-        idx = [slice(None)] * grid.ndim
-        idx[axis] = s
-        return tuple(idx)
+        return (..., s) + (slice(None),) * (grid.ndim - 1 - axis)
 
     wrap = grid.boundary == PERIODIC
     first, second = slice(0, 1), slice(1, 2)
@@ -239,16 +245,21 @@ def _neighbours(grid: Grid, axis: int):
             (at(last), at(first if wrap else before_last), at(before_last)))
 
 
+def _central_difference(v: np.ndarray, grid: Grid, axis: int,
+                        out: np.ndarray):
+    """out = (v[i+1] - v[i-1]) / 2h along one grid axis (see _neighbours)."""
+    for nodes, plus, minus in _neighbours(grid, axis):
+        np.subtract(v[plus], v[minus], out=out[nodes])
+    out /= 2.0 * grid.h
+
+
 def gradient(f: ScalarField) -> VectorField:
     """Second-order central-difference gradient respecting the boundary tag."""
     g = f.grid
-    v = f.values
     out = np.empty((g.ndim,) + g.shape)
     for ax in range(g.ndim):
-        for nodes, plus, minus in _neighbours(g, ax):
-            np.subtract(v[plus], v[minus], out=out[ax][nodes])
-        out[ax] /= 2.0 * g.h
-    return VectorField(g, out)
+        _central_difference(f.values, g, ax, out[ax])
+    return VectorField._adopt(g, out)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -264,7 +275,7 @@ def laplacian(f: ScalarField) -> ScalarField:
             term[nodes] += v[minus]
         term /= g.h ** 2
         out += term
-    return ScalarField(g, out)
+    return ScalarField._adopt(g, out)
 
 
 def _check_ball_margin(grid: Grid, center, radius, what="ball region",

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Region, ScalarField, VectorField, gradient, integrate
+from .fields import (Region, ScalarField, VectorField, _central_difference,
+                     gradient, integrate)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -107,11 +108,11 @@ def _density_fields(state: PhaseFieldState, axis: int) -> DensityFields:
         tilt = eps * np.sqrt(grad_sq) * np.sqrt(tangential)
     tilt = np.where(grad_sq > 0, tilt, 0.0)
     return DensityFields(
-        mu=ScalarField(g, mu),
-        xi=ScalarField(g, xi),
-        xi_plus=ScalarField(g, np.maximum(xi, 0.0)),
-        tilt_e=ScalarField(g, tilt),
-        grad_mag=ScalarField(g, np.sqrt(grad_sq)),
+        mu=ScalarField._adopt(g, mu),
+        xi=ScalarField._adopt(g, xi),
+        xi_plus=ScalarField._adopt(g, np.maximum(xi, 0.0)),
+        tilt_e=ScalarField._adopt(g, tilt),
+        grad_mag=ScalarField._adopt(g, np.sqrt(grad_sq)),
         axis=axis,
     )
 
@@ -150,11 +151,12 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams,
     q0 = params.resolve_q0(state.grid.ndim)
     quotient, mass, included = _curvature_quotient(state, params.grad_threshold)
     g = state.grid
-    lam = integrate(ScalarField(g, quotient ** q0 * mass), region,
+    lam = integrate(ScalarField._adopt(g, quotient ** q0 * mass), region,
                     params.supersample)
-    total_mass = integrate(ScalarField(g, mass), region, params.supersample)
-    excl = integrate(ScalarField(g, np.where(included, 0.0, mass)), region,
-                     params.supersample)
+    total_mass = integrate(ScalarField._adopt(g, mass), region,
+                           params.supersample)
+    excl = integrate(ScalarField._adopt(g, np.where(included, 0.0, mass)),
+                     region, params.supersample)
     fraction = excl / total_mass if total_mass > 0 else 0.0
     return float(lam), float(fraction)
 
@@ -173,9 +175,10 @@ def norm_report(state: PhaseFieldState,
         lambda_hat=lam,
         sup_eps_grad=float(eps * np.max(dens.grad_mag.values)),
         xi_plus_mass=integrate(dens.xi_plus, whole),
-        xi_abs_mass=integrate(ScalarField(g, np.abs(dens.xi.values)), whole),
+        xi_abs_mass=integrate(ScalarField._adopt(g, np.abs(dens.xi.values)),
+                              whole),
         f_l2_over_eps=integrate(
-            ScalarField(g, state.f.values ** 2), whole) / eps,
+            ScalarField._adopt(g, state.f.values ** 2), whole) / eps,
         excluded_mass_fraction=fraction,
     )
 
@@ -260,14 +263,23 @@ def first_variation_identity(state: PhaseFieldState, eta: VectorField,
     grad_u = state_gradient(state)
     w = g.node_weights()
 
-    comps = [gradient(ScalarField(g, eta.values[j])).values
-             for j in range(g.ndim)]  # comps[j][i] = d_i eta_j
-    div_eta = sum(comps[j][j] for j in range(g.ndim))
     included, nu = state.derived(
         ("unit_normal", params.grad_threshold),
         lambda: _unit_normal(state, dens, params.grad_threshold))
-    grad_eta_nunu = sum(comps[j][i] * nu[i] * nu[j]
-                        for i in range(g.ndim) for j in range(g.ndim))
+    # one derivative axis i at a time, so only d_i eta is ever held; the
+    # sums keep the order and the products of div_eta = sum_j d_j eta_j
+    # and grad_eta_nunu = sum_i sum_j (d_i eta_j nu_i) nu_j
+    div_eta = np.zeros(g.shape)
+    grad_eta_nunu = np.zeros(g.shape)
+    d_eta = np.empty_like(eta.values)
+    for i in range(g.ndim):
+        _central_difference(eta.values, g, i, d_eta)  # d_eta[j] = d_i eta_j
+        div_eta += d_eta[i]
+        d_eta *= nu[i]
+        d_eta *= nu  # d_eta[j] = (d_i eta_j nu_i) nu_j
+        for term in d_eta:
+            grad_eta_nunu += term
+    del d_eta, term  # before the integrals' temporaries
 
     mu, xi = dens.mu.values, dens.xi.values
     lhs = float(np.sum(np.where(included, (div_eta - grad_eta_nunu) * mu, 0.0) * w))
@@ -344,14 +356,14 @@ def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField
             b = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s * s, 1e-300)),
                          0.0)
         bump = bump * b
-    comps = []
-    for _ in range(grid.ndim):
+    out = np.empty((grid.ndim,) + grid.shape)
+    for comp in out:
         poly = rng.uniform(-1.0, 1.0)
         for s in scaled:
             poly = poly + rng.uniform(-1.0, 1.0) * np.sin(np.pi * s)
             poly = poly + rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)
-        comps.append(bump * poly)
-    return VectorField(grid, np.stack(comps))
+        np.multiply(bump, poly, out=comp)
+    return VectorField._adopt(grid, out)
 
 
 def transition_region_split(state: PhaseFieldState,

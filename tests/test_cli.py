@@ -273,8 +273,13 @@ def test_threaded_failure_names_the_analysis(tmp_path, capsys):
     ("slab.center = 0, 0, 0", "slab.center"),
     ("monotonicity.center = 0", "monotonicity.center"),
     ("firstvar.count = many", "firstvar.count"),
+    ("firstvar.count = 0", "firstvar.count"),
+    ("firstvar.count = -2", "firstvar.count"),
+    ("firstvar.seed = -1", "firstvar.seed"),
     ("quantize.tau = x", "quantize.tau"),
     ("scenario.seed = abc", "scenario.seed"),
+    ("scenario.seed = -5", "scenario.seed"),
+    ("scenario.seed = -300", "scenario.seed"),
     ("scenario.radius = abc", "scenario.radius"),
     ("scenario.radus = 0.5", "scenario.radus"),
     ("grid.extent = a, 2", "grid.extent"),

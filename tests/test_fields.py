@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from aclab import (Grid, PERIODIC, Region, RegionError, ScalarField,
-                   ZERO_FLUX, cumulative_ball_profile, gradient, integrate,
-                   laplacian, line_sample, radial_derivative)
+                   VectorField, ZERO_FLUX, cumulative_ball_profile, gradient,
+                   integrate, laplacian, line_sample, radial_derivative)
 from aclab.fields import disc_integral, plane_slice_integral, restrict_to_plane
 
 
@@ -56,6 +56,29 @@ def test_field_validation():
     frozen = ScalarField(g, np.zeros(g.shape))
     with pytest.raises(ValueError):
         frozen.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("cls, lead", [(ScalarField, ()), (VectorField, (2,))])
+def test_public_fields_copy_and_every_field_is_checked(cls, lead):
+    # the public constructors copy the caller's array; the package-internal
+    # path wraps a fresh array without a copy; both check shape and values
+    g = grid2d(9)
+    mine = np.ones(lead + g.shape)
+    field = cls(g, mine)
+    mine[..., 0, 0] = 5.0
+    assert np.all(field.values == 1.0) and mine.flags.writeable
+    fresh = np.ones(lead + g.shape)
+    adopted = cls._adopt(g, fresh)
+    assert adopted.values is fresh and not fresh.flags.writeable
+    assert type(adopted) is cls and adopted.grid is g
+    for make in (cls, cls._adopt):
+        for bad in (np.inf, np.nan):
+            values = np.zeros(lead + g.shape)
+            values[..., 3, 4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                make(g, values)
+        with pytest.raises(ValueError, match="shape"):
+            make(g, np.zeros(lead + (9, 8)))
 
 
 # ---------------------------------------------------------------- stencils

@@ -3,11 +3,13 @@ Hoelder chain."""
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from aclab import (AnalysisParams, Grid, PERIODIC, Region, ScalarField,
                    VectorField, ZERO_FLUX, constants, corollary_holder_check,
@@ -16,7 +18,8 @@ from aclab import (AnalysisParams, Grid, PERIODIC, Region, ScalarField,
                    norm_report, smooth_test_field, tilt_excess,
                    transition_region_split)
 from aclab.measures import eta_lq_norm
-from aclab import LayerSpec, build_layer_stack, manufactured_forcing
+from aclab import (LayerSpec, build_layer_stack, build_radial_layer,
+                   gradient, manufactured_forcing)
 
 
 def constant_state(value, eps=0.1, n=81):
@@ -284,14 +287,100 @@ def test_eta_linf_norm_is_sup_over_mu_support():
     assert eta_lq_norm(constant_state(1.0), eta, np.inf) == 0.0
 
 
-def meshgrid_test_field(grid, seed, margin_cells=5.0):
-    """smooth_test_field evaluated on the full meshgrid, as a reference."""
+def full_tensor_first_variation(state, eta, params):
+    """The identity's four numbers from all ndim^2 derivatives d_i eta_j at
+    once, one gradient per component, summed by sum(): the reference for
+    the streamed form."""
+    g = state.grid
+    dens = density_fields(state)
+    grad_u = gradient(state.u).values
+    w = g.node_weights()
+    comps = [gradient(ScalarField(g, eta.values[j])).values
+             for j in range(g.ndim)]  # comps[j][i] = d_i eta_j
+    div_eta = sum(comps[j][j] for j in range(g.ndim))
+    grad_mag = dens.grad_mag.values
+    included = state.epsilon * grad_mag >= params.grad_threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = np.where(included, grad_u / grad_mag, 0.0)
+    grad_eta_nunu = sum(comps[j][i] * nu[i] * nu[j]
+                        for i in range(g.ndim) for j in range(g.ndim))
+    mu, xi = dens.mu.values, dens.xi.values
+    lhs = float(np.sum(np.where(included, (div_eta - grad_eta_nunu) * mu,
+                                0.0) * w))
+    pairing = sum(grad_u[i] * eta.values[i] for i in range(g.ndim))
+    forcing = float(np.sum(state.f.values * pairing * w))
+    disc = float(np.sum(np.where(included, grad_eta_nunu * xi, 0.0) * w))
+    return lhs, forcing + disc, forcing, disc
+
+
+def manufactured_ball_state(points, boundary, eps, radius, center=None):
+    h = 0.05
+    extent = tuple(h * (n if boundary == PERIODIC else n - 1) for n in points)
+    g = Grid(extent=extent, points=points, boundary=boundary,
+             origin=tuple(-0.5 * e for e in extent))
+    center = center if center is not None else (0.0,) * g.ndim
+    u = build_radial_layer(g, eps, center, radius)
+    return make_state(u, manufactured_forcing(u, eps), eps)
+
+
+@st.composite
+def first_variation_problems(draw):
+    ndim = draw(st.sampled_from((2, 3)))
+    boundary = draw(st.sampled_from((ZERO_FLUX, PERIODIC)))
+    top = {2: 40, 3: 20}[ndim]
+    points = tuple(draw(st.integers(14, top)) for _ in range(ndim))
+    # strictly above 2h = 0.1: the grid's h = extent / (n - 1) can round to
+    # just above 0.05, and eps = 0.1 is then refused as under-resolved
+    eps = draw(st.sampled_from((0.12, 0.15, 0.2)))
+    radius = draw(st.floats(0.1, 0.4))
+    center = tuple(draw(st.floats(-0.1, 0.1)) for _ in range(ndim))
+    threshold = draw(st.sampled_from((1e-8, 1e-3, 0.1)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return (manufactured_ball_state(points, boundary, eps, radius, center),
+            AnalysisParams(grad_threshold=threshold), seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(first_variation_problems())
+def test_first_variation_equals_full_tensor_reference(problem):
+    state, params, seed = problem
+    eta = smooth_test_field(state.grid, seed)
+    res = first_variation_identity(state, eta, params)
+    lhs, rhs, forcing, disc = full_tensor_first_variation(state, eta, params)
+    assert res.lhs == lhs and res.rhs == rhs
+    assert res.forcing_term == forcing and res.discrepancy_term == disc
+
+
+def test_first_variation_and_test_field_memory_budget():
+    # traced peaks in units of one 3 x 65^3 float64 vector field; the
+    # densities exist already, as in `aclab run`, and the unit normal is
+    # built and cached inside the call
+    state = manufactured_ball_state((65, 65, 65), ZERO_FLUX, 0.1, 0.5)
+    density_fields(state)
+    size = 3 * 65 ** 3 * 8
+
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / size
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(smooth_test_field, state.grid, 1) <= 2.5
+    eta = smooth_test_field(state.grid, 2)
+    assert traced_peak(first_variation_identity, state, eta) <= 3.5
+
+
+def stacked_test_field(grid, seed, sparse, margin_cells=5.0):
+    """smooth_test_field as whole components joined by np.stack, evaluated
+    on the sparse (broadcast) or the full meshgrid, as a reference."""
     rng = np.random.default_rng(seed)
     centers = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
     halves = [0.5 * ext - margin_cells * grid.h for ext in grid.extent]
-    bump = np.ones(grid.shape)
+    bump = np.ones(() if sparse else grid.shape)
     scaled = []
-    for m, c, hw in zip(grid.meshgrid(), centers, halves):
+    for m, c, hw in zip(grid.meshgrid(sparse=sparse), centers, halves):
         s = (m - c) / hw
         scaled.append(s)
         with np.errstate(divide="ignore", over="ignore"):
@@ -301,7 +390,9 @@ def meshgrid_test_field(grid, seed, margin_cells=5.0):
         bump = bump * b
     comps = []
     for _ in range(grid.ndim):
-        poly = np.full(grid.shape, rng.uniform(-1.0, 1.0))
+        poly = rng.uniform(-1.0, 1.0)
+        if not sparse:
+            poly = np.full(grid.shape, poly)
         for s in scaled:
             poly = poly + rng.uniform(-1.0, 1.0) * np.sin(np.pi * s)
             poly = poly + rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)
@@ -318,9 +409,10 @@ def test_smooth_test_field_matches_meshgrid_reference(boundary, points):
              origin=(-0.3,) * len(points))
     for seed in (0, 11):
         got = smooth_test_field(g, seed).values
-        ref = meshgrid_test_field(g, seed)
-        assert np.array_equal(got, ref)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        for sparse in (False, True):
+            ref = stacked_test_field(g, seed, sparse)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_first_variation_rejects_boundary_support(circle_state):
