@@ -464,6 +464,13 @@ def radial_derivative(profile: np.ndarray) -> np.ndarray:
     return np.column_stack([r, d])
 
 
+def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """Trapezoidal rule for samples y at increasing nodes x, summed as
+    scipy.integrate.trapezoid sums a 1-d array (the same bits)."""
+    d = x[1:] - x[:-1]
+    return float((d * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 def _locate(grid: Grid, pts: np.ndarray):
     """Cell indices and weights for multilinear interpolation at pts (m, d)."""
     rel = (pts - np.asarray(grid.lo)) / grid.h

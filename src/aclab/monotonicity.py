@@ -28,10 +28,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .fields import (RegionError, ScalarField, ball_integrals, disc_integral,
-                     radial_derivative, restrict_to_plane)
+                     radial_derivative, restrict_to_plane, trapezoid)
 from .measures import density_fields, state_gradient
 from .phasefield import PhaseFieldState
 

@@ -11,13 +11,10 @@ solved by damped Newton with a gradient-flow warmup.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.integrate
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .fields import PERIODIC, Grid, ScalarField, laplacian
 
@@ -79,21 +76,35 @@ class Constants:
     t0: float
 
 
+def _composite_gauss(fn, lo: float, hi: float, panels: int):
+    """int_lo^hi fn by 20-point Gauss-Legendre on 2*panels equal panels,
+    with the change from the rule on `panels` panels as the error."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+
+    def rule(m):
+        half = (hi - lo) / (2 * m)
+        mids = lo + half * (2 * np.arange(m) + 1)
+        return half * float(np.sum(weights * fn(mids[:, None] + half * nodes)))
+
+    fine = rule(2 * panels)
+    return fine, abs(fine - rule(panels))
+
+
 @functools.lru_cache(maxsize=1)
 def constants() -> Constants:
-    """Compute sigma and alpha by adaptive quadrature, cross-checked against
-    the closed antiderivatives (both equal 4/3 for this potential)."""
-    sigma, sig_err = scipy.integrate.quad(
-        lambda s: np.sqrt(2.0 * double_well(s)), -1.0, 1.0)
-    alpha, alp_err = scipy.integrate.quad(
-        lambda s: (1.0 - np.tanh(s) ** 2) ** 2, -40.0, 40.0, limit=200)
+    """The closed forms sigma = alpha = 4/3, returned once composite
+    Gauss-Legendre quadratures of both integrands agree with them."""
+    sigma, sig_err = _composite_gauss(
+        lambda s: np.sqrt(2.0 * double_well(s)), -1.0, 1.0, 4)
+    alpha, alp_err = _composite_gauss(
+        lambda s: (1.0 - np.tanh(s) ** 2) ** 2, -40.0, 40.0, 40)
     if sig_err > 1e-8 or alp_err > 1e-8:
         raise RuntimeError("quadrature for the layer constants did not converge")
     exact = 4.0 / 3.0
     if abs(sigma - exact) > 1e-8 or abs(alpha - exact) > 1e-8:
         raise RuntimeError(
             f"layer constants disagree with closed forms: sigma={sigma}, alpha={alpha}")
-    return Constants(sigma=sigma, alpha=alpha, t0=1.0 / np.sqrt(3.0))
+    return Constants(sigma=exact, alpha=exact, t0=1.0 / np.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ class PhaseFieldState:
 def _check_epsilon(grid: Grid, epsilon: float):
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if epsilon < 2.0 * grid.h:
+    if epsilon < 2.0 * grid.h - 1e-12 * grid.h:  # slack as in check_layer_fit
         raise ValueError(
             f"epsilon={epsilon} under-resolves the layer: need eps >= 2h = {2 * grid.h}")
 
@@ -241,8 +252,10 @@ def manufactured_forcing(u_exact: ScalarField, epsilon: float) -> ScalarField:
 
 
 @functools.lru_cache(maxsize=8)
-def _laplacian_matrix(points: tuple, h: float, boundary: str) -> sp.csr_matrix:
-    """Sparse matrix of the discrete Laplacian used by Newton."""
+def _laplacian_matrix(points: tuple, h: float, boundary: str):
+    """Sparse CSR matrix of the discrete Laplacian used by Newton."""
+    import scipy.sparse as sp
+
     ones = [None] * len(points)
     blocks = []
     for ax, n in enumerate(points):
@@ -308,7 +321,82 @@ def _laplacian_eigenvalues(points: tuple, h: float, boundary: str) -> np.ndarray
     return total
 
 
-def spsolve(grid: Grid, lap_mat: sp.csr_matrix, epsilon: float,
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product by numpy's own einsum kernel: one thread, and the same
+    summation order at every BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def minres(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
+    """Preconditioned MINRES (Paige & Saunders 1975) for A x = b from x = 0,
+    where matvec applies the symmetric A and psolve applies M^{-1} for a
+    symmetric positive definite M. The recurrences and stopping tests are
+    those of scipy.sparse.linalg.minres (scipy 1.17, shift 0); inner
+    products and ||x|| use `_dot`. The arrays matvec returns are updated in
+    place. Returns (x, iterations)."""
+    n = b.size
+    eps = np.finfo(float).eps
+    x, w, w1, w2 = (np.zeros(n) for _ in range(4))
+    v, tmp = np.empty(n), np.empty(n)
+    r1 = r2 = b
+    y = psolve(r1)
+    beta1 = _dot(r1, y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(float).max
+    cs, sn = -1.0, 0.0
+    itn = 0
+    while itn < maxiter:
+        itn += 1
+        # Lanczos step: v = y/beta, then y = A v - alfa r2/beta - beta r1/oldb
+        np.multiply(y, 1.0 / beta, out=v)
+        y = matvec(v)
+        if itn >= 2:
+            y -= np.multiply(r1, beta / oldb, out=tmp)
+        alfa = _dot(v, y)
+        y -= np.multiply(r2, alfa / beta, out=tmp)
+        r1, r2 = r2, y
+        y = psolve(r2)
+        oldb, beta = beta, _dot(r2, y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
+        stop = itn == 1 and beta / beta1 <= 10 * eps
+        # apply the previous plane rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        # w = (v - oldeps w1 - delta w2)/gamma in the buffer of the old w1
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w *= 1.0 / gamma
+        x += np.multiply(w, phi, out=tmp)
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(_dot(x, x))
+        test1 = (math.inf if ynorm == 0 or anorm == 0
+                 else phibar / (anorm * ynorm))  # ||r|| / (||A|| ||x||)
+        test2 = math.inf if anorm == 0 else root / anorm  # ||Ar|| / (||A|| ||r||)
+        if (stop or 1 + test1 <= 1 or 1 + test2 <= 1
+                or gmax / gmin >= 0.1 / eps or anorm * ynorm * eps >= beta1
+                or test1 <= rtol or test2 <= rtol):
+            break
+    return x, itn
+
+
+def spsolve(grid: Grid, lap_mat, epsilon: float,
             diag: np.ndarray, rhs: np.ndarray,
             rtol: float = _LINEAR_RTOL) -> np.ndarray:
     """Preconditioned MINRES solve of one Newton system K du = rhs, where
@@ -323,6 +411,8 @@ def spsolve(grid: Grid, lap_mat: sp.csr_matrix, epsilon: float,
     applied exactly by DCT-I (zero-flux) or FFT (periodic). Matvecs use the
     sparse Laplacian `lap_mat`. MINRES stops at relative residual rtol.
     """
+    import scipy.fft
+
     shape = grid.shape
     d = (grid.node_weights() / grid.h ** grid.ndim).ravel()
     diag = diag.ravel()
@@ -342,10 +432,8 @@ def spsolve(grid: Grid, lap_mat: sp.csr_matrix, epsilon: float,
             x = scipy.fft.idctn(x, type=1, overwrite_x=True)
         return x.ravel()
 
-    n = d.size
-    du, _ = minres(LinearOperator((n, n), matvec=matvec), d * rhs.ravel(),
-                   M=LinearOperator((n, n), matvec=precondition),
-                   rtol=rtol, maxiter=_LINEAR_MAXITER)
+    du, _ = minres(matvec, precondition, d * rhs.ravel(), rtol=rtol,
+                   maxiter=_LINEAR_MAXITER)
     return du.reshape(shape)
 
 
@@ -369,9 +457,9 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     giving the usual quadratic tail. This is inexact Newton: each step's
     MINRES tolerance is the forcing term of `forcing_term`, loose (1e-4)
     while the residual is large and tightening as the steps contract, and
-    retried trials of a step reuse it. Deterministic for a fixed BLAS
-    thread count (the forcing terms follow from the residuals; fixed
-    ordering, single-worker transforms). Raises SolverError with the best
+    retried trials of a step reuse it. Deterministic at every BLAS thread
+    count (the forcing terms follow from the residuals; fixed ordering,
+    single-worker transforms, MINRES inner products without BLAS). Raises SolverError with the best
     residual when max_iter accepted steps cannot reach tol.
     """
     if not tol > 0:

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .fields import line_sample
+from .fields import line_sample, trapezoid
 from .measures import density_fields
 from .phasefield import PhaseFieldState, constants, double_well
 

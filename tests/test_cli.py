@@ -378,3 +378,79 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "circle-sweep" in proc.stdout
+
+
+# ---------------------------------------------------------------- child processes
+
+# Prints the scipy modules loaded after `load_config` and after `run`.
+IMPORT_PROBE = """
+import json, sys
+from aclab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+cfg, out = sys.argv[1:]
+cli.load_config(cfg)
+loaded = scipy_modules()
+code = cli.main(["run", "--config", cfg, "--out", out, "--threads", "1"])
+print(json.dumps({"exit": code, "load": loaded, "run": scipy_modules()}))
+"""
+
+SOLVED_BUBBLE = """
+scenario.kind = bubble
+scenario.center = 0, 0
+scenario.radius = 0.5
+scenario.epsilon = 0.1
+grid.extent = 2, 2
+grid.origin = -1, -1
+"""
+
+
+def run_child(args, **env):
+    """Run python with args and aclab on its path; extra environment
+    variables apply to the child only."""
+    src = Path(aclab.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(src), **env))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def probe_imports(tmp_path, body):
+    cfg = write_cfg(tmp_path, body)
+    return json.loads(run_child(["-c", IMPORT_PROBE, cfg, tmp_path / "out"]))
+
+
+def test_manufactured_runs_import_no_scipy(tmp_path):
+    body = f"scenario = circle\nanalyses = {', '.join(ANALYSES)}\n"
+    seen = probe_imports(tmp_path, body)
+    assert seen["exit"] == 0
+    assert seen["load"] == [] and seen["run"] == []
+
+
+def test_solved_runs_import_only_the_transforms(tmp_path):
+    body = SOLVED_BUBBLE + "grid.points = 81, 81\nanalyses = norms\n"
+    seen = probe_imports(tmp_path, body)
+    assert seen["exit"] == 0
+    assert seen["load"] == []
+    assert "scipy.fft" in seen["run"]
+    for module in ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg"):
+        assert module not in seen["run"]
+
+
+def test_solved_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # 161^2 = 25921 nodes: above the size at which OpenBLAS threads a dot
+    cfg = write_cfg(tmp_path, SOLVED_BUBBLE + "grid.points = 161, 161\n"
+                    "analyses = norms, sweep\n")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        run_child(["-m", "aclab", "run", "--config", cfg, "--out", out],
+                  OPENBLAS_NUM_THREADS=threads)
+        outs.append(out)
+    csvs = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert csvs == ["norms.csv", "sweep.csv"]
+    for name in csvs:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -189,6 +189,35 @@ def test_solver_reports_failure_with_best_residual():
     assert info.value.best_residual > 1e-14
 
 
+def test_constants_are_the_closed_forms():
+    # exactly 4/3, not a quadrature's last bit: test_nearest_k_round_half_up
+    # (test_quantization.py) sets up a tie at theta = 1.5 alpha that rounds
+    # to k = 2 at alpha = 4/3 and at the 1.333333333333333 that adaptive
+    # quadrature gave, but to k = 1 one ulp above 4/3 (1.3333333333333335)
+    c = constants()
+    assert c.sigma == c.alpha == 4.0 / 3.0
+
+
+def test_constants_quadrature_check_is_live(monkeypatch):
+    # a potential 1% off moves sigma = int sqrt(2 W) off 4/3; the uncached
+    # function must refuse it rather than return the closed form
+    well = phasefield.double_well
+    monkeypatch.setattr(phasefield, "double_well", lambda t: 1.01 * well(t))
+    with pytest.raises(RuntimeError, match="closed forms"):
+        constants.__wrapped__()
+
+
+def test_epsilon_of_exactly_2h_is_accepted():
+    # h = 0.05 * 24 / 24 is 0.05000000000000001 in floats, so 2h is just
+    # above 0.1; the check takes the same 1e-12 h slack as check_layer_fit
+    g = Grid(extent=(0.05 * 24,), points=(25,), boundary=ZERO_FLUX)
+    zero = ScalarField(g, np.zeros(g.shape))
+    assert 2.0 * g.h > 0.1
+    assert make_state(zero, zero, 0.1).epsilon == 0.1
+    with pytest.raises(ValueError, match="under-resolves"):
+        make_state(zero, zero, 0.099)
+
+
 def test_solver_deterministic():
     eps = 0.1
     g = Grid(extent=(2.0, 2.0), points=(65, 65), boundary=ZERO_FLUX,
@@ -256,12 +285,14 @@ def stencil_matrix(grid):
     return sp.csc_matrix(np.column_stack(cols))
 
 
-@pytest.mark.parametrize("boundary,points", [
+NEWTON_SYSTEMS = [
     (ZERO_FLUX, (41,)), (ZERO_FLUX, (41, 41)), (ZERO_FLUX, (13, 13, 13)),
-    (PERIODIC, (40,)), (PERIODIC, (40, 40)), (PERIODIC, (12, 12, 12))])
-@pytest.mark.parametrize("pure_newton", [False, True])
-def test_newton_linear_solve_matches_direct_solve(boundary, points,
-                                                   pure_newton):
+    (PERIODIC, (40,)), (PERIODIC, (40, 40)), (PERIODIC, (12, 12, 12))]
+
+
+def newton_system(boundary, points, pure_newton):
+    """A Newton system (I/dtau - J) du = R near a manufactured circle:
+    the grid, eps, the diagonal W''(u)/eps + 1/dtau and R."""
     g = centered_grid(points, boundary)
     eps = 3.0 * g.h
     u_star = build_radial_layer(g, eps, (0.0,) * g.ndim, 0.5)
@@ -270,13 +301,52 @@ def test_newton_linear_solve_matches_direct_solve(boundary, points,
     u = u_star.values + 0.01 * rng.standard_normal(g.shape)
     r = residual_field(ScalarField(g, u), f, eps)
     shift = 0.0 if pure_newton else 4.0 / eps  # 1/dtau at the first step
-    diag = double_well_second(u) / eps + shift
+    return g, eps, double_well_second(u) / eps + shift, r
+
+
+@pytest.mark.parametrize("boundary,points", NEWTON_SYSTEMS)
+@pytest.mark.parametrize("pure_newton", [False, True])
+def test_newton_linear_solve_matches_direct_solve(boundary, points,
+                                                   pure_newton):
+    g, eps, diag, r = newton_system(boundary, points, pure_newton)
     # (I/dtau - J) du = R, J = eps*lap_h - diag(W''(u))/eps
     mat = sp.diags(diag.ravel()) - eps * stencil_matrix(g)
     want = scipy.sparse.linalg.spsolve(mat.tocsc(), r.ravel())
     lap_mat = phasefield._laplacian_matrix(g.points, g.h, g.boundary)
     got = phasefield.spsolve(g, lap_mat, eps, diag, r).ravel()
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("boundary,points", NEWTON_SYSTEMS)
+@pytest.mark.parametrize("pure_newton", [False, True])
+def test_minres_matches_scipy_minres(boundary, points, pure_newton,
+                                     monkeypatch):
+    # scipy's MINRES is the oracle: on the same operator, preconditioner and
+    # tolerance it stops at the same iteration with the same solution
+    g, eps, diag, r = newton_system(boundary, points, pure_newton)
+    calls = []
+
+    def recording_minres(*args, **kwargs):
+        calls.append((args, kwargs))
+        return minres(*args, **kwargs)
+
+    minres = phasefield.minres
+    monkeypatch.setattr(phasefield, "minres", recording_minres)
+    lap_mat = phasefield._laplacian_matrix(g.points, g.h, g.boundary)
+    phasefield.spsolve(g, lap_mat, eps, diag, r)
+    (matvec, psolve, b), kwargs = calls[0]
+    got, iterations = minres(matvec, psolve, b, **kwargs)
+
+    n = b.size
+    scipy_iterations = []
+    want, info = scipy.sparse.linalg.minres(
+        scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec), b,
+        M=scipy.sparse.linalg.LinearOperator((n, n), matvec=psolve),
+        rtol=kwargs["rtol"], maxiter=kwargs["maxiter"],
+        callback=lambda xk: scipy_iterations.append(1))
+    assert info == 0
+    assert iterations == len(scipy_iterations)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_solver_periodic_2d():
