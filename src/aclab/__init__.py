@@ -9,10 +9,9 @@ layer energy.
 
 __version__ = "0.1.0"
 
-from .fields import (Grid, PERIODIC, Region, RegionError, ScalarField,
-                     VectorField, ZERO_FLUX, cumulative_ball_profile,
-                     gradient, integrate, interpolate, laplacian,
-                     line_sample, radial_derivative)
+from .fields import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
+                     ZERO_FLUX, cumulative_ball_profile, gradient, integrate,
+                     interpolate, laplacian, line_sample, radial_derivative)
 from .measures import (AnalysisParams, DensityFields, NormReport,
                        corollary_holder_check, density_fields,
                        diffuse_mean_curvature_norm, first_variation_identity,

@@ -27,7 +27,7 @@ from .measures import (AnalysisParams, corollary_holder_check,
                        diffuse_mean_curvature_norm, eta_lq_norm,
                        first_variation_identity, norm_report,
                        smooth_test_field)
-from .monotonicity import monotonicity_report, slab_report
+from .monotonicity import MIN_RADII, monotonicity_report, slab_report
 from .proofdevices import GDeltaParams, g_delta_ledger
 from .quantization import quantization_check
 from .scenarios import (ConstantProfile, LayerStackProfile, RadialProfile,
@@ -111,9 +111,17 @@ def _values(text: str, count: int) -> tuple[float, ...]:
 
 def _radii(text: str) -> tuple[float, float, int]:
     start, stop, count = _values(text, 3)
-    if not (count.is_integer() and count >= 1):
-        raise ValueError(f"count must be an integer >= 1, got {count:g}")
+    if not (count.is_integer() and count >= MIN_RADII):
+        raise ValueError(f"count must be an integer >= {MIN_RADII}, "
+                         f"got {count:g}")
     return start, stop, int(count)
+
+
+def _slab(text: str) -> tuple[float, float]:
+    t_lo, t_hi = _values(text, 2)
+    if not t_lo < t_hi:
+        raise ValueError(f"degenerate slab: t_lo={t_lo:g} >= t_hi={t_hi:g}")
+    return t_lo, t_hi
 
 
 def _bool(text: str) -> bool:
@@ -217,10 +225,10 @@ _KEYS = {
     "monotonicity.radii": _Key(_radii, "monotonicity"),
     "slab.center": _Key(_point, "slab"),
     "slab.radii": _Key(_radii, "slab"),
-    "slab.t": _Key(lambda text: _values(text, 2), "slab"),
+    "slab.t": _Key(_slab, "slab"),
     "quantize.tau": _Key(float, "quantize"),
-    "gdelta.delta": _Key(_floats, "gdelta"),
-    "gdelta.c0": _Key(float, "gdelta"),
+    "gdelta.delta": _Key(_floats, "gdelta", default=(0.1, 0.01)),
+    "gdelta.c0": _Key(float, "gdelta", default=2.0),
     "firstvar.count": _Key(_int_at_least(1), "firstvar"),
     "firstvar.seed": _Key(_int_at_least(0), "firstvar"),
 }
@@ -289,6 +297,13 @@ def _scenario(values: dict) -> Scenario:
     with _naming_keys(values, "params"):
         params = AnalysisParams(**_fields(values, "params"))
         params.resolve_q0(grid.ndim)
+    # the analyses' own bounds, so that validate refuses what run would
+    with _naming_keys(values, "quantize"):
+        AnalysisParams(**_fields(values, "quantize"))
+    gdelta = _fields(values, "gdelta")
+    with _naming_keys(values, "gdelta"):
+        for delta in gdelta["delta"]:
+            GDeltaParams(delta=delta, c0=gdelta["c0"])
     if corpus is not None:
         # a corpus scenario keeps its own seed; scenario.seed only must parse
         eps = values.get("scenario.epsilon", corpus.epsilons)
@@ -488,13 +503,12 @@ def _run_quantize(cfg: RunConfig, states):
 
 
 def _run_gdelta(cfg: RunConfig, states):
-    deltas = cfg.geometry.get("gdelta.delta", (0.1, 0.01))
-    c0 = cfg.geometry.get("gdelta.c0", 2.0)
+    gdelta = _fields(cfg.geometry, "gdelta")
     rows = []
     values = {}
     worst = np.inf
-    for delta in deltas:
-        led = g_delta_ledger(GDeltaParams(delta=delta, c0=c0))
+    for delta in gdelta["delta"]:
+        led = g_delta_ledger(GDeltaParams(delta=delta, c0=gdelta["c0"]))
         for name, margin in (("lower_bound", led.margin_lower),
                              ("derivative_bound", led.margin_derivative),
                              ("concavity", led.margin_concavity),
@@ -531,6 +545,9 @@ def _run_firstvar(cfg: RunConfig, states):
         worst = max(worst, res.residual)
         rows.append((str(k), _fmt(res.lhs), _fmt(res.rhs), _fmt(res.residual),
                      _fmt(bound), "1" if ok else "0"))
+        # freed before the next field is built, so that the new field and
+        # its temporaries are not allocated on top of the old one
+        del eta, res
     header = ("field_id", "lhs", "rhs", "residual", "duality_bound",
               "duality_holds")
     frag = {"values": {"max_residual": worst},

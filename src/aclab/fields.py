@@ -1,4 +1,4 @@
-"""Uniform tensor-product grids, finite-difference operators, and region quadrature.
+"""Uniform tensor-product grids, finite-difference operators, and quadrature.
 
 Everything downstream (energy measures, monotonicity profiles, quantization
 line integrals) is built from the primitives in this module: second-order
@@ -186,45 +186,6 @@ class VectorField(_Field):
     _vector = True
 
 
-@dataclass(frozen=True)
-class Region:
-    """Integration region: whole box, ball, ball-slab intersection, plane, or line."""
-
-    kind: str
-    center: tuple[float, ...] = None
-    radius: float = None
-    t_lo: float = None
-    t_hi: float = None
-    base: tuple[float, ...] = None
-    direction: tuple[float, ...] = None
-
-    @staticmethod
-    def whole() -> "Region":
-        return Region(kind="whole")
-
-    @staticmethod
-    def ball(center, radius) -> "Region":
-        return Region(kind="ball", center=tuple(float(c) for c in np.atleast_1d(center)),
-                      radius=float(radius))
-
-    @staticmethod
-    def slab_ball(center, radius, t_lo, t_hi) -> "Region":
-        if not t_lo < t_hi:
-            raise RegionError(f"degenerate slab: t_lo={t_lo} >= t_hi={t_hi}")
-        return Region(kind="slab_ball",
-                      center=tuple(float(c) for c in np.atleast_1d(center)),
-                      radius=float(radius), t_lo=float(t_lo), t_hi=float(t_hi))
-
-    @staticmethod
-    def plane_slice(t) -> "Region":
-        return Region(kind="plane_slice", t_lo=float(t))
-
-    @staticmethod
-    def line(base, direction) -> "Region":
-        return Region(kind="line", base=tuple(float(b) for b in np.atleast_1d(base)),
-                      direction=tuple(float(d) for d in np.atleast_1d(direction)))
-
-
 def _neighbours(grid: Grid, axis: int):
     """Index triples (nodes, i+1 neighbours, i-1 neighbours) along one axis.
 
@@ -396,37 +357,26 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
     per radius, one column per array.
 
     The one entry point into `_BallQuadrature`: the radii must be nonempty
-    and strictly ascending, and the largest ball, clipped by the slab if one
-    is given, must keep the 2h domain margin.
+    and strictly ascending, a slab must have t_lo < t_hi, and the largest
+    ball, clipped by the slab if one is given, must keep the 2h domain
+    margin.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < 1:
         raise ValueError("radii must be a nonempty 1-d sequence")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly ascending")
+    if slab is not None and not slab[0] < slab[1]:
+        raise RegionError(f"degenerate slab: t_lo={slab[0]} >= t_hi={slab[1]}")
     quad = _BallQuadrature(grid, np.atleast_1d(center), supersample,
                            *(slab or ()))
     _check_ball_margin(grid, quad.center, radii[-1], slab=slab)
     return np.array([quad.integral_many(arrays, r) for r in radii])
 
 
-def integrate(f: ScalarField, region: Region, supersample: int = 4) -> float:
-    """Cell-based quadrature of a field over a region.
-
-    Boundary cells of ball-like regions are resolved by subcell sampling of
-    the region indicator; results are deterministic functions of the inputs.
-    """
-    g = f.grid
-    if region.kind == "whole":
-        return float(np.sum(f.values * g.node_weights()))
-    if region.kind in ("ball", "slab_ball"):
-        slab = (region.t_lo, region.t_hi) if region.kind == "slab_ball" else None
-        return float(ball_integrals(g, [f.values], region.center,
-                                    [region.radius], supersample, slab)[0, 0])
-    if region.kind == "plane_slice":
-        return plane_slice_integral(f, region.t_lo, supersample=supersample)
-    raise RegionError(f"cannot integrate over region kind {region.kind!r}; "
-                      "sample lines with line_sample")
+def integrate(f: ScalarField) -> float:
+    """Integral of a field over the whole domain (see Grid.node_weights)."""
+    return float(np.sum(f.values * f.grid.node_weights()))
 
 
 def cumulative_ball_profile(f: ScalarField, center, radii,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Region, ScalarField, VectorField, _central_difference,
-                     gradient, integrate)
+from .fields import (ScalarField, VectorField, _central_difference,
+                     ball_integrals, gradient, integrate)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -55,14 +55,12 @@ class AnalysisParams:
 
 @dataclass(frozen=True)
 class DensityFields:
-    """Pointwise densities derived from one state (tilt is per axis)."""
+    """Pointwise densities derived from one state."""
 
     mu: ScalarField
     xi: ScalarField
     xi_plus: ScalarField
-    tilt_e: ScalarField
     grad_mag: ScalarField
-    axis: int
 
 
 @dataclass(frozen=True)
@@ -85,17 +83,15 @@ def state_gradient(state: PhaseFieldState) -> np.ndarray:
     return state.derived("gradient", lambda: gradient(state.u).values)
 
 
-def density_fields(state: PhaseFieldState, axis: int = -1) -> DensityFields:
-    """Evaluate mu, xi, xi_plus, the tilt integrand for one axis, and |grad u|.
+def density_fields(state: PhaseFieldState) -> DensityFields:
+    """Evaluate mu, xi, xi_plus and |grad u|.
 
-    Computed once per state and axis; later calls return the same object.
+    Computed once per state; later calls return the same object.
     """
-    axis = axis % state.grid.ndim
-    return state.derived(("density_fields", axis),
-                         lambda: _density_fields(state, axis))
+    return state.derived("density_fields", lambda: _density_fields(state))
 
 
-def _density_fields(state: PhaseFieldState, axis: int) -> DensityFields:
+def _density_fields(state: PhaseFieldState) -> DensityFields:
     g = state.grid
     eps = state.epsilon
     grad = state_gradient(state)
@@ -103,25 +99,25 @@ def _density_fields(state: PhaseFieldState, axis: int) -> DensityFields:
     w = double_well(state.u.values)
     mu = 0.5 * eps * grad_sq + w / eps
     xi = 0.5 * eps * grad_sq - w / eps
-    tangential = np.clip(grad_sq - grad[axis] ** 2, 0.0, None)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tilt = eps * np.sqrt(grad_sq) * np.sqrt(tangential)
-    tilt = np.where(grad_sq > 0, tilt, 0.0)
     return DensityFields(
         mu=ScalarField._adopt(g, mu),
         xi=ScalarField._adopt(g, xi),
         xi_plus=ScalarField._adopt(g, np.maximum(xi, 0.0)),
-        tilt_e=ScalarField._adopt(g, tilt),
         grad_mag=ScalarField._adopt(g, np.sqrt(grad_sq)),
-        axis=axis,
     )
 
 
-def tilt_excess(fields: DensityFields, region: Region,
-                supersample: int = 4) -> float:
-    """Integral of the tilt integrand over a region (zero wherever the
-    measure eps*|grad u|^2 vanishes)."""
-    return integrate(fields.tilt_e, region, supersample=supersample)
+def tilt_excess(state: PhaseFieldState, center, radius: float,
+                axis: int = -1, supersample: int = 4) -> float:
+    """Integral over B_radius(center) of the tilt integrand
+    eps*|grad u|^2 sqrt(1 - nu_axis^2), which is zero wherever grad u
+    vanishes; built on each call from the cached gradient."""
+    grad = state_gradient(state)
+    grad_sq = np.sum(grad * grad, axis=0)
+    tangential = np.clip(grad_sq - grad[axis] ** 2, 0.0, None)
+    tilt = state.epsilon * np.sqrt(grad_sq) * np.sqrt(tangential)
+    return float(ball_integrals(state.grid, [tilt], center, [radius],
+                                supersample)[0, 0])
 
 
 def _curvature_quotient(state: PhaseFieldState, threshold: float):
@@ -139,24 +135,19 @@ def _curvature_quotient(state: PhaseFieldState, threshold: float):
     return quotient, mass, included
 
 
-def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams,
-                                region: Region = None):
+def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
     """L^q0 norm integral of |f|/(eps|grad u|) against eps|grad u|^2 dx.
 
     The quotient is evaluated only on cells with eps|grad u| above the
     threshold; the eps|grad u|^2 mass carried by excluded cells is reported
     as a fraction of the total so silent truncation is visible.
     """
-    region = region if region is not None else Region.whole()
     q0 = params.resolve_q0(state.grid.ndim)
     quotient, mass, included = _curvature_quotient(state, params.grad_threshold)
     g = state.grid
-    lam = integrate(ScalarField._adopt(g, quotient ** q0 * mass), region,
-                    params.supersample)
-    total_mass = integrate(ScalarField._adopt(g, mass), region,
-                           params.supersample)
-    excl = integrate(ScalarField._adopt(g, np.where(included, 0.0, mass)),
-                     region, params.supersample)
+    lam = integrate(ScalarField._adopt(g, quotient ** q0 * mass))
+    total_mass = integrate(ScalarField._adopt(g, mass))
+    excl = integrate(ScalarField._adopt(g, np.where(included, 0.0, mass)))
     fraction = excl / total_mass if total_mass > 0 else 0.0
     return float(lam), float(fraction)
 
@@ -167,18 +158,16 @@ def norm_report(state: PhaseFieldState,
     g = state.grid
     eps = state.epsilon
     dens = density_fields(state)
-    whole = Region.whole()
-    lam, fraction = diffuse_mean_curvature_norm(state, params, whole)
+    lam, fraction = diffuse_mean_curvature_norm(state, params)
     return NormReport(
-        total_energy=integrate(dens.mu, whole),
+        total_energy=integrate(dens.mu),
         sup_u=float(np.max(np.abs(state.u.values))),
         lambda_hat=lam,
         sup_eps_grad=float(eps * np.max(dens.grad_mag.values)),
-        xi_plus_mass=integrate(dens.xi_plus, whole),
-        xi_abs_mass=integrate(ScalarField._adopt(g, np.abs(dens.xi.values)),
-                              whole),
+        xi_plus_mass=integrate(dens.xi_plus),
+        xi_abs_mass=integrate(ScalarField._adopt(g, np.abs(dens.xi.values))),
         f_l2_over_eps=integrate(
-            ScalarField._adopt(g, state.f.values ** 2), whole) / eps,
+            ScalarField._adopt(g, state.f.values ** 2)) / eps,
         excluded_mass_fraction=fraction,
     )
 
@@ -295,11 +284,12 @@ def first_variation_identity(state: PhaseFieldState, eta: VectorField,
 def _unit_normal(state: PhaseFieldState, dens: DensityFields,
                  threshold: float):
     """The mask eps|grad u| >= threshold and the unit normal grad u/|grad u|
-    on it (0 elsewhere), as read-only arrays."""
+    on it (0 elsewhere, and where grad u = 0), as read-only arrays."""
     grad_mag = dens.grad_mag.values
     included = state.epsilon * grad_mag >= threshold
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu = np.where(included, state_gradient(state) / grad_mag, 0.0)
+    grad = state_gradient(state)
+    nu = np.divide(grad, grad_mag, out=np.zeros_like(grad),
+                   where=included & (grad_mag > 0))
     included.setflags(write=False)
     nu.setflags(write=False)
     return included, nu

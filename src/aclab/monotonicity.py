@@ -59,7 +59,10 @@ class SlabReport(MonotonicityReport):
     term_plane_hi: np.ndarray
 
 
-def _validate_radii(state: PhaseFieldState, radii, min_count=5):
+MIN_RADII = 5  # the fewest radii the ball and slab identities take
+
+
+def _validate_radii(state: PhaseFieldState, radii, min_count=MIN_RADII):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < min_count:
         raise ValueError(f"need at least {min_count} radii")
@@ -162,11 +165,10 @@ def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
     eps = state.epsilon
     dens = density_fields(state)
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    radial = _radial_pairing(state, c)
-    mu_p = restrict_to_plane(dens.mu, t)
-    dlast_p = restrict_to_plane(ScalarField(g, state_gradient(state)[-1]), t)
-    radial_p = restrict_to_plane(ScalarField(g, radial), t)
-    return (t - c[-1]) * mu_p - eps * dlast_p * radial_p
+    dlast = ScalarField._adopt(g, state_gradient(state)[-1])
+    radial = ScalarField._adopt(g, _radial_pairing(state, c))
+    return ((t - c[-1]) * restrict_to_plane(dens.mu, t)
+            - eps * restrict_to_plane(dlast, t) * restrict_to_plane(radial, t))
 
 
 def _plane_term(grid, plane_values, center, t, radii, supersample,

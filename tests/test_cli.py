@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import aclab
 from aclab import build
-from aclab.cli import (ANALYSES, ConfigError, load_config, main,
+from aclab.cli import (ANALYSES, ConfigError, _KEYS, load_config, main,
                        parse_config_text)
 
 SMALL_SCENARIO = """
@@ -289,6 +290,13 @@ def test_threaded_failure_names_the_analysis(tmp_path, capsys):
     ("analysis.tau = 2", "analysis.tau"),
     ("grid.points = 4, 4", "grid.points"),
     ("analysis.q0 = 0.5", "analysis.q0"),
+    ("quantize.tau = 1.5", "quantize.tau"),
+    ("gdelta.delta = 0.7", "gdelta.delta"),
+    ("gdelta.delta = 0.1, 0.7", "gdelta.delta"),
+    ("gdelta.c0 = 0.5", "gdelta.c0"),
+    ("slab.t = 0.3, -0.3", "slab.t"),
+    ("monotonicity.radii = 0.1, 0.3, 4", "monotonicity.radii"),
+    ("slab.radii = 0.1, 0.3, 3", "slab.radii"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, line, key):
     # the malformed line replaces the scenario's own line for that key
@@ -302,6 +310,34 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, line, key):
     assert main(["run", "--config", str(cfg)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", ["planar-1", "constant-zero"])
+def test_zero_gradient_threshold_gives_finite_cells(tmp_path, scenario):
+    # with threshold 0 the unit normal is read at nodes where grad u = 0
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"scenario = {scenario}\n"
+                    f"analyses = {', '.join(ANALYSES)}\n"
+                    f"analysis.grad_threshold = 0\nout = {out}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    for name in ANALYSES:
+        lines = (out / f"{name}.csv").read_text().splitlines()
+        for line in lines[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a row label
+                assert math.isfinite(value), f"{name}.csv: {line}"
+
+
+def test_readme_key_table_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key | value | default | taken by |", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[2:]
+    documented = [key for row in rows
+                  for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(documented) == sorted(_KEYS)
 
 
 def test_corpus_config_seed_keys(tmp_path):

@@ -11,11 +11,11 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from aclab import (AnalysisParams, Grid, PERIODIC, Region, ScalarField,
-                   VectorField, ZERO_FLUX, constants, corollary_holder_check,
-                   density_fields, diffuse_mean_curvature_norm,
-                   first_variation_identity, integrate, make_state,
-                   norm_report, smooth_test_field, tilt_excess,
+from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField, VectorField,
+                   ZERO_FLUX, constants, corollary_holder_check,
+                   cumulative_ball_profile, density_fields,
+                   diffuse_mean_curvature_norm, first_variation_identity,
+                   make_state, norm_report, smooth_test_field, tilt_excess,
                    transition_region_split)
 from aclab.measures import eta_lq_norm
 from aclab import (LayerSpec, build_layer_stack, build_radial_layer,
@@ -28,6 +28,10 @@ def constant_state(value, eps=0.1, n=81):
     u = ScalarField(g, np.full(g.shape, float(value)))
     f = ScalarField(g, np.zeros(g.shape))
     return make_state(u, f, eps)
+
+
+def ball_integral(f, center, r):
+    return cumulative_ball_profile(f, center, [r])[0, 1]
 
 
 # ---------------------------------------------------------------- densities
@@ -60,7 +64,11 @@ def test_pointwise_density_identities():
     assert np.max(np.abs(d.mu.values + d.xi.values - eps * grad_sq)) <= 1e-12
     assert np.all(d.mu.values >= 0)
     assert np.all(np.abs(d.xi.values) <= d.mu.values * (1 + 1e-12) + 1e-15)
-    assert np.all(d.tilt_e.values <= eps * grad_sq * (1 + 1e-12) + 1e-15)
+    # the tilt integrand is at most eps|grad u|^2, for either axis
+    mass = ball_integral(ScalarField(g, eps * grad_sq), (0.5, 0.5), 0.3)
+    for axis in (0, 1):
+        tilt = tilt_excess(st, (0.5, 0.5), 0.3, axis=axis)
+        assert 0.0 <= tilt <= mass * (1 + 1e-12)
 
 
 def random_state(n=33, seed=6, eps=0.1):
@@ -69,21 +77,19 @@ def random_state(n=33, seed=6, eps=0.1):
     return make_state(u, ScalarField(g, np.zeros(g.shape)), eps)
 
 
-def test_density_fields_computed_once_per_state_and_axis():
+def test_density_fields_computed_once_per_state():
     st = random_state()
     d = density_fields(st)
     assert density_fields(st) is d
-    assert density_fields(st, axis=1) is d  # axis -1 is axis 1 in 2-d
-    d0 = density_fields(st, axis=0)
-    assert d0 is not d and d0.axis == 0
-    assert d0.mu is not d.mu and np.array_equal(d0.mu.values, d.mu.values)
-    for field in (d.mu, d.xi, d.xi_plus, d.tilt_e, d.grad_mag):
+    for field in (d.mu, d.xi, d.xi_plus, d.grad_mag):
         with pytest.raises(ValueError):
             field.values[0, 0] = 1.0
     # a fresh state of the same data computes the same arrays
     fresh = density_fields(make_state(st.u, st.f, st.epsilon))
     assert fresh is not d
-    assert np.array_equal(fresh.tilt_e.values, d.tilt_e.values)
+    for name in ("mu", "xi", "xi_plus", "grad_mag"):
+        assert np.array_equal(getattr(fresh, name).values,
+                              getattr(d, name).values)
 
 
 def test_density_fields_shared_by_racing_threads():
@@ -119,15 +125,12 @@ def test_equidistribution_ratio_and_refinement(planar_state, planar_state_fine):
 # ---------------------------------------------------------------- tilt
 
 def test_tilt_aligned_layer(planar_state):
-    d = density_fields(planar_state, axis=1)
-    reg = Region.ball((0.0, 0.0), 0.3)
-    mu_reg = integrate(d.mu, reg)
-    assert tilt_excess(d, reg) <= 1e-10 * mu_reg
+    mu_reg = ball_integral(density_fields(planar_state).mu, (0.0, 0.0), 0.3)
+    assert tilt_excess(planar_state, (0.0, 0.0), 0.3, axis=1) <= 1e-10 * mu_reg
 
 
 def test_tilt_constant_field():
-    d = density_fields(constant_state(0.5))
-    assert tilt_excess(d, Region.whole()) == 0.0
+    assert tilt_excess(constant_state(0.5), (0.0, 0.0), 0.9) == 0.0
 
 
 def test_tilt_diagonal_layer():
@@ -137,10 +140,9 @@ def test_tilt_diagonal_layer():
     x, y = g.meshgrid()
     u = ScalarField(g, np.tanh((x + y) / np.sqrt(2.0) / eps))
     st = make_state(u, manufactured_forcing(u, eps), eps)
-    d = density_fields(st, axis=1)
-    reg = Region.ball((0.0, 0.0), 0.3)
-    ratio = tilt_excess(d, reg) / integrate(
-        ScalarField(g, eps * d.grad_mag.values ** 2), reg)
+    d = density_fields(st)
+    ratio = tilt_excess(st, (0.0, 0.0), 0.3, axis=1) / ball_integral(
+        ScalarField(g, eps * d.grad_mag.values ** 2), (0.0, 0.0), 0.3)
     assert ratio == pytest.approx(np.sqrt(0.5), abs=1e-3)
 
 

@@ -110,9 +110,9 @@ def test_two_layer_energy_matches_single_layer_quadrature():
     g = Grid(extent=(1.0, 1.0), points=(401, 401), boundary=ZERO_FLUX,
              origin=(-0.5, -0.5))
     u = build_layer_stack(g, eps, LayerSpec(positions=(-0.1, 0.1), axis=1))
-    from aclab import density_fields, integrate, Region
+    from aclab import density_fields, integrate
     st = make_state(u, manufactured_forcing(u, eps), eps)
-    total = integrate(density_fields(st).mu, Region.whole())
+    total = integrate(density_fields(st).mu)
     # oracle: per-layer 1-d energy by quadrature, decoupling error exp(-gap/eps)
     per_layer, _ = scipy.integrate.quad(
         lambda t: (1 - np.tanh(t / eps) ** 2) ** 2 / eps, -0.5, 0.5)

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aclab import (Grid, PERIODIC, Region, RegionError, ScalarField,
-                   ZERO_FLUX, cumulative_ball_profile, integrate)
-from aclab.fields import _CELL_DIAG, _BallQuadrature, disc_integral
+from aclab import (Grid, PERIODIC, RegionError, ScalarField, ZERO_FLUX,
+                   cumulative_ball_profile)
+from aclab.fields import (_CELL_DIAG, _BallQuadrature, ball_integrals,
+                          disc_integral)
 
 
 # ---------------------------------------------------------------- reference
@@ -210,9 +211,8 @@ def ball_problems(draw):
     return g, center, supersample, np.random.default_rng(seed)
 
 
-def _region(center, r, slab):
-    return (Region.slab_ball(center, r, *slab) if slab
-            else Region.ball(center, r))
+def _ball(values, g, center, r, slab, ss):
+    return ball_integrals(g, [values], center, [r], ss, slab)[0, 0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,10 +221,10 @@ def _region(center, r, slab):
 def test_integral_is_linear(problem, r, a, b, use_slab):
     g, center, ss, rng = problem
     f, k = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
-    region = _region(center, r, (-0.3, 0.25) if use_slab else None)
+    slab = (-0.3, 0.25) if use_slab else None
 
     def integral(v):
-        return integrate(ScalarField(g, v), region, supersample=ss)
+        return _ball(v, g, center, r, slab, ss)
 
     combined = integral(a * f + b * k)
     scale = abs(a) * integral(np.abs(f)) + abs(b) * integral(np.abs(k))
@@ -239,9 +239,9 @@ def test_integral_of_nonnegative_field_grows_with_radius(problem, r1, r2,
                                                          use_slab):
     g, center, ss, rng = problem
     r_small, r_big = sorted((r1, r2))
-    f = ScalarField(g, np.abs(rng.standard_normal(g.shape)))
+    f = np.abs(rng.standard_normal(g.shape))
     slab = (-0.3, 0.25) if use_slab else None
-    small = integrate(f, _region(center, r_small, slab), supersample=ss)
-    big = integrate(f, _region(center, r_big, slab), supersample=ss)
+    small = _ball(f, g, center, r_small, slab, ss)
+    big = _ball(f, g, center, r_big, slab, ss)
     # exact in real arithmetic; the two sums group terms differently
     assert big >= small - 1e-12 * big
