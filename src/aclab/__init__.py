@@ -29,5 +29,4 @@ from .quantization import (Line, QuantizationReport, detect_layers,
                            quantization_check, smallest_exceeding_integer)
 from .scenarios import (ConstantProfile, LayerStackProfile, RadialProfile,
                         Scenario, ScenarioError, SolvedBubbleProfile,
-                        SolvedFromForcingProfile, build, standard_corpus,
-                        to_config)
+                        SolvedFromForcingProfile, build, standard_corpus)

@@ -27,7 +27,7 @@ from .measures import (AnalysisParams, corollary_holder_check,
                        diffuse_mean_curvature_norm, eta_lq_norm,
                        first_variation_identity, norm_report,
                        smooth_test_field)
-from .monotonicity import MIN_RADII, monotonicity_report, slab_report
+from .monotonicity import check_geometry, monotonicity_report, slab_report
 from .proofdevices import GDeltaParams, g_delta_ledger
 from .quantization import quantization_check
 from .scenarios import (ConstantProfile, LayerStackProfile, RadialProfile,
@@ -109,19 +109,11 @@ def _values(text: str, count: int) -> tuple[float, ...]:
     return vals
 
 
-def _radii(text: str) -> tuple[float, float, int]:
+def _radii(text: str) -> np.ndarray:
     start, stop, count = _values(text, 3)
-    if not (count.is_integer() and count >= MIN_RADII):
-        raise ValueError(f"count must be an integer >= {MIN_RADII}, "
-                         f"got {count:g}")
-    return start, stop, int(count)
-
-
-def _slab(text: str) -> tuple[float, float]:
-    t_lo, t_hi = _values(text, 2)
-    if not t_lo < t_hi:
-        raise ValueError(f"degenerate slab: t_lo={t_lo:g} >= t_hi={t_hi:g}")
-    return t_lo, t_hi
+    if not (count.is_integer() and count >= 0):
+        raise ValueError(f"count must be an integer >= 0, got {count:g}")
+    return np.linspace(start, stop, int(count))
 
 
 def _bool(text: str) -> bool:
@@ -193,8 +185,8 @@ _BALL = ("circle", "bubble", "solved-circle")
 # (RunConfig), "corpus" (the named scenario), "inline" and "grid" (inline
 # scenarios only), "scenario" (a Scenario field), "params"
 # (AnalysisParams), scenario kinds (a field of those kinds' profile), or an
-# analysis (its geometry, kept by key in RunConfig.geometry). The field is
-# the key's last part unless given.
+# analysis (an input of its runner, resolved by `_analysis_inputs`). The
+# field is the key's last part unless given.
 _KEYS = {
     "analyses": _Key(_analyses, "run", default=("norms",)),
     "out": _Key(Path, "run", default=Path("out")),
@@ -225,11 +217,11 @@ _KEYS = {
     "monotonicity.radii": _Key(_radii, "monotonicity"),
     "slab.center": _Key(_point, "slab"),
     "slab.radii": _Key(_radii, "slab"),
-    "slab.t": _Key(_slab, "slab"),
+    "slab.t": _Key(partial(_values, count=2), "slab"),
     "quantize.tau": _Key(float, "quantize"),
     "gdelta.delta": _Key(_floats, "gdelta", default=(0.1, 0.01)),
     "gdelta.c0": _Key(float, "gdelta", default=2.0),
-    "firstvar.count": _Key(_int_at_least(1), "firstvar"),
+    "firstvar.count": _Key(_int_at_least(1), "firstvar", default=5),
     "firstvar.seed": _Key(_int_at_least(0), "firstvar"),
 }
 
@@ -250,22 +242,24 @@ def _fields(values: dict, owner: str) -> dict:
 
 
 @contextmanager
-def _naming_keys(values: dict, owner: str):
-    """Put the config keys behind a ValueError of the block in front of its
-    message: the keys of `owner` whose field the message names, else every
-    key of `owner` the config sets."""
+def _naming_keys(values: dict, owner: str = None, default=()):
+    """Put the config keys behind a ValueError or ScenarioError of the block
+    in front of its message: the keys of `owner` whose field the message
+    names, else every key of `owner` the config sets, else `default`, the
+    keys that override the defaults the block used."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ScenarioError) as exc:
+        named = [key for key, spec in _KEYS.items() if owner in spec.owners
+                 and re.search(rf"\b{_field(key)}\b", str(exc))]
         owned = [key for key in values if owner in _KEYS[key].owners]
-        named = [key for key in owned
-                 if re.search(rf"\b{_field(key)}\b", str(exc))]
-        raise ValueError(f"{', '.join(named or owned)}: {exc}") from exc
+        raise ValueError(f"{', '.join(named or owned or default)}: {exc}") \
+            from exc
 
 
 def _scenario(values: dict) -> Scenario:
     """The corpus scenario the config names, or the inline one it describes;
-    raises ValueError or ScenarioError."""
+    raises ValueError naming keys."""
     corpus = values.get("scenario")
     if corpus is not None:
         source, takes = f"scenario = {corpus.name}", {"corpus"}
@@ -297,20 +291,67 @@ def _scenario(values: dict) -> Scenario:
     with _naming_keys(values, "params"):
         params = AnalysisParams(**_fields(values, "params"))
         params.resolve_q0(grid.ndim)
-    # the analyses' own bounds, so that validate refuses what run would
-    with _naming_keys(values, "quantize"):
-        AnalysisParams(**_fields(values, "quantize"))
-    gdelta = _fields(values, "gdelta")
-    with _naming_keys(values, "gdelta"):
-        for delta in gdelta["delta"]:
-            GDeltaParams(delta=delta, c0=gdelta["c0"])
     if corpus is not None:
         # a corpus scenario keeps its own seed; scenario.seed only must parse
-        eps = values.get("scenario.epsilon", corpus.epsilons)
-        return replace(corpus, epsilons=eps, params=params)
-    return Scenario(name=values.get("scenario.name", f"inline-{kind}"),
-                    grid=grid, profile=_PROFILES[kind](**_fields(values, kind)),
-                    params=params, **_fields(values, "scenario"))
+        with _naming_keys(values, default=("scenario.epsilon",)):
+            scenario = replace(corpus, params=params, epsilons=values.get(
+                "scenario.epsilon", corpus.epsilons))
+            check_buildable(scenario)
+        return scenario
+    profile = _PROFILES[kind](**_fields(values, kind))
+    # each epsilon must be at least 4h, and grid.points sets h
+    with _naming_keys(values, default=("scenario.epsilon", "grid.points")):
+        scenario = Scenario(
+            name=values.get("scenario.name", f"inline-{kind}"), grid=grid,
+            profile=profile, params=params, **_fields(values, "scenario"))
+    # check_buildable refuses a stack that does not fit and a 1-d bubble
+    stack = kind in _STACK
+    with _naming_keys(values, kind if stack else None, default=(
+            "scenario.positions" if stack else "grid.extent",)):
+        check_buildable(scenario)
+    return scenario
+
+
+def _analysis_inputs(values: dict, scenario: Scenario, analyses) -> dict:
+    """The inputs of each analysis that is selected or whose keys the config
+    sets, at the first epsilon: its keys' values, else their defaults,
+    through the scalar checks the analysis runs. Raises ValueError naming
+    keys."""
+    g, eps = scenario.grid, scenario.epsilons[0]
+    inputs = {}
+    for name in ANALYSES:
+        if name not in analyses and all(_KEYS[key].owners != (name,)
+                                        for key in values):
+            continue
+        if name in ("monotonicity", "slab"):
+            center = values.get(f"{name}.center") or default_center(scenario)
+            radii = values.get(f"{name}.radii")
+            if radii is None:
+                with _naming_keys(values, default=(f"{name}.radii",)):
+                    radii = default_radii(scenario, eps, center)
+            # default: the widest slab clearing the default radii's poles
+            slab = None if name == "monotonicity" else values.get(
+                "slab.t", (g.lo[-1] + 0.5 * g.h, g.hi[-1] - 0.5 * g.h))
+            with _naming_keys(values, name, default=(f"{name}.radii",)):
+                radii = check_geometry(g, eps, center, radii, slab)
+            inputs[name] = {"center": center, "radii": radii, "slab": slab}
+        elif name == "quantize":
+            tau = values.get("quantize.tau", scenario.params.tau)
+            with _naming_keys(values, "quantize"):
+                AnalysisParams(tau=tau)
+            # the lines start at the interface center
+            with _naming_keys(values, default=("scenario.center",)):
+                inputs[name] = {"lines": default_lines(scenario, eps),
+                                "tau": tau}
+        elif name == "gdelta":
+            gdelta = _fields(values, "gdelta")
+            with _naming_keys(values, "gdelta"):
+                inputs[name] = [GDeltaParams(delta=delta, c0=gdelta["c0"])
+                                for delta in gdelta["delta"]]
+        elif name == "firstvar":
+            inputs[name] = {"seed": scenario.seed + 100,
+                            **_fields(values, "firstvar")}
+    return inputs
 
 
 def load_config(path: Path, out_override=None, strict_override=None,
@@ -329,20 +370,17 @@ def load_config(path: Path, out_override=None, strict_override=None,
             values[key] = _KEYS[key].parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
+    run = _fields(values, "run")
     try:
         scenario = _scenario(values)
-        check_buildable(scenario)
-    except (ValueError, ScenarioError) as exc:
+        geometry = _analysis_inputs(values, scenario, run["analyses"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    run = _fields(values, "run")
     return RunConfig(
         scenario=scenario, analyses=run["analyses"],
         out_dir=Path(out_override) if out_override else run["out"],
         strict=run["strict"] if strict_override is None else strict_override,
-        threads=max(1, int(threads)),
-        geometry={key: value for key, value in values.items()
-                  if _KEYS[key].owners[0] in ANALYSES})
+        threads=max(1, int(threads)), geometry=geometry)
 
 
 def _format(value) -> str:
@@ -378,12 +416,6 @@ def to_config(scenario: Scenario, out: str = "out") -> str:
         if value is not None:
             lines.append(f"{key} = {_format(value)}")
     return "\n".join(lines) + "\n"
-
-
-def _geometry_radii(cfg: RunConfig, key: str, scenario, eps, center):
-    if key in cfg.geometry:
-        return np.linspace(*cfg.geometry[key])
-    return default_radii(scenario, eps, center)
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +487,13 @@ def _run_sweep(cfg: RunConfig, states):
 
 def _run_identity(cfg: RunConfig, states, kind: str):
     """The ball identity ("monotonicity") or its slab variant ("slab")."""
-    scenario = cfg.scenario
-    eps, st = scenario.epsilons[0], states[0]
-    g = scenario.grid
-    center = cfg.geometry.get(f"{kind}.center") or default_center(scenario)
-    radii = _geometry_radii(cfg, f"{kind}.radii", scenario, eps, center)
-    supersample = scenario.params.supersample
+    geo = cfg.geometry[kind]
+    st, center, radii = states[0], geo["center"], geo["radii"]
+    supersample = cfg.scenario.params.supersample
     columns = ("ratio", "lhs", "term_xi", "term_boundary", "term_forcing")
     if kind == "slab":
-        # default: the widest slab clearing the default radii's sphere
-        # poles by > 2h
-        slab = cfg.geometry.get("slab.t") or (g.lo[-1] + 0.5 * g.h,
-                                              g.hi[-1] - 0.5 * g.h)
-        rep = slab_report(st, center, radii, *slab, supersample=supersample)
+        rep = slab_report(st, center, radii, *geo["slab"],
+                          supersample=supersample)
         columns += ("term_plane_lo", "term_plane_hi")
     else:
         rep = monotonicity_report(st, center, radii, supersample=supersample)
@@ -480,11 +506,7 @@ def _run_identity(cfg: RunConfig, states, kind: str):
 
 
 def _run_quantize(cfg: RunConfig, states):
-    scenario = cfg.scenario
-    eps, st = scenario.epsilons[0], states[0]
-    tau = cfg.geometry.get("quantize.tau", scenario.params.tau)
-    lines = default_lines(scenario, eps)
-    rep = quantization_check(st, lines, tau=tau)
+    rep = quantization_check(states[0], **cfg.geometry["quantize"])
     rows = []
     for r in rep.rows:
         pot_min = min(r.potential_per_layer) if r.potential_per_layer else 0.0
@@ -503,21 +525,20 @@ def _run_quantize(cfg: RunConfig, states):
 
 
 def _run_gdelta(cfg: RunConfig, states):
-    gdelta = _fields(cfg.geometry, "gdelta")
     rows = []
     values = {}
     worst = np.inf
-    for delta in gdelta["delta"]:
-        led = g_delta_ledger(GDeltaParams(delta=delta, c0=gdelta["c0"]))
+    for params in cfg.geometry["gdelta"]:
+        led = g_delta_ledger(params)
         for name, margin in (("lower_bound", led.margin_lower),
                              ("derivative_bound", led.margin_derivative),
                              ("concavity", led.margin_concavity),
                              ("differential", led.margin_differential)):
-            label = f"{name}[delta={delta:g}]"
+            label = f"{name}[delta={params.delta:g}]"
             rows.append((label, _fmt(margin)))
             values[label] = margin
             worst = min(worst, margin)
-        values[f"upper_constant[delta={delta:g}]"] = led.upper_constant
+        values[f"upper_constant[delta={params.delta:g}]"] = led.upper_constant
     flags = {"margins": "pass" if worst >= TOLERANCES["gdelta.margin"]
              else "warn"}
     return ("gdelta.csv", ("inequality", "min_margin"), rows,
@@ -525,19 +546,17 @@ def _run_gdelta(cfg: RunConfig, states):
 
 
 def _run_firstvar(cfg: RunConfig, states):
-    scenario = cfg.scenario
     st = states[0]
-    count = cfg.geometry.get("firstvar.count", 5)
-    seed = cfg.geometry.get("firstvar.seed", scenario.seed + 100)
-    params = scenario.params
+    inputs = cfg.geometry["firstvar"]
+    params = cfg.scenario.params
     q0 = params.resolve_q0(st.grid.ndim)
     lam, _ = diffuse_mean_curvature_norm(st, params)
     conjugate = np.inf if q0 == 1.0 else q0 / (q0 - 1.0)
     rows = []
     worst = 0.0
     duality_ok = True
-    for k in range(count):
-        eta = smooth_test_field(st.grid, seed + k)
+    for k in range(inputs["count"]):
+        eta = smooth_test_field(st.grid, inputs["seed"] + k)
         res = first_variation_identity(st, eta, params)
         bound = lam ** (1.0 / q0) * eta_lq_norm(st, eta, conjugate)
         ok = abs(res.lhs) <= bound * (1.0 + 1e-6)
@@ -584,25 +603,19 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    def job(name):
-        return _RUNNERS[name](cfg, states)
+    def job(name):  # the runner's result, or the exception it raised
+        try:
+            return _RUNNERS[name](cfg, states)
+        except Exception as exc:
+            return exc
 
-    results = {}
-    failures = []
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(job, name) for name in cfg.analyses]
-            for name, fut in zip(cfg.analyses, futures):
-                try:
-                    results[name] = fut.result()
-                except Exception as exc:
-                    failures.append(f"{name}: {exc}")
+            results = dict(zip(cfg.analyses, pool.map(job, cfg.analyses)))
     else:
-        for name in cfg.analyses:
-            try:
-                results[name] = job(name)
-            except Exception as exc:
-                failures.append(f"{name}: {exc}")
+        results = {name: job(name) for name in cfg.analyses}
+    failures = [f"{name}: {exc}" for name, exc in results.items()
+                if isinstance(exc, Exception)]
 
     summary = {"scenario": cfg.scenario.name,
                "epsilons": list(cfg.scenario.epsilons),
@@ -611,10 +624,10 @@ def run(cfg: RunConfig) -> int:
                    datetime.timezone.utc).isoformat(),
                    "package_version": __version__}}
     warned = False
-    for name in cfg.analyses:
-        if name not in results:
+    for name, result in results.items():
+        if isinstance(result, Exception):
             continue
-        fname, header, rows, frag = results[name]
+        fname, header, rows, frag = result
         _write_csv(out / fname, header, rows)
         summary["analyses"][name] = frag
         warned |= any(v == "warn" for v in frag.get("flags", {}).values())
@@ -651,6 +664,7 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("--config", required=True, type=Path)
+    p_val.set_defaults(out=None, strict=None, threads=1)
 
     sub.add_parser("list-scenarios", help="print the named scenario corpus")
 
@@ -663,22 +677,15 @@ def main(argv=None) -> int:
                   f"grid={sc.grid.points} eps=[{eps}]")
         return 0
 
-    if args.command == "validate":
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        print(f"ok: scenario={cfg.scenario.name} analyses={list(cfg.analyses)} "
-              f"out={cfg.out_dir}")
-        return 0
-
     try:
-        cfg = load_config(args.config, out_override=args.out,
-                          strict_override=args.strict, threads=args.threads)
+        cfg = load_config(args.config, args.out, args.strict, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        print(f"ok: scenario={cfg.scenario.name} analyses={list(cfg.analyses)} "
+              f"out={cfg.out_dir}")
+        return 0
     return run(cfg)
 
 

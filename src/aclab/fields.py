@@ -476,26 +476,27 @@ def line_sample(f: ScalarField, base, direction, samples: int,
     return np.column_stack([t, vals])
 
 
+def _plane_stencil(g: Grid, t: float):
+    """(k0, k1, lam): the grid planes on each side of {x_last = t} and the
+    weight of k1; a zero-flux grid refuses a plane outside the domain."""
+    rel, n = (t - g.lo[-1]) / g.h, g.points[-1]
+    if g.boundary == PERIODIC:
+        k0 = int(np.floor(rel)) % n
+        return k0, (k0 + 1) % n, rel - np.floor(rel)
+    if rel < -1e-9 or rel > (n - 1) + 1e-9:
+        raise RegionError(f"plane t={t} outside the domain")
+    k0 = min(max(int(np.floor(rel)), 0), n - 2)
+    return k0, k0 + 1, rel - k0
+
+
 def restrict_to_plane(f: ScalarField, t: float) -> np.ndarray:
     """Field on the hyperplane {x_last = t}: linear interpolation between the
     two adjacent grid planes. Returns the transverse-shaped array."""
     g = f.grid
-    last = g.ndim - 1
-    rel = (t - g.lo[last]) / g.h
-    n = g.points[last]
-    if g.boundary == PERIODIC:
-        k0 = int(np.floor(rel)) % n
-        k1 = (k0 + 1) % n
-        lam = rel - np.floor(rel)
-    else:
-        if rel < -1e-9 or rel > (n - 1) + 1e-9:
-            raise RegionError(f"plane t={t} outside the domain")
-        k0 = min(max(int(np.floor(rel)), 0), n - 2)
-        k1 = k0 + 1
-        lam = rel - k0
+    k0, k1, lam = _plane_stencil(g, t)
     sl0 = [slice(None)] * g.ndim
     sl1 = [slice(None)] * g.ndim
-    sl0[last], sl1[last] = k0, k1
+    sl0[-1], sl1[-1] = k0, k1
     return (1.0 - lam) * f.values[tuple(sl0)] + lam * f.values[tuple(sl1)]
 
 
@@ -518,13 +519,3 @@ def disc_integral(grid: Grid, plane_values: np.ndarray, center_transverse,
                        axis="transverse axis")
     return float(ball_integrals(plane, [plane_values], ct, [radius],
                                 supersample)[0, 0])
-
-
-def plane_slice_integral(f: ScalarField, t: float, supersample: int = 4) -> float:
-    """H^n integral of a field over the whole hyperplane {x_last = t}."""
-    g = f.grid
-    plane = restrict_to_plane(f, t)
-    if g.ndim == 1:
-        return float(plane)
-    w = _unit_weights(_transverse(g))
-    return float(np.sum(plane * w) * g.h ** (g.ndim - 1))

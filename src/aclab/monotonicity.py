@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (RegionError, ScalarField, ball_integrals, disc_integral,
+from .fields import (RegionError, ScalarField, _check_ball_margin,
+                     _plane_stencil, ball_integrals, disc_integral,
                      radial_derivative, restrict_to_plane, trapezoid)
 from .measures import density_fields, state_gradient
 from .phasefield import PhaseFieldState
@@ -59,21 +60,39 @@ class SlabReport(MonotonicityReport):
     term_plane_hi: np.ndarray
 
 
-MIN_RADII = 5  # the fewest radii the ball and slab identities take
+def resolution_floor(grid, epsilon: float) -> float:
+    """The smallest radius the identities take: max(4h, eps)."""
+    return max(4.0 * grid.h, epsilon)
 
 
-def _validate_radii(state: PhaseFieldState, radii, min_count=MIN_RADII):
+def check_geometry(grid, epsilon: float, center, radii, slab=None,
+                   min_count: int = 5) -> np.ndarray:
+    """The identities' scalar preconditions; returns the radii as an array.
+    At least `min_count` uniform radii from the resolution floor up, t_lo <
+    t_hi, the 2h domain margin of the largest ball clipped by the slab, and
+    slab planes on the grid clear of every sphere's pole by 2h."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < min_count:
         raise ValueError(f"need at least {min_count} radii")
     dr = np.diff(radii)
     if np.any(dr <= 0) or np.any(np.abs(dr - dr[:1]) > 1e-9 * dr[:1]):
         raise ValueError("radii must be strictly ascending and uniform")
-    floor = max(4.0 * state.grid.h, state.epsilon)
+    floor = resolution_floor(grid, epsilon)
     if radii[0] < floor - 1e-12:
         raise ValueError(
             f"minimum radius {radii[0]} below the resolution floor "
             f"max(4h, eps) = {floor}")
+    if slab is not None and not slab[0] < slab[1]:
+        raise RegionError(f"degenerate slab: t_lo={slab[0]} >= t_hi={slab[1]}")
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    _check_ball_margin(grid, c, radii[-1], slab=slab)
+    for t in slab or ():
+        _plane_stencil(grid, t)
+        off = abs(t - c[-1])
+        for r in radii:
+            if r - 2.0 * grid.h < off < r + 2.0 * grid.h:
+                raise RegionError(
+                    f"slab plane t={t} within 2h of the pole of B_{r:g}")
     return radii
 
 
@@ -103,17 +122,10 @@ def _identity_report(state: PhaseFieldState, center, radii, supersample,
     radii. With a slab (t_lo, t_hi) every ball integral is slab-restricted
     and the two plane terms enter the right-hand side after the three ball
     terms."""
-    radii = _validate_radii(state, radii)
     g = state.grid
+    radii = check_geometry(g, state.epsilon, center, radii, slab)
     n = g.ndim - 1
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    for t in slab or ():
-        off = abs(t - c[-1])
-        for r in radii:
-            if r - 2.0 * g.h < off < r + 2.0 * g.h:
-                raise RegionError(
-                    f"slab plane t={t} within 2h of the pole of B_{r:g}")
-
     mu_c, xi_c, bnd_c, frc_c = ball_integrals(
         g, _identity_integrands(state, c), c, radii, supersample, slab).T
     ratio = mu_c / radii ** n
@@ -142,8 +154,8 @@ def _identity_report(state: PhaseFieldState, center, radii, supersample,
 def density_ratio_profile(state: PhaseFieldState, center, radii,
                           supersample: int = 4) -> np.ndarray:
     """Rows (r, r^-n mu(B_r(center))) over a uniform radius grid."""
-    radii = _validate_radii(state, radii, min_count=1)
     g = state.grid
+    radii = check_geometry(g, state.epsilon, center, radii, min_count=1)
     mu = density_fields(state).mu.values
     vals = ball_integrals(g, [mu], center, radii, supersample)[:, 0]
     return np.column_stack([radii, vals / radii ** (g.ndim - 1)])
@@ -193,8 +205,6 @@ def slab_report(state: PhaseFieldState, center, radii, t_lo: float,
     Planes must clear the sphere poles by 2h at every radius (tangency
     degenerates the disc quadrature) or miss the ball entirely.
     """
-    if not t_lo < t_hi:
-        raise RegionError(f"degenerate slab: t_lo={t_lo} >= t_hi={t_hi}")
     return _identity_report(state, center, radii, supersample, (t_lo, t_hi))
 
 

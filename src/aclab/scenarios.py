@@ -14,6 +14,7 @@ import numpy as np
 
 from .fields import Grid, ScalarField, ZERO_FLUX
 from .measures import AnalysisParams
+from .monotonicity import resolution_floor
 from .phasefield import (LayerSpec, PhaseFieldState, SolverError,
                          build_layer_stack, build_radial_layer,
                          check_layer_fit, constants, make_state,
@@ -207,14 +208,6 @@ def _square_grid(half_extent: float, points: int) -> Grid:
                 origin=(-half_extent, -half_extent))
 
 
-def to_config(scenario: Scenario, out: str = "out") -> str:
-    """Serialize a scenario to the flat key-value config format the CLI
-    reads back; the key table lives in `aclab.cli`."""
-    from .cli import to_config as write
-
-    return write(scenario, out)
-
-
 def default_center(scenario: Scenario):
     """Analysis ball center: on the first layer plane or on the interface."""
     prof = scenario.profile
@@ -241,11 +234,10 @@ def default_radii(scenario: Scenario, eps: float, center, count: int = 25):
     quadrature noise in the residual columns.
     """
     g = scenario.grid
-    floor = max(4.0 * g.h, eps)
     gap = min(min(c - lo for c, lo in zip(center, g.lo)),
               min(hi - c for c, hi in zip(center, g.hi)))
     r_max = min(gap - 3.0 * g.h, 8.0 * eps)
-    r_min = max(floor, 0.25 * r_max)
+    r_min = max(resolution_floor(g, eps), 0.25 * r_max)
     if r_min >= r_max:
         raise ScenarioError(
             f"{scenario.name}: domain too small for a radius range")

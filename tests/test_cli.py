@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import aclab
-from aclab import build
+from aclab import build, cli
 from aclab.cli import (ANALYSES, ConfigError, _KEYS, load_config, main,
                        parse_config_text)
 
@@ -149,34 +149,21 @@ def test_reruns_are_byte_identical(tmp_path):
             (tmp_path / "b" / fname).read_bytes()
 
 
-def test_analysis_failure_exits_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = monotonicity\n"
-                    "monotonicity.radii = 0.01, 0.05, 5\n"
+def failing_runner(cfg, states):
+    raise ValueError("no identity on this state")
+
+
+def test_analysis_failure_exits_one(tmp_path, capsys, monkeypatch):
+    # load_config refuses what the analyses refuse, so a runner that raises
+    # stands in for an analysis failure
+    monkeypatch.setitem(cli._RUNNERS, "monotonicity", failing_runner)
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms, monotonicity\n"
                     f"out = {tmp_path/'out'}\n")
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "resolution floor" in err
-
-
-@pytest.mark.parametrize("analysis, geometry, axis", [
-    # B_0.9((0.5, 0)) reaches past the wall x = 1
-    ("monotonicity", "monotonicity.center = 0.5, 0\n"
-     "monotonicity.radii = 0.2, 0.9, 8\n", 0),
-    # the default slab planes lie h/2 inside the faces, so the slab clips
-    # B_0.65((0, 0.5)) within 2h of the wall x_last = 1
-    ("slab", "slab.center = 0, 0.5\nslab.radii = 0.55, 0.65, 5\n", 1),
-], ids=("monotonicity", "slab"))
-def test_ball_crossing_the_domain_margin_fails_without_a_csv(
-        tmp_path, capsys, analysis, geometry, axis):
-    cfg = write_cfg(tmp_path, "scenario.kind = circle\nscenario.epsilon = 0.1\n"
-                    "grid.extent = 2, 2\ngrid.points = 81, 81\n"
-                    f"grid.origin = -1, -1\nanalyses = {analysis}\n"
-                    f"{geometry}out = {tmp_path/'out'}\n")
-    assert main(["run", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert f"analysis failure: {analysis}: " in err
-    assert f"2h domain margin on axis {axis}" in err
-    assert not (tmp_path / "out" / f"{analysis}.csv").exists()
+    assert "analysis failure: monotonicity: no identity on this state" in err
+    assert (tmp_path / "out" / "norms.csv").exists()
+    assert not (tmp_path / "out" / "monotonicity.csv").exists()
 
 
 def test_stack_layers_that_fit_exactly_build(tmp_path):
@@ -207,7 +194,9 @@ def test_validate_refuses_stacks_that_cannot_build(tmp_path, capsys,
         load_config(cfg)
     assert main(["validate", "--config", str(cfg)]) == 2
     assert main(["run", "--config", str(cfg)]) == 2
-    assert "config error: scenario 'inline-stack'" in capsys.readouterr().err
+    key = "scenario." + layers.split(" =")[0]
+    assert (f"config error: {key}: scenario 'inline-stack'"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -252,19 +241,18 @@ def test_threads_match_serial_on_circle_all_analyses(tmp_path):
             (tmp_path / "t" / fname).read_bytes()
 
 
-def test_threaded_failure_names_the_analysis(tmp_path, capsys):
+def test_threaded_failure_names_the_analysis(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._RUNNERS, "monotonicity", failing_runner)
     cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms, monotonicity\n"
-                    "monotonicity.radii = 0.01, 0.05, 5\n"
                     f"out = {tmp_path/'out'}\n")
     assert main(["run", "--config", str(cfg), "--threads", "2"]) == 1
     err = capsys.readouterr().err
-    assert "analysis failure: monotonicity: " in err
-    assert "resolution floor" in err
+    assert "analysis failure: monotonicity: no identity on this state" in err
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["failures"][0].startswith("monotonicity: ")
 
 
-@pytest.mark.parametrize("line, key", [
+MALFORMED = [
     ("analysis.q0 = abc", "analysis.q0"),
     ("analysis.supersample = 4.5", "analysis.supersample"),
     ("monotonicity.radii = 0.1, 0.2", "monotonicity.radii"),
@@ -297,18 +285,67 @@ def test_threaded_failure_names_the_analysis(tmp_path, capsys):
     ("slab.t = 0.3, -0.3", "slab.t"),
     ("monotonicity.radii = 0.1, 0.3, 4", "monotonicity.radii"),
     ("slab.radii = 0.1, 0.3, 3", "slab.radii"),
-])
-def test_malformed_values_are_config_errors(tmp_path, capsys, line, key):
-    # the malformed line replaces the scenario's own line for that key
+    # each epsilon must be at least 4h: h = 0.025 here, 0.1 with 21 points
+    ("scenario.epsilon = 0.05", "scenario.epsilon"),
+    ("grid.points = 21, 21", "scenario.epsilon, grid.points"),
+]
+
+# Geometry the analyses refuse, refused by load_config: the lines, the keys
+# the refusal names and its text.
+GEOMETRY = {
+    "monotonicity-floor": ("monotonicity.radii = 0.01, 0.05, 5",
+                           "monotonicity.radii", "resolution floor"),
+    # B_0.9((0.5, 0)) reaches past the wall x = 1
+    "monotonicity-margin": ("monotonicity.center = 0.5, 0\n"
+                            "monotonicity.radii = 0.2, 0.9, 8",
+                            "monotonicity.center, monotonicity.radii",
+                            "2h domain margin on axis 0"),
+    # the default slab planes lie h/2 inside the faces, so the slab clips
+    # B_0.65((0, 0.5)) within 2h of the wall x_last = 1
+    "slab-margin": ("slab.center = 0, 0.5\nslab.radii = 0.55, 0.65, 5",
+                    "slab.center, slab.radii", "2h domain margin on axis 1"),
+    # the default radii run from 0.2 in steps of 0.025
+    "slab-pole": ("slab.t = 0.2, 0.9", "slab.t",
+                  "slab plane t=0.2 within 2h of the pole of B_0.2"),
+    "slab-off-grid": ("slab.t = -0.9, 1.5", "slab.t",
+                      "plane t=1.5 outside the domain"),
+    # a default: no radius range fits between the center and the wall
+    "default-radii": ("monotonicity.center = 0.9, 0", "monotonicity.radii",
+                      "domain too small for a radius range"),
+}
+
+
+@pytest.mark.parametrize("line, key, message", [
+    *(pytest.param(line, key, key, id=f"{line}-{key}")
+      for line, key in MALFORMED),
+    *(pytest.param(*case, id=name) for name, case in GEOMETRY.items())])
+def test_malformed_values_are_config_errors(tmp_path, capsys, line, key,
+                                            message):
+    # the malformed lines replace the scenario's own lines for their keys
+    replaced = {entry.split("=")[0] for entry in line.splitlines()}
     base = "".join(f"{kept}\n" for kept in SMALL_SCENARIO.splitlines()
-                   if not kept.startswith(f"{key} ="))
+                   if kept.split("=")[0] not in replaced)
     cfg = write_cfg(tmp_path, base + "analyses = norms\n"
                     f"{line}\nout = {tmp_path/'out'}\n")
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)
     assert main(["validate", "--config", str(cfg)]) == 2
     assert main(["run", "--config", str(cfg)]) == 2
-    assert f"config error: {key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {key}" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quantize_lines_off_the_domain_name_the_center(tmp_path, capsys):
+    # the default lines start at the circle's center, 0.05 from the wall
+    cfg = write_cfg(tmp_path, "scenario.kind = circle\nscenario.epsilon = 0.1\n"
+                    "scenario.center = 0.95, 0\ngrid.extent = 2, 2\n"
+                    "grid.points = 81, 81\ngrid.origin = -1, -1\n"
+                    f"analyses = quantize\nout = {tmp_path/'out'}\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scenario.center: empty parameter range" in err
     assert not (tmp_path / "out").exists()
 
 

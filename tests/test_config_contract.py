@@ -1,0 +1,213 @@
+"""The config contract on generated inline configs: when `validate` exits 0,
+`run` exits 0; exit 2 names a config key; no command raises; no CSV cell is
+non-finite.
+
+The configs are drawn from `cli._KEYS`: each key an inline scenario of the
+drawn kind takes is written some of the time, with a value from `VALUES`.
+"""
+
+import contextlib
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from aclab.cli import ANALYSES, _KEYS, main
+
+KINDS = ("planar", "stack", "circle", "constant")
+
+# keys the generated configs leave out (the corpus key, the solved kind's
+# noise, `out` and `strict`) or always write (the rest)
+LEFT_OUT = {"scenario", "scenario.noise", "out", "strict", "scenario.kind",
+            "grid.extent", "grid.points", "grid.origin", "grid.boundary",
+            "scenario.epsilon", "analyses"}
+
+
+def _text(values) -> str:
+    return ", ".join(repr(v) for v in values)
+
+
+@st.composite
+def _point(draw, grid):
+    """A point near the domain, some of the time a little outside it."""
+    return _text(draw(st.floats(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo)))
+                 for lo, hi in zip(grid["lo"], grid["hi"]))
+
+
+@st.composite
+def _radii(draw, grid):
+    h = grid["h"]
+    start = draw(st.integers(4, 16)) * h
+    stop = start + draw(st.integers(1, 24)) * h
+    return _text((start, stop, draw(st.integers(5, 9))))
+
+
+@st.composite
+def _slab(draw, grid):
+    lo, hi = grid["lo"][-1], grid["hi"][-1]
+    planes = draw(st.lists(st.floats(lo - 2 * grid["h"], hi + 2 * grid["h"]),
+                           min_size=2, max_size=2))
+    return _text(sorted(planes) if draw(st.integers(0, 7)) else planes)
+
+
+@st.composite
+def _positions(draw, grid):
+    """One to three layers about the middle of the last axis, 3.5 to 6 eps
+    apart: under 4 eps they overlap."""
+    mid = 0.5 * (grid["lo"][-1] + grid["hi"][-1])
+    k = draw(st.integers(1, 3))
+    gap = draw(st.floats(3.5, 6.0)) * grid["eps"]
+    return _text(mid + gap * (i - 0.5 * (k - 1)) for i in range(k))
+
+
+def _axis(grid):
+    return st.integers(-grid["ndim"], grid["ndim"] - 1).map(str)
+
+
+def _fixed(*choices):
+    return lambda grid: st.sampled_from(choices)
+
+
+# key -> strategy of its value text, given the grid
+VALUES = {
+    "scenario.name": _fixed("fuzz"),
+    "scenario.seed": lambda grid: st.integers(0, 99).map(str),
+    "scenario.positions": _positions,
+    "scenario.axis": _axis,
+    "scenario.first_sign": _fixed("1", "-1"),
+    "scenario.center": _point,
+    "scenario.radius": lambda grid: st.floats(
+        0.05, 0.3 * min(hi - lo for lo, hi in zip(grid["lo"], grid["hi"]))
+    ).map(repr),
+    "scenario.value": lambda grid: st.floats(-1.5, 1.5).map(repr),
+    "analysis.q0": lambda grid: st.floats(grid["ndim"] - 0.5, 4.0).map(repr),
+    "analysis.grad_threshold": _fixed("0", "1e-8", "0.5"),
+    "analysis.supersample": lambda grid: st.integers(1, 4).map(str),
+    "analysis.tau": lambda grid: st.floats(0.05, 0.95).map(repr),
+    "monotonicity.center": _point,
+    "monotonicity.radii": _radii,
+    "slab.center": _point,
+    "slab.radii": _radii,
+    "slab.t": _slab,
+    "quantize.tau": lambda grid: st.floats(0.05, 0.95).map(repr),
+    "gdelta.delta": lambda grid: st.lists(st.floats(0.01, 0.5), min_size=1,
+                                          max_size=2).map(_text),
+    "gdelta.c0": lambda grid: st.floats(1.0, 3.0).map(repr),
+    "firstvar.count": lambda grid: st.integers(1, 2).map(str),
+    "firstvar.seed": lambda grid: st.integers(0, 99).map(str),
+}
+
+
+def test_every_key_is_drawn_or_left_out():
+    assert sorted(VALUES) == sorted(set(_KEYS) - LEFT_OUT)
+
+
+@st.composite
+def inline_configs(draw):
+    """An inline planar, stack, circle or constant scenario on a 1-, 2- or
+    3-d grid of 33 to 65 points per axis (21 to 25 in 3-d, and 65 on a
+    stack's last axis), eps from 4h to 6h,
+    random analyses, and each other key it takes a quarter of the time."""
+    kind = draw(st.sampled_from(KINDS))
+    ndim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.integers(*((21, 25) if ndim == 3 else (33, 65))),
+                           min_size=ndim, max_size=ndim))
+    # a layer stack needs 6 eps to each face and 4 eps between layers: a
+    # long last axis, eps at most 5h and the default position 0 in the middle
+    stack = kind in ("planar", "stack")
+    if stack:
+        points[-1] = 65
+    h = draw(st.sampled_from((1 / 32, 1 / 16, 1 / 8)))
+    boundary = draw(st.sampled_from(("zero-flux", "periodic")))
+    # periodic nodes tile the torus: extent = h * points
+    extent = [h * (n if boundary == "periodic" else n - 1) for n in points]
+    shift = 0.5 if stack else draw(st.sampled_from((0.5, 0.4)))
+    lo = [-shift * e for e in extent]
+    eps = [m * h for m in draw(st.lists(st.integers(4, 5 if stack else 6),
+                                        min_size=1, max_size=2))]
+    grid = {"ndim": ndim, "h": h, "eps": max(eps), "lo": lo,
+            "hi": [a + e for a, e in zip(lo, extent)]}
+    analyses = draw(st.sets(st.sampled_from(ANALYSES), min_size=1))
+    lines = [f"scenario.kind = {kind}", f"grid.extent = {_text(extent)}",
+             f"grid.points = {_text(points)}", f"grid.origin = {_text(lo)}",
+             f"grid.boundary = {boundary}",
+             f"scenario.epsilon = {_text(eps)}",
+             f"analyses = {', '.join(sorted(analyses))}"]
+    takes = {"inline", "grid", "scenario", "params", kind, *ANALYSES}
+    for key, spec in _KEYS.items():
+        if (key in VALUES and not takes.isdisjoint(spec.owners)
+                and draw(st.integers(0, 3)) == 3):
+            lines.append(f"{key} = {draw(VALUES[key](grid))}")
+    return "\n".join(lines) + "\n"
+
+
+def _command(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def check_contract(tmp_dir, body):
+    """Validate and run `body`; any exception fails the caller."""
+    cfg = tmp_dir / "contract.cfg"
+    out = Path(tempfile.mkdtemp(dir=tmp_dir)) / "out"
+    cfg.write_text(body, encoding="utf-8")
+    validated, _ = _command("validate", "--config", str(cfg))
+    code, err = _command("run", "--config", str(cfg), "--out", str(out))
+    assert validated in (0, 2), body
+    assert code == validated, f"{body}\n{err}"
+    if code == 2:
+        keys = re.match(r"config error: ([\w.]+(?:, [\w.]+)*): ", err)
+        assert keys and set(keys[1].split(", ")) <= set(_KEYS), err
+        return
+    for csv in out.glob("*.csv"):
+        for line in csv.read_text(encoding="utf-8").splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a row label
+                assert math.isfinite(value), f"{body}\n{csv.name}: {line}"
+
+
+# h = 1/32, eps = 4h
+GRID_2D = ("grid.extent = 2, 2\ngrid.points = 65, 65\ngrid.origin = -1, -1\n"
+           "scenario.epsilon = 0.125\n")
+
+# The classes of config that validated and then failed in `run` before the
+# analyses' geometry checks moved into load_config.
+CASES = {
+    # radii start under the floor max(4h, eps) = 0.125
+    "radius-floor": "scenario.kind = planar\nanalyses = monotonicity\n"
+                    "monotonicity.radii = 0.05, 0.5, 5\n",
+    # the default center (0.9, 0) is 0.1 from the wall: no default radii fit
+    "default-radii": "scenario.kind = circle\nscenario.radius = 0.4\n"
+                     "scenario.center = 0.5, 0\nanalyses = slab\n",
+    # the plane t = 0.5 is the pole of B_0.5
+    "slab-pole": "scenario.kind = planar\nanalyses = slab\n"
+                 "slab.radii = 0.25, 0.5, 5\nslab.t = -0.8, 0.5\n",
+    # B_0.6((0.5, 0)) crosses the wall x = 1
+    "ball-margin": "scenario.kind = constant\nanalyses = monotonicity\n"
+                   "monotonicity.center = 0.5, 0\n"
+                   "monotonicity.radii = 0.25, 0.6, 5\n",
+    # the quantize lines start 0.05 from the wall
+    "quantize-off-centre": "scenario.kind = circle\nanalyses = quantize\n"
+                           "scenario.center = 0.95, 0\n",
+}
+
+
+@pytest.mark.parametrize("body", CASES.values(), ids=CASES)
+def test_config_contract_cases(tmp_path, body):
+    check_contract(tmp_path, GRID_2D + body)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(body=inline_configs())
+def test_config_contract(tmp_path_factory, body):
+    check_contract(tmp_path_factory.getbasetemp(), body)

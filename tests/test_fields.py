@@ -6,8 +6,7 @@ import pytest
 from aclab import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
                    ZERO_FLUX, cumulative_ball_profile, gradient, integrate,
                    laplacian, line_sample, radial_derivative)
-from aclab.fields import (ball_integrals, disc_integral, plane_slice_integral,
-                          restrict_to_plane)
+from aclab.fields import ball_integrals, disc_integral, restrict_to_plane
 
 
 def grid2d(n=65, boundary=ZERO_FLUX):
@@ -331,5 +330,3 @@ def test_plane_restriction_and_disc():
     assert plane == pytest.approx(0.3, abs=1e-12)
     val = disc_integral(g, plane, (0.0,), 0.4)
     assert val == pytest.approx(0.3 * 0.8, rel=1e-2)
-    whole = plane_slice_integral(ScalarField(g, np.ones(g.shape)), 0.25)
-    assert whole == pytest.approx(2.0, rel=1e-12)

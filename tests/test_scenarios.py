@@ -115,7 +115,7 @@ def test_1d_bubble_is_refused_before_building():
 
 def test_to_config_round_trip(tmp_path, corpus):
     from aclab.cli import load_config
-    from aclab.scenarios import to_config
+    from aclab.cli import to_config
     for name in ("planar-1", "circle", "circle-sweep", "constant-zero",
                  "solved-circle"):
         sc = corpus[name]
@@ -197,7 +197,7 @@ def _scenarios(draw):
 @given(sc=_scenarios())
 def test_to_config_round_trip_property(tmp_path_factory, sc):
     from aclab.cli import load_config
-    from aclab.scenarios import to_config
+    from aclab.cli import to_config
     path = tmp_path_factory.getbasetemp() / "round-trip.cfg"
     path.write_text(to_config(sc))
     loaded = load_config(path).scenario
