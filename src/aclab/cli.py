@@ -242,17 +242,19 @@ def _fields(values: dict, owner: str) -> dict:
 
 
 @contextmanager
-def _naming_keys(values: dict, owner: str = None, default=()):
+def _naming_keys(values: dict, owner: str = None, default=(), defaulted=()):
     """Put the config keys behind a ValueError or ScenarioError of the block
     in front of its message: the keys of `owner` whose field the message
-    names, else every key of `owner` the config sets, else `default`, the
-    keys that override the defaults the block used."""
+    names, else every key of `owner` the config sets or whose default the
+    block used (`defaulted`), else `default`, the keys that override the
+    defaults the block used."""
     try:
         yield
     except (ValueError, ScenarioError) as exc:
         named = [key for key, spec in _KEYS.items() if owner in spec.owners
                  and re.search(rf"\b{_field(key)}\b", str(exc))]
-        owned = [key for key in values if owner in _KEYS[key].owners]
+        owned = [key for key in (*defaulted, *values)
+                 if owner in _KEYS[key].owners]
         raise ValueError(f"{', '.join(named or owned or default)}: {exc}") \
             from exc
 
@@ -324,15 +326,20 @@ def _analysis_inputs(values: dict, scenario: Scenario, analyses) -> dict:
                                         for key in values):
             continue
         if name in ("monotonicity", "slab"):
-            center = values.get(f"{name}.center") or default_center(scenario)
+            center = values.get(f"{name}.center")
+            # a refusal the default center may cause names its key
+            defaulted = () if center else (f"{name}.center",)
+            center = center or default_center(scenario)
             radii = values.get(f"{name}.radii")
             if radii is None:
-                with _naming_keys(values, default=(f"{name}.radii",)):
+                with _naming_keys(values,
+                                  default=(*defaulted, f"{name}.radii")):
                     radii = default_radii(scenario, eps, center)
             # default: the widest slab clearing the default radii's poles
             slab = None if name == "monotonicity" else values.get(
                 "slab.t", (g.lo[-1] + 0.5 * g.h, g.hi[-1] - 0.5 * g.h))
-            with _naming_keys(values, name, default=(f"{name}.radii",)):
+            with _naming_keys(values, name, default=(f"{name}.radii",),
+                              defaulted=defaulted):
                 radii = check_geometry(g, eps, center, radii, slab)
             inputs[name] = {"center": center, "radii": radii, "slab": slab}
         elif name == "quantize":

@@ -72,7 +72,8 @@ class Grid:
         spacings = [self._spacing(ax) for ax in range(ndim)]
         h0 = spacings[0]
         if any(abs(h - h0) > 1e-12 * h0 for h in spacings):
-            raise ValueError(f"grid is anisotropic: spacings {spacings}")
+            raise ValueError(f"grid is anisotropic: extent and points give "
+                             f"spacings {spacings}")
 
     def _spacing(self, axis):
         if self.boundary == PERIODIC:
@@ -225,18 +226,24 @@ def gradient(f: ScalarField) -> VectorField:
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Standard (2*dim+1)-point second-order Laplacian."""
-    g = f.grid
-    v = f.values
-    twice = 2.0 * v
-    term = np.empty(g.shape)
-    out = np.zeros(g.shape)
-    for ax in range(g.ndim):
-        for nodes, plus, minus in _neighbours(g, ax):
-            np.subtract(v[plus], twice[nodes], out=term[nodes])
+    out = np.empty(f.grid.shape)
+    _laplacian_into(f.values, f.grid, out, np.empty(f.grid.shape))
+    return ScalarField._adopt(f.grid, out)
+
+
+def _laplacian_into(v: np.ndarray, grid: Grid, out: np.ndarray,
+                    term: np.ndarray):
+    """out = lap_h v, summed axis by axis, with term a scratch array of the
+    grid's shape: the one Laplacian stencil, for callers that keep their
+    buffers (the Newton matvec)."""
+    out.fill(0.0)
+    for ax in range(grid.ndim):
+        for nodes, plus, minus in _neighbours(grid, ax):
+            np.multiply(v[nodes], 2.0, out=term[nodes])
+            np.subtract(v[plus], term[nodes], out=term[nodes])
             term[nodes] += v[minus]
-        term /= g.h ** 2
+        term /= grid.h ** 2
         out += term
-    return ScalarField._adopt(g, out)
 
 
 def _check_ball_margin(grid: Grid, center, radius, what="ball region",

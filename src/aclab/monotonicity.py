@@ -80,10 +80,11 @@ def check_geometry(grid, epsilon: float, center, radii, slab=None,
     floor = resolution_floor(grid, epsilon)
     if radii[0] < floor - 1e-12:
         raise ValueError(
-            f"minimum radius {radii[0]} below the resolution floor "
+            f"radii start at {radii[0]}, below the resolution floor "
             f"max(4h, eps) = {floor}")
     if slab is not None and not slab[0] < slab[1]:
-        raise RegionError(f"degenerate slab: t_lo={slab[0]} >= t_hi={slab[1]}")
+        raise RegionError(f"degenerate slab: t = {slab[0]}, {slab[1]} "
+                          "needs t_lo < t_hi")
     c = np.atleast_1d(np.asarray(center, dtype=float))
     _check_ball_margin(grid, c, radii[-1], slab=slab)
     for t in slab or ():

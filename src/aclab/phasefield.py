@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import PERIODIC, Grid, ScalarField, laplacian
+from .fields import (PERIODIC, ZERO_FLUX, Grid, ScalarField,
+                     _central_difference, _laplacian_into, laplacian)
 
 
 class SolverError(RuntimeError):
@@ -253,7 +254,8 @@ def manufactured_forcing(u_exact: ScalarField, epsilon: float) -> ScalarField:
 
 @functools.lru_cache(maxsize=8)
 def _laplacian_matrix(points: tuple, h: float, boundary: str):
-    """Sparse CSR matrix of the discrete Laplacian used by Newton."""
+    """Sparse CSR matrix of the discrete Laplacian. The solver applies the
+    stencil instead (`spsolve`); the benchmark's tracer binds this name."""
     import scipy.sparse as sp
 
     ones = [None] * len(points)
@@ -396,9 +398,169 @@ def minres(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
     return x, itn
 
 
-def spsolve(grid: Grid, lap_mat, epsilon: float,
-            diag: np.ndarray, rhs: np.ndarray,
-            rtol: float = _LINEAR_RTOL) -> np.ndarray:
+# The interface coarse space of pure-Newton steps (`InterfaceSpace`): about
+# _COARSE_MODES modes, m = round(64^(1/d)) per axis in every dimension;
+# eigenvalues of Q^T M Q under _GRAM_CUTOFF times the largest are dropped
+# as rank deficiency; Ritz values of the preconditioned Jacobian under
+# _COARSE_FLOOR in magnitude are lifted to +-_COARSE_FLOOR.
+_COARSE_MODES = 64
+_GRAM_CUTOFF = 1e-10
+_COARSE_FLOOR = 0.5
+_AXES = "abc"
+
+
+def _axis_modes(n: int, m: int, boundary: str) -> np.ndarray:
+    """(m, n) table of the m smoothest modes on one axis: cos(pi k i/(n-1))
+    on a zero-flux axis; 1, cos, sin, cos, ... of 2 pi k i/n on a periodic
+    one."""
+    i = np.arange(n)
+    if boundary == PERIODIC:
+        k = (np.arange(m) + 1) // 2
+        theta = 2.0 * np.pi * np.outer(k, i) / n
+        is_cos = (np.arange(m) % 2 == 1) | (k == 0)
+        return np.where(is_cos[:, None], np.cos(theta), np.sin(theta))
+    return np.cos(np.pi * np.outer(np.arange(m), i) / (n - 1))
+
+
+def _contract(field: np.ndarray, tables) -> np.ndarray:
+    """sum_i field[i] prod_k tables[k][p_k, i_k], of shape (P_0, ..., P_d-1),
+    one axis at a time from the contiguous one. einsum keeps it in numpy's
+    own kernels: a BLAS product of grid-sized operands changes its bits with
+    the thread count."""
+    idx = list(_AXES[:field.ndim])
+    for ax in reversed(range(field.ndim)):
+        src = "".join(idx)
+        idx[ax] = idx[ax].upper()
+        field = np.einsum(f"{src},{idx[ax]}{_AXES[ax]}->{''.join(idx)}",
+                          field, tables[ax])
+    return field
+
+
+def _expand(coeffs: np.ndarray, tables, out: np.ndarray) -> np.ndarray:
+    """out = sum_p coeffs[p] prod_k tables[k][p_k, i_k] on the grid: the
+    adjoint of `_contract`."""
+    last = coeffs.ndim - 1
+    idx = list(_AXES[:last + 1].upper())
+    for ax in range(last + 1):
+        src = "".join(idx)
+        idx[ax] = _AXES[ax]
+        coeffs = np.einsum(f"{src},{src[ax]}{_AXES[ax]}->{''.join(idx)}",
+                           coeffs, tables[ax], out=out if ax == last else None)
+    return coeffs
+
+
+def _broadcast_product(vectors) -> np.ndarray:
+    """prod_k vectors[k][i_k] as a grid-shaped array."""
+    out = np.ones(())
+    for ax, v in enumerate(vectors):
+        shape = [1] * len(vectors)
+        shape[ax] = v.size
+        out = out * v.reshape(shape)
+    return out
+
+
+class InterfaceSpace:
+    """Coarse space of a pure-Newton step, localised on the interface:
+    Q = g * (products of the m smoothest modes per axis), with the weight
+    g = |grad_h u|, which vanishes in the pure phases. K is the
+    pure-Newton operator at u, diag = W''(u)/eps.
+
+    With A = D*K and M = D*P the operator and preconditioner of `spsolve`,
+    the Galerkin matrices Q^T A Q and Q^T M Q are summed from the stencil
+    in closed form: K = diag - eps*lap_h and D*lap_h is the negative of a
+    graph Laplacian whose edges carry the node weights of the other axes,
+    so each matrix is a node sum and one edge sum per axis, contracted
+    separably in O(N m^2) per axis (N nodes). The generalised eigenvectors
+    Y (Y^T Q^T M Q Y = I, Y^T Q^T A Q Y = diag(lam)) are the Ritz vectors
+    of M^{-1} A on range(Q). `add_correction` applies
+
+        Q Y diag(max(floor/|lam| - 1, 0)) Y^T Q^T,
+
+    symmetric and positive semidefinite, so M^{-1} plus it is SPD: it lifts
+    the Ritz values under floor = 1/2 in magnitude (the interface modes
+    u'(r) cos(k theta), near 0) to +-1/2 and leaves the rest of the
+    spectrum where M^{-1} put it, in [-1, 1]. Lifting them to 1/2, not
+    to 1, keeps MINRES's estimate of the operator norm, which its stopping
+    test divides by, near its value without the correction, so the true
+    residual at a given tolerance stays about as small. An interface-free
+    state (g = 0) has an empty space, and `spsolve` then runs without it.
+    """
+
+    def __init__(self, grid: Grid, epsilon: float, u: np.ndarray):
+        shape, nd, h = grid.shape, grid.ndim, grid.h
+        grad = np.empty(shape)
+        self.g = np.zeros(shape)
+        for ax in range(nd):
+            _central_difference(u, grid, ax, grad)
+            self.g += grad * grad
+        np.sqrt(self.g, out=self.g)
+        diag = double_well_second(u) / epsilon
+        m = round(_COARSE_MODES ** (1.0 / nd))
+        self.modes = [_axis_modes(n, min(m, n), grid.boundary) for n in shape]
+        # per-axis node weights of D = node_weights/h^d
+        unit = [np.full(n, 1.0) for n in shape]
+        if grid.boundary == ZERO_FLUX:
+            for w in unit:
+                w[0] = w[-1] = 0.5
+        pairs = [np.einsum("ai,bi->abi", t, t).reshape(-1, t.shape[1])
+                 for t in self.modes]
+        weighted = _broadcast_product(unit) * self.g * self.g
+        c = float(np.max(np.abs(diag)))
+        # Q^T M Q: the node sum of P = c - eps*lap_h (the diagonal of
+        # -eps D lap_h is 2 nd eps/h^2 D) less its edge sums
+        precond = _contract(weighted * (c + 2.0 * nd * epsilon / h ** 2),
+                            pairs)
+        for ax in range(nd):
+            other = _broadcast_product(
+                [np.ones(n) if k == ax else unit[k]
+                 for k, n in enumerate(shape)])
+            t = self.modes[ax]
+            if grid.boundary == PERIODIC:
+                edge = other * self.g * np.roll(self.g, -1, axis=ax)
+                here, there = t, np.roll(t, -1, axis=1)
+            else:
+                lo = (slice(None),) * ax + (slice(0, -1),)
+                hi = (slice(None),) * ax + (slice(1, None),)
+                edge = (other * self.g)[lo] * self.g[hi]
+                here, there = t[:, :-1], t[:, 1:]
+            cross = (np.einsum("ai,bi->abi", here, there)
+                     + np.einsum("ai,bi->abi", there, here))
+            tables = list(pairs)
+            tables[ax] = cross.reshape(-1, cross.shape[2])
+            precond -= (epsilon / h ** 2) * _contract(edge, tables)
+        # Q^T A Q differs from Q^T M Q by the node sum of diag - c
+        galerkin = precond - _contract(weighted * (c - diag), pairs)
+        self.shape = [t.shape[0] for t in self.modes]
+        size = int(np.prod(self.shape))
+        # (a0, a0', a1, a1', ...) -> (a0, a1, ..., a0', a1', ...)
+        order = [*range(0, 2 * nd, 2), *range(1, 2 * nd, 2)]
+        square = [x.reshape([k for mk in self.shape for k in (mk, mk)])
+                  .transpose(order).reshape(size, size)
+                  for x in (precond, galerkin)]
+        sig, vec = np.linalg.eigh(square[0])
+        keep = sig > _GRAM_CUTOFF * max(sig[-1], 0.0)
+        w = vec[:, keep] / np.sqrt(sig[keep])
+        lam, rot = np.linalg.eigh(
+            np.einsum("ki,kj->ij", w, np.einsum("kl,lj->kj", square[1], w)))
+        lift = _COARSE_FLOOR / np.maximum(np.abs(lam), 1e-300) - 1.0
+        self.basis = np.einsum("ik,kj->ij", w, rot)[:, lift > 0]
+        self.weights = lift[lift > 0]
+
+    def add_correction(self, r: np.ndarray, out: np.ndarray,
+                       work: np.ndarray):
+        """out += Q Y diag(weights) Y^T Q^T r, for grid-shaped r and out,
+        with work a scratch array of the same shape."""
+        np.multiply(self.g, r, out=work)
+        c = np.einsum("ij,i->j", self.basis,
+                      _contract(work, self.modes).ravel())
+        c *= self.weights
+        y = np.einsum("ij,j->i", self.basis, c).reshape(self.shape)
+        out += np.multiply(self.g, _expand(y, self.modes, out=work), out=work)
+
+
+def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
+            rtol: float = _LINEAR_RTOL, coarse: InterfaceSpace = None
+            ) -> np.ndarray:
     """Preconditioned MINRES solve of one Newton system K du = rhs, where
 
         K = diag(diag) - eps*lap_h,    diag = W''(u)/eps + 1/dtau,
@@ -406,10 +568,13 @@ def spsolve(grid: Grid, lap_mat, epsilon: float,
     i.e. (I/dtau - J) on pseudo-transient steps and -J (1/dtau dropped) on
     pure-Newton steps. With D = node_weights/h^d, D*K is symmetric, so
     MINRES runs on D*K du = D*rhs (the same iterates as on the symmetrised
-    D^{1/2} K D^{-1/2}). The preconditioner is (D*P)^{-1} with
-    P = c*I - eps*lap_h and c = max|diag|: symmetric positive definite, and
-    applied exactly by DCT-I (zero-flux) or FFT (periodic). Matvecs use the
-    sparse Laplacian `lap_mat`. MINRES stops at relative residual rtol.
+    D^{1/2} K D^{-1/2}). The matvec applies the stencil of `laplacian` into
+    preallocated buffers; no matrix is assembled. The preconditioner is
+    (D*P)^{-1} with P = c*I - eps*lap_h and c = max|diag|: symmetric
+    positive definite, and applied exactly by DCT-I (zero-flux) or FFT
+    (periodic). With `coarse`, an `InterfaceSpace` of a pure-Newton step,
+    its correction is added to it (still SPD). MINRES stops at relative
+    residual rtol.
     """
     import scipy.fft
 
@@ -419,18 +584,36 @@ def spsolve(grid: Grid, lap_mat, epsilon: float,
     c = float(np.max(np.abs(diag)))
     inv_symbol = 1.0 / (c + epsilon * _laplacian_eigenvalues(
         grid.points, grid.h, grid.boundary))
+    d_diag, d_eps = d * diag, (epsilon * d).reshape(shape)
+    lap, term = np.empty(shape), np.empty(shape)
+    # minres keeps the two products before the last, so three buffers rotate
+    products = [np.empty(d.size) for _ in range(3)]
 
     def matvec(x):
-        return d * (diag * x - epsilon * (lap_mat @ x))
+        y = products.pop(0)
+        products.append(y)
+        _laplacian_into(x.reshape(shape), grid, lap, term)
+        np.multiply(d_diag, x, out=y)
+        y -= np.multiply(lap, d_eps, out=lap).ravel()
+        return y
 
     def precondition(y):
         y = (y / d).reshape(shape)
         if grid.boundary == PERIODIC:
             x = scipy.fft.ifftn(scipy.fft.fftn(y) * inv_symbol).real
         else:
-            x = scipy.fft.dctn(y, type=1, overwrite_x=True) * inv_symbol
+            x = scipy.fft.dctn(y, type=1, overwrite_x=True)
+            x *= inv_symbol
             x = scipy.fft.idctn(x, type=1, overwrite_x=True)
         return x.ravel()
+
+    if coarse is not None and coarse.weights.size:
+        plain = precondition
+
+        def precondition(y):
+            x = plain(y)
+            coarse.add_correction(y.reshape(shape), x.reshape(shape), term)
+            return x
 
     du, _ = minres(matvec, precondition, d * rhs.ravel(), rtol=rtol,
                    maxiter=_LINEAR_MAXITER)
@@ -457,10 +640,14 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     giving the usual quadratic tail. This is inexact Newton: each step's
     MINRES tolerance is the forcing term of `forcing_term`, loose (1e-4)
     while the residual is large and tightening as the steps contract, and
-    retried trials of a step reuse it. Deterministic at every BLAS thread
-    count (the forcing terms follow from the residuals; fixed ordering,
-    single-worker transforms, MINRES inner products without BLAS). Raises SolverError with the best
-    residual when max_iter accepted steps cannot reach tol.
+    retried trials of a step reuse it. The pure-Newton steps are two-level:
+    the first one builds an `InterfaceSpace` at its u, whose correction is
+    added to the preconditioner of every pure-Newton solve of the call
+    (the interface barely moves in the tail). Deterministic at every BLAS
+    thread count (the forcing terms follow from the residuals; fixed
+    ordering, single-worker transforms, grid-sized products and MINRES
+    inner products without BLAS). Raises SolverError with the best residual
+    when max_iter accepted steps cannot reach tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -470,7 +657,6 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
 
     fv = f.values
     weights = grid.node_weights()
-    lap_mat = _laplacian_matrix(grid.points, grid.h, grid.boundary)
 
     def resid_energy(uv):
         """R(uv) and F(uv) from one Laplacian, freed on return."""
@@ -490,12 +676,16 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     dtau = epsilon / 4.0
     pure_newton = False
     rprev = None
+    coarse = None
     for _ in range(max_iter):
         w2 = double_well_second(u) / epsilon
         eta = forcing_term(rnorm, rprev, tol)
+        if pure_newton and coarse is None:
+            coarse = InterfaceSpace(grid, epsilon, u)
         while True:
-            du = spsolve(grid, lap_mat, epsilon,
-                         w2 if pure_newton else w2 + 1.0 / dtau, r, rtol=eta)
+            du = spsolve(grid, epsilon,
+                         w2 if pure_newton else w2 + 1.0 / dtau, r, rtol=eta,
+                         coarse=coarse if pure_newton else None)
             trial = u + du
             rt_field, ft = resid_energy(trial)
             rt = float(np.max(np.abs(rt_field)))

@@ -336,6 +336,18 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, line, key,
     assert not (tmp_path / "out").exists()
 
 
+def test_anisotropic_grid_names_extent_and_points(tmp_path, capsys):
+    # the spacings come from extent and points; origin plays no part
+    cfg = write_cfg(tmp_path, "scenario.kind = circle\nscenario.epsilon = 0.1\n"
+                    "grid.extent = 2, 3\ngrid.points = 81, 81\n"
+                    f"grid.origin = -1, -1\nout = {tmp_path/'out'}\n")
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert ("config error: grid.extent, grid.points: grid is anisotropic"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_quantize_lines_off_the_domain_name_the_center(tmp_path, capsys):
     # the default lines start at the circle's center, 0.05 from the wall
     cfg = write_cfg(tmp_path, "scenario.kind = circle\nscenario.epsilon = 0.1\n"
@@ -504,12 +516,13 @@ def test_manufactured_runs_import_no_scipy(tmp_path):
 
 
 def test_solved_runs_import_only_the_transforms(tmp_path):
+    # the Newton matvec applies the stencil: no sparse matrix is built
     body = SOLVED_BUBBLE + "grid.points = 81, 81\nanalyses = norms\n"
     seen = probe_imports(tmp_path, body)
     assert seen["exit"] == 0
     assert seen["load"] == []
     assert "scipy.fft" in seen["run"]
-    for module in ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg"):
+    for module in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
         assert module not in seen["run"]
 
 

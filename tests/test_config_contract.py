@@ -207,6 +207,28 @@ def test_config_contract_cases(tmp_path, body):
     check_contract(tmp_path, GRID_2D + body)
 
 
+# An identity's default center is the interface point: (1.2, 0) for a
+# circle at (0.7, 0) with R = 0.5, outside the grid, so only the center key
+# can fix the refusal, with the default radii and with radii set.
+DEFAULT_CENTER = ("scenario.kind = circle\nscenario.center = 0.7, 0\n"
+                  "scenario.radius = 0.5\nanalyses = monotonicity\n")
+
+
+@pytest.mark.parametrize("radii, message", [
+    ("", "domain too small for a radius range"),
+    ("monotonicity.radii = 0.2, 0.5, 5\n", "2h domain margin on axis 0")],
+    ids=["default-radii", "radii-set"])
+def test_a_defaulted_center_is_named(tmp_path, radii, message):
+    body = GRID_2D + DEFAULT_CENTER + radii
+    check_contract(tmp_path, body)
+    cfg = tmp_path / "center.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    code, err = _command("validate", "--config", str(cfg))
+    assert code == 2
+    assert ("config error: monotonicity.center, monotonicity.radii: "
+            in err) and message in err
+
+
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(body=inline_configs())
 def test_config_contract(tmp_path_factory, body):
