@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .fields import Grid, ZERO_FLUX, PERIODIC
-from .measures import (AnalysisParams, corollary_holder_check,
+from .measures import (AnalysisParams, bump_half_widths,
+                       corollary_holder_check,
                        diffuse_mean_curvature_norm, eta_lq_norm,
                        first_variation_identity, norm_report,
                        smooth_test_field)
@@ -356,6 +357,9 @@ def _analysis_inputs(values: dict, scenario: Scenario, analyses) -> dict:
                 inputs[name] = [GDeltaParams(delta=delta, c0=gdelta["c0"])
                                 for delta in gdelta["delta"]]
         elif name == "firstvar":
+            # the test fields' bump needs more than 10 cells per axis
+            with _naming_keys(values, default=("grid.points",)):
+                bump_half_widths(g)
             inputs[name] = {"seed": scenario.seed + 100,
                             **_fields(values, "firstvar")}
     return inputs

@@ -24,6 +24,11 @@ from .fields import (ScalarField, VectorField, _central_difference,
                      ball_integrals, gradient, integrate)
 from .phasefield import PhaseFieldState, double_well
 
+# Nodes per slab of whole axis-0 planes in `first_variation_identity`: its
+# temporaries are a few slab-sized arrays, not grid-sized ones (2^16 is 3
+# planes of a 129^3 grid).
+_SLAB_NODES = 1 << 16
+
 
 @dataclass(frozen=True)
 class AnalysisParams:
@@ -251,63 +256,80 @@ def first_variation_identity(state: PhaseFieldState, eta: VectorField,
     dens = density_fields(state)
     grad_u = state_gradient(state)
     w = g.node_weights()
-
-    included, nu = state.derived(
-        ("unit_normal", params.grad_threshold),
-        lambda: _unit_normal(state, dens, params.grad_threshold))
-    # one derivative axis i at a time, so only d_i eta is ever held; the
-    # sums keep the order and the products of div_eta = sum_j d_j eta_j
-    # and grad_eta_nunu = sum_i sum_j (d_i eta_j nu_i) nu_j
-    div_eta = np.zeros(g.shape)
-    grad_eta_nunu = np.zeros(g.shape)
-    d_eta = np.empty_like(eta.values)
-    for i in range(g.ndim):
-        _central_difference(eta.values, g, i, d_eta)  # d_eta[j] = d_i eta_j
-        div_eta += d_eta[i]
-        d_eta *= nu[i]
-        d_eta *= nu  # d_eta[j] = (d_i eta_j nu_i) nu_j
-        for term in d_eta:
-            grad_eta_nunu += term
-    del d_eta, term  # before the integrals' temporaries
-
-    mu, xi = dens.mu.values, dens.xi.values
-    lhs = float(np.sum(np.where(included, (div_eta - grad_eta_nunu) * mu, 0.0) * w))
-    pairing = sum(grad_u[i] * eta.values[i] for i in range(g.ndim))
-    forcing = float(np.sum(state.f.values * pairing * w))
-    disc = float(np.sum(np.where(included, grad_eta_nunu * xi, 0.0) * w))
+    mu, xi, f = dens.mu.values, dens.xi.values, state.f.values
+    # each integrand is built slab by slab into a whole-grid buffer and
+    # summed by one np.sum over the grid: the same call on the same values
+    # as over whole-grid temporaries, so the same bits
+    lhs_w, disc_w = np.empty(g.shape), np.empty(g.shape)
+    for lo, hi in _slabs(g):
+        sl = slice(lo, hi)
+        # the mask eps|grad u| >= threshold and the unit normal on it (0
+        # elsewhere, and where grad u = 0)
+        grad_mag = dens.grad_mag.values[sl]
+        included = state.epsilon * grad_mag >= params.grad_threshold
+        nu = np.divide(grad_u[:, sl], grad_mag,
+                       out=np.zeros((g.ndim,) + grad_mag.shape),
+                       where=included & (grad_mag > 0))
+        # one derivative axis i at a time, so only d_i eta is ever held;
+        # the sums keep the order and the products of div_eta = sum_j
+        # d_j eta_j and grad_eta_nunu = sum_i sum_j (d_i eta_j nu_i) nu_j
+        div_eta = np.zeros(nu.shape[1:])
+        grad_eta_nunu = np.zeros(nu.shape[1:])
+        d_eta = np.empty_like(nu)
+        for i in range(g.ndim):  # d_eta[j] = d_i eta_j
+            if i == 0:  # reads one plane past each end of the slab
+                _central_difference(eta.values, g, 0, d_eta, lo, hi)
+            else:
+                _central_difference(eta.values[:, sl], g, i, d_eta)
+            div_eta += d_eta[i]
+            d_eta *= nu[i]
+            d_eta *= nu  # d_eta[j] = (d_i eta_j nu_i) nu_j
+            for term in d_eta:
+                grad_eta_nunu += term
+        np.multiply(np.where(included, (div_eta - grad_eta_nunu) * mu[sl],
+                             0.0), w[sl], out=lhs_w[sl])
+        np.multiply(np.where(included, grad_eta_nunu * xi[sl], 0.0), w[sl],
+                    out=disc_w[sl])
+    lhs, disc = float(np.sum(lhs_w)), float(np.sum(disc_w))
+    forcing_w = lhs_w  # free once lhs is summed
+    for lo, hi in _slabs(g):
+        sl = slice(lo, hi)
+        pairing = sum(grad_u[i, sl] * eta.values[i, sl]
+                      for i in range(g.ndim))
+        np.multiply(f[sl] * pairing, w[sl], out=forcing_w[sl])
+    forcing = float(np.sum(forcing_w))
     rhs = forcing + disc
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return FirstVariationResult(lhs=lhs, rhs=rhs, residual=residual,
                                 forcing_term=forcing, discrepancy_term=disc)
 
 
-def _unit_normal(state: PhaseFieldState, dens: DensityFields,
-                 threshold: float):
-    """The mask eps|grad u| >= threshold and the unit normal grad u/|grad u|
-    on it (0 elsewhere, and where grad u = 0), as read-only arrays."""
-    grad_mag = dens.grad_mag.values
-    included = state.epsilon * grad_mag >= threshold
-    grad = state_gradient(state)
-    nu = np.divide(grad, grad_mag, out=np.zeros_like(grad),
-                   where=included & (grad_mag > 0))
-    included.setflags(write=False)
-    nu.setflags(write=False)
-    return included, nu
+def _slabs(grid):
+    """(lo, hi) of consecutive runs of whole axis-0 planes, about
+    _SLAB_NODES nodes each (at least one plane)."""
+    n = grid.points[0]
+    step = max(1, _SLAB_NODES // int(np.prod(grid.points[1:])))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _require_compact_support(eta: VectorField, margin_cells: float = 4.0):
+def _require_compact_support(eta: VectorField):
+    """Refuse eta unless it vanishes (to 1e-12 of its peak) on the nodes
+    closer than 4h to a zero-flux face, the 4 outermost layers on each side
+    of each axis: max and min over those shells, never a grid mask."""
     g = eta.grid
     if g.boundary == "periodic":
         return
-    margin = margin_cells * g.h
-    near = np.zeros(g.shape, dtype=bool)
-    for ax, x in enumerate(g.meshgrid(sparse=True)):
-        near |= ((x - g.lo[ax] < margin - 1e-12 * g.h)
-                 | (g.hi[ax] - x < margin - 1e-12 * g.h))
-    mags = np.max(np.abs(eta.values), axis=0)
-    peak = float(np.max(mags)) if mags.size else 0.0
-    if peak > 0 and float(np.max(mags[near])) > 1e-12 * peak:
-        raise ValueError("eta must vanish within 4h of the domain boundary")
+
+    def peak(v):
+        return max(float(np.max(v)), -float(np.min(v)))
+
+    top = peak(eta.values)
+    for ax in range(g.ndim):
+        for shell in (slice(0, 4), slice(-4, None)):
+            layers = eta.values[(slice(None),) * (ax + 1) + (shell,)]
+            if peak(layers) > 1e-12 * top:
+                raise ValueError(
+                    "eta must vanish within 4h of the domain boundary")
 
 
 def eta_lq_norm(state: PhaseFieldState, eta: VectorField, q: float) -> float:
@@ -315,11 +337,28 @@ def eta_lq_norm(state: PhaseFieldState, eta: VectorField, q: float) -> float:
     bound on the first variation. q = inf gives the mu-essential sup: the
     max of |eta| over nodes carrying mu mass."""
     dens = density_fields(state)
-    mag = np.sqrt(np.sum(eta.values ** 2, axis=0))
+    # |eta|^2 summed a component at a time, in the order np.sum(axis=0) adds
+    mag = eta.values[0] ** 2
+    for comp in eta.values[1:]:
+        mag += comp ** 2
+    np.sqrt(mag, out=mag)
     w = state.grid.node_weights()
     if np.isinf(q):
         return float(np.max(mag, where=dens.mu.values * w > 0, initial=0.0))
-    return float(np.sum(mag ** q * dens.mu.values * w) ** (1.0 / q))
+    mag **= q  # now the integrand |eta|^q mu w, built in place
+    mag *= dens.mu.values
+    mag *= w
+    return float(np.sum(mag) ** (1.0 / q))
+
+
+def bump_half_widths(grid, margin_cells: float = 5.0) -> list[float]:
+    """Half-widths of the test field's bump on each axis: half the extent
+    less margin_cells*h. Refuses a grid on which one is not positive; on an
+    isotropic grid that depends on the point counts only."""
+    halves = [0.5 * ext - margin_cells * grid.h for ext in grid.extent]
+    if any(hw <= 0 for hw in halves):
+        raise ValueError("grid too small for a compactly supported test field")
+    return halves
 
 
 def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField:
@@ -329,11 +368,9 @@ def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField
     polynomial with seeded coefficients, so repeated calls are reproducible
     and the 4h compact-support precondition holds by construction.
     """
+    halves = bump_half_widths(grid, margin_cells)
     rng = np.random.default_rng(seed)
     centers = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
-    halves = [0.5 * ext - margin_cells * grid.h for ext in grid.extent]
-    if any(hw <= 0 for hw in halves):
-        raise ValueError("grid too small for a compactly supported test field")
     # every factor depends on one coordinate: evaluate it on the 1-d axis
     # (in broadcastable shape) and let the products fill the grid
     bump = np.ones(())
@@ -349,10 +386,15 @@ def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField
     out = np.empty((grid.ndim,) + grid.shape)
     for comp in out:
         poly = rng.uniform(-1.0, 1.0)
-        for s in scaled:
+        for s in scaled[:-1]:
             poly = poly + rng.uniform(-1.0, 1.0) * np.sin(np.pi * s)
             poly = poly + rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)
-        np.multiply(bump, poly, out=comp)
+        # the last axis's terms fill the grid: add them, and the bump, in
+        # place in the component
+        s = scaled[-1]
+        np.add(poly, rng.uniform(-1.0, 1.0) * np.sin(np.pi * s), out=comp)
+        comp += rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)
+        np.multiply(bump, comp, out=comp)
     return VectorField._adopt(grid, out)
 
 

@@ -140,9 +140,10 @@ class PhaseFieldState:
     """A triple (u, f, eps) with the max-norm residual of the discrete
     equation recorded at construction.
 
-    Arrays derived from the state (its gradient, the density fields, the
-    unit normal) are computed once through `derived` and kept for the
-    state's lifetime.
+    Arrays derived from the state (its gradient and the density fields)
+    are computed once through `derived` and kept for the state's lifetime.
+    The unit normal is not kept: the first variation forms it slab by slab
+    from the cached gradient.
     """
 
     u: ScalarField

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aclab.cli import ANALYSES, _KEYS, main
 
@@ -229,7 +229,12 @@ def test_a_defaulted_center_is_named(tmp_path, radii, message):
             in err) and message in err
 
 
+# The example: h = 1/4 leaves the test fields' bump no room inside its 5h
+# margins, so `validate` must refuse it as `run` does.
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(body=inline_configs())
+@example(body="scenario.kind = constant\nscenario.epsilon = 1.0\n"
+              "grid.extent = 2, 2\ngrid.origin = -1, -1\n"
+              "grid.points = 9, 9\nanalyses = firstvar\n")
 def test_config_contract(tmp_path_factory, body):
     check_contract(tmp_path_factory.getbasetemp(), body)

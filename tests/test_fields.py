@@ -6,7 +6,8 @@ import pytest
 from aclab import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
                    ZERO_FLUX, cumulative_ball_profile, gradient, integrate,
                    laplacian, line_sample, radial_derivative)
-from aclab.fields import ball_integrals, disc_integral, restrict_to_plane
+from aclab.fields import (_central_difference, ball_integrals,
+                          disc_integral, restrict_to_plane)
 
 
 def grid2d(n=65, boundary=ZERO_FLUX):
@@ -155,8 +156,21 @@ def test_stencils_match_roll_reference_bitwise(boundary, points):
         lap_ref += (_rolled(g, v, ax, 1) - 2.0 * v
                     + _rolled(g, v, ax, -1)) / g.h ** 2
     f = ScalarField(g, v)
+    # the axis-0 stencil on slabs of 1, 2, 3 and all planes, of a field
+    # stacked in front of the grid
+    n = g.points[0]
+    stacked_ref = np.stack([(_rolled(g, s, 0, 1) - _rolled(g, s, 0, -1))
+                            / (2.0 * g.h) for s in (v, -v)])
+    slabs = []
+    for step in (1, 2, 3, n):
+        out = np.empty((2,) + g.shape)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            _central_difference(np.stack([v, -v]), g, 0, out[:, lo:hi], lo,
+                                hi)
+        slabs.append((out, stacked_ref))
     for got, ref in ((gradient(f).values, grad_ref),
-                     (laplacian(f).values, lap_ref)):
+                     (laplacian(f).values, lap_ref), *slabs):
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 

@@ -1,10 +1,12 @@
 """Density fields, curvature norms, the first-variation identity, and the
 Hoelder chain."""
 
+import itertools
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField, VectorField,
                    diffuse_mean_curvature_norm, first_variation_identity,
                    make_state, norm_report, smooth_test_field, tilt_excess,
                    transition_region_split)
+from aclab import measures
 from aclab.measures import eta_lq_norm
 from aclab import (LayerSpec, build_layer_stack, build_radial_layer,
                    gradient, manufactured_forcing)
@@ -338,25 +341,37 @@ def first_variation_problems(draw):
     center = tuple(draw(st.floats(-0.1, 0.1)) for _ in range(ndim))
     threshold = draw(st.sampled_from((1e-8, 1e-3, 0.1)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
+    # axis-0 planes per slab: one, a few (the last slab shorter), or all
+    planes = draw(st.sampled_from((1, 2, 3, points[0])))
+    q = draw(st.sampled_from((1.5, 2.0, 3.0)))
     return (manufactured_ball_state(points, boundary, eps, radius, center),
-            AnalysisParams(grad_threshold=threshold), seed)
+            AnalysisParams(grad_threshold=threshold), seed, planes, q)
 
 
 @settings(max_examples=30, deadline=None)
 @given(first_variation_problems())
 def test_first_variation_equals_full_tensor_reference(problem):
-    state, params, seed = problem
+    state, params, seed, planes, q = problem
     eta = smooth_test_field(state.grid, seed)
-    res = first_variation_identity(state, eta, params)
+    slab_nodes = planes * int(np.prod(state.grid.shape[1:]))
+    with mock.patch.object(measures, "_SLAB_NODES", slab_nodes):
+        res = first_variation_identity(state, eta, params)
     lhs, rhs, forcing, disc = full_tensor_first_variation(state, eta, params)
     assert res.lhs == lhs and res.rhs == rhs
     assert res.forcing_term == forcing and res.discrepancy_term == disc
+    # |eta| of the whole (ndim,) + shape array at once as the reference
+    mu, w = density_fields(state).mu.values, state.grid.node_weights()
+    mag = np.sqrt(np.sum(eta.values ** 2, axis=0))
+    assert eta_lq_norm(state, eta, q) == np.sum(mag ** q * mu * w) ** (1 / q)
+    assert eta_lq_norm(state, eta, np.inf) == np.max(
+        mag, where=mu * w > 0, initial=0.0)
 
 
 def test_first_variation_and_test_field_memory_budget():
-    # traced peaks in units of one 3 x 65^3 float64 vector field; the
-    # densities exist already, as in `aclab run`, and the unit normal is
-    # built and cached inside the call
+    # traced peaks in units of one 3 x 65^3 float64 vector field, each the
+    # measured peak plus a quarter field; the densities exist already, as
+    # in `aclab run`, and the node weights are built inside the first call
+    # (a third of a field). At 65^3 one slab is 15 of the 65 planes.
     state = manufactured_ball_state((65, 65, 65), ZERO_FLUX, 0.1, 0.5)
     density_fields(state)
     size = 3 * 65 ** 3 * 8
@@ -369,9 +384,11 @@ def test_first_variation_and_test_field_memory_budget():
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(smooth_test_field, state.grid, 1) <= 2.5
+    assert traced_peak(smooth_test_field, state.grid, 1) <= 1.72
     eta = smooth_test_field(state.grid, 2)
-    assert traced_peak(first_variation_identity, state, eta) <= 3.5
+    assert traced_peak(first_variation_identity, state, eta) <= 2.13
+    for q in (1.5, np.inf):
+        assert traced_peak(eta_lq_norm, state, eta, q) <= 0.96
 
 
 def stacked_test_field(grid, seed, sparse, margin_cells=5.0):
@@ -417,11 +434,28 @@ def test_smooth_test_field_matches_meshgrid_reference(boundary, points):
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
-def test_first_variation_rejects_boundary_support(circle_state):
-    g = circle_state.grid
-    eta = VectorField(g, np.ones((2,) + g.shape))
-    with pytest.raises(ValueError, match="vanish within 4h"):
-        first_variation_identity(circle_state, eta)
+def test_first_variation_rejects_boundary_support():
+    # one nonzero node of eta at a time: on a face's outermost layer (0), on
+    # the innermost layer of its 4h shell (3), or one node past the shell
+    # (4), counted from the face, on each side of each axis; a zero-flux
+    # grid refuses the first two, a periodic grid takes every case
+    for boundary in (ZERO_FLUX, PERIODIC):
+        for ndim in (2, 3):
+            state = manufactured_ball_state((16,) * ndim, boundary, 0.12, 0.2)
+            for axis, side, layer in itertools.product(
+                    range(ndim), ("low", "high"), (0, 3, 4)):
+                node = [8] * ndim
+                node[axis] = layer if side == "low" else 15 - layer
+                values = np.zeros((ndim,) + state.grid.shape)
+                values[(ndim - 1, *node)] = 0.5
+                eta = VectorField(state.grid, values)
+                case = (boundary, ndim, axis, side, layer)
+                if boundary == ZERO_FLUX and layer < 4:
+                    with pytest.raises(ValueError, match="vanish within 4h"):
+                        first_variation_identity(state, eta)
+                        pytest.fail(f"accepted {case}")
+                else:
+                    first_variation_identity(state, eta)
 
 
 # ---------------------------------------------------------------- transition
