@@ -7,7 +7,19 @@ density ratios, the first-variation identity, and integer quantization of
 layer energy.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# numpy's bundled OpenBLAS starts its thread pool when numpy is imported.
+# The package makes no BLAS call large enough to gain from threads, and the
+# pool's start-up, its threaded 64x64 `eigh` (`phasefield.InterfaceSpace`)
+# and its spinning cost more than that. So it defaults to one thread, set
+# here, ahead of the package's first numpy import; a thread count the user
+# sets wins, and where numpy was imported first this has no effect.
+if not any(name in os.environ for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .fields import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
                      ZERO_FLUX, cumulative_ball_profile, gradient, integrate,

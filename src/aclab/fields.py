@@ -238,18 +238,9 @@ def gradient(f: ScalarField) -> VectorField:
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    """Standard (2*dim+1)-point second-order Laplacian."""
-    out = np.empty(f.grid.shape)
-    _laplacian_into(f.values, f.grid, out, np.empty(f.grid.shape))
-    return ScalarField._adopt(f.grid, out)
-
-
-def _laplacian_into(v: np.ndarray, grid: Grid, out: np.ndarray,
-                    term: np.ndarray):
-    """out = lap_h v, summed axis by axis, with term a scratch array of the
-    grid's shape: the one Laplacian stencil, for callers that keep their
-    buffers (the Newton matvec)."""
-    out.fill(0.0)
+    """Standard (2*dim+1)-point second-order Laplacian, summed axis by axis."""
+    grid, v = f.grid, f.values
+    out, term = np.zeros(grid.shape), np.empty(grid.shape)
     for ax in range(grid.ndim):
         for nodes, plus, minus in _neighbours(grid, ax):
             np.multiply(v[nodes], 2.0, out=term[nodes])
@@ -257,6 +248,21 @@ def _laplacian_into(v: np.ndarray, grid: Grid, out: np.ndarray,
             term[nodes] += v[minus]
         term /= grid.h ** 2
         out += term
+    return ScalarField._adopt(grid, out)
+
+
+def _neighbour_sum_into(v: np.ndarray, grid: Grid, out: np.ndarray):
+    """out = sum over the axes of v[i+1] + v[i-1], with the ghosts of
+    _neighbours: h^2 times the off-diagonal part of the Laplacian stencil,
+    into a buffer the caller keeps (the Newton matvec). The sum is in
+    another order than `laplacian`'s, so the two differ in the last bits."""
+    for ax in range(grid.ndim):
+        for nodes, plus, minus in _neighbours(grid, ax):
+            if ax == 0:
+                np.add(v[plus], v[minus], out=out[nodes])
+            else:
+                out[nodes] += v[plus]
+                out[nodes] += v[minus]
 
 
 def _check_ball_margin(grid: Grid, center, radius, what="ball region",

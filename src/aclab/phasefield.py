@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (PERIODIC, ZERO_FLUX, Grid, ScalarField,
-                     _central_difference, _laplacian_into, laplacian)
+                     _central_difference, _neighbour_sum_into, laplacian)
 
 
 class SolverError(RuntimeError):
@@ -569,13 +569,15 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     i.e. (I/dtau - J) on pseudo-transient steps and -J (1/dtau dropped) on
     pure-Newton steps. With D = node_weights/h^d, D*K is symmetric, so
     MINRES runs on D*K du = D*rhs (the same iterates as on the symmetrised
-    D^{1/2} K D^{-1/2}). The matvec applies the stencil of `laplacian` into
-    preallocated buffers; no matrix is assembled. The preconditioner is
-    (D*P)^{-1} with P = c*I - eps*lap_h and c = max|diag|: symmetric
-    positive definite, and applied exactly by DCT-I (zero-flux) or FFT
-    (periodic). With `coarse`, an `InterfaceSpace` of a pure-Newton step,
-    its correction is added to it (still SPD). MINRES stops at relative
-    residual rtol.
+    D^{1/2} K D^{-1/2}). The matvec applies D*K as one fused operator,
+    centre*x - off*S(x) with S the neighbour sum of the Laplacian stencil
+    (`fields._neighbour_sum_into`), centre = D*(diag + 2 nd eps/h^2) and
+    off = D*eps/h^2, into preallocated buffers; no matrix is assembled.
+    The preconditioner is (D*P)^{-1} with P = c*I - eps*lap_h and
+    c = max|diag|: symmetric positive definite, and applied exactly by
+    DCT-I (zero-flux) or FFT (periodic). With `coarse`, an
+    `InterfaceSpace` of a pure-Newton step, its correction is added to it
+    (still SPD). MINRES stops at relative residual rtol.
     """
     import scipy.fft
 
@@ -585,21 +587,25 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     c = float(np.max(np.abs(diag)))
     inv_symbol = 1.0 / (c + epsilon * _laplacian_eigenvalues(
         grid.points, grid.h, grid.boundary))
-    d_diag, d_eps = d * diag, (epsilon * d).reshape(shape)
-    lap, term = np.empty(shape), np.empty(shape)
+    coupling = epsilon / grid.h ** 2
+    centre = diag + 2.0 * grid.ndim * coupling
+    centre *= d
+    off = (d * coupling).reshape(shape)
+    spread, scaled = np.empty(shape), np.empty(d.size)
     # minres keeps the two products before the last, so three buffers rotate
     products = [np.empty(d.size) for _ in range(3)]
 
     def matvec(x):
         y = products.pop(0)
         products.append(y)
-        _laplacian_into(x.reshape(shape), grid, lap, term)
-        np.multiply(d_diag, x, out=y)
-        y -= np.multiply(lap, d_eps, out=lap).ravel()
+        _neighbour_sum_into(x.reshape(shape), grid, spread)
+        np.multiply(centre, x, out=y)
+        y -= np.multiply(spread, off, out=spread).ravel()
         return y
 
     def precondition(y):
-        y = (y / d).reshape(shape)
+        # the DCT runs in place: x is the buffer `scaled` until the next call
+        y = np.divide(y, d, out=scaled).reshape(shape)
         if grid.boundary == PERIODIC:
             x = scipy.fft.ifftn(scipy.fft.fftn(y) * inv_symbol).real
         else:
@@ -610,10 +616,11 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
 
     if coarse is not None and coarse.weights.size:
         plain = precondition
+        work = np.empty(shape)
 
         def precondition(y):
             x = plain(y)
-            coarse.add_correction(y.reshape(shape), x.reshape(shape), term)
+            coarse.add_correction(y.reshape(shape), x.reshape(shape), work)
             return x
 
     du, _ = minres(matvec, precondition, d * rhs.ravel(), rtol=rtol,

@@ -494,11 +494,12 @@ grid.origin = -1, -1
 
 def run_child(args, **env):
     """Run python with args and aclab on its path; extra environment
-    variables apply to the child only."""
+    variables apply to the child only, and one given as None is unset."""
     src = Path(aclab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
     proc = subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=str(src), **env))
+                          env={k: v for k, v in env.items() if v is not None})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -526,17 +527,44 @@ def test_solved_runs_import_only_the_transforms(tmp_path):
         assert module not in seen["run"]
 
 
+# every variable that sets OpenBLAS's thread count, unset: the pytest
+# process itself imported aclab, which sets OPENBLAS_NUM_THREADS
+NO_BLAS_THREADS = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+
+THREAD_PROBE = """
+import json, os
+import aclab
+tasks = "/proc/self/task"
+print(json.dumps({"openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir(tasks))
+                  if os.path.isdir(tasks) else None}))
+"""
+
+
+@pytest.mark.parametrize("env,want", [
+    ({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, None), ({"GOTO_NUM_THREADS": "2"}, None)])
+def test_import_defaults_blas_to_one_thread(env, want):
+    seen = json.loads(run_child(["-c", THREAD_PROBE],
+                                **{**NO_BLAS_THREADS, **env}))
+    assert seen["openblas"] == want
+    if not env and seen["threads"] is not None:
+        # numpy's import started no BLAS worker thread
+        assert seen["threads"] == 1
+
+
 def test_solved_csvs_do_not_depend_on_blas_threads(tmp_path):
     # 161^2 = 25921 nodes: above the size at which OpenBLAS threads a dot
     cfg = write_cfg(tmp_path, SOLVED_BUBBLE + "grid.points = 161, 161\n"
                     "analyses = norms, sweep\n")
     outs = []
-    for threads in ("1", "2"):
+    for threads in (None, "1", "2"):  # None: aclab's default
         out = tmp_path / f"out-{threads}"
         run_child(["-m", "aclab", "run", "--config", cfg, "--out", out],
-                  OPENBLAS_NUM_THREADS=threads)
+                  **{**NO_BLAS_THREADS, "OPENBLAS_NUM_THREADS": threads})
         outs.append(out)
     csvs = sorted(p.name for p in outs[0].glob("*.csv"))
     assert csvs == ["norms.csv", "sweep.csv"]
     for name in csvs:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert len({out.joinpath(name).read_bytes() for out in outs}) == 1

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from aclab import (Grid, LayerSpec, PERIODIC, ScalarField, SolverError,
                    ZERO_FLUX, build_layer_stack, build_radial_layer,
@@ -343,6 +344,37 @@ def minres_arguments(monkeypatch, *args, **kwargs):
     phasefield.spsolve(*args, **kwargs)
     monkeypatch.setattr(phasefield, "minres", minres)
     return calls[0]
+
+
+@st.composite
+def operator_problems(draw):
+    """A grid of 1-3 axes of 8 (the smallest allowed) or more points, odd
+    and even, on either boundary; eps; a diagonal; and a vector x."""
+    boundary = draw(st.sampled_from([ZERO_FLUX, PERIODIC]))
+    ndim = draw(st.integers(1, 3))
+    points = tuple(draw(st.integers(8, 12 if ndim == 3 else 21))
+                   for _ in range(ndim))
+    h = 0.1
+    g = Grid(extent=tuple(h * (n if boundary == PERIODIC else n - 1)
+                          for n in points), points=points, boundary=boundary)
+    eps = draw(st.floats(2.0, 6.0)) * h
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    diag = (2.0 + rng.uniform(-1.0, 1.0, g.shape)) / eps
+    return g, eps, diag, rng.standard_normal(g.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_problems())
+def test_fused_operator_equals_the_laplacian_form(problem):
+    # the matvec's centre*x - off*S(x) is D*(diag*x - eps*lap_h x) with the
+    # sum in another order
+    g, eps, diag, x = problem
+    with pytest.MonkeyPatch.context() as mp:
+        (matvec, _, _), _ = minres_arguments(mp, g, eps, diag, x)
+    d = g.node_weights() / g.h ** g.ndim
+    want = (d * (diag * x - eps * laplacian(ScalarField(g, x)).values)).ravel()
+    got = matvec(x.ravel())
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def check_against_scipy_minres(matvec, psolve, b, kwargs):
