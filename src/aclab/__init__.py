@@ -25,7 +25,7 @@ from .fields import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
                      ZERO_FLUX, cumulative_ball_profile, gradient, integrate,
                      interpolate, laplacian, line_sample, radial_derivative)
 from .measures import (AnalysisParams, DensityFields, NormReport,
-                       corollary_holder_check, density_fields,
+                       SmoothTestField, corollary_holder_check, density_fields,
                        diffuse_mean_curvature_norm, first_variation_identity,
                        norm_report, smooth_test_field, tilt_excess,
                        transition_region_split)

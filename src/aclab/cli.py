@@ -23,11 +23,10 @@ import numpy as np
 
 from . import __version__
 from .fields import Grid, ZERO_FLUX, PERIODIC
-from .measures import (AnalysisParams, bump_half_widths,
+from .measures import (AnalysisParams, SmoothTestField, bump_half_widths,
                        corollary_holder_check,
                        diffuse_mean_curvature_norm, eta_lq_norm,
-                       first_variation_identity, norm_report,
-                       smooth_test_field)
+                       first_variation_identity, norm_report)
 from .monotonicity import check_geometry, monotonicity_report, slab_report
 from .proofdevices import GDeltaParams, g_delta_ledger
 from .quantization import quantization_check
@@ -567,7 +566,8 @@ def _run_firstvar(cfg: RunConfig, states):
     worst = 0.0
     duality_ok = True
     for k in range(inputs["count"]):
-        eta = smooth_test_field(st.grid, inputs["seed"] + k)
+        # generated a slab at a time as it is read, never held whole
+        eta = SmoothTestField(st.grid, inputs["seed"] + k)
         res = first_variation_identity(st, eta, params)
         bound = lam ** (1.0 / q0) * eta_lq_norm(st, eta, conjugate)
         ok = abs(res.lhs) <= bound * (1.0 + 1e-6)
@@ -575,9 +575,6 @@ def _run_firstvar(cfg: RunConfig, states):
         worst = max(worst, res.residual)
         rows.append((str(k), _fmt(res.lhs), _fmt(res.rhs), _fmt(res.residual),
                      _fmt(bound), "1" if ok else "0"))
-        # freed before the next field is built, so that the new field and
-        # its temporaries are not allocated on top of the old one
-        del eta, res
     header = ("field_id", "lhs", "rhs", "residual", "duality_bound",
               "duality_holds")
     frag = {"values": {"max_residual": worst},

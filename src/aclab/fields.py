@@ -23,6 +23,15 @@ _BOUNDARIES = (PERIODIC, ZERO_FLUX)
 # node is deeper than half the cell diagonal, fully outside when farther.
 _CELL_DIAG = {1: 0.5, 2: 0.5 * np.sqrt(2.0), 3: 0.5 * np.sqrt(3.0)}
 
+# A whole-grid integrand is built one slab of whole axis-0 planes at a time
+# (see _slabs), so its temporaries are slab-sized. A slab is about
+# 1/_SLAB_SHARE of the grid, so that the temporaries of a pass stay a small
+# part of one grid array, and between _SLAB_NODES and 8 _SLAB_NODES nodes,
+# so that numpy's cost per call stays small against the work and a slab's
+# arrays stay in cache: one plane of 65^3, two of 81^3, three of 129^3.
+_SLAB_SHARE = 40
+_SLAB_NODES = 1 << 13
+
 
 class RegionError(ValueError):
     """A region violates its placement preconditions (margins, degeneracy)."""
@@ -186,6 +195,11 @@ class VectorField(_Field):
 
     _vector = True
 
+    def planes(self, idx) -> np.ndarray:
+        """The components on the axis-0 grid planes idx (a slice or an index
+        array): a view for a slice."""
+        return self.values[:, idx]
+
 
 def _neighbours(grid: Grid, axis: int, lo: int = 0, hi: int = None):
     """Index triples (nodes, i+1 neighbours, i-1 neighbours) along one axis,
@@ -293,9 +307,12 @@ class _BallQuadrature:
     cell diagonal of the center on every axis: every node outside it is
     fully outside, and boolean gathers over the box take the same elements
     in the same order as over the whole grid, so every sum is unchanged.
+    Node distances are kept on the box of `max_radius`, the largest radius
+    asked for, only; the box of a smaller radius lies inside it.
     """
 
-    def __init__(self, grid: Grid, center, supersample: int, t_lo=None, t_hi=None):
+    def __init__(self, grid: Grid, center, supersample: int,
+                 max_radius: float, t_lo=None, t_hi=None):
         if supersample < 1:
             raise ValueError("supersample must be >= 1")
         self.grid = grid
@@ -305,10 +322,13 @@ class _BallQuadrature:
         self.supersample = int(supersample)
         self.t_lo = t_lo
         self.t_hi = t_hi
-        mesh = grid.meshgrid(sparse=True)
-        rel = [m - c for m, c in zip(mesh, self.center)]
-        self.dist = np.sqrt(sum(r * r for r in rel))
         self.half_diag = _CELL_DIAG[grid.ndim] * grid.h
+        self.box = self._window(max_radius)
+        mesh = grid.meshgrid(sparse=True)
+        rel = [(m - c)[(slice(None),) * ax + (self.box[ax],)]
+               for ax, (m, c) in enumerate(zip(mesh, self.center))]
+        self.dist = sum(r * r for r in rel)
+        np.sqrt(self.dist, out=self.dist)
         # subcell-center offsets along one axis, relative to the node
         s = self.supersample
         self._offsets = (np.arange(s) + 0.5) / s * grid.h - 0.5 * grid.h
@@ -334,37 +354,52 @@ class _BallQuadrature:
         """Share of the supersample^d subcell centers of each band cell that
         lie in the region. Squared distances are sums of per-axis tables
         ((x + o) - c)^2 taken in axis order, the order in which numpy sums
-        the coordinate axis of a (cells, subcells, ndim) array."""
+        the coordinate axis of a (cells, subcells, ndim) array. The cells go
+        in chunks of about 2 _SLAB_NODES subcells, so that the squared
+        distances are never held for the whole band."""
         g = self.grid
-        cells = np.nonzero(band)
-        nb, s = len(cells[0]), self.supersample
+        flat = np.flatnonzero(band)
+        nb, s = len(flat), self.supersample
+        tables = [(g.axis_coords(ax)[window[ax], None] + self._offsets
+                   - self.center[ax]) ** 2 for ax in range(g.ndim)]
+        if self.t_lo is not None:  # the last axis' subcells inside the slab
+            sub = g.axis_coords(g.ndim - 1)[window[-1], None] + self._offsets
+            in_slab = (sub >= self.t_lo) & (sub <= self.t_hi)
+        frac = np.empty(nb)
+        step = max(1, 2 * _SLAB_NODES // s ** g.ndim)
+        for lo in range(0, nb, step):
+            chunk = np.unravel_index(flat[lo:lo + step], band.shape)
+            m = len(chunk[0])
 
-        def rows(table, ax):
-            shape = [nb] + [1] * g.ndim
-            shape[1 + ax] = s
-            return table[cells[ax]].reshape(shape)
+            def rows(table, ax):
+                shape = [m] + [1] * g.ndim
+                shape[1 + ax] = s
+                return table[chunk[ax]].reshape(shape)
 
-        d2 = None
-        for ax in range(g.ndim):
-            sub = g.axis_coords(ax)[window[ax], None] + self._offsets
-            term = rows((sub - self.center[ax]) ** 2, ax)
-            d2 = term if d2 is None else d2 + term
-        inside = d2 <= radius * radius
-        if self.t_lo is not None:  # sub holds the last axis' subcell coords
-            inside &= rows((sub >= self.t_lo) & (sub <= self.t_hi), g.ndim - 1)
-        return np.count_nonzero(inside.reshape(nb, -1), axis=1) / s ** g.ndim
+            d2 = rows(tables[0], 0)
+            for ax in range(1, g.ndim):
+                d2 = d2 + rows(tables[ax], ax)
+            inside = d2 <= radius * radius
+            if self.t_lo is not None:
+                inside &= rows(in_slab, g.ndim - 1)
+            frac[lo:lo + m] = (np.count_nonzero(inside.reshape(m, -1), axis=1)
+                               / s ** g.ndim)
+        return frac
 
     def integral_many(self, values_list, radius: float) -> list[float]:
         """Integrals of each node array over the region at one radius."""
         g = self.grid
         window = self._window(radius)
-        dist = self.dist[window]
+        dist = self.dist[tuple(slice(w.start - b.start, w.stop - b.start)
+                               for w, b in zip(window, self.box))]
+        # band = neither full nor empty, built in place: full lies in
+        # ~empty, the nodes not fully outside
         full = dist <= radius - self.half_diag
-        empty = dist >= radius + self.half_diag
+        band = dist < radius + self.half_diag
         if self.t_lo is not None:
             full &= self._slab_in[..., window[-1]]
-            empty |= self._slab_out[..., window[-1]]
-        band = ~(full | empty)
+            band &= ~self._slab_out[..., window[-1]]
+        band ^= full
         frac = self._band_fractions(window, band, radius) if band.any() else None
         out = []
         for values in values_list:
@@ -395,14 +430,51 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
     if slab is not None and not slab[0] < slab[1]:
         raise RegionError(f"degenerate slab: t_lo={slab[0]} >= t_hi={slab[1]}")
     quad = _BallQuadrature(grid, np.atleast_1d(center), supersample,
-                           *(slab or ()))
+                           radii[-1], *(slab or ()))
     _check_ball_margin(grid, quad.center, radii[-1], slab=slab)
     return np.array([quad.integral_many(arrays, r) for r in radii])
 
 
+def _slabs(grid: Grid) -> list[slice]:
+    """Consecutive runs of whole axis-0 planes that cover the grid in order,
+    of the size _SLAB_SHARE and _SLAB_NODES set (at least one plane)."""
+    n, plane = grid.points[0], int(np.prod(grid.points[1:]))
+    nodes = min(max(n * plane // _SLAB_SHARE, _SLAB_NODES), 8 * _SLAB_NODES)
+    step = max(1, nodes // plane)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _buffers(grid: Grid, count: int) -> list[np.ndarray]:
+    """`count` whole-grid arrays for `_stream`, owned by the call that asks
+    for them: one allocation, which the allocator keeps for the next call
+    instead of mapping fresh pages for each array (a `circle` run: 33k page
+    faults, against 82k with one allocation per array)."""
+    return list(np.empty((count,) + grid.shape))
+
+
+def _stream(grid: Grid, fill, out: list) -> list:
+    """Fill the whole-grid arrays `out` one slab at a time: fill(sl) returns
+    their values on the axis-0 planes sl (see _slabs), so every temporary of
+    the integrands is slab-sized. A call may refill its buffers pass after
+    pass."""
+    for sl in _slabs(grid):
+        for buf, values in zip(out, fill(sl), strict=True):
+            buf[sl] = values
+    return out
+
+
+def _stream_sums(grid: Grid, fill, out: list) -> list:
+    """np.sum of each array `_stream` fills: one sum over a whole-grid array
+    holding the values a whole-grid temporary would, so the same bits."""
+    return [np.sum(a) for a in _stream(grid, fill, out)]
+
+
 def integrate(f: ScalarField) -> float:
     """Integral of a field over the whole domain (see Grid.node_weights)."""
-    return float(np.sum(f.values * f.grid.node_weights()))
+    v, w = f.values, f.grid.node_weights()
+    total, = _stream_sums(f.grid, lambda sl: (v[sl] * w[sl],),
+                          _buffers(f.grid, 1))
+    return float(total)
 
 
 def cumulative_ball_profile(f: ScalarField, center, radii,

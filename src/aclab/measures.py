@@ -20,14 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, _central_difference,
-                     ball_integrals, gradient, integrate)
+from .fields import (PERIODIC, ScalarField, VectorField, _buffers,
+                     _central_difference, _slabs, _stream, _stream_sums,
+                     ball_integrals, gradient)
 from .phasefield import PhaseFieldState, double_well
-
-# Nodes per slab of whole axis-0 planes in `first_variation_identity`: its
-# temporaries are a few slab-sized arrays, not grid-sized ones (2^16 is 3
-# planes of a 129^3 grid).
-_SLAB_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,16 +95,22 @@ def density_fields(state: PhaseFieldState) -> DensityFields:
 def _density_fields(state: PhaseFieldState) -> DensityFields:
     g = state.grid
     eps = state.epsilon
-    grad = state_gradient(state)
-    grad_sq = np.sum(grad * grad, axis=0)
-    w = double_well(state.u.values)
-    mu = 0.5 * eps * grad_sq + w / eps
-    xi = 0.5 * eps * grad_sq - w / eps
+    grad, u = state_gradient(state), state.u.values
+
+    def fill(sl):
+        part = grad[:, sl]
+        grad_sq = np.sum(part * part, axis=0)
+        w = double_well(u[sl])
+        mu = 0.5 * eps * grad_sq + w / eps
+        xi = 0.5 * eps * grad_sq - w / eps
+        return mu, xi, np.maximum(xi, 0.0), np.sqrt(grad_sq)
+
+    mu, xi, xi_plus, grad_mag = _stream(g, fill, _buffers(g, 4))
     return DensityFields(
         mu=ScalarField._adopt(g, mu),
         xi=ScalarField._adopt(g, xi),
-        xi_plus=ScalarField._adopt(g, np.maximum(xi, 0.0)),
-        grad_mag=ScalarField._adopt(g, np.sqrt(grad_sq)),
+        xi_plus=ScalarField._adopt(g, xi_plus),
+        grad_mag=ScalarField._adopt(g, grad_mag),
     )
 
 
@@ -118,24 +120,35 @@ def tilt_excess(state: PhaseFieldState, center, radius: float,
     eps*|grad u|^2 sqrt(1 - nu_axis^2), which is zero wherever grad u
     vanishes; built on each call from the cached gradient."""
     grad = state_gradient(state)
-    grad_sq = np.sum(grad * grad, axis=0)
-    tangential = np.clip(grad_sq - grad[axis] ** 2, 0.0, None)
-    tilt = state.epsilon * np.sqrt(grad_sq) * np.sqrt(tangential)
-    return float(ball_integrals(state.grid, [tilt], center, [radius],
+
+    def fill(sl):
+        part = grad[:, sl]
+        grad_sq = np.sum(part * part, axis=0)
+        tangential = np.clip(grad_sq - part[axis] ** 2, 0.0, None)
+        return (state.epsilon * np.sqrt(grad_sq) * np.sqrt(tangential),)
+
+    tilt = _stream(state.grid, fill, _buffers(state.grid, 1))
+    return float(ball_integrals(state.grid, tilt, center, [radius],
                                 supersample)[0, 0])
 
 
-def _curvature_quotient(state: PhaseFieldState, threshold: float):
-    """|f|/(eps|grad u|) on cells with eps|grad u| >= threshold (0 elsewhere,
-    and where a zero gradient makes it non-finite), the eps|grad u|^2 mass,
-    and the inclusion mask."""
-    eps = state.epsilon
-    grad_mag = density_fields(state).grad_mag.values
+def _finite(*sums):
+    """The sums, refused like a field of their integrand's values would be
+    if one is not finite."""
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("field values must be finite")
+    return sums
+
+
+def _curvature_quotient(grad_mag, f, eps: float, threshold: float):
+    """On the nodes of the arrays given: |f|/(eps|grad u|) where
+    eps|grad u| >= threshold (0 elsewhere, and where a zero gradient makes
+    it non-finite), the eps|grad u|^2 mass, and the inclusion mask."""
     eps_grad = eps * grad_mag
     mass = eps * grad_mag ** 2
     included = eps_grad >= threshold
     with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.where(included, np.abs(state.f.values) / eps_grad, 0.0)
+        quotient = np.where(included, np.abs(f) / eps_grad, 0.0)
     quotient = np.where(np.isfinite(quotient), quotient, 0.0)
     return quotient, mass, included
 
@@ -148,11 +161,26 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
     as a fraction of the total so silent truncation is visible.
     """
     q0 = params.resolve_q0(state.grid.ndim)
-    quotient, mass, included = _curvature_quotient(state, params.grad_threshold)
     g = state.grid
-    lam = integrate(ScalarField._adopt(g, quotient ** q0 * mass))
-    total_mass = integrate(ScalarField._adopt(g, mass))
-    excl = integrate(ScalarField._adopt(g, np.where(included, 0.0, mass)))
+    grad_mag, f = density_fields(state).grad_mag.values, state.f.values
+    w = g.node_weights()
+
+    def parts(sl):
+        return _curvature_quotient(grad_mag[sl], f[sl], state.epsilon,
+                                   params.grad_threshold)
+
+    def lam_and_mass(sl):
+        quotient, mass, _ = parts(sl)
+        return quotient ** q0 * mass * w[sl], mass * w[sl]
+
+    def excluded(sl):
+        _, mass, included = parts(sl)
+        return (np.where(included, 0.0, mass) * w[sl],)
+
+    # two passes through two buffers, so that no more are ever held
+    bufs = _buffers(g, 2)
+    lam, total_mass = _finite(*_stream_sums(g, lam_and_mass, bufs))
+    excl, = _finite(*_stream_sums(g, excluded, bufs[:1]))
     fraction = excl / total_mass if total_mass > 0 else 0.0
     return float(lam), float(fraction)
 
@@ -164,15 +192,21 @@ def norm_report(state: PhaseFieldState,
     eps = state.epsilon
     dens = density_fields(state)
     lam, fraction = diffuse_mean_curvature_norm(state, params)
+    mu, xi, xi_plus = dens.mu.values, dens.xi.values, dens.xi_plus.values
+    f, w, bufs = state.f.values, g.node_weights(), _buffers(g, 2)
+    xi_abs, f_sq = _finite(*_stream_sums(
+        g, lambda sl: (np.abs(xi[sl]) * w[sl], f[sl] ** 2 * w[sl]), bufs))
+    energy, xi_plus_mass = _stream_sums(
+        g, lambda sl: (mu[sl] * w[sl], xi_plus[sl] * w[sl]), bufs)
     return NormReport(
-        total_energy=integrate(dens.mu),
-        sup_u=float(np.max(np.abs(state.u.values))),
+        total_energy=float(energy),
+        sup_u=max(float(np.max(np.abs(state.u.values[sl])))
+                  for sl in _slabs(g)),
         lambda_hat=lam,
         sup_eps_grad=float(eps * np.max(dens.grad_mag.values)),
-        xi_plus_mass=integrate(dens.xi_plus),
-        xi_abs_mass=integrate(ScalarField._adopt(g, np.abs(dens.xi.values))),
-        f_l2_over_eps=integrate(
-            ScalarField._adopt(g, state.f.values ** 2)) / eps,
+        xi_plus_mass=float(xi_plus_mass),
+        xi_abs_mass=float(xi_abs),
+        f_l2_over_eps=float(f_sq) / eps,
         excluded_mass_fraction=fraction,
     )
 
@@ -198,7 +232,8 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
 
     where C2 is restricted to cells above the gradient threshold, exactly
     like Lambda_hat itself. The inequality is exact for the shared cell
-    quadrature, so any violation indicates a quadrature bug.
+    quadrature, so any violation indicates a quadrature bug; `holds` is
+    decided at the scale max|f| = 1 where the reported sides underflow.
     """
     if not s > 2:
         raise ValueError("s must exceed 2")
@@ -213,13 +248,35 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
     check_params = AnalysisParams(q0=q0, grad_threshold=params.grad_threshold,
                                   supersample=params.supersample, tau=params.tau)
     lhs, _ = diffuse_mean_curvature_norm(state, check_params)
+    grad_mag, f = density_fields(state).grad_mag.values, state.f.values
     w = g.node_weights()
-    c1 = (np.sum(np.abs(state.f.values) ** s * w)) ** (1.0 / s) / np.sqrt(eps)
-    quotient, _, _ = _curvature_quotient(state, params.grad_threshold)
-    c2 = (np.sum(quotient ** t * w)) ** (1.0 / t)
+
+    def powers(sl):
+        quotient, _, _ = _curvature_quotient(grad_mag[sl], f[sl], eps,
+                                             params.grad_threshold)
+        return np.abs(f[sl]) ** s * w[sl], quotient ** t * w[sl]
+
+    f_s, quotient_t = _stream_sums(g, powers, _buffers(g, 2))
+    c1 = f_s ** (1.0 / s) / np.sqrt(eps)
+    c2 = quotient_t ** (1.0 / t)
     rhs = c1 ** 2 * c2 ** (q0 - 2.0)
-    return HolderCheck(lhs=float(lhs), rhs=float(rhs),
-                       holds=bool(lhs <= rhs * (1.0 + 1e-9)),
+    holds = bool(lhs <= rhs * (1.0 + 1e-9))
+    if not holds:
+        # a tiny f can underflow the powers of |f| and of the quotient to 0;
+        # the chain is homogeneous of degree q0 in f, so decide it again
+        # for f / max|f|, in sums over slabs (only the comparison is kept)
+        peak = max(float(np.max(np.abs(f[sl]))) for sl in _slabs(g))
+        lam = f_s = quotient_t = 0.0
+        for sl in _slabs(g):
+            scaled = f[sl] / peak
+            quotient, mass, _ = _curvature_quotient(grad_mag[sl], scaled, eps,
+                                                    params.grad_threshold)
+            lam += np.sum(quotient ** q0 * mass * w[sl])
+            f_s += np.sum(np.abs(scaled) ** s * w[sl])
+            quotient_t += np.sum(quotient ** t * w[sl])
+        holds = bool(lam <= f_s ** (2.0 / s) / eps
+                     * quotient_t ** ((q0 - 2.0) / t) * (1.0 + 1e-9))
+    return HolderCheck(lhs=float(lhs), rhs=float(rhs), holds=holds,
                        q0=q0, c1=float(c1), c2=float(c2))
 
 
@@ -232,7 +289,7 @@ class FirstVariationResult:
     discrepancy_term: float
 
 
-def first_variation_identity(state: PhaseFieldState, eta: VectorField,
+def first_variation_identity(state: PhaseFieldState, eta,
                              params: AnalysisParams = AnalysisParams()
                              ) -> FirstVariationResult:
     """Both sides of the first-variation identity by independent quadratures.
@@ -248,21 +305,38 @@ def first_variation_identity(state: PhaseFieldState, eta: VectorField,
 
     Both sides vanish together in the continuum; the reported residual
     |lhs - rhs| / (1 + |lhs| + |rhs|) is pure discretization error.
+
+    eta, a VectorField or a SmoothTestField, is read one slab of axis-0
+    planes at a time. On a zero-flux grid it must vanish (to 1e-12 of its
+    peak) on the nodes closer than 4h to a face.
     """
     g = state.grid
     if eta.grid != g:
         raise ValueError("eta must live on the state's grid")
-    _require_compact_support(eta)
     dens = density_fields(state)
     grad_u = state_gradient(state)
     w = g.node_weights()
     mu, xi, f = dens.mu.values, dens.xi.values, state.f.values
-    # each integrand is built slab by slab into a whole-grid buffer and
-    # summed by one np.sum over the grid: the same call on the same values
-    # as over whole-grid temporaries, so the same bits
-    lhs_w, disc_w = np.empty(g.shape), np.empty(g.shape)
-    for lo, hi in _slabs(g):
-        sl = slice(lo, hi)
+    carry = None  # eta on the last two planes read
+    # max |eta| per transverse node over the planes read, and over the 4
+    # outermost axis-0 planes on each side
+    face, ends = np.zeros(g.shape[1:]), 0.0
+
+    def identity_terms(sl):
+        nonlocal carry, ends
+        # eta on the planes sl and one past each end, each plane read once
+        idx = _halo(g, sl)
+        halo = (eta.planes(idx) if carry is None else
+                np.concatenate((carry, eta.planes(idx[2:])), axis=1))
+        carry = halo[:, -2:]
+        if g.boundary != PERIODIC:  # max |eta| as max(max, -min)
+            core, n = halo[:, 1:-1], g.points[0]
+            np.maximum(face, core.max(axis=(0, 1)), out=face)
+            np.maximum(face, -core.min(axis=(0, 1)), out=face)
+            for end in (core[:, :max(4 - sl.start, 0)],
+                        core[:, max(n - 4 - sl.start, 0):]):
+                if end.size:
+                    ends = max(ends, float(end.max()), -float(end.min()))
         # the mask eps|grad u| >= threshold and the unit normal on it (0
         # elsewhere, and where grad u = 0)
         grad_mag = dens.grad_mag.values[sl]
@@ -277,78 +351,90 @@ def first_variation_identity(state: PhaseFieldState, eta: VectorField,
         grad_eta_nunu = np.zeros(nu.shape[1:])
         d_eta = np.empty_like(nu)
         for i in range(g.ndim):  # d_eta[j] = d_i eta_j
-            if i == 0:  # reads one plane past each end of the slab
-                _central_difference(eta.values, g, 0, d_eta, lo, hi)
+            if i == 0:  # the central difference of _central_difference
+                np.subtract(halo[:, 2:], halo[:, :-2], out=d_eta)
+                d_eta /= 2.0 * g.h
             else:
-                _central_difference(eta.values[:, sl], g, i, d_eta)
+                _central_difference(halo[:, 1:-1], g, i, d_eta)
             div_eta += d_eta[i]
             d_eta *= nu[i]
             d_eta *= nu  # d_eta[j] = (d_i eta_j nu_i) nu_j
             for term in d_eta:
                 grad_eta_nunu += term
-        np.multiply(np.where(included, (div_eta - grad_eta_nunu) * mu[sl],
-                             0.0), w[sl], out=lhs_w[sl])
-        np.multiply(np.where(included, grad_eta_nunu * xi[sl], 0.0), w[sl],
-                    out=disc_w[sl])
-    lhs, disc = float(np.sum(lhs_w)), float(np.sum(disc_w))
-    forcing_w = lhs_w  # free once lhs is summed
-    for lo, hi in _slabs(g):
-        sl = slice(lo, hi)
-        pairing = sum(grad_u[i, sl] * eta.values[i, sl]
-                      for i in range(g.ndim))
-        np.multiply(f[sl] * pairing, w[sl], out=forcing_w[sl])
-    forcing = float(np.sum(forcing_w))
+        div_eta -= grad_eta_nunu
+        div_eta *= mu[sl]  # now (div_eta - grad_eta_nunu) mu
+        grad_eta_nunu *= xi[sl]
+        return (np.where(included, div_eta, 0.0) * w[sl],
+                np.where(included, grad_eta_nunu, 0.0) * w[sl])
+
+    def forcing_term(sl):
+        part = eta.planes(sl)
+        pairing = sum(grad_u[i, sl] * part[i] for i in range(g.ndim))
+        return (f[sl] * pairing * w[sl],)
+
+    bufs = _buffers(g, 2)
+    lhs, disc = map(float, _stream_sums(g, identity_terms, bufs))
+    if g.boundary != PERIODIC:
+        _require_compact_support(face, ends)
+    forcing, = map(float, _stream_sums(g, forcing_term, bufs[:1]))
     rhs = forcing + disc
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return FirstVariationResult(lhs=lhs, rhs=rhs, residual=residual,
                                 forcing_term=forcing, discrepancy_term=disc)
 
 
-def _slabs(grid):
-    """(lo, hi) of consecutive runs of whole axis-0 planes, about
-    _SLAB_NODES nodes each (at least one plane)."""
+def _halo(grid, sl) -> np.ndarray:
+    """Indices of the axis-0 planes sl.start - 1 .. sl.stop, with the ghosts
+    of `_neighbours` past the ends: wrapped, or mirrored across the
+    boundary node."""
     n = grid.points[0]
-    step = max(1, _SLAB_NODES // int(np.prod(grid.points[1:])))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    idx = np.arange(sl.start - 1, sl.stop + 1)
+    if grid.boundary == PERIODIC:
+        return idx % n
+    idx[0] = abs(idx[0])
+    if idx[-1] == n:
+        idx[-1] = n - 2
+    return idx
 
 
-def _require_compact_support(eta: VectorField):
+def _require_compact_support(face, ends: float):
     """Refuse eta unless it vanishes (to 1e-12 of its peak) on the nodes
     closer than 4h to a zero-flux face, the 4 outermost layers on each side
-    of each axis: max and min over those shells, never a grid mask."""
-    g = eta.grid
-    if g.boundary == "periodic":
-        return
-
-    def peak(v):
-        return max(float(np.max(v)), -float(np.min(v)))
-
-    top = peak(eta.values)
-    for ax in range(g.ndim):
-        for shell in (slice(0, 4), slice(-4, None)):
-            layers = eta.values[(slice(None),) * (ax + 1) + (shell,)]
-            if peak(layers) > 1e-12 * top:
-                raise ValueError(
-                    "eta must vanish within 4h of the domain boundary")
+    of each axis: `face` holds max |eta| per transverse node over the
+    axis-0 planes, `ends` max |eta| over the 4 outermost axis-0 planes on
+    each side. Max over strips of them, never a grid mask."""
+    shells = [ends]
+    for ax in range(face.ndim):
+        at = (slice(None),) * ax
+        shells += [face[at + (slice(0, 4),)].max(),
+                   face[at + (slice(-4, None),)].max()]
+    if max(shells) > 1e-12 * face.max():
+        raise ValueError("eta must vanish within 4h of the domain boundary")
 
 
-def eta_lq_norm(state: PhaseFieldState, eta: VectorField, q: float) -> float:
+def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     """||eta||_{L^q(mu)} with |eta| the Euclidean norm, used by the duality
     bound on the first variation. q = inf gives the mu-essential sup: the
-    max of |eta| over nodes carrying mu mass."""
-    dens = density_fields(state)
-    # |eta|^2 summed a component at a time, in the order np.sum(axis=0) adds
-    mag = eta.values[0] ** 2
-    for comp in eta.values[1:]:
-        mag += comp ** 2
-    np.sqrt(mag, out=mag)
-    w = state.grid.node_weights()
+    max of |eta| over nodes carrying mu mass. eta is read one slab of
+    axis-0 planes at a time, as by first_variation_identity."""
+    mu, w = density_fields(state).mu.values, state.grid.node_weights()
+
+    def magnitude(sl):
+        # |eta|^2 summed a component at a time, in the order np.sum(axis=0)
+        # adds
+        part = eta.planes(sl)
+        mag = part[0] ** 2
+        for comp in part[1:]:
+            mag += comp ** 2
+        return np.sqrt(mag, out=mag)
+
     if np.isinf(q):
-        return float(np.max(mag, where=dens.mu.values * w > 0, initial=0.0))
-    mag **= q  # now the integrand |eta|^q mu w, built in place
-    mag *= dens.mu.values
-    mag *= w
-    return float(np.sum(mag) ** (1.0 / q))
+        return max(float(np.max(magnitude(sl), where=mu[sl] * w[sl] > 0,
+                                initial=0.0)) for sl in _slabs(state.grid))
+    total, = _stream_sums(state.grid,
+                          lambda sl: (magnitude(sl) ** q * mu[sl] * w[sl],),
+                          _buffers(state.grid, 1))
+    return float(total ** (1.0 / q))
 
 
 def bump_half_widths(grid, margin_cells: float = 5.0) -> list[float]:
@@ -361,41 +447,63 @@ def bump_half_widths(grid, margin_cells: float = 5.0) -> list[float]:
     return halves
 
 
-def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField:
-    """A pseudo-random smooth vector field vanishing near the boundary.
+class SmoothTestField:
+    """A pseudo-random smooth vector field vanishing near the boundary,
+    evaluated on demand on any axis-0 grid planes, so that it need never be
+    held whole; `smooth_test_field` builds it whole.
 
     Each component is a C-infinity bump times a low-order trigonometric
-    polynomial with seeded coefficients, so repeated calls are reproducible
-    and the 4h compact-support precondition holds by construction.
+    polynomial with seeded coefficients, so the field is reproducible and
+    the 4h compact-support precondition holds by construction. Every factor
+    depends on one coordinate and is tabulated once on its axis (in
+    broadcastable shape); `planes` multiplies them out.
     """
-    halves = bump_half_widths(grid, margin_cells)
-    rng = np.random.default_rng(seed)
-    centers = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
-    # every factor depends on one coordinate: evaluate it on the 1-d axis
-    # (in broadcastable shape) and let the products fill the grid
-    bump = np.ones(())
-    scaled = []
-    for m, c, hw in zip(grid.meshgrid(sparse=True), centers, halves):
-        s = (m - c) / hw
-        scaled.append(s)
-        inside = np.abs(s) < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            b = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s * s, 1e-300)),
-                         0.0)
-        bump = bump * b
-    out = np.empty((grid.ndim,) + grid.shape)
-    for comp in out:
-        poly = rng.uniform(-1.0, 1.0)
-        for s in scaled[:-1]:
-            poly = poly + rng.uniform(-1.0, 1.0) * np.sin(np.pi * s)
-            poly = poly + rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)
-        # the last axis's terms fill the grid: add them, and the bump, in
-        # place in the component
-        s = scaled[-1]
-        np.add(poly, rng.uniform(-1.0, 1.0) * np.sin(np.pi * s), out=comp)
-        comp += rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)
-        np.multiply(bump, comp, out=comp)
-    return VectorField._adopt(grid, out)
+
+    def __init__(self, grid, seed: int, margin_cells: float = 5.0):
+        halves = bump_half_widths(grid, margin_cells)
+        rng = np.random.default_rng(seed)
+        centers = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
+        self.grid = grid
+        self._bumps, scaled = [], []
+        for m, c, hw in zip(grid.meshgrid(sparse=True), centers, halves):
+            s = (m - c) / hw
+            scaled.append(s)
+            inside = np.abs(s) < 1.0
+            with np.errstate(divide="ignore", over="ignore"):
+                self._bumps.append(np.where(
+                    inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s * s, 1e-300)),
+                    0.0))
+        # per component: a constant, then a sin and a cos term per axis
+        self._terms = [(rng.uniform(-1.0, 1.0),
+                        [rng.uniform(-1.0, 1.0) * trig(np.pi * s)
+                         for s in scaled for trig in (np.sin, np.cos)])
+                       for _ in range(grid.ndim)]
+
+    def planes(self, idx) -> np.ndarray:
+        """The components on the axis-0 grid planes idx (a slice or an
+        index array)."""
+        def on(table):  # only a factor of axis 0 varies with the plane
+            return table[idx] if table.shape[0] > 1 else table
+
+        bump = np.ones(())
+        for b in self._bumps:
+            bump = bump * on(b)
+        out = np.empty((self.grid.ndim,) + bump.shape)
+        for comp, (poly, tables) in zip(out, self._terms):
+            for table in tables[:-2]:
+                poly = poly + on(table)
+            # the last axis's terms fill the planes: add them, and the
+            # bump, in place in the component
+            np.add(poly, on(tables[-2]), out=comp)
+            comp += on(tables[-1])
+            np.multiply(bump, comp, out=comp)
+        return out
+
+
+def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField:
+    """The SmoothTestField of the seed, built whole."""
+    return VectorField._adopt(
+        grid, SmoothTestField(grid, seed, margin_cells).planes(slice(None)))
 
 
 def transition_region_split(state: PhaseFieldState,
@@ -404,9 +512,13 @@ def transition_region_split(state: PhaseFieldState,
 
     Returns (energy where |u| < 1 - tau, energy where |u| >= 1 - tau).
     """
-    dens = density_fields(state)
+    u, mu = state.u.values, density_fields(state).mu.values
     w = state.grid.node_weights()
-    in_band = np.abs(state.u.values) < 1.0 - params.tau
-    mu = dens.mu.values
-    return (float(np.sum(np.where(in_band, mu, 0.0) * w)),
-            float(np.sum(np.where(in_band, 0.0, mu) * w)))
+
+    def split(sl):
+        in_band = np.abs(u[sl]) < 1.0 - params.tau
+        return (np.where(in_band, mu[sl], 0.0) * w[sl],
+                np.where(in_band, 0.0, mu[sl]) * w[sl])
+
+    inner, outer = _stream_sums(state.grid, split, _buffers(state.grid, 2))
+    return float(inner), float(outer)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (RegionError, ScalarField, _check_ball_margin,
-                     _plane_stencil, ball_integrals, disc_integral,
+from .fields import (RegionError, _check_ball_margin, _plane_stencil,
+                     _buffers, _stream, ball_integrals, disc_integral,
                      radial_derivative, restrict_to_plane, trapezoid)
 from .measures import density_fields, state_gradient
 from .phasefield import PhaseFieldState
@@ -97,20 +97,26 @@ def check_geometry(grid, epsilon: float, center, radii, slab=None,
     return radii
 
 
-def _radial_pairing(state: PhaseFieldState, center) -> np.ndarray:
-    """<x-c, grad u> at every node."""
-    grad = state_gradient(state)
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    mesh = state.grid.meshgrid(sparse=True)
-    return sum((m - ci) * grad[i] for i, (m, ci) in enumerate(zip(mesh, c)))
+def _radial_pairing(grad, mesh, center):
+    """<x-c, grad u> from grad u's components and the sparse node
+    coordinates (`Grid.meshgrid(sparse=True)`) on the same nodes."""
+    return sum((m - ci) * gi for gi, m, ci in zip(grad, mesh, center))
 
 
 def _identity_integrands(state: PhaseFieldState, center):
-    """mu, xi, <x-c,grad u>^2 and <x-c,grad u> f node arrays."""
+    """mu, xi, <x-c,grad u>^2 and <x-c,grad u> f node arrays; the last two
+    are built a slab at a time, so <x-c,grad u> is never whole."""
     dens = density_fields(state)
-    radial = _radial_pairing(state, center)
+    grad, f = state_gradient(state), state.f.values
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    mesh = state.grid.meshgrid(sparse=True)
+
+    def fill(sl):
+        radial = _radial_pairing(grad[:, sl], [mesh[0][sl], *mesh[1:]], c)
+        return state.epsilon * radial ** 2, radial * f[sl]
+
     return (dens.mu.values, dens.xi.values,
-            state.epsilon * radial ** 2, radial * state.f.values)
+            *_stream(state.grid, fill, _buffers(state.grid, 2)))
 
 
 def _d_dr(radii, values):
@@ -173,15 +179,26 @@ def monotonicity_report(state: PhaseFieldState, center, radii,
 
 
 def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
-    """S_c restricted to the hyperplane {x_last = t} (transverse array)."""
+    """S_c restricted to the hyperplane {x_last = t} (transverse array): the
+    values on the two grid planes of the last axis around it, mixed as
+    `restrict_to_plane` mixes them."""
     g = state.grid
     eps = state.epsilon
     dens = density_fields(state)
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    dlast = ScalarField._adopt(g, state_gradient(state)[-1])
-    radial = ScalarField._adopt(g, _radial_pairing(state, c))
+    k0, k1, lam = _plane_stencil(g, t)
+    grad = state_gradient(state)
+    mesh = g.meshgrid(sparse=True)
+
+    def on_plane(k):  # d_last u and <x-c, grad u> on the grid plane k
+        part = grad[..., k]  # the other axes' coordinates have length 1 there
+        return part[-1], _radial_pairing(
+            part, [m[..., k if m.shape[-1] > 1 else 0] for m in mesh], c)
+
+    (dlast0, radial0), (dlast1, radial1) = on_plane(k0), on_plane(k1)
     return ((t - c[-1]) * restrict_to_plane(dens.mu, t)
-            - eps * restrict_to_plane(dlast, t) * restrict_to_plane(radial, t))
+            - eps * ((1.0 - lam) * dlast0 + lam * dlast1)
+            * ((1.0 - lam) * radial0 + lam * radial1))
 
 
 def _plane_term(grid, plane_values, center, t, radii, supersample,

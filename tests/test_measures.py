@@ -19,7 +19,7 @@ from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField, VectorField,
                    diffuse_mean_curvature_norm, first_variation_identity,
                    make_state, norm_report, smooth_test_field, tilt_excess,
                    transition_region_split)
-from aclab import measures
+from aclab import fields
 from aclab.measures import eta_lq_norm
 from aclab import (LayerSpec, build_layer_stack, build_radial_layer,
                    gradient, manufactured_forcing)
@@ -228,6 +228,52 @@ def test_holder_check_zero_threshold_is_finite(planar_state):
     assert res.holds
 
 
+@st.composite
+def smooth_holder_problems(draw):
+    """A random smooth u (tanh of a low-order cosine sum) and a random
+    smooth f on a small 2-d or 3-d grid, with exponents s > 2, t > 0."""
+    ndim = draw(st.sampled_from((2, 3)))
+    boundary = draw(st.sampled_from((ZERO_FLUX, PERIODIC)))
+    points = tuple(draw(st.integers(10, {2: 40, 3: 16}[ndim]))
+                   for _ in range(ndim))
+    h = 0.05
+    extent = tuple(h * (n if boundary == PERIODIC else n - 1) for n in points)
+    g = Grid(extent=extent, points=points, boundary=boundary)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def smooth():
+        total = rng.uniform(-0.5, 0.5)
+        for _ in range(3):
+            k = rng.integers(0, 3, ndim)
+            mode = np.ones(())
+            for m, ext, kk in zip(g.meshgrid(sparse=True), extent, k):
+                mode = mode * np.cos(np.pi * kk * m / ext + rng.uniform(0, 6))
+            total = total + rng.uniform(-1.0, 1.0) * mode
+        return total
+
+    eps = draw(st.sampled_from((0.2, 0.3)))
+    u = ScalarField(g, np.tanh(smooth() / eps))
+    f = ScalarField(g, draw(st.floats(0.0, 5.0)) * smooth())
+    s = draw(st.floats(2.05, 8.0))
+    t = draw(st.floats(0.25, 8.0))
+    threshold = draw(st.sampled_from((0.0, 1e-8, 1e-2)))
+    return (make_state(u, f, eps), s, t,
+            AnalysisParams(grad_threshold=threshold))
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_holder_problems())
+def test_holder_chain_holds_on_random_smooth_fields(problem):
+    state, s, t, params = problem
+    res = corollary_holder_check(state, s=s, t=t, params=params)
+    assert np.isfinite(res.lhs) and np.isfinite(res.rhs)
+    assert res.holds
+    # the reported sides satisfy the chain too, unless a tiny f underflows
+    # their powers (holds is then decided at max|f| = 1)
+    if np.max(np.abs(state.f.values)) >= 1e-30:
+        assert res.lhs <= res.rhs * (1.0 + 1e-9)
+
+
 def test_holder_check_preconditions(circle_state):
     with pytest.raises(ValueError, match="s must exceed 2"):
         corollary_holder_check(circle_state, s=2.0, t=6.0)
@@ -354,7 +400,7 @@ def test_first_variation_equals_full_tensor_reference(problem):
     state, params, seed, planes, q = problem
     eta = smooth_test_field(state.grid, seed)
     slab_nodes = planes * int(np.prod(state.grid.shape[1:]))
-    with mock.patch.object(measures, "_SLAB_NODES", slab_nodes):
+    with mock.patch.object(fields, "_SLAB_NODES", slab_nodes):
         res = first_variation_identity(state, eta, params)
     lhs, rhs, forcing, disc = full_tensor_first_variation(state, eta, params)
     assert res.lhs == lhs and res.rhs == rhs
@@ -371,7 +417,7 @@ def test_first_variation_and_test_field_memory_budget():
     # traced peaks in units of one 3 x 65^3 float64 vector field, each the
     # measured peak plus a quarter field; the densities exist already, as
     # in `aclab run`, and the node weights are built inside the first call
-    # (a third of a field). At 65^3 one slab is 15 of the 65 planes.
+    # (a third of a field). At 65^3 one slab is one of the 65 planes.
     state = manufactured_ball_state((65, 65, 65), ZERO_FLUX, 0.1, 0.5)
     density_fields(state)
     size = 3 * 65 ** 3 * 8
@@ -384,11 +430,11 @@ def test_first_variation_and_test_field_memory_budget():
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(smooth_test_field, state.grid, 1) <= 1.72
+    assert traced_peak(smooth_test_field, state.grid, 1) <= 1.61
     eta = smooth_test_field(state.grid, 2)
-    assert traced_peak(first_variation_identity, state, eta) <= 2.13
+    assert traced_peak(first_variation_identity, state, eta) <= 1.41
     for q in (1.5, np.inf):
-        assert traced_peak(eta_lq_norm, state, eta, q) <= 0.96
+        assert traced_peak(eta_lq_norm, state, eta, q) <= 0.60
 
 
 def stacked_test_field(grid, seed, sparse, margin_cells=5.0):

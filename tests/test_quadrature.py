@@ -143,7 +143,7 @@ def test_ball_and_slab_match_full_grid_reference(case):
                           * np.ones(ndim))]         # on a node
     for center in centers:
         radii = edge_radii(g, center) + list(rng.uniform(0.0, 0.65, 4)) + [0.0]
-        ball = _BallQuadrature(g, center, ss)
+        ball = _BallQuadrature(g, center, ss, max(radii))
         for r in radii:
             assert ball.integral_many(values, r) == reference_integral_many(
                 g, center, ss, values, r)
@@ -151,7 +151,7 @@ def test_ball_and_slab_match_full_grid_reference(case):
         node_t = g.axis_coords(ndim - 1)[len(g.axis_coords(0)) // 2 - 2]
         for t_lo, t_hi in ((-0.37, 0.21), (node_t - 0.5 * h, node_t + 2.5 * h),
                            (-2.0, 2.0)):
-            slab = _BallQuadrature(g, center, ss, t_lo=t_lo, t_hi=t_hi)
+            slab = _BallQuadrature(g, center, ss, max(radii), t_lo, t_hi)
             for r in radii:
                 assert slab.integral_many(values, r) == \
                     reference_integral_many(g, center, ss, values, r,

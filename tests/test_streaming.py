@@ -1,0 +1,187 @@
+"""Every whole-grid integrand is built one slab of axis-0 planes at a time
+(`fields._stream`) and summed by one np.sum over a whole-grid buffer. Each
+streamed number must equal, bit for bit, the whole-grid computation it
+replaced; those computations are kept here as the references. Slabs of 1,
+2 and 3 planes and the whole grid, on 1-d, 2-d and 3-d, zero-flux and
+periodic grids."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField,
+                   SmoothTestField, ZERO_FLUX, build_radial_layer,
+                   corollary_holder_check, density_fields,
+                   diffuse_mean_curvature_norm, double_well,
+                   first_variation_identity, gradient, integrate, make_state,
+                   manufactured_forcing, norm_report, smooth_test_field,
+                   tilt_excess, transition_region_split)
+from aclab import fields, monotonicity
+from aclab.fields import ball_integrals, restrict_to_plane
+from aclab.measures import eta_lq_norm
+
+POINTS = {1: (64,), 2: (30, 26), 3: (14, 12, 13)}
+
+
+def ball_state(ndim, boundary):
+    points = POINTS[ndim]
+    h = 0.05
+    extent = tuple(h * (n if boundary == PERIODIC else n - 1) for n in points)
+    g = Grid(extent=extent, points=points, boundary=boundary,
+             origin=tuple(-0.5 * e for e in extent))
+    eps = 0.15
+    u = build_radial_layer(g, eps, (0.03,) * ndim, 0.22)
+    return make_state(u, manufactured_forcing(u, eps), eps)
+
+
+CASES = [(ndim, boundary, planes) for ndim in (1, 2, 3)
+         for boundary in (ZERO_FLUX, PERIODIC) for planes in (1, 2, 3, None)]
+
+
+@pytest.fixture(params=CASES, ids=lambda c: f"{c[0]}d-{c[1]}-{c[2] or 'all'}")
+def streamed(request):
+    """A state and slabs of `planes` axis-0 planes (None: the whole grid)."""
+    ndim, boundary, planes = request.param
+    state = ball_state(ndim, boundary)
+    plane = int(np.prod(state.grid.shape[1:]))
+    nodes = (planes or state.grid.shape[0]) * plane
+    with mock.patch.object(fields, "_SLAB_NODES", nodes):
+        assert len(fields._slabs(state.grid)) == -(-state.grid.shape[0]
+                                                  // (planes or 10 ** 9))
+        yield state
+
+
+# ---------------------------------------------------------------- references
+
+def reference_densities(state):
+    grad = gradient(state.u).values
+    grad_sq = np.sum(grad * grad, axis=0)
+    w = double_well(state.u.values)
+    eps = state.epsilon
+    mu = 0.5 * eps * grad_sq + w / eps
+    xi = 0.5 * eps * grad_sq - w / eps
+    return mu, xi, np.maximum(xi, 0.0), np.sqrt(grad_sq)
+
+
+def reference_quotient(state, threshold):
+    eps = state.epsilon
+    grad_mag = reference_densities(state)[3]
+    eps_grad = eps * grad_mag
+    mass = eps * grad_mag ** 2
+    included = eps_grad >= threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.where(included, np.abs(state.f.values) / eps_grad, 0.0)
+    quotient = np.where(np.isfinite(quotient), quotient, 0.0)
+    return quotient, mass, included
+
+
+def reference_curvature_norm(state, q0, threshold):
+    quotient, mass, included = reference_quotient(state, threshold)
+    w = state.grid.node_weights()
+    lam = float(np.sum(quotient ** q0 * mass * w))
+    total = float(np.sum(mass * w))
+    excl = float(np.sum(np.where(included, 0.0, mass) * w))
+    return lam, (excl / total if total > 0 else 0.0)
+
+
+# ---------------------------------------------------------------- tests
+
+def test_density_fields_match_whole_grid(streamed):
+    dens = density_fields(streamed)
+    got = (dens.mu, dens.xi, dens.xi_plus, dens.grad_mag)
+    for field, ref in zip(got, reference_densities(streamed)):
+        assert np.array_equal(field.values, ref)
+        assert np.array_equal(np.signbit(field.values), np.signbit(ref))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-8, 0.3])
+def test_curvature_norm_and_holder_sums_match_whole_grid(streamed, threshold):
+    g, eps, f = streamed.grid, streamed.epsilon, streamed.f.values
+    q0 = float(g.ndim)
+    params = AnalysisParams(q0=q0, grad_threshold=threshold)
+    assert diffuse_mean_curvature_norm(streamed, params) == \
+        reference_curvature_norm(streamed, q0, threshold)
+    s, t = 3.0, 6.0
+    res = corollary_holder_check(streamed, s, t, params)
+    w = g.node_weights()
+    quotient = reference_quotient(streamed, threshold)[0]
+    assert res.c1 == float(np.sum(np.abs(f) ** s * w) ** (1.0 / s)
+                           / np.sqrt(eps))
+    assert res.c2 == float(np.sum(quotient ** t * w) ** (1.0 / t))
+    assert res.lhs == reference_curvature_norm(streamed, res.q0, threshold)[0]
+
+
+def test_norm_report_matches_whole_grid(streamed):
+    params = AnalysisParams(grad_threshold=0.05)
+    rep = norm_report(streamed, params)
+    mu, xi, xi_plus, grad_mag = reference_densities(streamed)
+    w, f = streamed.grid.node_weights(), streamed.f.values
+    lam, fraction = reference_curvature_norm(streamed, streamed.grid.ndim,
+                                             0.05)
+    assert rep.total_energy == float(np.sum(mu * w))
+    assert rep.sup_u == float(np.max(np.abs(streamed.u.values)))
+    assert (rep.lambda_hat, rep.excluded_mass_fraction) == (lam, fraction)
+    assert rep.sup_eps_grad == float(streamed.epsilon * np.max(grad_mag))
+    assert rep.xi_plus_mass == float(np.sum(xi_plus * w))
+    assert rep.xi_abs_mass == float(np.sum(np.abs(xi) * w))
+    assert rep.f_l2_over_eps == float(np.sum(f ** 2 * w)) / streamed.epsilon
+    assert integrate(density_fields(streamed).xi) == float(np.sum(xi * w))
+    in_band = np.abs(streamed.u.values) < 1.0 - params.tau
+    assert transition_region_split(streamed, params) == (
+        float(np.sum(np.where(in_band, mu, 0.0) * w)),
+        float(np.sum(np.where(in_band, 0.0, mu) * w)))
+
+
+def test_tilt_excess_matches_whole_grid(streamed):
+    g = streamed.grid
+    grad = gradient(streamed.u).values
+    grad_sq = np.sum(grad * grad, axis=0)
+    for axis in range(-1, g.ndim):
+        tangential = np.clip(grad_sq - grad[axis] ** 2, 0.0, None)
+        tilt = streamed.epsilon * np.sqrt(grad_sq) * np.sqrt(tangential)
+        ref = ball_integrals(g, [tilt], (0.0,) * g.ndim, [0.15], 2)[0, 0]
+        assert tilt_excess(streamed, (0.0,) * g.ndim, 0.15, axis, 2) == ref
+
+
+def test_identity_integrands_and_sheet_match_whole_grid(streamed):
+    g, eps = streamed.grid, streamed.epsilon
+    c = np.full(g.ndim, 0.04)
+    grad = gradient(streamed.u).values
+    radial = sum((m - ci) * grad[i]
+                 for i, (m, ci) in enumerate(zip(g.meshgrid(sparse=True), c)))
+    mu, xi = reference_densities(streamed)[:2]
+    got = monotonicity._identity_integrands(streamed, c)
+    for a, b in zip(got, (mu, xi, eps * radial ** 2,
+                          radial * streamed.f.values)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    # S_c on planes between and on grid planes of the last axis
+    coords = g.axis_coords(g.ndim - 1)
+    for t in (coords[3], 0.5 * (coords[5] + coords[6]),
+              coords[-4] + 0.3 * g.h):
+        def on_plane(v):
+            return restrict_to_plane(ScalarField(g, v), t)
+        ref = ((t - c[-1]) * on_plane(mu) - eps * on_plane(grad[-1])
+               * on_plane(radial))
+        got = monotonicity._sheet_integrand_on_plane(streamed, c, t)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_slab_generated_test_field_matches_whole(streamed):
+    g = streamed.grid
+    lazy = SmoothTestField(g, 5)
+    whole = smooth_test_field(g, 5)
+    for sl in fields._slabs(g):
+        assert np.array_equal(lazy.planes(sl), whole.values[:, sl])
+        assert np.array_equal(whole.planes(sl), whole.values[:, sl])
+    assert np.array_equal(np.signbit(lazy.planes(slice(None))),
+                          np.signbit(whole.values))
+    # read a slab at a time, the generated field gives the numbers of the
+    # whole one
+    params = AnalysisParams(grad_threshold=1e-3)
+    assert first_variation_identity(streamed, lazy, params) == \
+        first_variation_identity(streamed, whole, params)
+    for q in (1.5, 3.0, np.inf):
+        assert eta_lq_norm(streamed, lazy, q) == eta_lq_norm(streamed, whole, q)
