@@ -22,13 +22,12 @@ if not any(name in os.environ for name in
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .fields import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
-                     ZERO_FLUX, cumulative_ball_profile, gradient, integrate,
-                     interpolate, laplacian, line_sample, radial_derivative)
+                     ZERO_FLUX, gradient, integrate, interpolate, laplacian,
+                     line_sample, radial_derivative)
 from .measures import (AnalysisParams, DensityFields, NormReport,
                        SmoothTestField, corollary_holder_check, density_fields,
                        diffuse_mean_curvature_norm, first_variation_identity,
-                       norm_report, smooth_test_field, tilt_excess,
-                       transition_region_split)
+                       norm_report, smooth_test_field)
 from .monotonicity import (MonotonicityReport, SlabReport,
                            density_ratio_profile, monotonicity_report,
                            sheet_separation_integral, slab_report)
@@ -38,7 +37,7 @@ from .phasefield import (Constants, LayerSpec, PhaseFieldState, SolverError,
                          make_state, manufactured_forcing, solve_stationary)
 from .proofdevices import GDeltaLedger, GDeltaParams, g_delta, g_delta_ledger
 from .quantization import (Line, QuantizationReport, detect_layers,
-                           quantization_check, smallest_exceeding_integer)
+                           quantization_check)
 from .scenarios import (ConstantProfile, LayerStackProfile, RadialProfile,
                         Scenario, ScenarioError, SolvedBubbleProfile,
                         SolvedFromForcingProfile, build, standard_corpus)

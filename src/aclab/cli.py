@@ -80,8 +80,15 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text.strip()}")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(_float(v) for v in text.split(","))
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -202,25 +209,25 @@ _KEYS = {
     "scenario.first_sign": _Key(int, *_STACK),
     # default: one zero per grid axis
     "scenario.center": _Key(_point, *_BALL),
-    "scenario.radius": _Key(float, *_BALL, default=0.5),
-    "scenario.value": _Key(float, "constant", default=0.0),
-    "scenario.noise": _Key(float, "solved-circle", field="noise_amplitude"),
+    "scenario.radius": _Key(_float, *_BALL, default=0.5),
+    "scenario.value": _Key(_float, "constant", default=0.0),
+    "scenario.noise": _Key(_float, "solved-circle", field="noise_amplitude"),
     "grid.extent": _Key(_floats, "grid"),
     "grid.points": _Key(_ints, "grid"),
     "grid.boundary": _Key(_one_of("boundary", (ZERO_FLUX, PERIODIC)), "grid"),
     "grid.origin": _Key(_floats, "grid"),
-    "analysis.q0": _Key(float, "params"),
-    "analysis.grad_threshold": _Key(float, "params"),
+    "analysis.q0": _Key(_float, "params"),
+    "analysis.grad_threshold": _Key(_float, "params"),
     "analysis.supersample": _Key(int, "params"),
-    "analysis.tau": _Key(float, "params"),
+    "analysis.tau": _Key(_float, "params"),
     "monotonicity.center": _Key(_point, "monotonicity"),
     "monotonicity.radii": _Key(_radii, "monotonicity"),
     "slab.center": _Key(_point, "slab"),
     "slab.radii": _Key(_radii, "slab"),
     "slab.t": _Key(partial(_values, count=2), "slab"),
-    "quantize.tau": _Key(float, "quantize"),
+    "quantize.tau": _Key(_float, "quantize"),
     "gdelta.delta": _Key(_floats, "gdelta", default=(0.1, 0.01)),
-    "gdelta.c0": _Key(float, "gdelta", default=2.0),
+    "gdelta.c0": _Key(_float, "gdelta", default=2.0),
     "firstvar.count": _Key(_int_at_least(1), "firstvar", default=5),
     "firstvar.seed": _Key(_int_at_least(0), "firstvar"),
 }

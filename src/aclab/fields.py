@@ -477,19 +477,6 @@ def integrate(f: ScalarField) -> float:
     return float(total)
 
 
-def cumulative_ball_profile(f: ScalarField, center, radii,
-                            supersample: int = 4) -> np.ndarray:
-    """Integral of the field over concentric balls, one windowed pass over
-    the cells near each ball (see `ball_integrals`).
-
-    Returns an array of rows (r, integral over B_r). Radii must be ascending
-    and the largest ball must respect the 2h domain margin.
-    """
-    radii = np.asarray(radii, dtype=float)
-    vals = ball_integrals(f.grid, [f.values], center, radii, supersample)
-    return np.column_stack([radii, vals[:, 0]])
-
-
 def _uniform_spacing(radii: np.ndarray) -> float:
     dr = np.diff(radii)
     if np.any(np.abs(dr - dr[0]) > 1e-9 * dr[0]):

@@ -1,12 +1,10 @@
-"""Energy and discrepancy densities, tilt excess, the L^q0 diffuse
-mean-curvature norm, scalar norm reports, and the stress-energy first
-variation identity.
+"""Energy and discrepancy densities, the L^q0 diffuse mean-curvature norm,
+scalar norm reports, and the stress-energy first variation identity.
 
 Density conventions (all per unit volume):
 
     mu   = eps*|grad u|^2/2 + W(u)/eps     energy density
     xi   = eps*|grad u|^2/2 - W(u)/eps     discrepancy density
-    tilt = eps*|grad u|^2 * sqrt(1 - nu_e^2)
 
 The unit normal nu = grad u/|grad u| is only used where the gradient is
 above a threshold; every nu-dependent integrand carries an eps*|grad u|^2
@@ -16,13 +14,13 @@ measure-correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import (PERIODIC, ScalarField, VectorField, _buffers,
                      _central_difference, _slabs, _stream, _stream_sums,
-                     ball_integrals, gradient)
+                     gradient)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -112,24 +110,6 @@ def _density_fields(state: PhaseFieldState) -> DensityFields:
         xi_plus=ScalarField._adopt(g, xi_plus),
         grad_mag=ScalarField._adopt(g, grad_mag),
     )
-
-
-def tilt_excess(state: PhaseFieldState, center, radius: float,
-                axis: int = -1, supersample: int = 4) -> float:
-    """Integral over B_radius(center) of the tilt integrand
-    eps*|grad u|^2 sqrt(1 - nu_axis^2), which is zero wherever grad u
-    vanishes; built on each call from the cached gradient."""
-    grad = state_gradient(state)
-
-    def fill(sl):
-        part = grad[:, sl]
-        grad_sq = np.sum(part * part, axis=0)
-        tangential = np.clip(grad_sq - part[axis] ** 2, 0.0, None)
-        return (state.epsilon * np.sqrt(grad_sq) * np.sqrt(tangential),)
-
-    tilt = _stream(state.grid, fill, _buffers(state.grid, 1))
-    return float(ball_integrals(state.grid, tilt, center, [radius],
-                                supersample)[0, 0])
 
 
 def _finite(*sums):
@@ -245,9 +225,7 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
     if not q0 > n:
         raise ValueError(f"resulting q0={q0} must exceed n={n}")
     eps = state.epsilon
-    check_params = AnalysisParams(q0=q0, grad_threshold=params.grad_threshold,
-                                  supersample=params.supersample, tau=params.tau)
-    lhs, _ = diffuse_mean_curvature_norm(state, check_params)
+    lhs, _ = diffuse_mean_curvature_norm(state, replace(params, q0=q0))
     grad_mag, f = density_fields(state).grad_mag.values, state.f.values
     w = g.node_weights()
 
@@ -437,11 +415,11 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     return float(total ** (1.0 / q))
 
 
-def bump_half_widths(grid, margin_cells: float = 5.0) -> list[float]:
+def bump_half_widths(grid) -> list[float]:
     """Half-widths of the test field's bump on each axis: half the extent
-    less margin_cells*h. Refuses a grid on which one is not positive; on an
+    less a 5h margin. Refuses a grid on which one is not positive; on an
     isotropic grid that depends on the point counts only."""
-    halves = [0.5 * ext - margin_cells * grid.h for ext in grid.extent]
+    halves = [0.5 * ext - 5.0 * grid.h for ext in grid.extent]
     if any(hw <= 0 for hw in halves):
         raise ValueError("grid too small for a compactly supported test field")
     return halves
@@ -459,8 +437,8 @@ class SmoothTestField:
     broadcastable shape); `planes` multiplies them out.
     """
 
-    def __init__(self, grid, seed: int, margin_cells: float = 5.0):
-        halves = bump_half_widths(grid, margin_cells)
+    def __init__(self, grid, seed: int):
+        halves = bump_half_widths(grid)
         rng = np.random.default_rng(seed)
         centers = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
         self.grid = grid
@@ -500,25 +478,8 @@ class SmoothTestField:
         return out
 
 
-def smooth_test_field(grid, seed: int, margin_cells: float = 5.0) -> VectorField:
+def smooth_test_field(grid, seed: int) -> VectorField:
     """The SmoothTestField of the seed, built whole."""
     return VectorField._adopt(
-        grid, SmoothTestField(grid, seed, margin_cells).planes(slice(None)))
+        grid, SmoothTestField(grid, seed).planes(slice(None)))
 
-
-def transition_region_split(state: PhaseFieldState,
-                            params: AnalysisParams = AnalysisParams()):
-    """Split the total energy mass by the transition-band threshold.
-
-    Returns (energy where |u| < 1 - tau, energy where |u| >= 1 - tau).
-    """
-    u, mu = state.u.values, density_fields(state).mu.values
-    w = state.grid.node_weights()
-
-    def split(sl):
-        in_band = np.abs(u[sl]) < 1.0 - params.tau
-        return (np.where(in_band, mu[sl], 0.0) * w[sl],
-                np.where(in_band, 0.0, mu[sl]) * w[sl])
-
-    inner, outer = _stream_sums(state.grid, split, _buffers(state.grid, 2))
-    return float(inner), float(outer)

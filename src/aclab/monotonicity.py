@@ -33,7 +33,7 @@ from .fields import (RegionError, _check_ball_margin, _plane_stencil,
                      _buffers, _stream, ball_integrals, disc_integral,
                      radial_derivative, restrict_to_plane, trapezoid)
 from .measures import density_fields, state_gradient
-from .phasefield import PhaseFieldState
+from .phasefield import PhaseFieldState, resolution_floor
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class SlabReport(MonotonicityReport):
 
     term_plane_lo: np.ndarray
     term_plane_hi: np.ndarray
-
-
-def resolution_floor(grid, epsilon: float) -> float:
-    """The smallest radius the identities take: max(4h, eps)."""
-    return max(4.0 * grid.h, epsilon)
 
 
 def check_geometry(grid, epsilon: float, center, radii, slab=None,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (PERIODIC, ZERO_FLUX, Grid, ScalarField,
-                     _central_difference, _neighbour_sum_into, laplacian)
+from .fields import (PERIODIC, Grid, ScalarField, _central_difference,
+                     _neighbour_sum_into, _unit_weights, laplacian)
 
 
 class SolverError(RuntimeError):
@@ -183,6 +183,11 @@ def _check_epsilon(grid: Grid, epsilon: float):
     if epsilon < 2.0 * grid.h - 1e-12 * grid.h:  # slack as in check_layer_fit
         raise ValueError(
             f"epsilon={epsilon} under-resolves the layer: need eps >= 2h = {2 * grid.h}")
+
+
+def resolution_floor(grid: Grid, epsilon: float) -> float:
+    """The smallest radius the monotonicity identities take: max(4h, eps)."""
+    return max(4.0 * grid.h, epsilon)
 
 
 def residual_field(u: ScalarField, f: ScalarField, epsilon: float) -> np.ndarray:
@@ -450,16 +455,6 @@ def _expand(coeffs: np.ndarray, tables, out: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _broadcast_product(vectors) -> np.ndarray:
-    """prod_k vectors[k][i_k] as a grid-shaped array."""
-    out = np.ones(())
-    for ax, v in enumerate(vectors):
-        shape = [1] * len(vectors)
-        shape[ax] = v.size
-        out = out * v.reshape(shape)
-    return out
-
-
 class InterfaceSpace:
     """Coarse space of a pure-Newton step, localised on the interface:
     Q = g * (products of the m smoothest modes per axis), with the weight
@@ -498,23 +493,19 @@ class InterfaceSpace:
         diag = double_well_second(u) / epsilon
         m = round(_COARSE_MODES ** (1.0 / nd))
         self.modes = [_axis_modes(n, min(m, n), grid.boundary) for n in shape]
-        # per-axis node weights of D = node_weights/h^d
-        unit = [np.full(n, 1.0) for n in shape]
-        if grid.boundary == ZERO_FLUX:
-            for w in unit:
-                w[0] = w[-1] = 0.5
+        # the node weights of D = node_weights/h^d
+        unit = _unit_weights(grid)
         pairs = [np.einsum("ai,bi->abi", t, t).reshape(-1, t.shape[1])
                  for t in self.modes]
-        weighted = _broadcast_product(unit) * self.g * self.g
+        weighted = unit * self.g * self.g
         c = float(np.max(np.abs(diag)))
         # Q^T M Q: the node sum of P = c - eps*lap_h (the diagonal of
         # -eps D lap_h is 2 nd eps/h^2 D) less its edge sums
         precond = _contract(weighted * (c + 2.0 * nd * epsilon / h ** 2),
                             pairs)
         for ax in range(nd):
-            other = _broadcast_product(
-                [np.ones(n) if k == ax else unit[k]
-                 for k, n in enumerate(shape)])
+            # the weights of the other axes: D at an interior node of ax
+            other = np.take(unit, [shape[ax] // 2], axis=ax)
             t = self.modes[ax]
             if grid.boundary == PERIODIC:
                 edge = other * self.g * np.roll(self.g, -1, axis=ax)

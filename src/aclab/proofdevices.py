@@ -91,16 +91,13 @@ class GDeltaLedger:
     margin_derivative: float   # delta - G' >= 0 (and G' > 0)
     margin_concavity: float    # -G'' > 0
     margin_differential: float  # G'W' - 2G''(W+G) - delta G' >= 0
-    gprime_min: float
     upper_constant: float      # G(c0+1)/delta
     cubic_constant: float      # min G'/delta^3
 
 
-def g_delta_ledger(params: GDeltaParams, sample_count: int = 2001) -> GDeltaLedger:
-    """Evaluate the inequality ledger at equispaced sample points."""
-    if sample_count < 100:
-        raise ValueError("need at least 100 samples")
-    r = np.linspace(params.r_lo, params.r_hi, sample_count)
+def g_delta_ledger(params: GDeltaParams) -> GDeltaLedger:
+    """Evaluate the inequality ledger at 2001 equispaced sample points."""
+    r = np.linspace(params.r_lo, params.r_hi, 2001)
     g, gp, gpp = g_delta(r, params)
     w = double_well(r)
     wp = double_well_prime(r)
@@ -110,7 +107,6 @@ def g_delta_ledger(params: GDeltaParams, sample_count: int = 2001) -> GDeltaLedg
         margin_derivative=float(np.min(params.delta - gp)),
         margin_concavity=float(np.min(-gpp)),
         margin_differential=float(np.min(diff)),
-        gprime_min=float(np.min(gp)),
         upper_constant=float(g[-1] / params.delta),
         cubic_constant=float(np.min(gp) / params.delta ** 3),
     )

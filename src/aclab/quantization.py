@@ -132,11 +132,3 @@ def quantization_check(state: PhaseFieldState, lines, tau: float = 0.1
                               max_residual=float(res.max()),
                               mean_theta_hat=float(thetas.mean()))
 
-
-def smallest_exceeding_integer(theta_hat: float, alpha: float = None) -> int:
-    """Smallest integer N with N*alpha strictly above theta_hat."""
-    if theta_hat < 0:
-        raise ValueError("theta_hat must be nonnegative")
-    if alpha is None:
-        alpha = constants().alpha
-    return int(math.floor(theta_hat / alpha)) + 1

@@ -14,12 +14,11 @@ import numpy as np
 
 from .fields import Grid, ScalarField, ZERO_FLUX
 from .measures import AnalysisParams
-from .monotonicity import resolution_floor
 from .phasefield import (LayerSpec, PhaseFieldState, SolverError,
                          build_layer_stack, build_radial_layer,
                          check_layer_fit, constants, make_state,
-                         manufactured_forcing, signed_distance_ball,
-                         solve_stationary)
+                         manufactured_forcing, resolution_floor,
+                         signed_distance_ball, solve_stationary)
 
 
 class ScenarioError(RuntimeError):

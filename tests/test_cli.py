@@ -290,6 +290,15 @@ MALFORMED = [
     ("grid.points = 21, 21", "scenario.epsilon, grid.points"),
 ]
 
+# Numbers that parse but are not finite, refused by the key they are set to.
+NON_FINITE = [
+    ("scenario.epsilon = inf", "scenario.epsilon"),
+    ("grid.extent = inf, inf", "grid.extent"),
+    ("grid.origin = nan, -1", "grid.origin"),
+    ("analysis.q0 = inf", "analysis.q0"),
+    ("scenario.radius = inf", "scenario.radius"),
+]
+
 # Geometry the analyses refuse, refused by load_config: the lines, the keys
 # the refusal names and its text.
 GEOMETRY = {
@@ -318,6 +327,8 @@ GEOMETRY = {
 @pytest.mark.parametrize("line, key, message", [
     *(pytest.param(line, key, key, id=f"{line}-{key}")
       for line, key in MALFORMED),
+    *(pytest.param(line, key, "must be a finite number", id=f"{line}-{key}")
+      for line, key in NON_FINITE),
     *(pytest.param(*case, id=name) for name, case in GEOMETRY.items())])
 def test_malformed_values_are_config_errors(tmp_path, capsys, line, key,
                                             message):

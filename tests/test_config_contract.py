@@ -199,12 +199,22 @@ CASES = {
     # the quantize lines start 0.05 from the wall
     "quantize-off-centre": "scenario.kind = circle\nanalyses = quantize\n"
                            "scenario.center = 0.95, 0\n",
+    # numbers that parse but are not finite
+    "epsilon-inf": "scenario.kind = circle\nscenario.epsilon = inf\n",
+    "extent-inf": "scenario.kind = constant\ngrid.extent = inf, inf\n",
+    "origin-nan": "scenario.kind = circle\ngrid.origin = nan, -1\n",
+    "q0-inf": "scenario.kind = circle\nanalysis.q0 = inf\n",
+    "radius-inf": "scenario.kind = circle\nscenario.radius = inf\n",
 }
 
 
 @pytest.mark.parametrize("body", CASES.values(), ids=CASES)
 def test_config_contract_cases(tmp_path, body):
-    check_contract(tmp_path, GRID_2D + body)
+    # the lines of a case replace GRID_2D's lines for their keys
+    keys = {line.partition("=")[0] for line in body.splitlines()}
+    grid = "".join(line for line in GRID_2D.splitlines(keepends=True)
+                   if line.partition("=")[0] not in keys)
+    check_contract(tmp_path, grid + body)
 
 
 # An identity's default center is the interface point: (1.2, 0) for a

@@ -15,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField, VectorField,
                    ZERO_FLUX, constants, corollary_holder_check,
-                   cumulative_ball_profile, density_fields,
-                   diffuse_mean_curvature_norm, first_variation_identity,
-                   make_state, norm_report, smooth_test_field, tilt_excess,
-                   transition_region_split)
+                   density_fields, diffuse_mean_curvature_norm,
+                   first_variation_identity, make_state, norm_report,
+                   smooth_test_field)
 from aclab import fields
 from aclab.measures import eta_lq_norm
 from aclab import (LayerSpec, build_layer_stack, build_radial_layer,
@@ -31,10 +30,6 @@ def constant_state(value, eps=0.1, n=81):
     u = ScalarField(g, np.full(g.shape, float(value)))
     f = ScalarField(g, np.zeros(g.shape))
     return make_state(u, f, eps)
-
-
-def ball_integral(f, center, r):
-    return cumulative_ball_profile(f, center, [r])[0, 1]
 
 
 # ---------------------------------------------------------------- densities
@@ -67,11 +62,6 @@ def test_pointwise_density_identities():
     assert np.max(np.abs(d.mu.values + d.xi.values - eps * grad_sq)) <= 1e-12
     assert np.all(d.mu.values >= 0)
     assert np.all(np.abs(d.xi.values) <= d.mu.values * (1 + 1e-12) + 1e-15)
-    # the tilt integrand is at most eps|grad u|^2, for either axis
-    mass = ball_integral(ScalarField(g, eps * grad_sq), (0.5, 0.5), 0.3)
-    for axis in (0, 1):
-        tilt = tilt_excess(st, (0.5, 0.5), 0.3, axis=axis)
-        assert 0.0 <= tilt <= mass * (1 + 1e-12)
 
 
 def random_state(n=33, seed=6, eps=0.1):
@@ -123,30 +113,6 @@ def test_equidistribution_ratio_and_refinement(planar_state, planar_state_fine):
     ratios = [r.xi_abs_mass / r.total_energy for r in r_coarse]
     assert ratios[0] <= 1e-2
     assert ratios[0] / ratios[1] >= 3.0
-
-
-# ---------------------------------------------------------------- tilt
-
-def test_tilt_aligned_layer(planar_state):
-    mu_reg = ball_integral(density_fields(planar_state).mu, (0.0, 0.0), 0.3)
-    assert tilt_excess(planar_state, (0.0, 0.0), 0.3, axis=1) <= 1e-10 * mu_reg
-
-
-def test_tilt_constant_field():
-    assert tilt_excess(constant_state(0.5), (0.0, 0.0), 0.9) == 0.0
-
-
-def test_tilt_diagonal_layer():
-    eps = 0.05
-    g = Grid(extent=(2.0, 2.0), points=(161, 161), boundary=ZERO_FLUX,
-             origin=(-1.0, -1.0))
-    x, y = g.meshgrid()
-    u = ScalarField(g, np.tanh((x + y) / np.sqrt(2.0) / eps))
-    st = make_state(u, manufactured_forcing(u, eps), eps)
-    d = density_fields(st)
-    ratio = tilt_excess(st, (0.0, 0.0), 0.3, axis=1) / ball_integral(
-        ScalarField(g, eps * d.grad_mag.values ** 2), (0.0, 0.0), 0.3)
-    assert ratio == pytest.approx(np.sqrt(0.5), abs=1e-3)
 
 
 # ---------------------------------------------------------------- curvature
@@ -503,34 +469,3 @@ def test_first_variation_rejects_boundary_support():
                 else:
                     first_variation_identity(state, eta)
 
-
-# ---------------------------------------------------------------- transition
-
-def test_transition_split_trivial():
-    in_b, out_b = transition_region_split(constant_state(0.0))
-    assert out_b == 0.0 and in_b > 0.0
-    in_b1, out_b1 = transition_region_split(constant_state(1.0))
-    assert in_b1 == 0.0 and out_b1 == 0.0
-
-
-def test_transition_split_layer_oracle(planar_state):
-    alpha = constants().alpha
-
-    def out_fraction(tau):
-        params = AnalysisParams(tau=tau)
-        in_b, out_b = transition_region_split(planar_state, params)
-        return out_b / (in_b + out_b)
-
-    # 1-d oracle: share of sech^4 mass outside |tanh| >= 1 - tau
-    def oracle(tau):
-        T = np.arctanh(1.0 - tau)
-        tail, _ = scipy.integrate.quad(
-            lambda t: (1 - np.tanh(t) ** 2) ** 2, T, 40.0)
-        return 2.0 * tail / alpha
-
-    frac = out_fraction(0.1)
-    assert frac <= 0.05
-    # band edges are resolved to node positions, an O(h/eps) effect
-    assert frac == pytest.approx(oracle(0.1), rel=0.25)
-    fracs = [out_fraction(tau) for tau in (0.2, 0.1, 0.05)]
-    assert fracs[0] > fracs[1] > fracs[2]

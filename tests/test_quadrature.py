@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aclab import (Grid, PERIODIC, RegionError, ScalarField, ZERO_FLUX,
-                   cumulative_ball_profile)
+from aclab import Grid, PERIODIC, RegionError, ZERO_FLUX
 from aclab.fields import (_CELL_DIAG, _BallQuadrature, ball_integrals,
                           disc_integral)
 
@@ -187,13 +186,12 @@ def test_disc_point_case_and_margin():
 
 def test_cumulative_profile_matches_reference():
     g = box_grid(3, ZERO_FLUX, points=25)
-    f = ScalarField(g, np.random.default_rng(5).standard_normal(g.shape))
+    f = np.random.default_rng(5).standard_normal(g.shape)
     center = (0.03, -0.07, 0.11)
     radii = np.linspace(0.2, 0.6, 9)
-    prof = cumulative_ball_profile(f, center, radii, supersample=2)
-    ref = [reference_integral_many(g, center, 2, [f.values], r)[0]
-           for r in radii]
-    assert prof[:, 1].tolist() == ref
+    vals = ball_integrals(g, [f], center, radii, 2)
+    ref = [reference_integral_many(g, center, 2, [f], r)[0] for r in radii]
+    assert vals[:, 0].tolist() == ref
 
 
 # ---------------------------------------------------------------- properties

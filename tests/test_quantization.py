@@ -6,7 +6,7 @@ import pytest
 
 from aclab import (Grid, Line, ScalarField, ZERO_FLUX, constants,
                    detect_layers, line_sample, make_state,
-                   quantization_check, smallest_exceeding_integer)
+                   quantization_check)
 
 
 def axis_line(t_lo=-0.45, t_hi=0.45, samples=361, x0=0.0):
@@ -115,15 +115,6 @@ def test_line_window_mass_concentration(stack2_state):
 
 
 # ---------------------------------------------------------------- integers
-
-def test_smallest_exceeding_integer_boundaries():
-    alpha = constants().alpha
-    assert smallest_exceeding_integer(0.0) == 1
-    assert smallest_exceeding_integer(alpha) == 2
-    assert smallest_exceeding_integer(2.5 * alpha) == 3
-    with pytest.raises(ValueError):
-        smallest_exceeding_integer(-1.0)
-
 
 def test_nearest_k_round_half_up():
     # a tie theta = 1.5 alpha rounds up and leaves the residual visible

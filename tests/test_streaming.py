@@ -15,10 +15,9 @@ from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField,
                    corollary_holder_check, density_fields,
                    diffuse_mean_curvature_norm, double_well,
                    first_variation_identity, gradient, integrate, make_state,
-                   manufactured_forcing, norm_report, smooth_test_field,
-                   tilt_excess, transition_region_split)
+                   manufactured_forcing, norm_report, smooth_test_field)
 from aclab import fields, monotonicity
-from aclab.fields import ball_integrals, restrict_to_plane
+from aclab.fields import restrict_to_plane
 from aclab.measures import eta_lq_norm
 
 POINTS = {1: (64,), 2: (30, 26), 3: (14, 12, 13)}
@@ -127,21 +126,6 @@ def test_norm_report_matches_whole_grid(streamed):
     assert rep.xi_abs_mass == float(np.sum(np.abs(xi) * w))
     assert rep.f_l2_over_eps == float(np.sum(f ** 2 * w)) / streamed.epsilon
     assert integrate(density_fields(streamed).xi) == float(np.sum(xi * w))
-    in_band = np.abs(streamed.u.values) < 1.0 - params.tau
-    assert transition_region_split(streamed, params) == (
-        float(np.sum(np.where(in_band, mu, 0.0) * w)),
-        float(np.sum(np.where(in_band, 0.0, mu) * w)))
-
-
-def test_tilt_excess_matches_whole_grid(streamed):
-    g = streamed.grid
-    grad = gradient(streamed.u).values
-    grad_sq = np.sum(grad * grad, axis=0)
-    for axis in range(-1, g.ndim):
-        tangential = np.clip(grad_sq - grad[axis] ** 2, 0.0, None)
-        tilt = streamed.epsilon * np.sqrt(grad_sq) * np.sqrt(tangential)
-        ref = ball_integrals(g, [tilt], (0.0,) * g.ndim, [0.15], 2)[0, 0]
-        assert tilt_excess(streamed, (0.0,) * g.ndim, 0.15, axis, 2) == ref
 
 
 def test_identity_integrands_and_sheet_match_whole_grid(streamed):
