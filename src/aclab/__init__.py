@@ -33,11 +33,11 @@ from .monotonicity import (MonotonicityReport, SlabReport,
                            sheet_separation_integral, slab_report)
 from .phasefield import (Constants, LayerSpec, PhaseFieldState, SolverError,
                          build_layer_stack, build_radial_layer, constants,
-                         double_well, double_well_prime, heteroclinic,
-                         make_state, manufactured_forcing, solve_stationary)
+                         double_well, double_well_prime, make_state,
+                         manufactured_forcing, solve_stationary)
 from .proofdevices import GDeltaLedger, GDeltaParams, g_delta, g_delta_ledger
 from .quantization import (Line, QuantizationReport, detect_layers,
                            quantization_check)
-from .scenarios import (ConstantProfile, LayerStackProfile, RadialProfile,
-                        Scenario, ScenarioError, SolvedBubbleProfile,
+from .scenarios import (ConstantProfile, RadialProfile, Scenario,
+                        ScenarioError, SolvedBubbleProfile,
                         SolvedFromForcingProfile, build, standard_corpus)

@@ -30,8 +30,9 @@ from .measures import (AnalysisParams, SmoothTestField, bump_half_widths,
 from .monotonicity import check_geometry, monotonicity_report, slab_report
 from .proofdevices import GDeltaParams, g_delta_ledger
 from .quantization import quantization_check
-from .scenarios import (ConstantProfile, LayerStackProfile, RadialProfile,
-                        Scenario, ScenarioError, SolvedBubbleProfile,
+from .phasefield import LayerSpec
+from .scenarios import (ConstantProfile, RadialProfile, Scenario,
+                        ScenarioError, SolvedBubbleProfile,
                         SolvedFromForcingProfile, build, check_buildable,
                         default_center, default_lines, default_radii,
                         standard_corpus)
@@ -159,7 +160,7 @@ def _solved_circle(center, radius, **noise) -> SolvedFromForcingProfile:
 
 
 # scenario.kind -> profile constructor, called with the kind's key fields
-_PROFILES = {"planar": LayerStackProfile, "stack": LayerStackProfile,
+_PROFILES = {"planar": LayerSpec, "stack": LayerSpec,
              "circle": RadialProfile, "bubble": SolvedBubbleProfile,
              "constant": ConstantProfile, "solved-circle": _solved_circle}
 
@@ -397,7 +398,7 @@ def load_config(path: Path, out_override=None, strict_override=None,
         scenario=scenario, analyses=run["analyses"],
         out_dir=Path(out_override) if out_override else run["out"],
         strict=run["strict"] if strict_override is None else strict_override,
-        threads=max(1, int(threads)), geometry=geometry)
+        threads=threads, geometry=geometry)
 
 
 def _format(value) -> str:
@@ -692,6 +693,8 @@ def main(argv=None) -> int:
                   f"grid={sc.grid.points} eps=[{eps}]")
         return 0
 
+    if args.threads < 1:
+        p_run.error(f"--threads must be >= 1, got {args.threads}")
     try:
         cfg = load_config(args.config, args.out, args.strict, args.threads)
     except ConfigError as exc:

@@ -61,6 +61,9 @@ class Grid:
     origin: tuple[float, ...] = None
 
     def __post_init__(self):
+        for name in ("extent", "points"):
+            if np.ndim(getattr(self, name)) != 1:
+                raise ValueError(f"{name} must have one entry per axis")
         ndim = len(self.extent)
         if ndim not in (1, 2, 3):
             raise ValueError(f"ambient dimension must be 1, 2 or 3, got {ndim}")
@@ -68,16 +71,16 @@ class Grid:
             raise ValueError("extent and points must have equal length")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
+        if not all(float(n).is_integer() for n in self.points):
+            raise ValueError("points must be whole numbers")
         object.__setattr__(self, "extent", _as_tuple(self.extent, ndim))
         object.__setattr__(self, "points", _as_tuple(self.points, ndim, int))
         origin = self.origin if self.origin is not None else (0.0,) * ndim
         object.__setattr__(self, "origin", _as_tuple(origin, ndim))
-        for n in self.points:
-            if n < 8:
-                raise ValueError("each axis needs at least 8 points")
-        for ext in self.extent:
-            if not ext > 0:
-                raise ValueError("extent must be positive")
+        if min(self.points) < 8:
+            raise ValueError("each axis needs at least 8 points")
+        if not all(0 < ext < np.inf for ext in self.extent):
+            raise ValueError("extent must be positive and finite")
         spacings = [self._spacing(ax) for ax in range(ndim)]
         h0 = spacings[0]
         if any(abs(h - h0) > 1e-12 * h0 for h in spacings):
@@ -463,18 +466,20 @@ def _stream(grid: Grid, fill, out: list) -> list:
     return out
 
 
-def _stream_sums(grid: Grid, fill, out: list) -> list:
-    """np.sum of each array `_stream` fills: one sum over a whole-grid array
-    holding the values a whole-grid temporary would, so the same bits."""
-    return [np.sum(a) for a in _stream(grid, fill, out)]
+def _integrals(grid: Grid, fill, out: list) -> list[float]:
+    """The one whole-domain quadrature: the integral of each integrand that
+    fill(sl) returns on the planes sl (see _stream), weighted by
+    Grid.node_weights into the caller's whole-grid buffers `out` and summed
+    by one np.sum each, so the same bits as a whole-grid temporary."""
+    w = grid.node_weights()
+    _stream(grid, lambda sl: [v * w[sl] for v in fill(sl)], out)
+    return [float(np.sum(a)) for a in out]
 
 
 def integrate(f: ScalarField) -> float:
     """Integral of a field over the whole domain (see Grid.node_weights)."""
-    v, w = f.values, f.grid.node_weights()
-    total, = _stream_sums(f.grid, lambda sl: (v[sl] * w[sl],),
-                          _buffers(f.grid, 1))
-    return float(total)
+    return _integrals(f.grid, lambda sl: (f.values[sl],),
+                      _buffers(f.grid, 1))[0]
 
 
 def _uniform_spacing(radii: np.ndarray) -> float:

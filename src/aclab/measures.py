@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (PERIODIC, ScalarField, VectorField, _buffers,
-                     _central_difference, _slabs, _stream, _stream_sums,
+                     _central_difference, _integrals, _slabs, _stream,
                      gradient)
 from .phasefield import PhaseFieldState, double_well
 
@@ -40,8 +40,14 @@ class AnalysisParams:
     def __post_init__(self):
         if not 0 < self.tau < 1:
             raise ValueError("tau must lie in (0, 1)")
+        if self.q0 is not None and not np.isfinite(self.q0):
+            raise ValueError(f"q0 must be finite, got {self.q0}")
+        if not np.isfinite(self.grad_threshold):
+            raise ValueError("grad_threshold must be finite")
         if self.grad_threshold < 0:
             raise ValueError("grad_threshold must be nonnegative")
+        if not isinstance(self.supersample, (int, np.integer)):
+            raise ValueError("supersample must be an integer")
         if self.supersample < 1:
             raise ValueError("supersample must be >= 1")
 
@@ -143,7 +149,6 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
     q0 = params.resolve_q0(state.grid.ndim)
     g = state.grid
     grad_mag, f = density_fields(state).grad_mag.values, state.f.values
-    w = g.node_weights()
 
     def parts(sl):
         return _curvature_quotient(grad_mag[sl], f[sl], state.epsilon,
@@ -151,18 +156,18 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
 
     def lam_and_mass(sl):
         quotient, mass, _ = parts(sl)
-        return quotient ** q0 * mass * w[sl], mass * w[sl]
+        return quotient ** q0 * mass, mass
 
     def excluded(sl):
         _, mass, included = parts(sl)
-        return (np.where(included, 0.0, mass) * w[sl],)
+        return (np.where(included, 0.0, mass),)
 
     # two passes through two buffers, so that no more are ever held
     bufs = _buffers(g, 2)
-    lam, total_mass = _finite(*_stream_sums(g, lam_and_mass, bufs))
-    excl, = _finite(*_stream_sums(g, excluded, bufs[:1]))
+    lam, total_mass = _finite(*_integrals(g, lam_and_mass, bufs))
+    excl, = _finite(*_integrals(g, excluded, bufs[:1]))
     fraction = excl / total_mass if total_mass > 0 else 0.0
-    return float(lam), float(fraction)
+    return lam, fraction
 
 
 def norm_report(state: PhaseFieldState,
@@ -173,20 +178,20 @@ def norm_report(state: PhaseFieldState,
     dens = density_fields(state)
     lam, fraction = diffuse_mean_curvature_norm(state, params)
     mu, xi, xi_plus = dens.mu.values, dens.xi.values, dens.xi_plus.values
-    f, w, bufs = state.f.values, g.node_weights(), _buffers(g, 2)
-    xi_abs, f_sq = _finite(*_stream_sums(
-        g, lambda sl: (np.abs(xi[sl]) * w[sl], f[sl] ** 2 * w[sl]), bufs))
-    energy, xi_plus_mass = _stream_sums(
-        g, lambda sl: (mu[sl] * w[sl], xi_plus[sl] * w[sl]), bufs)
+    f, bufs = state.f.values, _buffers(g, 2)
+    xi_abs, f_sq = _finite(*_integrals(
+        g, lambda sl: (np.abs(xi[sl]), f[sl] ** 2), bufs))
+    energy, xi_plus_mass = _integrals(
+        g, lambda sl: (mu[sl], xi_plus[sl]), bufs)
     return NormReport(
-        total_energy=float(energy),
+        total_energy=energy,
         sup_u=max(float(np.max(np.abs(state.u.values[sl])))
                   for sl in _slabs(g)),
         lambda_hat=lam,
         sup_eps_grad=float(eps * np.max(dens.grad_mag.values)),
-        xi_plus_mass=float(xi_plus_mass),
-        xi_abs_mass=float(xi_abs),
-        f_l2_over_eps=float(f_sq) / eps,
+        xi_plus_mass=xi_plus_mass,
+        xi_abs_mass=xi_abs,
+        f_l2_over_eps=f_sq / eps,
         excluded_mass_fraction=fraction,
     )
 
@@ -227,14 +232,13 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
     eps = state.epsilon
     lhs, _ = diffuse_mean_curvature_norm(state, replace(params, q0=q0))
     grad_mag, f = density_fields(state).grad_mag.values, state.f.values
-    w = g.node_weights()
 
     def powers(sl):
         quotient, _, _ = _curvature_quotient(grad_mag[sl], f[sl], eps,
                                              params.grad_threshold)
-        return np.abs(f[sl]) ** s * w[sl], quotient ** t * w[sl]
+        return np.abs(f[sl]) ** s, quotient ** t
 
-    f_s, quotient_t = _stream_sums(g, powers, _buffers(g, 2))
+    f_s, quotient_t = _integrals(g, powers, _buffers(g, 2))
     c1 = f_s ** (1.0 / s) / np.sqrt(eps)
     c2 = quotient_t ** (1.0 / t)
     rhs = c1 ** 2 * c2 ** (q0 - 2.0)
@@ -243,6 +247,7 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
         # a tiny f can underflow the powers of |f| and of the quotient to 0;
         # the chain is homogeneous of degree q0 in f, so decide it again
         # for f / max|f|, in sums over slabs (only the comparison is kept)
+        w = g.node_weights()
         peak = max(float(np.max(np.abs(f[sl]))) for sl in _slabs(g))
         lam = f_s = quotient_t = 0.0
         for sl in _slabs(g):
@@ -293,7 +298,6 @@ def first_variation_identity(state: PhaseFieldState, eta,
         raise ValueError("eta must live on the state's grid")
     dens = density_fields(state)
     grad_u = state_gradient(state)
-    w = g.node_weights()
     mu, xi, f = dens.mu.values, dens.xi.values, state.f.values
     carry = None  # eta on the last two planes read
     # max |eta| per transverse node over the planes read, and over the 4
@@ -342,19 +346,19 @@ def first_variation_identity(state: PhaseFieldState, eta,
         div_eta -= grad_eta_nunu
         div_eta *= mu[sl]  # now (div_eta - grad_eta_nunu) mu
         grad_eta_nunu *= xi[sl]
-        return (np.where(included, div_eta, 0.0) * w[sl],
-                np.where(included, grad_eta_nunu, 0.0) * w[sl])
+        return (np.where(included, div_eta, 0.0),
+                np.where(included, grad_eta_nunu, 0.0))
 
     def forcing_term(sl):
         part = eta.planes(sl)
         pairing = sum(grad_u[i, sl] * part[i] for i in range(g.ndim))
-        return (f[sl] * pairing * w[sl],)
+        return (f[sl] * pairing,)
 
     bufs = _buffers(g, 2)
-    lhs, disc = map(float, _stream_sums(g, identity_terms, bufs))
+    lhs, disc = _integrals(g, identity_terms, bufs)
     if g.boundary != PERIODIC:
         _require_compact_support(face, ends)
-    forcing, = map(float, _stream_sums(g, forcing_term, bufs[:1]))
+    forcing, = _integrals(g, forcing_term, bufs[:1])
     rhs = forcing + disc
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return FirstVariationResult(lhs=lhs, rhs=rhs, residual=residual,
@@ -409,10 +413,9 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     if np.isinf(q):
         return max(float(np.max(magnitude(sl), where=mu[sl] * w[sl] > 0,
                                 initial=0.0)) for sl in _slabs(state.grid))
-    total, = _stream_sums(state.grid,
-                          lambda sl: (magnitude(sl) ** q * mu[sl] * w[sl],),
-                          _buffers(state.grid, 1))
-    return float(total ** (1.0 / q))
+    total, = _integrals(state.grid, lambda sl: (magnitude(sl) ** q * mu[sl],),
+                        _buffers(state.grid, 1))
+    return total ** (1.0 / q)
 
 
 def bump_half_widths(grid) -> list[float]:

@@ -1,5 +1,5 @@
-"""Double-well potential, heteroclinic profile, layer constructions, and a
-stationary solver for the forced interface equation
+"""Double-well potential, layer constructions, and a stationary solver for
+the forced interface equation
 
     eps * lap(u) - W'(u)/eps = f,      W(t) = (1 - t^2)^2 / 2.
 
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (PERIODIC, Grid, ScalarField, _central_difference,
-                     _neighbour_sum_into, _unit_weights, laplacian)
+from .fields import (PERIODIC, Grid, ScalarField, _neighbour_sum_into,
+                     _unit_weights, gradient, laplacian)
 
 
 class SolverError(RuntimeError):
@@ -47,20 +47,6 @@ def double_well_second(t):
     t = np.asarray(t, dtype=float)
     w = 6.0 * t * t - 2.0
     return w if w.ndim else float(w)
-
-
-def heteroclinic(t):
-    """The 1-d transition profile q(t) = tanh t and its derivative sech^2 t.
-
-    Satisfies q' = sqrt(2 W(q)) identically; its energy integral
-    int (q')^2 dt = 4/3 is the quantization unit.
-    """
-    t = np.asarray(t, dtype=float)
-    q = np.tanh(t)
-    dq = 1.0 - q * q
-    if q.ndim:
-        return q, dq
-    return float(q), float(dq)
 
 
 @dataclass(frozen=True)
@@ -110,25 +96,15 @@ def constants() -> Constants:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """A stack of parallel transition layers along one axis.
-
-    positions must be strictly increasing; orientations alternate starting
-    from first_sign, so the profile has exactly len(positions) sign changes.
+    """A stack of parallel transition layers along one axis, the planar
+    and stack profile of a scenario. check_layer_fit checks it against a
+    grid. Orientations alternate starting from first_sign (+-1), so the
+    profile has exactly len(positions) sign changes.
     """
 
     positions: tuple[float, ...]
     axis: int = -1
     first_sign: int = 1
-
-    def __post_init__(self):
-        pos = tuple(float(p) for p in self.positions)
-        if len(pos) < 1:
-            raise ValueError("need at least one layer position")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise ValueError("layer positions must be strictly increasing")
-        if self.first_sign not in (1, -1):
-            raise ValueError("first_sign must be +1 or -1")
-        object.__setattr__(self, "positions", pos)
 
     @property
     def orientations(self) -> tuple[int, ...]:
@@ -202,14 +178,21 @@ def make_state(u: ScalarField, f: ScalarField, epsilon: float) -> PhaseFieldStat
 
 
 def check_layer_fit(grid: Grid, epsilon: float, spec: LayerSpec):
-    """The stack's scalar preconditions: an axis of the grid, and layers
+    """The stack's scalar preconditions: at least one layer, strictly
+    increasing positions, first_sign +-1, an axis of the grid, and layers
     4 eps apart and 6 eps from the domain faces on it. Raises ValueError;
     builds no array."""
+    pos = spec.positions
+    if not len(pos):
+        raise ValueError("need at least one layer position")
+    if any(b <= a for a, b in zip(pos, pos[1:])):
+        raise ValueError("layer positions must be strictly increasing")
+    if spec.first_sign not in (1, -1):
+        raise ValueError("first_sign must be +1 or -1")
     if not -grid.ndim <= spec.axis < grid.ndim:
         raise ValueError(f"layer axis {spec.axis} is not an axis of a "
                          f"{grid.ndim}-d grid")
     axis = spec.axis % grid.ndim
-    pos = spec.positions
     gaps = [b - a for a, b in zip(pos, pos[1:])]
     slack = 1e-12 * grid.h  # layers that fit exactly must not fail in floats
     if any(g < 4.0 * epsilon - slack for g in gaps):
@@ -458,8 +441,8 @@ def _expand(coeffs: np.ndarray, tables, out: np.ndarray) -> np.ndarray:
 class InterfaceSpace:
     """Coarse space of a pure-Newton step, localised on the interface:
     Q = g * (products of the m smoothest modes per axis), with the weight
-    g = |grad_h u|, which vanishes in the pure phases. K is the
-    pure-Newton operator at u, diag = W''(u)/eps.
+    g = |grad_h u| of `density_fields`, 0 in the pure phases; u is adopted
+    (read-only after). K is the pure-Newton operator at u, diag = W''(u)/eps.
 
     With A = D*K and M = D*P the operator and preconditioner of `spsolve`,
     the Galerkin matrices Q^T A Q and Q^T M Q are summed from the stencil
@@ -484,12 +467,8 @@ class InterfaceSpace:
 
     def __init__(self, grid: Grid, epsilon: float, u: np.ndarray):
         shape, nd, h = grid.shape, grid.ndim, grid.h
-        grad = np.empty(shape)
-        self.g = np.zeros(shape)
-        for ax in range(nd):
-            _central_difference(u, grid, ax, grad)
-            self.g += grad * grad
-        np.sqrt(self.g, out=self.g)
+        grad = gradient(ScalarField._adopt(grid, u)).values
+        self.g = np.sqrt(np.sum(grad * grad, axis=0))
         diag = double_well_second(u) / epsilon
         m = round(_COARSE_MODES ** (1.0 / nd))
         self.modes = [_axis_modes(n, min(m, n), grid.boundary) for n in shape]

@@ -26,13 +26,6 @@ class ScenarioError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LayerStackProfile:
-    positions: tuple[float, ...]
-    axis: int = -1
-    first_sign: int = 1
-
-
-@dataclass(frozen=True)
 class RadialProfile:
     center: tuple[float, ...]
     radius: float
@@ -63,11 +56,11 @@ class SolvedFromForcingProfile:
     """Newton solve against the manufactured forcing of a base profile,
     from a noise-perturbed initial guess."""
 
-    base: "RadialProfile | LayerStackProfile"
+    base: "RadialProfile | LayerSpec"
     noise_amplitude: float = 0.01
 
 
-Profile = (LayerStackProfile, RadialProfile, ConstantProfile,
+Profile = (LayerSpec, RadialProfile, ConstantProfile,
            SolvedBubbleProfile, SolvedFromForcingProfile)
 
 
@@ -98,11 +91,6 @@ class Scenario:
         object.__setattr__(self, "epsilons", eps)
 
 
-def _layer_spec(profile: LayerStackProfile) -> LayerSpec:
-    return LayerSpec(positions=profile.positions, axis=profile.axis,
-                     first_sign=profile.first_sign)
-
-
 def _check_bubble_grid(scenario: Scenario):
     if scenario.grid.ndim < 2:
         raise ScenarioError(
@@ -120,19 +108,19 @@ def check_buildable(scenario: Scenario):
         _check_bubble_grid(scenario)
     if isinstance(prof, SolvedFromForcingProfile):
         prof = prof.base
-    if not isinstance(prof, LayerStackProfile):
+    if not isinstance(prof, LayerSpec):
         return
     for eps in scenario.epsilons:
         try:
-            check_layer_fit(scenario.grid, eps, _layer_spec(prof))
+            check_layer_fit(scenario.grid, eps, prof)
         except ValueError as exc:
             raise ScenarioError(f"scenario {scenario.name!r} cannot build "
                                 f"at eps={eps:g}: {exc}") from exc
 
 
 def _base_field(grid: Grid, eps: float, profile) -> ScalarField:
-    if isinstance(profile, LayerStackProfile):
-        return build_layer_stack(grid, eps, _layer_spec(profile))
+    if isinstance(profile, LayerSpec):
+        return build_layer_stack(grid, eps, profile)
     if isinstance(profile, RadialProfile):
         return build_radial_layer(grid, eps, profile.center, profile.radius)
     if isinstance(profile, ConstantProfile):
@@ -143,7 +131,7 @@ def _base_field(grid: Grid, eps: float, profile) -> ScalarField:
 def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
     g = scenario.grid
     prof = scenario.profile
-    if isinstance(prof, (LayerStackProfile, RadialProfile, ConstantProfile)):
+    if isinstance(prof, (LayerSpec, RadialProfile, ConstantProfile)):
         u = _base_field(g, eps, prof)
         return make_state(u, manufactured_forcing(u, eps), eps)
     if isinstance(prof, SolvedBubbleProfile):
@@ -214,7 +202,7 @@ def default_center(scenario: Scenario):
     mid = [0.5 * (lo + hi) for lo, hi in zip(g.lo, g.hi)]
     if isinstance(prof, SolvedFromForcingProfile):
         prof = prof.base
-    if isinstance(prof, LayerStackProfile):
+    if isinstance(prof, LayerSpec):
         c = list(mid)
         c[prof.axis % g.ndim] = prof.positions[0]
         return tuple(c)
@@ -268,7 +256,7 @@ def default_lines(scenario: Scenario, eps: float):
                     (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)]
         return [Line(base=tuple(center), direction=d, t_lo=0.0, t_hi=t_hi,
                      samples=count) for d in dirs]
-    axis = (prof.axis % g.ndim if isinstance(prof, LayerStackProfile)
+    axis = (prof.axis % g.ndim if isinstance(prof, LayerSpec)
             else g.ndim - 1)
     t_lo = g.lo[axis] + 3.0 * g.h
     t_hi = g.hi[axis] - 3.0 * g.h
@@ -303,29 +291,29 @@ def standard_corpus() -> dict[str, Scenario]:
 
     corpus["planar-1"] = Scenario(
         name="planar-1", grid=_square_grid(1.0, 321), epsilons=(0.05,),
-        profile=LayerStackProfile(positions=(0.0,), axis=1))
+        profile=LayerSpec(positions=(0.0,), axis=1))
 
     corpus["stack-2"] = Scenario(
         name="stack-2", grid=_square_grid(0.5, 401), epsilons=(0.02,),
-        profile=LayerStackProfile(positions=(-0.1, 0.1), axis=1))
+        profile=LayerSpec(positions=(-0.1, 0.1), axis=1))
 
     corpus["stack-3"] = Scenario(
         name="stack-3", grid=_square_grid(0.75, 601), epsilons=(0.02,),
-        profile=LayerStackProfile(positions=(-0.2, 0.0, 0.2), axis=1))
+        profile=LayerSpec(positions=(-0.2, 0.0, 0.2), axis=1))
 
     corpus["stack-2-1d"] = Scenario(
         name="stack-2-1d",
         grid=Grid(extent=(1.0,), points=(801,), boundary=ZERO_FLUX,
                   origin=(-0.5,)),
         epsilons=(0.02, 0.01),
-        profile=LayerStackProfile(positions=(-0.1, 0.1), axis=0))
+        profile=LayerSpec(positions=(-0.1, 0.1), axis=0))
 
     corpus["stack-3-1d"] = Scenario(
         name="stack-3-1d",
         grid=Grid(extent=(1.5,), points=(1201,), boundary=ZERO_FLUX,
                   origin=(-0.75,)),
         epsilons=(0.02, 0.01),
-        profile=LayerStackProfile(positions=(-0.2, 0.0, 0.2), axis=0))
+        profile=LayerSpec(positions=(-0.2, 0.0, 0.2), axis=0))
 
     corpus["circle"] = Scenario(
         name="circle", grid=_square_grid(1.0, 641),

@@ -75,6 +75,17 @@ def test_validate_and_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms\n"
+                    f"out = {tmp_path/'out'}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg), "--threads", threads])
+    assert exit_info.value.code == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out

@@ -33,6 +33,16 @@ def test_grid_rejects_anisotropy_and_small_axes():
         Grid(extent=(1.0, 1.0, 1.0, 1.0), points=(9, 9, 9, 9))
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    ({"extent": (np.inf,), "points": (65,)}, "extent"),
+    ({"extent": (1.0,), "points": (65.5,)}, "points"),
+    ({"extent": 1.0, "points": (65,)}, "extent"),
+    ({"extent": (1.0,), "points": 65}, "points")])
+def test_grid_refuses_bad_values_by_name(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        Grid(**kwargs)
+
+
 def test_node_weights_built_once_and_read_only():
     g = grid2d(9)
     w = g.node_weights()

@@ -117,6 +117,16 @@ def test_equidistribution_ratio_and_refinement(planar_state, planar_state_fine):
 
 # ---------------------------------------------------------------- curvature
 
+@pytest.mark.parametrize("field,value", [
+    ("q0", np.inf), ("q0", np.nan), ("grad_threshold", np.nan),
+    ("grad_threshold", np.inf), ("grad_threshold", -1.0),
+    ("supersample", 2.5), ("supersample", 0), ("tau", np.nan)])
+def test_analysis_params_refuse_bad_values(field, value):
+    # each refusal names its field, before any state is analysed
+    with pytest.raises(ValueError, match=field):
+        AnalysisParams(**{field: value})
+
+
 def test_curvature_norm_trivial_cases():
     st = constant_state(0.0)
     zero_f = st

@@ -1,4 +1,5 @@
-"""Potential, heteroclinic profile, layer constructions, and the solver."""
+"""Potential, the tanh layer profile, layer constructions, and the
+solver."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from aclab import (Grid, LayerSpec, PERIODIC, ScalarField, SolverError,
                    ZERO_FLUX, build_layer_stack, build_radial_layer,
-                   constants, double_well, double_well_prime, heteroclinic,
-                   laplacian, make_state, manufactured_forcing,
-                   solve_stationary)
-from aclab import phasefield
-from aclab.phasefield import double_well_second, residual_field
+                   constants, double_well, double_well_prime, laplacian,
+                   make_state, manufactured_forcing, solve_stationary)
+from aclab import density_fields, phasefield
+from aclab.phasefield import (check_layer_fit, double_well_second,
+                              residual_field)
 
 
 # ---------------------------------------------------------------- potential
@@ -36,16 +37,18 @@ def test_inflection_of_w_prime():
     assert t0 == pytest.approx(1.0 / np.sqrt(3.0))
 
 
+# the layer profile of build_layer_stack and build_radial_layer is tanh,
+# the heteroclinic q with q' = 1 - q^2 = sech^2
+
 def test_heteroclinic_profile():
-    q, dq = heteroclinic(0.0)
-    assert q == 0.0 and dq == 1.0
-    t = np.linspace(-20, 20, 1000)
-    qs, dqs = heteroclinic(t)
+    assert np.tanh(0.0) == 0.0 and 1.0 - np.tanh(0.0) ** 2 == 1.0
+    qs = np.tanh(np.linspace(-20, 20, 1000))
+    dqs = 1.0 - qs * qs
     assert np.max(np.abs(dqs - np.sqrt(2.0 * double_well(qs)))) <= 1e-12
 
 
 def test_heteroclinic_energy_by_quadrature():
-    val, err = scipy.integrate.quad(lambda t: heteroclinic(t)[1] ** 2,
+    val, err = scipy.integrate.quad(lambda t: (1.0 - np.tanh(t) ** 2) ** 2,
                                     -40, 40, limit=200)
     assert err < 1e-8
     assert abs(val - 4.0 / 3.0) <= 1e-8
@@ -70,9 +73,17 @@ def grid1d(n=641, half=1.0):
 
 
 def test_layer_spec_validation():
-    with pytest.raises(ValueError, match="increasing"):
-        LayerSpec(positions=(0.1, 0.1))
+    g = grid1d()
+    for spec, match in ((LayerSpec(positions=(0.1, 0.1)), "increasing"),
+                        (LayerSpec(positions=()), "at least one"),
+                        (LayerSpec(positions=(0.0,), first_sign=2),
+                         "first_sign")):
+        with pytest.raises(ValueError, match=match):
+            check_layer_fit(g, 0.02, spec)
+        with pytest.raises(ValueError, match=match):
+            build_layer_stack(g, 0.02, spec)
     spec = LayerSpec(positions=(-0.2, 0.0, 0.2))
+    check_layer_fit(g, 0.02, spec)
     assert spec.orientations == (1, -1, 1)
 
 
@@ -467,6 +478,17 @@ def test_interface_space_is_a_ritz_basis(boundary, points):
     assert np.all(np.abs(lam) < 0.5)
     assert space.weights == pytest.approx(0.5 / np.abs(lam) - 1.0,
                                           rel=1e-8)
+
+
+@pytest.mark.parametrize("boundary,points", NEWTON_SYSTEMS)
+def test_interface_weight_is_the_density_gradient_magnitude(boundary,
+                                                            points):
+    # one |grad_h u|: the coarse space's weight g is density_fields' grad_mag
+    g, eps, u, _, _ = newton_system(boundary, points, True)
+    state = make_state(ScalarField(g, u), ScalarField(g, np.zeros(g.shape)),
+                       eps)
+    space = phasefield.InterfaceSpace(g, eps, u)
+    assert np.array_equal(space.g, density_fields(state).grad_mag.values)
 
 
 def test_interface_free_state_uses_the_plain_preconditioner(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aclab import (AnalysisParams, ConstantProfile, Grid, LayerStackProfile,
+from aclab import (AnalysisParams, ConstantProfile, Grid, LayerSpec,
                    PERIODIC, RadialProfile, ScalarField, Scenario,
                    ScenarioError, SolvedBubbleProfile, SolvedFromForcingProfile,
                    ZERO_FLUX, build, make_state, manufactured_forcing)
@@ -50,7 +50,7 @@ def test_manufactured_states_have_zero_residual(planar_state, stack2_state):
 
 def test_build_is_deterministic():
     sc = Scenario(name="det", grid=small_grid(129), epsilons=(0.1,),
-                  profile=LayerStackProfile(positions=(0.0,), axis=1))
+                  profile=LayerSpec(positions=(0.0,), axis=1))
     a = build(sc)[0]
     b = build(sc)[0]
     assert np.array_equal(a.u.values, b.u.values)
@@ -149,8 +149,8 @@ def _fitting_stack(draw, grid, axis):
                                   max_size=k)))
     positions = tuple(lo + (6 + 4 * i) * room + s * free
                       for i, s in enumerate(shifts))
-    return LayerStackProfile(positions=positions, axis=axis,
-                             first_sign=draw(st.sampled_from([-1, 1]))), epsilons
+    return LayerSpec(positions=positions, axis=axis,
+                     first_sign=draw(st.sampled_from([-1, 1]))), epsilons
 
 
 @st.composite
