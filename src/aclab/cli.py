@@ -15,7 +15,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -155,14 +155,11 @@ def _corpus_scenario(name: str) -> Scenario:
     return corpus[_one_of("scenario", sorted(corpus))(name)]
 
 
-def _solved_circle(center, radius, **noise) -> SolvedFromForcingProfile:
-    return SolvedFromForcingProfile(RadialProfile(center, radius), **noise)
-
-
-# scenario.kind -> profile constructor, called with the kind's key fields
+# scenario.kind -> profile class, called with the kind's key fields
 _PROFILES = {"planar": LayerSpec, "stack": LayerSpec,
              "circle": RadialProfile, "bubble": SolvedBubbleProfile,
-             "constant": ConstantProfile, "solved-circle": _solved_circle}
+             "constant": ConstantProfile,
+             "solved-circle": SolvedFromForcingProfile}
 
 
 @dataclass
@@ -409,24 +406,15 @@ def _format(value) -> str:
 
 def to_config(scenario: Scenario, out: str = "out") -> str:
     """Serialize a scenario to the flat key-value config format that
-    load_config reads back; blocks on profile kinds the config grammar
-    cannot express."""
+    load_config reads back; refuses a profile type with no config kind."""
     prof = scenario.profile
-    if isinstance(prof, SolvedFromForcingProfile):
-        if not isinstance(prof.base, RadialProfile):
-            raise ScenarioError(
-                "only radial bases serialize for solved-from-forcing scenarios")
-        kind, fields = "solved-circle", {**vars(prof), **vars(prof.base)}
-    else:
-        kind = next((k for k, make in _PROFILES.items()
-                     if make is type(prof)), None)
-        if kind is None:
-            raise ScenarioError(f"cannot serialize profile {type(prof).__name__}")
-        fields = vars(prof)
+    kind = next((k for k, cls in _PROFILES.items() if cls is type(prof)), None)
+    if kind is None:
+        raise ScenarioError(f"cannot serialize profile {type(prof).__name__}")
     sources = {"run": {"out": out},
                "inline": {"kind": kind, "name": scenario.name},
                "scenario": vars(scenario), "grid": vars(scenario.grid),
-               "params": vars(scenario.params), kind: fields}
+               "params": vars(scenario.params), kind: vars(prof)}
     lines = []
     for key, spec in _KEYS.items():
         owner = next((o for o in spec.owners if o in sources), None)
@@ -455,20 +443,9 @@ def _run_norms(cfg: RunConfig, states):
     for eps, st in zip(scenario.epsilons, states):
         rep = norm_report(st, scenario.params)
         hold = corollary_holder_check(st, s=3.0, t=6.0, params=scenario.params)
-        scalars = {
-            "total_energy": rep.total_energy,
-            "sup_u": rep.sup_u,
-            "lambda_hat": rep.lambda_hat,
-            "sup_eps_grad": rep.sup_eps_grad,
-            "xi_plus_mass": rep.xi_plus_mass,
-            "xi_abs_mass": rep.xi_abs_mass,
-            "f_l2_over_eps": rep.f_l2_over_eps,
-            "excluded_mass_fraction": rep.excluded_mass_fraction,
-            "residual_norm": st.residual_norm,
-            "holder_lhs": hold.lhs,
-            "holder_rhs": hold.rhs,
-            "holder_holds": 1.0 if hold.holds else 0.0,
-        }
+        scalars = {**asdict(rep), "residual_norm": st.residual_norm,
+                   "holder_lhs": hold.lhs, "holder_rhs": hold.rhs,
+                   "holder_holds": 1.0 if hold.holds else 0.0}
         for name, val in scalars.items():
             label = f"{name}@eps={eps:g}" if multi else name
             rows.append((label, _fmt(val)))

@@ -81,6 +81,8 @@ class Grid:
             raise ValueError("each axis needs at least 8 points")
         if not all(0 < ext < np.inf for ext in self.extent):
             raise ValueError("extent must be positive and finite")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("origin must be finite")
         spacings = [self._spacing(ax) for ax in range(ndim)]
         h0 = spacings[0]
         if any(abs(h - h0) > 1e-12 * h0 for h in spacings):
@@ -204,43 +206,32 @@ class VectorField(_Field):
         return self.values[:, idx]
 
 
-def _neighbours(grid: Grid, axis: int, lo: int = 0, hi: int = None):
-    """Index triples (nodes, i+1 neighbours, i-1 neighbours) along one axis,
-    for the nodes lo <= i < hi of it (all by default); `nodes` counts from
-    lo, the neighbours index the whole axis.
+def _neighbours(grid: Grid, axis: int):
+    """Index triples (nodes, i+1 neighbours, i-1 neighbours) along one axis.
 
-    The triples cover the interior and, when in range, the first and the
-    last node; each index is slices on the trailing grid axes, so
-    values[...] is a view, never a copy, also of fields stacked in front of
-    the grid. Periodic wraps; zero-flux mirrors across the boundary node
-    (ghost(-1) = u[1]), which makes the central first derivative vanish at
-    the boundary.
+    The triples cover the interior, the first and the last node; each index
+    is slices on the trailing grid axes, so values[...] is a view, never a
+    copy, also of fields stacked in front of the grid. Periodic wraps;
+    zero-flux mirrors across the boundary node (ghost(-1) = u[1]), which
+    makes the central first derivative vanish at the boundary.
     """
     def at(s):
         return (..., s) + (slice(None),) * (grid.ndim - 1 - axis)
 
     n = grid.points[axis]
-    hi = n if hi is None else hi
     wrap = grid.boundary == PERIODIC
-    a, b = max(lo, 1), min(hi, n - 1)
-    triples = [(at(slice(a - lo, b - lo)), at(slice(a + 1, b + 1)),
-                at(slice(a - 1, b - 1)))] if a < b else []
-    if lo == 0:
-        triples.append((at(slice(0, 1)), at(slice(1, 2)),
-                        at(slice(n - 1, n) if wrap else slice(1, 2))))
-    if hi == n:
-        triples.append((at(slice(n - 1 - lo, n - lo)),
-                        at(slice(0, 1) if wrap else slice(n - 2, n - 1)),
-                        at(slice(n - 2, n - 1))))
-    return triples
+    return [(at(slice(1, n - 1)), at(slice(2, n)), at(slice(0, n - 2))),
+            (at(slice(0, 1)), at(slice(1, 2)),
+             at(slice(n - 1, n) if wrap else slice(1, 2))),
+            (at(slice(n - 1, n)),
+             at(slice(0, 1) if wrap else slice(n - 2, n - 1)),
+             at(slice(n - 2, n - 1)))]
 
 
 def _central_difference(v: np.ndarray, grid: Grid, axis: int,
-                        out: np.ndarray, lo: int = 0, hi: int = None):
-    """out = (v[i+1] - v[i-1]) / 2h along one grid axis, for the nodes
-    lo <= i < hi of it (see _neighbours): out holds those nodes only, and v
-    is read on them and one neighbour on each side."""
-    for nodes, plus, minus in _neighbours(grid, axis, lo, hi):
+                        out: np.ndarray):
+    """out = (v[i+1] - v[i-1]) / 2h along one grid axis (see _neighbours)."""
+    for nodes, plus, minus in _neighbours(grid, axis):
         np.subtract(v[plus], v[minus], out=out[nodes])
     out /= 2.0 * grid.h
 

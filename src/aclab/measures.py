@@ -300,25 +300,28 @@ def first_variation_identity(state: PhaseFieldState, eta,
     grad_u = state_gradient(state)
     mu, xi, f = dens.mu.values, dens.xi.values, state.f.values
     carry = None  # eta on the last two planes read
-    # max |eta| per transverse node over the planes read, and over the 4
-    # outermost axis-0 planes on each side
-    face, ends = np.zeros(g.shape[1:]), 0.0
+    # max |eta| over the nodes read, and over those of them closer than 4h
+    # to a face: the 4 outermost layers on each side of each axis
+    peak = shell = 0.0
 
     def identity_terms(sl):
-        nonlocal carry, ends
+        nonlocal carry, peak, shell
         # eta on the planes sl and one past each end, each plane read once
         idx = _halo(g, sl)
         halo = (eta.planes(idx) if carry is None else
                 np.concatenate((carry, eta.planes(idx[2:])), axis=1))
         carry = halo[:, -2:]
-        if g.boundary != PERIODIC:  # max |eta| as max(max, -min)
+        if g.boundary != PERIODIC:
             core, n = halo[:, 1:-1], g.points[0]
-            np.maximum(face, core.max(axis=(0, 1)), out=face)
-            np.maximum(face, -core.min(axis=(0, 1)), out=face)
-            for end in (core[:, :max(4 - sl.start, 0)],
-                        core[:, max(n - 4 - sl.start, 0):]):
-                if end.size:
-                    ends = max(ends, float(end.max()), -float(end.min()))
+            strips = [core[:, :max(4 - sl.start, 0)],
+                      core[:, max(n - 4 - sl.start, 0):]]
+            for ax in range(2, core.ndim):  # the transverse grid axes
+                m = np.moveaxis(core, ax, 0)
+                strips += [m[:4], m[-4:]]
+            # max |eta| as max(max, -min): no slab-sized |eta| is built
+            top = [max(float(a.max()), -float(a.min()))
+                   for a in (core, *strips) if a.size]
+            peak, shell = max(peak, top[0]), max([shell, *top[1:]])
         # the mask eps|grad u| >= threshold and the unit normal on it (0
         # elsewhere, and where grad u = 0)
         grad_mag = dens.grad_mag.values[sl]
@@ -356,8 +359,8 @@ def first_variation_identity(state: PhaseFieldState, eta,
 
     bufs = _buffers(g, 2)
     lhs, disc = _integrals(g, identity_terms, bufs)
-    if g.boundary != PERIODIC:
-        _require_compact_support(face, ends)
+    if shell > 1e-12 * peak:
+        raise ValueError("eta must vanish within 4h of the domain boundary")
     forcing, = _integrals(g, forcing_term, bufs[:1])
     rhs = forcing + disc
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
@@ -377,21 +380,6 @@ def _halo(grid, sl) -> np.ndarray:
     if idx[-1] == n:
         idx[-1] = n - 2
     return idx
-
-
-def _require_compact_support(face, ends: float):
-    """Refuse eta unless it vanishes (to 1e-12 of its peak) on the nodes
-    closer than 4h to a zero-flux face, the 4 outermost layers on each side
-    of each axis: `face` holds max |eta| per transverse node over the
-    axis-0 planes, `ends` max |eta| over the 4 outermost axis-0 planes on
-    each side. Max over strips of them, never a grid mask."""
-    shells = [ends]
-    for ax in range(face.ndim):
-        at = (slice(None),) * ax
-        shells += [face[at + (slice(0, 4),)].max(),
-                   face[at + (slice(-4, None),)].max()]
-    if max(shells) > 1e-12 * face.max():
-        raise ValueError("eta must vanish within 4h of the domain boundary")
 
 
 def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:

@@ -53,15 +53,19 @@ class SolvedBubbleProfile:
 
 @dataclass(frozen=True)
 class SolvedFromForcingProfile:
-    """Newton solve against the manufactured forcing of a base profile,
-    from a noise-perturbed initial guess."""
+    """Newton solve against the manufactured forcing of the radial tanh
+    layer of `center` and `radius` (the RadialProfile's field), from that
+    field plus seeded noise of `noise_amplitude`."""
 
-    base: "RadialProfile | LayerSpec"
+    center: tuple[float, ...]
+    radius: float
     noise_amplitude: float = 0.01
 
 
 Profile = (LayerSpec, RadialProfile, ConstantProfile,
            SolvedBubbleProfile, SolvedFromForcingProfile)
+# the profiles of one interface around a center
+_BALLS = (RadialProfile, SolvedBubbleProfile, SolvedFromForcingProfile)
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,6 @@ def check_buildable(scenario: Scenario):
     prof = scenario.profile
     if isinstance(prof, SolvedBubbleProfile):
         _check_bubble_grid(scenario)
-    if isinstance(prof, SolvedFromForcingProfile):
-        prof = prof.base
     if not isinstance(prof, LayerSpec):
         return
     for eps in scenario.epsilons:
@@ -118,21 +120,20 @@ def check_buildable(scenario: Scenario):
                                 f"at eps={eps:g}: {exc}") from exc
 
 
-def _base_field(grid: Grid, eps: float, profile) -> ScalarField:
+def _analytic_field(grid: Grid, eps: float, profile) -> ScalarField:
+    """The field of a manufactured profile."""
     if isinstance(profile, LayerSpec):
         return build_layer_stack(grid, eps, profile)
     if isinstance(profile, RadialProfile):
         return build_radial_layer(grid, eps, profile.center, profile.radius)
-    if isinstance(profile, ConstantProfile):
-        return ScalarField(grid, np.full(grid.shape, float(profile.value)))
-    raise ScenarioError(f"no analytic field for profile {type(profile).__name__}")
+    return ScalarField(grid, np.full(grid.shape, float(profile.value)))
 
 
 def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
     g = scenario.grid
     prof = scenario.profile
     if isinstance(prof, (LayerSpec, RadialProfile, ConstantProfile)):
-        u = _base_field(g, eps, prof)
+        u = _analytic_field(g, eps, prof)
         return make_state(u, manufactured_forcing(u, eps), eps)
     if isinstance(prof, SolvedBubbleProfile):
         _check_bubble_grid(scenario)
@@ -145,7 +146,7 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
         _check_bubble(state, dist)
         return state
     if isinstance(prof, SolvedFromForcingProfile):
-        u_star = _base_field(g, eps, prof.base)
+        u_star = build_radial_layer(g, eps, prof.center, prof.radius)
         f = manufactured_forcing(u_star, eps)
         rng = np.random.default_rng(scenario.seed)
         init = ScalarField(
@@ -200,13 +201,11 @@ def default_center(scenario: Scenario):
     prof = scenario.profile
     g = scenario.grid
     mid = [0.5 * (lo + hi) for lo, hi in zip(g.lo, g.hi)]
-    if isinstance(prof, SolvedFromForcingProfile):
-        prof = prof.base
     if isinstance(prof, LayerSpec):
         c = list(mid)
         c[prof.axis % g.ndim] = prof.positions[0]
         return tuple(c)
-    if isinstance(prof, (RadialProfile, SolvedBubbleProfile)):
+    if isinstance(prof, _BALLS):
         c = list(prof.center)
         c[0] += prof.radius
         return tuple(c)
@@ -238,9 +237,7 @@ def default_lines(scenario: Scenario, eps: float):
 
     g = scenario.grid
     prof = scenario.profile
-    if isinstance(prof, SolvedFromForcingProfile):
-        prof = prof.base
-    if isinstance(prof, (RadialProfile, SolvedBubbleProfile)):
+    if isinstance(prof, _BALLS):
         center = np.asarray(prof.center)
         reach = min(min(hi - c for c, hi in zip(center, g.hi)),
                     min(c - lo for c, lo in zip(center, g.lo)))
@@ -342,9 +339,8 @@ def standard_corpus() -> dict[str, Scenario]:
 
     corpus["solved-circle"] = Scenario(
         name="solved-circle", grid=_square_grid(1.0, 481), epsilons=(0.05,),
-        profile=SolvedFromForcingProfile(
-            base=RadialProfile(center=(0.0, 0.0), radius=0.5),
-            noise_amplitude=0.01),
+        profile=SolvedFromForcingProfile(center=(0.0, 0.0), radius=0.5,
+                                         noise_amplitude=0.01),
         seed=20)
 
     return corpus

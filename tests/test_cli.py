@@ -411,6 +411,14 @@ def test_readme_key_table_lists_every_config_key():
     assert sorted(documented) == sorted(_KEYS)
 
 
+def test_every_profile_class_is_a_config_kind():
+    # load_config calls a kind's class with the kind's keys, and to_config
+    # writes a profile's own fields under its class's kind: every profile
+    # type the library builds is the class of a kind, and nothing else is
+    from aclab.scenarios import Profile
+    assert set(cli._PROFILES.values()) == set(Profile)
+
+
 def test_corpus_config_seed_keys(tmp_path):
     # the keys a benchmark config adds to a named scenario
     body = "scenario = circle\nanalyses = norms\nfirstvar.seed = 3\n"

@@ -459,19 +459,24 @@ def test_smooth_test_field_matches_meshgrid_reference(boundary, points):
 def test_first_variation_rejects_boundary_support():
     # one nonzero node of eta at a time: on a face's outermost layer (0), on
     # the innermost layer of its 4h shell (3), or one node past the shell
-    # (4), counted from the face, on each side of each axis; a zero-flux
-    # grid refuses the first two, a periodic grid takes every case
-    for boundary in (ZERO_FLUX, PERIODIC):
-        for ndim in (2, 3):
-            state = manufactured_ball_state((16,) * ndim, boundary, 0.12, 0.2)
+    # (4), counted from the face, on each side of each axis, positive on
+    # the low side and negative on the high one, read in slabs of 1, 2, 3
+    # and all 16 axis-0 planes; a zero-flux grid refuses the first two, a
+    # periodic grid takes every case
+    for boundary, ndim, planes in itertools.product(
+            (ZERO_FLUX, PERIODIC), (1, 2, 3), (1, 2, 3, 16)):
+        state = manufactured_ball_state((16,) * ndim, boundary, 0.12, 0.2)
+        slab_nodes = planes * 16 ** (ndim - 1)
+        with mock.patch.object(fields, "_SLAB_NODES", slab_nodes):
+            assert len(fields._slabs(state.grid)) == -(-16 // planes)
             for axis, side, layer in itertools.product(
                     range(ndim), ("low", "high"), (0, 3, 4)):
                 node = [8] * ndim
                 node[axis] = layer if side == "low" else 15 - layer
                 values = np.zeros((ndim,) + state.grid.shape)
-                values[(ndim - 1, *node)] = 0.5
+                values[(ndim - 1, *node)] = 0.5 if side == "low" else -0.5
                 eta = VectorField(state.grid, values)
-                case = (boundary, ndim, axis, side, layer)
+                case = (boundary, ndim, planes, axis, side, layer)
                 if boundary == ZERO_FLUX and layer < 4:
                     with pytest.raises(ValueError, match="vanish within 4h"):
                         first_variation_identity(state, eta)

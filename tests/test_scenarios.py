@@ -179,7 +179,8 @@ def _scenarios(draw):
             "bubble": st.builds(SolvedBubbleProfile, center=point,
                                 radius=_positive),
             "constant": st.builds(ConstantProfile, _coord),
-            "solved-forcing": st.builds(SolvedFromForcingProfile, base=radial,
+            "solved-forcing": st.builds(SolvedFromForcingProfile,
+                                        center=point, radius=_positive,
                                         noise_amplitude=_positive)}[kind])
         eps = draw(epsilons)
     params = draw(st.builds(
