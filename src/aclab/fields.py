@@ -302,7 +302,8 @@ class _BallQuadrature:
     fully outside, and boolean gathers over the box take the same elements
     in the same order as over the whole grid, so every sum is unchanged.
     Node distances are kept on the box of `max_radius`, the largest radius
-    asked for, only; the box of a smaller radius lies inside it.
+    asked for, only; the box of a smaller radius lies inside it. The
+    integrands may be given on the whole grid or on that box.
     """
 
     def __init__(self, grid: Grid, center, supersample: int,
@@ -381,11 +382,13 @@ class _BallQuadrature:
         return frac
 
     def integral_many(self, values_list, radius: float) -> list[float]:
-        """Integrals of each node array over the region at one radius."""
+        """Integrals of each node array, on the whole grid or on the box,
+        over the region at one radius."""
         g = self.grid
         window = self._window(radius)
-        dist = self.dist[tuple(slice(w.start - b.start, w.stop - b.start)
-                               for w, b in zip(window, self.box))]
+        in_box = tuple(slice(w.start - b.start, w.stop - b.start)
+                       for w, b in zip(window, self.box))
+        dist = self.dist[in_box]
         # band = neither full nor empty, built in place: full lies in
         # ~empty, the nodes not fully outside
         full = dist <= radius - self.half_diag
@@ -397,7 +400,9 @@ class _BallQuadrature:
         frac = self._band_fractions(window, band, radius) if band.any() else None
         out = []
         for values in values_list:
-            box = values[window]
+            # a box as large as the grid starts at 0: both windows agree
+            box = values[in_box if values.shape == self.dist.shape
+                         else window]
             total = float(np.sum(box[full])) if full.any() else 0.0
             if frac is not None:
                 total += float(np.sum(box[band] * frac))
@@ -409,7 +414,10 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
                    slab=None) -> np.ndarray:
     """Integrals of each node array over B_r(center), intersected with the
     slab t_lo <= x_last <= t_hi when slab = (t_lo, t_hi) is given: one row
-    per radius, one column per array.
+    per radius, one column per array. `arrays` is a list of whole-grid
+    arrays, or a function that takes the index box of the largest ball (a
+    tuple of slices; every node outside it is outside every ball) and
+    returns the arrays on that box only.
 
     The one entry point into `_BallQuadrature`: the radii must be nonempty
     and strictly ascending, a slab must have t_lo < t_hi, and the largest
@@ -426,6 +434,8 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
     quad = _BallQuadrature(grid, np.atleast_1d(center), supersample,
                            radii[-1], *(slab or ()))
     _check_ball_margin(grid, quad.center, radii[-1], slab=slab)
+    if callable(arrays):
+        arrays = arrays(quad.box)
     return np.array([quad.integral_many(arrays, r) for r in radii])
 
 
@@ -438,39 +448,98 @@ def _slabs(grid: Grid) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _buffers(grid: Grid, count: int) -> list[np.ndarray]:
-    """`count` whole-grid arrays for `_stream`, owned by the call that asks
-    for them: one allocation, which the allocator keeps for the next call
-    instead of mapping fresh pages for each array (a `circle` run: 33k page
-    faults, against 82k with one allocation per array)."""
-    return list(np.empty((count,) + grid.shape))
-
-
-def _stream(grid: Grid, fill, out: list) -> list:
-    """Fill the whole-grid arrays `out` one slab at a time: fill(sl) returns
+def _stream(grid: Grid, fill, count: int) -> list[np.ndarray]:
+    """`count` whole-grid arrays filled one slab at a time: fill(sl) returns
     their values on the axis-0 planes sl (see _slabs), so every temporary of
-    the integrands is slab-sized. A call may refill its buffers pass after
-    pass."""
+    the integrands is slab-sized. One allocation for all of them."""
+    out = list(np.empty((count,) + grid.shape))
     for sl in _slabs(grid):
         for buf, values in zip(out, fill(sl), strict=True):
             buf[sl] = values
     return out
 
 
-def _integrals(grid: Grid, fill, out: list) -> list[float]:
+# numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src), which
+# np.sum runs over the flat order of a C-contiguous array: a run of at most
+# _PW_BLOCKSIZE elements is a leaf, summed with 8-way unrolled accumulators;
+# a longer run of n splits after n // 2 rounded down to a multiple of 8.
+_PW_BLOCKSIZE = 128
+
+
+class _PairwiseSums:
+    """np.sum of `size`-element C-contiguous arrays that arrive in
+    consecutive pieces of their flat order, without ever holding them whole:
+    a walk of numpy's pairwise tree. A node of the tree inside one piece is
+    np.add.reduce of its range; a leaf across two pieces waits, copied, in a
+    carry of fewer than _PW_BLOCKSIZE elements; the two children of a node
+    are added as numpy adds them. add.reduce starts from +0.0, so a node
+    summing to -0.0 reads +0.0; then so does every sum above it, as np.sum
+    reads it too, and every result has np.sum's bits."""
+
+    def __init__(self, size: int):
+        self.size, self.pos, self.arrays = size, 0, None
+
+    def add(self, pieces):
+        """Feed the next piece of each array, all of one size. The walk of
+        the tree over the flat range [pos, stop) gives the steps, with
+        offsets into the piece: (lo, hi) reduces a node, (None, hi) completes
+        a leaf in the carry, (lo, None) carries a leaf's head, () adds the
+        last two node sums."""
+        pos, stop, steps = self.pos, self.pos + pieces[0].size, []
+
+        def visit(a, n):
+            if a + n <= pos or a >= stop:
+                return
+            if pos <= a and a + n <= stop:
+                steps.append((a - pos, a + n - pos))
+            elif n <= _PW_BLOCKSIZE:
+                steps.append((None, a + n - pos) if a + n <= stop
+                             else (max(a, pos) - pos, None))
+            else:
+                half = n // 2 - n // 2 % 8
+                visit(a, half)
+                visit(a + half, n - half)
+                if a + n <= stop:
+                    steps.append(())
+
+        visit(0, self.size)
+        if self.arrays is None:  # per array: node sums, leaf carry
+            self.arrays = [([], []) for _ in pieces]
+        for piece, (stack, carry) in zip(pieces, self.arrays, strict=True):
+            flat = piece.reshape(-1)
+            for step in steps:
+                if not step:
+                    right = stack.pop()
+                    stack[-1] = stack[-1] + right
+                elif step[0] is None:
+                    carry.append(flat[:step[1]])
+                    stack.append(np.add.reduce(np.concatenate(carry)))
+                    carry.clear()
+                elif step[1] is None:
+                    carry.append(flat[step[0]:].copy())
+                else:
+                    stack.append(np.add.reduce(flat[step[0]:step[1]]))
+        self.pos = stop
+
+    def sums(self) -> list[float]:
+        return [float(stack[0]) for stack, _ in self.arrays]
+
+
+def _integrals(grid: Grid, fill) -> list[float]:
     """The one whole-domain quadrature: the integral of each integrand that
-    fill(sl) returns on the planes sl (see _stream), weighted by
-    Grid.node_weights into the caller's whole-grid buffers `out` and summed
-    by one np.sum each, so the same bits as a whole-grid temporary."""
+    fill(sl) returns on the axis-0 planes sl (see _slabs), times
+    Grid.node_weights, summed slab by slab by _PairwiseSums: the bits of
+    np.sum over a whole-grid temporary, with every temporary slab-sized."""
     w = grid.node_weights()
-    _stream(grid, lambda sl: [v * w[sl] for v in fill(sl)], out)
-    return [float(np.sum(a)) for a in out]
+    sums = _PairwiseSums(w.size)
+    for sl in _slabs(grid):
+        sums.add([v * w[sl] for v in fill(sl)])
+    return sums.sums()
 
 
 def integrate(f: ScalarField) -> float:
     """Integral of a field over the whole domain (see Grid.node_weights)."""
-    return _integrals(f.grid, lambda sl: (f.values[sl],),
-                      _buffers(f.grid, 1))[0]
+    return _integrals(f.grid, lambda sl: (f.values[sl],))[0]
 
 
 def _uniform_spacing(radii: np.ndarray) -> float:

@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (PERIODIC, ScalarField, VectorField, _buffers,
-                     _central_difference, _integrals, _slabs, _stream,
-                     gradient)
+from .fields import (PERIODIC, ScalarField, VectorField, _central_difference,
+                     _integrals, _slabs, _stream, gradient)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -109,7 +108,7 @@ def _density_fields(state: PhaseFieldState) -> DensityFields:
         xi = 0.5 * eps * grad_sq - w / eps
         return mu, xi, np.maximum(xi, 0.0), np.sqrt(grad_sq)
 
-    mu, xi, xi_plus, grad_mag = _stream(g, fill, _buffers(g, 4))
+    mu, xi, xi_plus, grad_mag = _stream(g, fill, 4)
     return DensityFields(
         mu=ScalarField._adopt(g, mu),
         xi=ScalarField._adopt(g, xi),
@@ -150,22 +149,12 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
     g = state.grid
     grad_mag, f = density_fields(state).grad_mag.values, state.f.values
 
-    def parts(sl):
-        return _curvature_quotient(grad_mag[sl], f[sl], state.epsilon,
-                                   params.grad_threshold)
+    def integrands(sl):
+        quotient, mass, included = _curvature_quotient(
+            grad_mag[sl], f[sl], state.epsilon, params.grad_threshold)
+        return quotient ** q0 * mass, mass, np.where(included, 0.0, mass)
 
-    def lam_and_mass(sl):
-        quotient, mass, _ = parts(sl)
-        return quotient ** q0 * mass, mass
-
-    def excluded(sl):
-        _, mass, included = parts(sl)
-        return (np.where(included, 0.0, mass),)
-
-    # two passes through two buffers, so that no more are ever held
-    bufs = _buffers(g, 2)
-    lam, total_mass = _finite(*_integrals(g, lam_and_mass, bufs))
-    excl, = _finite(*_integrals(g, excluded, bufs[:1]))
+    lam, total_mass, excl = _finite(*_integrals(g, integrands))
     fraction = excl / total_mass if total_mass > 0 else 0.0
     return lam, fraction
 
@@ -178,11 +167,10 @@ def norm_report(state: PhaseFieldState,
     dens = density_fields(state)
     lam, fraction = diffuse_mean_curvature_norm(state, params)
     mu, xi, xi_plus = dens.mu.values, dens.xi.values, dens.xi_plus.values
-    f, bufs = state.f.values, _buffers(g, 2)
-    xi_abs, f_sq = _finite(*_integrals(
-        g, lambda sl: (np.abs(xi[sl]), f[sl] ** 2), bufs))
-    energy, xi_plus_mass = _integrals(
-        g, lambda sl: (mu[sl], xi_plus[sl]), bufs)
+    f = state.f.values
+    xi_abs, f_sq, energy, xi_plus_mass = _integrals(
+        g, lambda sl: (np.abs(xi[sl]), f[sl] ** 2, mu[sl], xi_plus[sl]))
+    _finite(xi_abs, f_sq)
     return NormReport(
         total_energy=energy,
         sup_u=max(float(np.max(np.abs(state.u.values[sl])))
@@ -238,7 +226,7 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
                                              params.grad_threshold)
         return np.abs(f[sl]) ** s, quotient ** t
 
-    f_s, quotient_t = _integrals(g, powers, _buffers(g, 2))
+    f_s, quotient_t = _integrals(g, powers)
     c1 = f_s ** (1.0 / s) / np.sqrt(eps)
     c2 = quotient_t ** (1.0 / t)
     rhs = c1 ** 2 * c2 ** (q0 - 2.0)
@@ -246,17 +234,17 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
     if not holds:
         # a tiny f can underflow the powers of |f| and of the quotient to 0;
         # the chain is homogeneous of degree q0 in f, so decide it again
-        # for f / max|f|, in sums over slabs (only the comparison is kept)
-        w = g.node_weights()
+        # for f / max|f| (only the comparison is kept)
         peak = max(float(np.max(np.abs(f[sl]))) for sl in _slabs(g))
-        lam = f_s = quotient_t = 0.0
-        for sl in _slabs(g):
+
+        def scaled_powers(sl):
             scaled = f[sl] / peak
             quotient, mass, _ = _curvature_quotient(grad_mag[sl], scaled, eps,
                                                     params.grad_threshold)
-            lam += np.sum(quotient ** q0 * mass * w[sl])
-            f_s += np.sum(np.abs(scaled) ** s * w[sl])
-            quotient_t += np.sum(quotient ** t * w[sl])
+            return (quotient ** q0 * mass, np.abs(scaled) ** s,
+                    quotient ** t)
+
+        lam, f_s, quotient_t = _integrals(g, scaled_powers)
         holds = bool(lam <= f_s ** (2.0 / s) / eps
                      * quotient_t ** ((q0 - 2.0) / t) * (1.0 + 1e-9))
     return HolderCheck(lhs=float(lhs), rhs=float(rhs), holds=holds,
@@ -310,9 +298,9 @@ def first_variation_identity(state: PhaseFieldState, eta,
         idx = _halo(g, sl)
         halo = (eta.planes(idx) if carry is None else
                 np.concatenate((carry, eta.planes(idx[2:])), axis=1))
-        carry = halo[:, -2:]
+        carry, core = halo[:, -2:], halo[:, 1:-1]  # core: eta on sl
         if g.boundary != PERIODIC:
-            core, n = halo[:, 1:-1], g.points[0]
+            n = g.points[0]
             strips = [core[:, :max(4 - sl.start, 0)],
                       core[:, max(n - 4 - sl.start, 0):]]
             for ax in range(2, core.ndim):  # the transverse grid axes
@@ -340,7 +328,7 @@ def first_variation_identity(state: PhaseFieldState, eta,
                 np.subtract(halo[:, 2:], halo[:, :-2], out=d_eta)
                 d_eta /= 2.0 * g.h
             else:
-                _central_difference(halo[:, 1:-1], g, i, d_eta)
+                _central_difference(core, g, i, d_eta)
             div_eta += d_eta[i]
             d_eta *= nu[i]
             d_eta *= nu  # d_eta[j] = (d_i eta_j nu_i) nu_j
@@ -349,19 +337,13 @@ def first_variation_identity(state: PhaseFieldState, eta,
         div_eta -= grad_eta_nunu
         div_eta *= mu[sl]  # now (div_eta - grad_eta_nunu) mu
         grad_eta_nunu *= xi[sl]
+        pairing = sum(grad_u[i, sl] * core[i] for i in range(g.ndim))
         return (np.where(included, div_eta, 0.0),
-                np.where(included, grad_eta_nunu, 0.0))
+                np.where(included, grad_eta_nunu, 0.0), f[sl] * pairing)
 
-    def forcing_term(sl):
-        part = eta.planes(sl)
-        pairing = sum(grad_u[i, sl] * part[i] for i in range(g.ndim))
-        return (f[sl] * pairing,)
-
-    bufs = _buffers(g, 2)
-    lhs, disc = _integrals(g, identity_terms, bufs)
+    lhs, disc, forcing = _integrals(g, identity_terms)
     if shell > 1e-12 * peak:
         raise ValueError("eta must vanish within 4h of the domain boundary")
-    forcing, = _integrals(g, forcing_term, bufs[:1])
     rhs = forcing + disc
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return FirstVariationResult(lhs=lhs, rhs=rhs, residual=residual,
@@ -401,8 +383,7 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     if np.isinf(q):
         return max(float(np.max(magnitude(sl), where=mu[sl] * w[sl] > 0,
                                 initial=0.0)) for sl in _slabs(state.grid))
-    total, = _integrals(state.grid, lambda sl: (magnitude(sl) ** q * mu[sl],),
-                        _buffers(state.grid, 1))
+    total, = _integrals(state.grid, lambda sl: (magnitude(sl) ** q * mu[sl],))
     return total ** (1.0 / q)
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (RegionError, _check_ball_margin, _plane_stencil,
-                     _buffers, _stream, ball_integrals, disc_integral,
-                     radial_derivative, restrict_to_plane, trapezoid)
+                     _slabs, ball_integrals, disc_integral, radial_derivative,
+                     restrict_to_plane, trapezoid)
 from .measures import density_fields, state_gradient
 from .phasefield import PhaseFieldState, resolution_floor
 
@@ -98,20 +98,28 @@ def _radial_pairing(grad, mesh, center):
     return sum((m - ci) * gi for gi, m, ci in zip(grad, mesh, center))
 
 
-def _identity_integrands(state: PhaseFieldState, center):
-    """mu, xi, <x-c,grad u>^2 and <x-c,grad u> f node arrays; the last two
-    are built a slab at a time, so <x-c,grad u> is never whole."""
+def _identity_integrands(state: PhaseFieldState, center, box):
+    """mu, xi, eps <x-c,grad u>^2 and <x-c,grad u> f on the index box `box`
+    (a tuple of slices); the last two are built a slab of axis-0 planes at a
+    time, so <x-c,grad u> is never held on the whole box."""
     dens = density_fields(state)
     grad, f = state_gradient(state), state.f.values
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    mesh = state.grid.meshgrid(sparse=True)
-
-    def fill(sl):
-        radial = _radial_pairing(grad[:, sl], [mesh[0][sl], *mesh[1:]], c)
-        return state.epsilon * radial ** 2, radial * f[sl]
-
-    return (dens.mu.values, dens.xi.values,
-            *_stream(state.grid, fill, _buffers(state.grid, 2)))
+    mesh = [m[(slice(None),) * ax + (b,)]
+            for ax, (m, b) in enumerate(zip(state.grid.meshgrid(sparse=True),
+                                            box))]
+    mu, xi = dens.mu.values[box], dens.xi.values[box]
+    out = np.empty((2,) + mu.shape)
+    lo, hi, _ = box[0].indices(state.grid.points[0])
+    for sl in _slabs(state.grid):
+        a, b = max(sl.start, lo), min(sl.stop, hi)
+        if a < b:
+            part = (slice(a, b),) + box[1:]
+            radial = _radial_pairing(grad[(slice(None),) + part],
+                                     [mesh[0][a - lo:b - lo], *mesh[1:]], c)
+            out[0, a - lo:b - lo] = state.epsilon * radial ** 2
+            out[1, a - lo:b - lo] = radial * f[part]
+    return mu, xi, out[0], out[1]
 
 
 def _d_dr(radii, values):
@@ -129,7 +137,8 @@ def _identity_report(state: PhaseFieldState, center, radii, supersample,
     n = g.ndim - 1
     c = np.atleast_1d(np.asarray(center, dtype=float))
     mu_c, xi_c, bnd_c, frc_c = ball_integrals(
-        g, _identity_integrands(state, c), c, radii, supersample, slab).T
+        g, lambda box: _identity_integrands(state, c, box), c, radii,
+        supersample, slab).T
     ratio = mu_c / radii ** n
     lhs = _d_dr(radii, ratio)
     terms = {"term_xi": -xi_c / radii ** (n + 1),

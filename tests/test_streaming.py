@@ -1,14 +1,15 @@
 """Every whole-grid integrand is built one slab of axis-0 planes at a time
-(`fields._stream`) and summed by one np.sum over a whole-grid buffer. Each
-streamed number must equal, bit for bit, the whole-grid computation it
-replaced; those computations are kept here as the references. Slabs of 1,
-2 and 3 planes and the whole grid, on 1-d, 2-d and 3-d, zero-flux and
-periodic grids."""
+and summed slab by slab along numpy's own pairwise tree
+(`fields._PairwiseSums`), with no whole-grid buffer. Each streamed number
+must equal, bit for bit, the whole-grid computation it replaced; those
+computations are kept here as the references. Slabs of 1, 2 and 3 planes
+and the whole grid, on 1-d, 2-d and 3-d, zero-flux and periodic grids."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField,
                    SmoothTestField, ZERO_FLUX, build_radial_layer,
@@ -84,6 +85,72 @@ def reference_curvature_norm(state, q0, threshold):
     return lam, (excl / total if total > 0 else 0.0)
 
 
+# ---------------------------------------------------------------- exact sums
+
+def streamed_sums(arrays, cuts):
+    """_PairwiseSums of the arrays fed in the runs of axis-0 planes that
+    the plane indices `cuts` start."""
+    sums = fields._PairwiseSums(arrays[0].size)
+    bounds = [0, *cuts, arrays[0].shape[0]]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sums.add([a[lo:hi] for a in arrays])
+    return sums.sums()
+
+
+def assert_bits_of_np_sum(arrays, cuts):
+    for got, a in zip(streamed_sums(arrays, cuts), arrays, strict=True):
+        want = float(np.sum(a))
+        assert got == want
+        assert np.signbit(got) == np.signbit(want)
+
+
+# element counts below numpy's 8-way unroll, up to one pairwise leaf, and
+# above it
+SIZES = {"below-8": (1, 7), "leaf": (8, 128), "tree": (129, 5000)}
+
+
+@pytest.mark.parametrize("size", SIZES, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pairwise_sums_have_the_bits_of_np_sum(size, data):
+    """np.sum of a C-contiguous float64 array is numpy's pairwise_sum
+    (numpy/_core/src/umath/loops_utils.h.src) over its flat order: leaves of
+    at most PW_BLOCKSIZE = 128 elements summed with an 8-way unroll, longer
+    runs split after half their length rounded down to a multiple of 8.
+    _PairwiseSums walks that tree a run of whole axis-0 planes at a time;
+    if numpy changes the tree, this fails first. Checked on numpy 2.4."""
+    lo, hi = SIZES[size]
+    ndim = data.draw(st.integers(1, 3), label="ndim")
+    side = 2 if size == "below-8" else 12
+    rest = tuple(data.draw(st.lists(st.integers(1, side), min_size=ndim - 1,
+                                     max_size=ndim - 1), label="rest"))
+    plane = int(np.prod(rest))
+    n0 = data.draw(st.integers(max(1, -(-lo // plane)),
+                               max(1, hi // plane)), label="n0")
+    assume(lo <= n0 * plane <= hi)
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n0 - 1)))
+                            if n0 > 1 else st.just(set()), label="cuts"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n0,) + rest
+    # magnitudes 1e-8 to 1e8 of either sign, and a share of +0.0 and -0.0
+    values = (rng.choice([-1.0, 1.0], shape)
+              * 10.0 ** rng.uniform(-8.0, 8.0, shape))
+    zeros = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values[zeros] *= 0.0
+    assert_bits_of_np_sum([values, -values], cuts)
+
+
+@pytest.mark.parametrize("shape", [(129, 129), (65, 65, 65)], ids=str)
+def test_pairwise_sums_on_whole_grids(shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    g = Grid(extent=(1.0,) * len(shape), points=shape)
+    weighted = values * g.node_weights()
+    for cuts in ([s.start for s in fields._slabs(g)[1:]],
+                 list(range(1, shape[0])), [shape[0] // 3]):
+        assert_bits_of_np_sum([weighted, values], cuts)
+
+
 # ---------------------------------------------------------------- tests
 
 def test_density_fields_match_whole_grid(streamed):
@@ -135,11 +202,15 @@ def test_identity_integrands_and_sheet_match_whole_grid(streamed):
     radial = sum((m - ci) * grad[i]
                  for i, (m, ci) in enumerate(zip(g.meshgrid(sparse=True), c)))
     mu, xi = reference_densities(streamed)[:2]
-    got = monotonicity._identity_integrands(streamed, c)
-    for a, b in zip(got, (mu, xi, eps * radial ** 2,
-                          radial * streamed.f.values)):
-        assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+    # on the index box of a ball (cut by the slabs anywhere) and on the
+    # whole grid
+    ball_box = fields._BallQuadrature(g, c, 4, 0.25).box
+    for box in (ball_box, (slice(None),) * g.ndim):
+        got = monotonicity._identity_integrands(streamed, c, box)
+        for a, b in zip(got, (mu, xi, eps * radial ** 2,
+                              radial * streamed.f.values)):
+            assert np.array_equal(a, b[box])
+            assert np.array_equal(np.signbit(a), np.signbit(b[box]))
     # S_c on planes between and on grid planes of the last axis
     coords = g.axis_coords(g.ndim - 1)
     for t in (coords[3], 0.5 * (coords[5] + coords[6]),
