@@ -119,8 +119,10 @@ def _values(text: str, count: int) -> tuple[float, ...]:
 
 def _radii(text: str) -> np.ndarray:
     start, stop, count = _values(text, 3)
-    if not (count.is_integer() and count >= 0):
-        raise ValueError(f"count must be an integer >= 0, got {count:g}")
+    # one ball pass per radius: at most 400 times the default count of 25
+    if not (count.is_integer() and 0 <= count <= 10_000):
+        raise ValueError(f"count must be an integer in [0, 10000], got "
+                         f"{count:g}")
     return np.linspace(start, stop, int(count))
 
 
@@ -223,7 +225,6 @@ _KEYS = {
     "slab.center": _Key(_point, "slab"),
     "slab.radii": _Key(_radii, "slab"),
     "slab.t": _Key(partial(_values, count=2), "slab"),
-    "quantize.tau": _Key(_float, "quantize"),
     "gdelta.delta": _Key(_floats, "gdelta", default=(0.1, 0.01)),
     "gdelta.c0": _Key(_float, "gdelta", default=2.0),
     "firstvar.count": _Key(_int_at_least(1), "firstvar", default=5),
@@ -348,13 +349,10 @@ def _analysis_inputs(values: dict, scenario: Scenario, analyses) -> dict:
                 radii = check_geometry(g, eps, center, radii, slab)
             inputs[name] = {"center": center, "radii": radii, "slab": slab}
         elif name == "quantize":
-            tau = values.get("quantize.tau", scenario.params.tau)
-            with _naming_keys(values, "quantize"):
-                AnalysisParams(tau=tau)
             # the lines start at the interface center
             with _naming_keys(values, default=("scenario.center",)):
                 inputs[name] = {"lines": default_lines(scenario, eps),
-                                "tau": tau}
+                                "tau": scenario.params.tau}
         elif name == "gdelta":
             gdelta = _fields(values, "gdelta")
             with _naming_keys(values, "gdelta"):

@@ -277,6 +277,9 @@ def _check_ball_margin(grid: Grid, center, radius, what="ball region",
                        axis="axis", slab=None):
     """A slab = (t_lo, t_hi) clips the ball on the last axis, so there only
     the clipped extent must keep the margin."""
+    if len(center) != grid.ndim or not np.all(np.isfinite(center)):
+        raise RegionError(f"{what} center {center.tolist()} needs "
+                          f"{grid.ndim} finite coordinates")
     h = grid.h
     for ax in range(grid.ndim):
         lo_end, hi_end = center[ax] - radius, center[ax] + radius
@@ -293,7 +296,7 @@ def _check_ball_margin(grid: Grid, center, radius, what="ball region",
 class _BallQuadrature:
     """The one cell-indicator quadrature core: balls and slab-balls, and
     discs on the grid of a hyperplane (disc_integral). Built only by
-    `ball_integrals`, which checks the radii and the domain margin.
+    `ball_integrals`, whose callers check the center, radii and margin.
 
     Classifies every node cell as fully inside, fully outside, or boundary;
     boundary cells get an indicator fraction from subcell-center sampling.
@@ -301,9 +304,9 @@ class _BallQuadrature:
     cell diagonal of the center on every axis: every node outside it is
     fully outside, and boolean gathers over the box take the same elements
     in the same order as over the whole grid, so every sum is unchanged.
-    Node distances are kept on the box of `max_radius`, the largest radius
-    asked for, only; the box of a smaller radius lies inside it. The
-    integrands may be given on the whole grid or on that box.
+    Node distances and the integrands are kept on the box of `max_radius`,
+    the largest radius asked for, only; the box of a smaller radius lies
+    inside it.
     """
 
     def __init__(self, grid: Grid, center, supersample: int,
@@ -312,8 +315,6 @@ class _BallQuadrature:
             raise ValueError("supersample must be >= 1")
         self.grid = grid
         self.center = np.asarray(center, dtype=float)
-        if self.center.shape != (grid.ndim,):
-            raise ValueError("ball center dimension mismatch")
         self.supersample = int(supersample)
         self.t_lo = t_lo
         self.t_hi = t_hi
@@ -382,8 +383,7 @@ class _BallQuadrature:
         return frac
 
     def integral_many(self, values_list, radius: float) -> list[float]:
-        """Integrals of each node array, on the whole grid or on the box,
-        over the region at one radius."""
+        """Integrals of each box array over the region at one radius."""
         g = self.grid
         window = self._window(radius)
         in_box = tuple(slice(w.start - b.start, w.stop - b.start)
@@ -400,9 +400,7 @@ class _BallQuadrature:
         frac = self._band_fractions(window, band, radius) if band.any() else None
         out = []
         for values in values_list:
-            # a box as large as the grid starts at 0: both windows agree
-            box = values[in_box if values.shape == self.dist.shape
-                         else window]
+            box = values[in_box]
             total = float(np.sum(box[full])) if full.any() else 0.0
             if frac is not None:
                 total += float(np.sum(box[band] * frac))
@@ -419,23 +417,15 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
     tuple of slices; every node outside it is outside every ball) and
     returns the arrays on that box only.
 
-    The one entry point into `_BallQuadrature`: the radii must be nonempty
-    and strictly ascending, a slab must have t_lo < t_hi, and the largest
-    ball, clipped by the slab if one is given, must keep the 2h domain
-    margin.
+    The one entry point into `_BallQuadrature`; it checks nothing. Its
+    callers (`monotonicity.check_geometry`, `disc_integral`) check the
+    center, the radii, the slab and the 2h margin of the largest ball.
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) < 1:
-        raise ValueError("radii must be a nonempty 1-d sequence")
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly ascending")
-    if slab is not None and not slab[0] < slab[1]:
-        raise RegionError(f"degenerate slab: t_lo={slab[0]} >= t_hi={slab[1]}")
     quad = _BallQuadrature(grid, np.atleast_1d(center), supersample,
                            radii[-1], *(slab or ()))
-    _check_ball_margin(grid, quad.center, radii[-1], slab=slab)
-    if callable(arrays):
-        arrays = arrays(quad.box)
+    arrays = (arrays(quad.box) if callable(arrays)
+              else [v[quad.box] for v in arrays])
     return np.array([quad.integral_many(arrays, r) for r in radii])
 
 

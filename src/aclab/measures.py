@@ -63,7 +63,6 @@ class DensityFields:
 
     mu: ScalarField
     xi: ScalarField
-    xi_plus: ScalarField
     grad_mag: ScalarField
 
 
@@ -88,7 +87,7 @@ def state_gradient(state: PhaseFieldState) -> np.ndarray:
 
 
 def density_fields(state: PhaseFieldState) -> DensityFields:
-    """Evaluate mu, xi, xi_plus and |grad u|.
+    """Evaluate mu, xi and |grad u|.
 
     Computed once per state; later calls return the same object.
     """
@@ -106,13 +105,12 @@ def _density_fields(state: PhaseFieldState) -> DensityFields:
         w = double_well(u[sl])
         mu = 0.5 * eps * grad_sq + w / eps
         xi = 0.5 * eps * grad_sq - w / eps
-        return mu, xi, np.maximum(xi, 0.0), np.sqrt(grad_sq)
+        return mu, xi, np.sqrt(grad_sq)
 
-    mu, xi, xi_plus, grad_mag = _stream(g, fill, 4)
+    mu, xi, grad_mag = _stream(g, fill, 3)
     return DensityFields(
         mu=ScalarField._adopt(g, mu),
         xi=ScalarField._adopt(g, xi),
-        xi_plus=ScalarField._adopt(g, xi_plus),
         grad_mag=ScalarField._adopt(g, grad_mag),
     )
 
@@ -166,10 +164,9 @@ def norm_report(state: PhaseFieldState,
     eps = state.epsilon
     dens = density_fields(state)
     lam, fraction = diffuse_mean_curvature_norm(state, params)
-    mu, xi, xi_plus = dens.mu.values, dens.xi.values, dens.xi_plus.values
-    f = state.f.values
-    xi_abs, f_sq, energy, xi_plus_mass = _integrals(
-        g, lambda sl: (np.abs(xi[sl]), f[sl] ** 2, mu[sl], xi_plus[sl]))
+    mu, xi, f = dens.mu.values, dens.xi.values, state.f.values
+    xi_abs, f_sq, energy, xi_plus_mass = _integrals(g, lambda sl: (
+        np.abs(xi[sl]), f[sl] ** 2, mu[sl], np.maximum(xi[sl], 0.0)))
     _finite(xi_abs, f_sq)
     return NormReport(
         total_energy=energy,

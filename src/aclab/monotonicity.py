@@ -231,20 +231,22 @@ def slab_report(state: PhaseFieldState, center, radii, t_lo: float,
 
 
 def sheet_separation_integral(state: PhaseFieldState, x, t3: float, d: float,
-                              R: float, subdivisions: int = 64,
-                              supersample: int = 4) -> float:
+                              R: float, supersample: int = 4) -> float:
     """int_d^R rho^-(n+1) int_{B_rho(x), y_last=t3} |S_x| dH^n drho.
 
-    Trapezoidal in rho over a uniform subdivision; discriminates planes
+    Trapezoidal in rho over 64 uniform subintervals; discriminates planes
     passing through layer mass from planes in the energy-free gap between
     sheets.
     """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if len(x) != state.grid.ndim or not np.all(np.isfinite(x)):
+        raise RegionError(f"x {x.tolist()} needs {state.grid.ndim} finite "
+                          "coordinates")
     if d > R:
         raise ValueError(f"empty radius range: d={d} > R={R}")
     if d < state.epsilon:
         raise ValueError(f"d={d} below the layer width eps={state.epsilon}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     s_abs = np.abs(_sheet_integrand_on_plane(state, x, t3))
-    rhos = np.linspace(d, R, subdivisions + 1)
+    rhos = np.linspace(d, R, 65)
     vals = _plane_term(state.grid, s_abs, x, t3, rhos, supersample)
     return float(trapezoid(vals, rhos))

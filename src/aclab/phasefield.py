@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (PERIODIC, Grid, ScalarField, _neighbour_sum_into,
-                     _unit_weights, gradient, laplacian)
+from .fields import (PERIODIC, Grid, ScalarField, _integrals,
+                     _neighbour_sum_into, _unit_weights, gradient, laplacian)
 
 
 class SolverError(RuntimeError):
@@ -634,15 +634,15 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
         raise ValueError("fields must live on the target grid")
 
     fv = f.values
-    weights = grid.node_weights()
 
     def resid_energy(uv):
-        """R(uv) and F(uv) from one Laplacian, freed on return."""
+        """R(uv) and F(uv) from one Laplacian, freed on return; F is not
+        checked finite, so that a trial whose F overflows is rejected."""
         lap_uv = laplacian(ScalarField(grid, uv)).values
         dens = (-0.5 * epsilon * uv * lap_uv
                 + double_well(uv) / epsilon + fv * uv)
         return (epsilon * lap_uv - double_well_prime(uv) / epsilon - fv,
-                float(np.sum(dens * weights)))
+                _integrals(grid, lambda sl: (dens[sl],))[0])
 
     u = u_init.values.copy()
     r, fu = resid_energy(u)

@@ -66,6 +66,8 @@ Profile = (LayerSpec, RadialProfile, ConstantProfile,
            SolvedBubbleProfile, SolvedFromForcingProfile)
 # the profiles of one interface around a center
 _BALLS = (RadialProfile, SolvedBubbleProfile, SolvedFromForcingProfile)
+# accepted steps a solved profile's Newton solve may take to reach its tol
+_SOLVER_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,6 @@ class Scenario:
     profile: object
     params: AnalysisParams = field(default_factory=AnalysisParams)
     seed: int = 0
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 80
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -141,8 +141,7 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
         f = ScalarField(g, np.full(g.shape, force))
         dist = signed_distance_ball(g, prof.center, prof.radius)
         init = ScalarField(g, np.tanh(dist / eps) + eps * force / 4.0)
-        state = solve_stationary(g, eps, f, init, tol=scenario.solver_tol,
-                                 max_iter=scenario.solver_max_iter)
+        state = solve_stationary(g, eps, f, init, max_iter=_SOLVER_MAX_ITER)
         _check_bubble(state, dist)
         return state
     if isinstance(prof, SolvedFromForcingProfile):
@@ -151,8 +150,7 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
         rng = np.random.default_rng(scenario.seed)
         init = ScalarField(
             g, u_star.values + prof.noise_amplitude * rng.standard_normal(g.shape))
-        return solve_stationary(g, eps, f, init, tol=scenario.solver_tol,
-                                max_iter=scenario.solver_max_iter)
+        return solve_stationary(g, eps, f, init, max_iter=_SOLVER_MAX_ITER)
     raise ScenarioError(f"unknown profile type {type(prof).__name__}")
 
 

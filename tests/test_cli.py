@@ -276,7 +276,6 @@ MALFORMED = [
     ("firstvar.count = 0", "firstvar.count"),
     ("firstvar.count = -2", "firstvar.count"),
     ("firstvar.seed = -1", "firstvar.seed"),
-    ("quantize.tau = x", "quantize.tau"),
     ("scenario.seed = abc", "scenario.seed"),
     ("scenario.seed = -5", "scenario.seed"),
     ("scenario.seed = -300", "scenario.seed"),
@@ -289,13 +288,18 @@ MALFORMED = [
     ("analysis.tau = 2", "analysis.tau"),
     ("grid.points = 4, 4", "grid.points"),
     ("analysis.q0 = 0.5", "analysis.q0"),
-    ("quantize.tau = 1.5", "quantize.tau"),
     ("gdelta.delta = 0.7", "gdelta.delta"),
     ("gdelta.delta = 0.1, 0.7", "gdelta.delta"),
     ("gdelta.c0 = 0.5", "gdelta.c0"),
     ("slab.t = 0.3, -0.3", "slab.t"),
     ("monotonicity.radii = 0.1, 0.3, 4", "monotonicity.radii"),
     ("slab.radii = 0.1, 0.3, 3", "slab.radii"),
+    # above the cap of 10 000 radii; without the cap numpy would refuse
+    # 1e12 of them at once, never allocate them
+    ("monotonicity.radii = 0.1, 0.5, 1e12", "monotonicity.radii"),
+    # quantize reads analysis.tau; quantize.tau is an unknown key
+    ("quantize.tau = x", "quantize.tau"),
+    ("quantize.tau = 1.5", "quantize.tau"),
     # each epsilon must be at least 4h: h = 0.025 here, 0.1 with 21 points
     ("scenario.epsilon = 0.05", "scenario.epsilon"),
     ("grid.points = 21, 21", "scenario.epsilon, grid.points"),

@@ -93,7 +93,6 @@ VALUES = {
     "slab.center": _point,
     "slab.radii": _radii,
     "slab.t": _slab,
-    "quantize.tau": lambda grid: st.floats(0.05, 0.95).map(repr),
     "gdelta.delta": lambda grid: st.lists(st.floats(0.01, 0.5), min_size=1,
                                           max_size=2).map(_text),
     "gdelta.c0": lambda grid: st.floats(1.0, 3.0).map(repr),

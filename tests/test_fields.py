@@ -200,13 +200,6 @@ def test_ball_area():
     assert abs(area - np.pi * r * r) <= 0.005 * np.pi * r * r
 
 
-def test_ball_margin_violation_names_margin():
-    g = grid2d(65)
-    one = ScalarField(g, np.ones(g.shape))
-    with pytest.raises(RegionError, match="2h domain margin"):
-        ball_integral(one, (0.0, 0.0), 0.999)
-
-
 def test_quadratic_over_ball():
     g = Grid(extent=(2.0, 2.0), points=(161, 161), boundary=ZERO_FLUX,
              origin=(-1.0, -1.0))
@@ -257,8 +250,6 @@ def test_slab_ball_region():
     # half-disc: slab covering y <= 0 exactly through the center
     half = ball_integral(one, (0.0, 0.0), r, slab=(-1.0, 0.0))
     assert abs(half - np.pi * r * r / 2) <= 0.005 * np.pi * r * r
-    with pytest.raises(RegionError, match="degenerate"):
-        ball_integral(one, (0.0, 0.0), r, slab=(0.2, 0.2))
 
 
 # ---------------------------------------------------------------- profiles

@@ -44,7 +44,7 @@ def test_density_trivial_states():
     d0 = density_fields(st0)
     assert d0.mu.values == pytest.approx(1.0 / 0.2)
     assert d0.xi.values == pytest.approx(-1.0 / 0.2)
-    assert np.all(d0.xi_plus.values == 0.0)
+    assert norm_report(st0).xi_plus_mass == 0.0
 
 
 def test_pointwise_density_identities():
@@ -74,13 +74,13 @@ def test_density_fields_computed_once_per_state():
     st = random_state()
     d = density_fields(st)
     assert density_fields(st) is d
-    for field in (d.mu, d.xi, d.xi_plus, d.grad_mag):
+    for field in (d.mu, d.xi, d.grad_mag):
         with pytest.raises(ValueError):
             field.values[0, 0] = 1.0
     # a fresh state of the same data computes the same arrays
     fresh = density_fields(make_state(st.u, st.f, st.epsilon))
     assert fresh is not d
-    for name in ("mu", "xi", "xi_plus", "grad_mag"):
+    for name in ("mu", "xi", "grad_mag"):
         assert np.array_equal(getattr(fresh, name).values,
                               getattr(d, name).values)
 

@@ -87,15 +87,27 @@ def test_integrated_exp_weighted_comparison(circle_state):
     assert np.min(weighted - rep.ratio) >= -budget
 
 
-@pytest.mark.parametrize("report", [
+REPORTS = pytest.mark.parametrize("report", [
     monotonicity_report,
     lambda st, center, radii: slab_report(st, center, radii, -0.9, 0.9),
     density_ratio_profile,
 ], ids=("ball", "slab", "ratio"))
+
+
+@REPORTS
 def test_balls_crossing_the_domain_margin_are_refused(circle_state, report):
     # B_0.49((0.5, 0)) comes within 0.01 < 2h = 0.0125 of the wall x = 1
     with pytest.raises(RegionError, match="2h domain margin"):
         report(circle_state, (0.5, 0.0), np.linspace(0.1, 0.49, 6))
+
+
+@REPORTS
+@pytest.mark.parametrize("center", [(0.5,), (0.5, 0.0, 0.9), (np.nan, 0.0)],
+                         ids=("short", "long", "nan"))
+def test_a_center_not_in_the_grid_space_is_refused(circle_state, report,
+                                                   center):
+    with pytest.raises(RegionError, match="needs 2 finite coordinates"):
+        report(circle_state, center, np.linspace(0.1, 0.3, 5))
 
 
 def test_slab_clipping_the_ball_inside_the_domain_keeps_the_margin(
@@ -192,3 +204,6 @@ def test_sheet_separation_trivial_and_errors():
         sheet_separation_integral(st, (0.0, 0.0), 0.1, 0.5, 0.4)
     with pytest.raises(ValueError, match="below the layer width"):
         sheet_separation_integral(st, (0.0, 0.0), 0.1, 0.01, 0.4)
+    for x in ((0.5,), (0.5, 0.0, 0.9), (np.nan, 0.0)):
+        with pytest.raises(RegionError, match="needs 2 finite coordinates"):
+            sheet_separation_integral(st, x, 0.1, 0.05, 0.4)

@@ -1,5 +1,7 @@
 """Scenario corpus validation and deterministic builds."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from aclab import (AnalysisParams, ConstantProfile, Grid, LayerSpec,
                    PERIODIC, RadialProfile, ScalarField, Scenario,
                    ScenarioError, SolvedBubbleProfile, SolvedFromForcingProfile,
                    ZERO_FLUX, build, make_state, manufactured_forcing)
+from aclab import scenarios
 from aclab.phasefield import SolverError, signed_distance_ball
 from aclab.scenarios import (_check_bubble, default_center, default_lines,
                              default_radii)
@@ -59,14 +62,14 @@ def test_build_is_deterministic():
 
 def test_build_error_carries_scenario_context():
     sc = Scenario(name="doomed", grid=small_grid(129), epsilons=(0.1,),
-                  profile=SolvedBubbleProfile(center=(0.0, 0.0), radius=0.5),
-                  solver_tol=1e-14, solver_max_iter=1)
-    with pytest.raises(ScenarioError, match="doomed.*eps=0.1"):
+                  profile=SolvedBubbleProfile(center=(0.0, 0.0), radius=0.5))
+    with mock.patch.object(scenarios, "_SOLVER_MAX_ITER", 1), \
+            pytest.raises(ScenarioError, match="doomed.*eps=0.1"):
         build(sc)
 
 
-def test_solved_scenarios_meet_tolerance(solved_circle_state, corpus):
-    assert solved_circle_state.residual_norm <= corpus["solved-circle"].solver_tol
+def test_solved_scenarios_meet_tolerance(solved_circle_state):
+    assert solved_circle_state.residual_norm <= 1e-10
 
 
 def bubble_3d(radius):

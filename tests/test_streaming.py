@@ -61,12 +61,12 @@ def reference_densities(state):
     eps = state.epsilon
     mu = 0.5 * eps * grad_sq + w / eps
     xi = 0.5 * eps * grad_sq - w / eps
-    return mu, xi, np.maximum(xi, 0.0), np.sqrt(grad_sq)
+    return mu, xi, np.sqrt(grad_sq)
 
 
 def reference_quotient(state, threshold):
     eps = state.epsilon
-    grad_mag = reference_densities(state)[3]
+    grad_mag = reference_densities(state)[2]
     eps_grad = eps * grad_mag
     mass = eps * grad_mag ** 2
     included = eps_grad >= threshold
@@ -155,7 +155,7 @@ def test_pairwise_sums_on_whole_grids(shape):
 
 def test_density_fields_match_whole_grid(streamed):
     dens = density_fields(streamed)
-    got = (dens.mu, dens.xi, dens.xi_plus, dens.grad_mag)
+    got = (dens.mu, dens.xi, dens.grad_mag)
     for field, ref in zip(got, reference_densities(streamed)):
         assert np.array_equal(field.values, ref)
         assert np.array_equal(np.signbit(field.values), np.signbit(ref))
@@ -181,7 +181,7 @@ def test_curvature_norm_and_holder_sums_match_whole_grid(streamed, threshold):
 def test_norm_report_matches_whole_grid(streamed):
     params = AnalysisParams(grad_threshold=0.05)
     rep = norm_report(streamed, params)
-    mu, xi, xi_plus, grad_mag = reference_densities(streamed)
+    mu, xi, grad_mag = reference_densities(streamed)
     w, f = streamed.grid.node_weights(), streamed.f.values
     lam, fraction = reference_curvature_norm(streamed, streamed.grid.ndim,
                                              0.05)
@@ -189,7 +189,7 @@ def test_norm_report_matches_whole_grid(streamed):
     assert rep.sup_u == float(np.max(np.abs(streamed.u.values)))
     assert (rep.lambda_hat, rep.excluded_mass_fraction) == (lam, fraction)
     assert rep.sup_eps_grad == float(streamed.epsilon * np.max(grad_mag))
-    assert rep.xi_plus_mass == float(np.sum(xi_plus * w))
+    assert rep.xi_plus_mass == float(np.sum(np.maximum(xi, 0.0) * w))
     assert rep.xi_abs_mass == float(np.sum(np.abs(xi) * w))
     assert rep.f_l2_over_eps == float(np.sum(f ** 2 * w)) / streamed.epsilon
     assert integrate(density_fields(streamed).xi) == float(np.sum(xi * w))
