@@ -37,6 +37,14 @@ class RegionError(ValueError):
     """A region violates its placement preconditions (margins, degeneracy)."""
 
 
+def _check_finite(**values):
+    """Refuse, by its parameter name, a value that is not finite (for an
+    array: one with an entry that is not)."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 def _as_tuple(x, n, kind=float):
     if np.isscalar(x):
         return tuple(kind(x) for _ in range(n))
@@ -123,32 +131,30 @@ class Grid:
         return np.meshgrid(*[self.axis_coords(ax) for ax in range(self.ndim)],
                            indexing="ij", sparse=sparse)
 
-    def node_weights(self) -> np.ndarray:
-        """Quadrature weights for whole-domain integrals (volume h^d).
+    def node_weights(self, planes=slice(None)) -> np.ndarray:
+        """Quadrature weights for whole-domain integrals (volume h^d), on
+        the axis-0 planes `planes` (a slice; all of them by default).
 
         Zero-flux axes get trapezoid end-weights (boundary cells are half
-        cells); periodic axes are plain midpoint cells. Built once per grid
-        and returned as the same read-only array on every call.
+        cells); periodic axes are plain midpoint cells. Built from the
+        per-axis tables of `_unit_weights` on every call, never cached:
+        products of 1s and 1/2s times h^d, so a slab's weights have the
+        bits of the whole grid's on its planes.
         """
-        w = self.__dict__.get("_node_weights")
-        if w is None:
-            w = _unit_weights(self) * self.h ** self.ndim
-            w.setflags(write=False)
-            # setdefault: threads racing on a first call share one array
-            w = self.__dict__.setdefault("_node_weights", w)
-        return w
+        return _unit_weights(self, planes) * self.h ** self.ndim
 
 
-def _unit_weights(grid: Grid) -> np.ndarray:
-    """Node weights in units of h^d: 1/2 on zero-flux faces, 1 elsewhere."""
+def _unit_weights(grid: Grid, planes=slice(None)) -> np.ndarray:
+    """Node weights in units of h^d on the axis-0 planes `planes` (a
+    slice): 1/2 on zero-flux faces, 1 elsewhere."""
     w = np.ones(()).reshape((1,) * grid.ndim)
     for ax in range(grid.ndim):
         wax = np.ones(grid.points[ax])
         if grid.boundary == ZERO_FLUX:
             wax[0] = wax[-1] = 0.5
         shape = [1] * grid.ndim
-        shape[ax] = grid.points[ax]
-        w = w * wax.reshape(shape)
+        shape[ax] = -1
+        w = w * (wax[planes] if ax == 0 else wax).reshape(shape)
     return w
 
 
@@ -236,13 +242,48 @@ def _central_difference(v: np.ndarray, grid: Grid, axis: int,
     out /= 2.0 * grid.h
 
 
+def _halo(grid: Grid, sl, axis: int = 0) -> np.ndarray:
+    """Indices of the planes sl.start - 1 .. sl.stop of one grid axis, with
+    the ghosts of `_neighbours` past the ends: wrapped, or mirrored across
+    the boundary node."""
+    n = grid.points[axis]
+    idx = np.arange(sl.start - 1, sl.stop + 1)
+    if grid.boundary == PERIODIC:
+        return idx % n
+    idx[0] = abs(idx[0])
+    if idx[-1] == n:
+        idx[-1] = n - 2
+    return idx
+
+
+def _gradient_planes(v: np.ndarray, grid: Grid, sl, axis: int = 0
+                     ) -> np.ndarray:
+    """The central-difference gradient of the node values v on the planes
+    sl (a slice) of one grid axis: `axis` reads v's halo planes (see
+    _halo), the other axes are differenced within the planes by
+    `_central_difference`. Every node gets the operations of the
+    whole-axis stencil, so its bits do not depend on the planes asked
+    for."""
+    lead = (slice(None),) * (axis % grid.ndim)
+    core = v[lead + (sl,)]
+    out = np.empty((grid.ndim,) + core.shape)
+    for ax in range(grid.ndim):
+        if ax == axis % grid.ndim:
+            idx = _halo(grid, sl, axis)
+            np.subtract(v[lead + (idx[2:],)], v[lead + (idx[:-2],)],
+                        out=out[ax])
+            out[ax] /= 2.0 * grid.h
+        else:
+            _central_difference(core, grid, ax, out[ax])
+    return out
+
+
 def gradient(f: ScalarField) -> VectorField:
-    """Second-order central-difference gradient respecting the boundary tag."""
+    """Second-order central-difference gradient respecting the boundary tag,
+    built a slab of axis-0 planes at a time (see _gradient_planes)."""
     g = f.grid
-    out = np.empty((g.ndim,) + g.shape)
-    for ax in range(g.ndim):
-        _central_difference(f.values, g, ax, out[ax])
-    return VectorField._adopt(g, out)
+    return VectorField._adopt(
+        g, _stream(g, lambda sl: _gradient_planes(f.values, g, sl), g.ndim))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -438,11 +479,11 @@ def _slabs(grid: Grid) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _stream(grid: Grid, fill, count: int) -> list[np.ndarray]:
-    """`count` whole-grid arrays filled one slab at a time: fill(sl) returns
-    their values on the axis-0 planes sl (see _slabs), so every temporary of
-    the integrands is slab-sized. One allocation for all of them."""
-    out = list(np.empty((count,) + grid.shape))
+def _stream(grid: Grid, fill, count: int) -> np.ndarray:
+    """`count` whole-grid arrays, stacked, filled one slab at a time:
+    fill(sl) returns their values on the axis-0 planes sl (see _slabs), so
+    every temporary of the integrands is slab-sized."""
+    out = np.empty((count,) + grid.shape)
     for sl in _slabs(grid):
         for buf, values in zip(out, fill(sl), strict=True):
             buf[sl] = values
@@ -517,13 +558,17 @@ class _PairwiseSums:
 
 def _integrals(grid: Grid, fill) -> list[float]:
     """The one whole-domain quadrature: the integral of each integrand that
-    fill(sl) returns on the axis-0 planes sl (see _slabs), times
+    fill(sl) returns on the axis-0 planes sl (see _slabs), times the slab's
     Grid.node_weights, summed slab by slab by _PairwiseSums: the bits of
     np.sum over a whole-grid temporary, with every temporary slab-sized."""
-    w = grid.node_weights()
-    sums = _PairwiseSums(w.size)
-    for sl in _slabs(grid):
-        sums.add([v * w[sl] for v in fill(sl)])
+    sums = _PairwiseSums(int(np.prod(grid.shape)))
+    slabs = _slabs(grid)
+    # the slabs between the first and the last are alike: one length, no
+    # face plane, so one set of weights
+    inner = grid.node_weights(slabs[1]) if len(slabs) > 2 else None
+    for k, sl in enumerate(slabs):
+        w = inner if 0 < k < len(slabs) - 1 else grid.node_weights(sl)
+        sums.add([v * w for v in fill(sl)])
     return sums.sums()
 
 
@@ -563,6 +608,7 @@ def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
 
 def _locate(grid: Grid, pts: np.ndarray):
     """Cell indices and weights for multilinear interpolation at pts (m, d)."""
+    _check_finite(pts=pts)
     rel = (pts - np.asarray(grid.lo)) / grid.h
     if grid.boundary == PERIODIC:
         i0 = np.floor(rel).astype(int)
@@ -607,6 +653,7 @@ def line_sample(f: ScalarField, base, direction, samples: int,
         raise ValueError("need at least 2 samples")
     base = np.asarray(base, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    _check_finite(base=base, direction=direction, t_lo=t_lo, t_hi=t_hi)
     norm = np.linalg.norm(direction)
     if norm == 0:
         raise ValueError("direction must be nonzero")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (PERIODIC, ScalarField, VectorField, _central_difference,
-                     _integrals, _slabs, _stream, gradient)
+                     _gradient_planes, _halo, _integrals, _slabs, _stream)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -81,11 +81,6 @@ class NormReport:
     excluded_mass_fraction: float
 
 
-def state_gradient(state: PhaseFieldState) -> np.ndarray:
-    """The node values of gradient(state.u), computed once per state."""
-    return state.derived("gradient", lambda: gradient(state.u).values)
-
-
 def density_fields(state: PhaseFieldState) -> DensityFields:
     """Evaluate mu, xi and |grad u|.
 
@@ -97,10 +92,10 @@ def density_fields(state: PhaseFieldState) -> DensityFields:
 def _density_fields(state: PhaseFieldState) -> DensityFields:
     g = state.grid
     eps = state.epsilon
-    grad, u = state_gradient(state), state.u.values
+    u = state.u.values
 
     def fill(sl):
-        part = grad[:, sl]
+        part = _gradient_planes(u, g, sl)
         grad_sq = np.sum(part * part, axis=0)
         w = double_well(u[sl])
         mu = 0.5 * eps * grad_sq + w / eps
@@ -282,8 +277,8 @@ def first_variation_identity(state: PhaseFieldState, eta,
     if eta.grid != g:
         raise ValueError("eta must live on the state's grid")
     dens = density_fields(state)
-    grad_u = state_gradient(state)
     mu, xi, f = dens.mu.values, dens.xi.values, state.f.values
+    u = state.u.values
     carry = None  # eta on the last two planes read
     # max |eta| over the nodes read, and over those of them closer than 4h
     # to a face: the 4 outermost layers on each side of each axis
@@ -309,9 +304,10 @@ def first_variation_identity(state: PhaseFieldState, eta,
             peak, shell = max(peak, top[0]), max([shell, *top[1:]])
         # the mask eps|grad u| >= threshold and the unit normal on it (0
         # elsewhere, and where grad u = 0)
+        grad_u = _gradient_planes(u, g, sl)
         grad_mag = dens.grad_mag.values[sl]
         included = state.epsilon * grad_mag >= params.grad_threshold
-        nu = np.divide(grad_u[:, sl], grad_mag,
+        nu = np.divide(grad_u, grad_mag,
                        out=np.zeros((g.ndim,) + grad_mag.shape),
                        where=included & (grad_mag > 0))
         # one derivative axis i at a time, so only d_i eta is ever held;
@@ -334,7 +330,7 @@ def first_variation_identity(state: PhaseFieldState, eta,
         div_eta -= grad_eta_nunu
         div_eta *= mu[sl]  # now (div_eta - grad_eta_nunu) mu
         grad_eta_nunu *= xi[sl]
-        pairing = sum(grad_u[i, sl] * core[i] for i in range(g.ndim))
+        pairing = sum(grad_u[i] * core[i] for i in range(g.ndim))
         return (np.where(included, div_eta, 0.0),
                 np.where(included, grad_eta_nunu, 0.0), f[sl] * pairing)
 
@@ -347,26 +343,12 @@ def first_variation_identity(state: PhaseFieldState, eta,
                                 forcing_term=forcing, discrepancy_term=disc)
 
 
-def _halo(grid, sl) -> np.ndarray:
-    """Indices of the axis-0 planes sl.start - 1 .. sl.stop, with the ghosts
-    of `_neighbours` past the ends: wrapped, or mirrored across the
-    boundary node."""
-    n = grid.points[0]
-    idx = np.arange(sl.start - 1, sl.stop + 1)
-    if grid.boundary == PERIODIC:
-        return idx % n
-    idx[0] = abs(idx[0])
-    if idx[-1] == n:
-        idx[-1] = n - 2
-    return idx
-
-
 def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     """||eta||_{L^q(mu)} with |eta| the Euclidean norm, used by the duality
     bound on the first variation. q = inf gives the mu-essential sup: the
     max of |eta| over nodes carrying mu mass. eta is read one slab of
     axis-0 planes at a time, as by first_variation_identity."""
-    mu, w = density_fields(state).mu.values, state.grid.node_weights()
+    g, mu = state.grid, density_fields(state).mu.values
 
     def magnitude(sl):
         # |eta|^2 summed a component at a time, in the order np.sum(axis=0)
@@ -378,9 +360,10 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
         return np.sqrt(mag, out=mag)
 
     if np.isinf(q):
-        return max(float(np.max(magnitude(sl), where=mu[sl] * w[sl] > 0,
-                                initial=0.0)) for sl in _slabs(state.grid))
-    total, = _integrals(state.grid, lambda sl: (magnitude(sl) ** q * mu[sl],))
+        return max(float(np.max(magnitude(sl),
+                                 where=mu[sl] * g.node_weights(sl) > 0,
+                                 initial=0.0)) for sl in _slabs(g))
+    total, = _integrals(g, lambda sl: (magnitude(sl) ** q * mu[sl],))
     return total ** (1.0 / q)
 
 

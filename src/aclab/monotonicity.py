@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (RegionError, _check_ball_margin, _plane_stencil,
-                     _slabs, ball_integrals, disc_integral, radial_derivative,
-                     restrict_to_plane, trapezoid)
-from .measures import density_fields, state_gradient
+from .fields import (RegionError, _check_ball_margin, _check_finite,
+                     _gradient_planes, _plane_stencil, _slabs, ball_integrals,
+                     disc_integral, radial_derivative, restrict_to_plane,
+                     trapezoid)
+from .measures import density_fields
 from .phasefield import PhaseFieldState, resolution_floor
 
 
@@ -69,6 +70,7 @@ def check_geometry(grid, epsilon: float, center, radii, slab=None,
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < min_count:
         raise ValueError(f"need at least {min_count} radii")
+    _check_finite(radii=radii)
     dr = np.diff(radii)
     if np.any(dr <= 0) or np.any(np.abs(dr - dr[:1]) > 1e-9 * dr[:1]):
         raise ValueError("radii must be strictly ascending and uniform")
@@ -101,24 +103,25 @@ def _radial_pairing(grad, mesh, center):
 def _identity_integrands(state: PhaseFieldState, center, box):
     """mu, xi, eps <x-c,grad u>^2 and <x-c,grad u> f on the index box `box`
     (a tuple of slices); the last two are built a slab of axis-0 planes at a
-    time, so <x-c,grad u> is never held on the whole box."""
+    time, with grad u on the slab's rows of the box, so neither grad u nor
+    <x-c,grad u> is ever held on the whole box."""
     dens = density_fields(state)
-    grad, f = state_gradient(state), state.f.values
+    g, u, f = state.grid, state.u.values, state.f.values
     c = np.atleast_1d(np.asarray(center, dtype=float))
     mesh = [m[(slice(None),) * ax + (b,)]
-            for ax, (m, b) in enumerate(zip(state.grid.meshgrid(sparse=True),
-                                            box))]
+            for ax, (m, b) in enumerate(zip(g.meshgrid(sparse=True), box))]
     mu, xi = dens.mu.values[box], dens.xi.values[box]
     out = np.empty((2,) + mu.shape)
-    lo, hi, _ = box[0].indices(state.grid.points[0])
-    for sl in _slabs(state.grid):
+    lo, hi, _ = box[0].indices(g.points[0])
+    for sl in _slabs(g):
         a, b = max(sl.start, lo), min(sl.stop, hi)
         if a < b:
-            part = (slice(a, b),) + box[1:]
-            radial = _radial_pairing(grad[(slice(None),) + part],
-                                     [mesh[0][a - lo:b - lo], *mesh[1:]], c)
+            rows = slice(a, b)
+            grad = _gradient_planes(u, g, rows)[(slice(None),) * 2 + box[1:]]
+            radial = _radial_pairing(grad, [mesh[0][a - lo:b - lo], *mesh[1:]],
+                                     c)
             out[0, a - lo:b - lo] = state.epsilon * radial ** 2
-            out[1, a - lo:b - lo] = radial * f[part]
+            out[1, a - lo:b - lo] = radial * f[(rows,) + box[1:]]
     return mu, xi, out[0], out[1]
 
 
@@ -185,17 +188,18 @@ def monotonicity_report(state: PhaseFieldState, center, radii,
 def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
     """S_c restricted to the hyperplane {x_last = t} (transverse array): the
     values on the two grid planes of the last axis around it, mixed as
-    `restrict_to_plane` mixes them."""
-    g = state.grid
+    `restrict_to_plane` mixes them. grad u is formed on those two planes
+    only."""
+    g, u = state.grid, state.u.values
     eps = state.epsilon
     dens = density_fields(state)
     c = np.atleast_1d(np.asarray(center, dtype=float))
     k0, k1, lam = _plane_stencil(g, t)
-    grad = state_gradient(state)
     mesh = g.meshgrid(sparse=True)
 
     def on_plane(k):  # d_last u and <x-c, grad u> on the grid plane k
-        part = grad[..., k]  # the other axes' coordinates have length 1 there
+        part = _gradient_planes(u, g, slice(k, k + 1), -1)[..., 0]
+        # the other axes' coordinates have length 1 on the last axis
         return part[-1], _radial_pairing(
             part, [m[..., k if m.shape[-1] > 1 else 0] for m in mesh], c)
 
@@ -242,6 +246,7 @@ def sheet_separation_integral(state: PhaseFieldState, x, t3: float, d: float,
     if len(x) != state.grid.ndim or not np.all(np.isfinite(x)):
         raise RegionError(f"x {x.tolist()} needs {state.grid.ndim} finite "
                           "coordinates")
+    _check_finite(t3=t3, d=d, R=R)
     if d > R:
         raise ValueError(f"empty radius range: d={d} > R={R}")
     if d < state.epsilon:

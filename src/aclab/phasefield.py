@@ -116,10 +116,11 @@ class PhaseFieldState:
     """A triple (u, f, eps) with the max-norm residual of the discrete
     equation recorded at construction.
 
-    Arrays derived from the state (its gradient and the density fields)
-    are computed once through `derived` and kept for the state's lifetime.
-    The unit normal is not kept: the first variation forms it slab by slab
-    from the cached gradient.
+    The density fields (mu, xi, |grad u|) are the one array derived from
+    the state that is kept: computed once through `derived`, for the
+    state's lifetime. The gradient of u, the unit normal and the node
+    weights are not kept: each reader forms them a slab of axis-0 planes
+    at a time, where it reads them.
     """
 
     u: ScalarField
@@ -211,7 +212,7 @@ def build_layer_stack(grid: Grid, epsilon: float, spec: LayerSpec) -> ScalarFiel
     """
     _check_epsilon(grid, epsilon)
     check_layer_fit(grid, epsilon, spec)
-    x = grid.meshgrid()[spec.axis % grid.ndim]
+    x = grid.meshgrid(sparse=True)[spec.axis % grid.ndim]
     signs = spec.orientations
     u = np.full(grid.shape, float(sum(signs) - spec.first_sign))
     for p, s in zip(spec.positions, signs):
@@ -221,7 +222,7 @@ def build_layer_stack(grid: Grid, epsilon: float, spec: LayerSpec) -> ScalarFiel
 
 def signed_distance_ball(grid: Grid, center, radius: float) -> np.ndarray:
     """Analytic signed distance to a sphere (negative inside)."""
-    mesh = grid.meshgrid()
+    mesh = grid.meshgrid(sparse=True)
     c = np.atleast_1d(np.asarray(center, dtype=float))
     return np.sqrt(sum((m - ci) ** 2 for m, ci in zip(mesh, c))) - radius
 
@@ -552,7 +553,7 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     import scipy.fft
 
     shape = grid.shape
-    d = (grid.node_weights() / grid.h ** grid.ndim).ravel()
+    d = _unit_weights(grid).ravel()
     diag = diag.ravel()
     c = float(np.max(np.abs(diag)))
     inv_symbol = 1.0 / (c + epsilon * _laplacian_eigenvalues(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from aclab import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
-                   ZERO_FLUX, gradient, integrate, laplacian, line_sample,
-                   radial_derivative)
+                   ZERO_FLUX, gradient, integrate, interpolate, laplacian,
+                   line_sample, radial_derivative)
 from aclab.fields import (_central_difference, ball_integrals,
                           disc_integral, restrict_to_plane)
 
@@ -45,17 +45,19 @@ def test_grid_refuses_bad_values_by_name(kwargs, field):
         Grid(**kwargs)
 
 
-def test_node_weights_built_once_and_read_only():
+def test_node_weights_values_and_grid_equality():
     g = grid2d(9)
     w = g.node_weights()
-    assert g.node_weights() is w
-    assert not w.flags.writeable
-    with pytest.raises(ValueError):
-        w[1, 1] = 0.0
-    assert w[0, 0] == 0.25 * g.h ** 2 and w[1, 1] == g.h ** 2
-    # the cached array takes no part in equality or hashing
+    assert w.shape == g.shape
+    assert w[0, 0] == 0.25 * g.h ** 2 and w[0, 1] == 0.5 * g.h ** 2
+    assert w[1, 1] == g.h ** 2
+    assert np.array_equal(g.node_weights(slice(2, 5)), w[2:5])
+    periodic = grid2d(9, PERIODIC)
+    assert np.all(periodic.node_weights() == periodic.h ** 2)
+    # the grid holds no weights: asking for them leaves equality and hashing
     fresh = grid2d(9)
     assert fresh == g and hash(fresh) == hash(g)
+    assert vars(fresh).keys() == vars(g).keys()
 
 
 def test_field_validation():
@@ -324,6 +326,30 @@ def test_line_sample_tanh_layer():
     ls = line_sample(f, base, (0.0, 1.0), 977, -0.5, 0.4993)
     err = np.max(np.abs(ls[:, 1] - np.tanh((ls[:, 0] + base[1]) / eps)))
     assert err <= 1e-3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])
+@pytest.mark.parametrize("name", ["base", "direction", "t_lo", "t_hi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=("nan", "inf", "-inf"))
+def test_line_sample_refuses_non_finite_by_name(boundary, name, bad):
+    g = grid2d(17, boundary)
+    args = {"base": (0.0, 0.0), "direction": (1.0, 0.5), "t_lo": -0.4,
+            "t_hi": 0.4}
+    args[name] = (0.0, bad) if name in ("base", "direction") else bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        line_sample(ScalarField(g, np.zeros(g.shape)), samples=9, **args)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=("nan", "inf", "-inf"))
+def test_interpolate_refuses_non_finite_points(boundary, bad):
+    g = grid2d(17, boundary)
+    with pytest.raises(ValueError, match="^pts must be finite"):
+        interpolate(ScalarField(g, np.zeros(g.shape)), [(0.0, 0.0), (bad, 0.1)])
 
 
 def test_line_sample_rejects_exit():

@@ -1,12 +1,13 @@
 """Memory budget of the analyses: on a 65^3 manufactured sphere, each CLI
-runner's traced peak above the state's cached fields (u, f, the gradient,
-the three density fields, the node weights) stays within 0.95 grid arrays.
-Every whole-domain integral is summed a slab at a time with no whole-grid
-buffer (`fields._integrals`); the ball identity's two radial integrands
-are built on the index box of the largest ball only. The measured peaks
-are 0.88 (`monotonicity`, `slab`: two box arrays and the box's node
-distances), 0.45 (`gdelta`), 0.40 (`firstvar`), 0.16 (`norms`), 0.12
-(`sweep`) and 0.01 (`quantize`)."""
+runner's traced peak above the state's fields (u, f and the three cached
+density fields) stays within 0.95 grid arrays. The gradient of u and the
+node weights are not kept: each reader builds them a slab of axis-0 planes
+at a time, where it reads them. Every whole-domain integral is summed a
+slab at a time with no whole-grid buffer (`fields._integrals`); the ball
+identity's two radial integrands are built on the index box of the
+largest ball only. The measured peaks are 0.88 (`monotonicity`, `slab`:
+two box arrays and the box's node distances), 0.46 (`firstvar`), 0.45
+(`gdelta`), 0.17 (`norms`), 0.13 (`sweep`) and 0.01 (`quantize`)."""
 
 import tracemalloc
 
@@ -42,7 +43,6 @@ def sphere(tmp_path_factory):
     cfg = load_config(path, tmp_path / "out")
     states = build(cfg.scenario)
     density_fields(states[0])
-    states[0].grid.node_weights()
     for name in ANALYSES:
         _RUNNERS[name](cfg, states)
     return cfg, states
@@ -63,19 +63,17 @@ def test_each_runner_peaks_within_a_grid_array(sphere):
     assert max(peaks.values()) <= 0.95, peaks
 
 
-def test_a_state_caches_the_gradient_and_three_densities(sphere):
-    # after every analysis: grad u (ndim arrays), mu, xi and |grad u|
+def test_a_state_caches_three_densities(sphere):
+    # after every analysis: mu, xi and |grad u|, and no gradient
     state = sphere[1][0]
-    nbytes = sum(value.nbytes if isinstance(value, np.ndarray)
-                 else sum(f.values.nbytes for f in vars(value).values())
-                 for value in state._derived.values())
-    assert nbytes == (state.grid.ndim + 3) * GRID_ARRAY
+    assert list(state._derived) == ["density_fields"]
+    dens = state._derived["density_fields"]
+    assert sum(f.values.nbytes for f in vars(dens).values()) == 3 * GRID_ARRAY
 
 
 def test_integrate_holds_no_grid_sized_scratch():
     g = Grid(extent=(2.0,) * 3, points=(65,) * 3)
     f = ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
-    g.node_weights()
     integrate(f)  # lazy imports and caches first
     tracemalloc.start()
     try:

@@ -110,6 +110,18 @@ def test_a_center_not_in_the_grid_space_is_refused(circle_state, report,
         report(circle_state, center, np.linspace(0.1, 0.3, 5))
 
 
+@REPORTS
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radii", [np.full(5, np.nan),
+                                   [0.1, 0.15, np.nan, 0.25, 0.3],
+                                   [0.1, 0.15, 0.2, 0.25, np.inf],
+                                   np.full(5, np.inf)],
+                         ids=("nan", "one-nan", "last-inf", "inf"))
+def test_non_finite_radii_are_refused_by_name(circle_state, report, radii):
+    with pytest.raises(ValueError, match="^radii must be finite"):
+        report(circle_state, (0.0, 0.0), radii)
+
+
 def test_slab_clipping_the_ball_inside_the_domain_keeps_the_margin(
         circle_state):
     # B_0.66((0, 0.5)) crosses the wall x_last = 1, but the slab cuts it at
@@ -207,3 +219,14 @@ def test_sheet_separation_trivial_and_errors():
     for x in ((0.5,), (0.5, 0.0, 0.9), (np.nan, 0.0)):
         with pytest.raises(RegionError, match="needs 2 finite coordinates"):
             sheet_separation_integral(st, x, 0.1, 0.05, 0.4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["t3", "d", "R"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=("nan", "inf", "-inf"))
+def test_sheet_separation_refuses_non_finite_by_name(name, bad):
+    st = constant_state(1.0, eps=0.05)
+    args = {"t3": 0.1, "d": 0.05, "R": 0.4, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        sheet_separation_integral(st, (0.0, 0.0), **args)

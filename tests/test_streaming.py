@@ -1,9 +1,11 @@
 """Every whole-grid integrand is built one slab of axis-0 planes at a time
 and summed slab by slab along numpy's own pairwise tree
-(`fields._PairwiseSums`), with no whole-grid buffer. Each streamed number
-must equal, bit for bit, the whole-grid computation it replaced; those
-computations are kept here as the references. Slabs of 1, 2 and 3 planes
-and the whole grid, on 1-d, 2-d and 3-d, zero-flux and periodic grids."""
+(`fields._PairwiseSums`), with no whole-grid buffer; the gradient of u and
+the node weights are built a slab at a time where they are read. Each
+streamed number must equal, bit for bit, the whole-grid computation it
+replaced; those computations are kept here as the references. Slabs of 1,
+2 and 3 planes and the whole grid, on 1-d, 2-d and 3-d, zero-flux and
+periodic grids."""
 
 from unittest import mock
 
@@ -54,8 +56,17 @@ def streamed(request):
 
 # ---------------------------------------------------------------- references
 
+def reference_gradient(state):
+    """The central differences along whole grid axes."""
+    g = state.grid
+    grad = np.empty((g.ndim,) + g.shape)
+    for ax in range(g.ndim):
+        fields._central_difference(state.u.values, g, ax, grad[ax])
+    return grad
+
+
 def reference_densities(state):
-    grad = gradient(state.u).values
+    grad = reference_gradient(state)
     grad_sq = np.sum(grad * grad, axis=0)
     w = double_well(state.u.values)
     eps = state.epsilon
@@ -153,6 +164,34 @@ def test_pairwise_sums_on_whole_grids(shape):
 
 # ---------------------------------------------------------------- tests
 
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_slab_gradient_matches_whole_grid(streamed):
+    g, u = streamed.grid, streamed.u.values
+    ref = reference_gradient(streamed)
+    whole = gradient(streamed.u).values
+    assert_same_bits(whole, ref)
+    for sl in fields._slabs(g):
+        assert_same_bits(fields._gradient_planes(u, g, sl), whole[:, sl])
+    # one plane of the last axis at a time, as the sheet integrand forms
+    # grad u on the two planes around {x_last = t}: the ends mirror or wrap
+    for k in range(g.shape[-1]):
+        plane = fields._gradient_planes(u, g, slice(k, k + 1), -1)
+        assert_same_bits(plane[..., 0], whole[..., k])
+
+
+def test_slab_weights_match_whole_grid(streamed):
+    g = streamed.grid
+    whole = fields._unit_weights(g) * g.h ** g.ndim
+    assert_same_bits(g.node_weights(), whole)
+    for sl in fields._slabs(g):
+        assert_same_bits(g.node_weights(sl), whole[sl])
+
+
 def test_density_fields_match_whole_grid(streamed):
     dens = density_fields(streamed)
     got = (dens.mu, dens.xi, dens.grad_mag)
@@ -198,7 +237,7 @@ def test_norm_report_matches_whole_grid(streamed):
 def test_identity_integrands_and_sheet_match_whole_grid(streamed):
     g, eps = streamed.grid, streamed.epsilon
     c = np.full(g.ndim, 0.04)
-    grad = gradient(streamed.u).values
+    grad = reference_gradient(streamed)
     radial = sum((m - ci) * grad[i]
                  for i, (m, ci) in enumerate(zip(g.meshgrid(sparse=True), c)))
     mu, xi = reference_densities(streamed)[:2]
