@@ -10,6 +10,7 @@ line and hyperplane restrictions.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +201,21 @@ class ScalarField(_Field):
 
     _vector = False
 
+    def at(self, idx) -> np.ndarray:
+        """The values on the nodes idx (any index of a grid-shaped array)."""
+        return self.values[idx]
+
+
+@dataclass(frozen=True)
+class _LazyField:
+    """Node values formed on demand, never held whole: at(idx) forms them
+    on the nodes idx (any index of a grid-shaped array). `interpolate`,
+    `line_sample` and `restrict_to_plane` read it as they read a
+    ScalarField."""
+
+    grid: Grid
+    at: Callable
+
 
 class VectorField(_Field):
     """One (n+1)-tuple per grid node, stored component-major."""
@@ -286,18 +302,37 @@ def gradient(f: ScalarField) -> VectorField:
         g, _stream(g, lambda sl: _gradient_planes(f.values, g, sl), g.ndim))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    """Standard (2*dim+1)-point second-order Laplacian, summed axis by axis."""
-    grid, v = f.grid, f.values
-    out, term = np.zeros(grid.shape), np.empty(grid.shape)
+def _laplacian_planes(v: np.ndarray, grid: Grid, sl) -> np.ndarray:
+    """The (2*dim+1)-point second-order Laplacian of the node values v on
+    the axis-0 planes sl (a slice): axis 0 reads v's halo planes (see
+    _halo), the other axes the `_neighbours` triples within the planes.
+    Summed axis by axis onto a +0.0 start, each term as
+    ((v[i+1] - 2 v[i]) + v[i-1]) / h^2, so a node's bits do not depend on
+    the planes asked for."""
+    core = v[sl]
+    out, term = np.zeros(core.shape), np.empty(core.shape)
+    idx = _halo(grid, sl)
     for ax in range(grid.ndim):
-        for nodes, plus, minus in _neighbours(grid, ax):
-            np.multiply(v[nodes], 2.0, out=term[nodes])
-            np.subtract(v[plus], term[nodes], out=term[nodes])
-            term[nodes] += v[minus]
+        if ax == 0:
+            np.multiply(core, 2.0, out=term)
+            np.subtract(v[idx[2:]], term, out=term)
+            term += v[idx[:-2]]
+        else:
+            for nodes, plus, minus in _neighbours(grid, ax):
+                np.multiply(core[nodes], 2.0, out=term[nodes])
+                np.subtract(core[plus], term[nodes], out=term[nodes])
+                term[nodes] += core[minus]
         term /= grid.h ** 2
         out += term
-    return ScalarField._adopt(grid, out)
+    return out
+
+
+def laplacian(f: ScalarField) -> ScalarField:
+    """Standard (2*dim+1)-point second-order Laplacian, built a slab of
+    axis-0 planes at a time (see _laplacian_planes)."""
+    g = f.grid
+    return ScalarField._adopt(g, _stream(
+        g, lambda sl: (_laplacian_planes(f.values, g, sl),), 1)[0])
 
 
 def _neighbour_sum_into(v: np.ndarray, grid: Grid, out: np.ndarray):
@@ -423,8 +458,16 @@ class _BallQuadrature:
                                / s ** g.ndim)
         return frac
 
-    def integral_many(self, values_list, radius: float) -> list[float]:
-        """Integrals of each box array over the region at one radius."""
+    def integral_many(self, values_list, radius: float,
+                      integrands=None) -> list[float]:
+        """Integrals over the region at one radius of each box array, or of
+        each integrand that integrands(*gathered) forms from the arrays'
+        values on the nodes gathered (see ball_integrals).
+
+        The full and the band nodes are each gathered a run of axis-0
+        planes of the window at a time, about half a slab's nodes (see
+        _slab_nodes), and summed by _PairwiseSums: the bits of np.sum over
+        the whole gather, which is never held."""
         g = self.grid
         window = self._window(radius)
         in_box = tuple(slice(w.start - b.start, w.stop - b.start)
@@ -438,25 +481,54 @@ class _BallQuadrature:
             full &= self._slab_in[..., window[-1]]
             band &= ~self._slab_out[..., window[-1]]
         band ^= full
-        frac = self._band_fractions(window, band, radius) if band.any() else None
-        out = []
-        for values in values_list:
-            box = values[in_box]
-            total = float(np.sum(box[full])) if full.any() else 0.0
-            if frac is not None:
-                total += float(np.sum(box[band] * frac))
-            out.append(total * g.h ** g.ndim)
-        return out
+        boxes = [values[in_box] for values in values_list]
+        form = integrands or (lambda *gathered: gathered)
+        # first, so that its scratch is not held with a gather's
+        band_frac = self._band_fractions(window, band, radius)
+        run = max(1, _slab_nodes(g) // 2)
+        totals = None
+        for part, frac in ((full, None), (band, band_frac)):
+            count = int(np.count_nonzero(part))
+            if totals is not None and not count:
+                break  # no band node: nothing to add
+            ends = []
+            if count > run:
+                # upto[k]: the part's nodes on the window's axis-0 planes
+                # 0..k; a run of planes ends where upto passes a multiple
+                # of `run`
+                upto = np.cumsum(np.count_nonzero(
+                    part.reshape(len(part), -1), axis=1))
+                ends = np.searchsorted(upto, np.arange(run, count, run)) + 1
+            sums, pos = _PairwiseSums(count), 0
+            for lo, hi in zip([0, *ends], [*ends, len(part)]):
+                values = list(form(*(box[lo:hi][part[lo:hi]]
+                                     for box in boxes)))
+                m = values[0].size
+                for v in values if frac is not None else ():
+                    v *= frac[pos:pos + m]  # each a fresh gather
+                sums.add(values)
+                pos += m
+            # no full node sums to +0.0; the band's sums are added to it
+            totals = (sums.sums() if totals is None else
+                      [t + s for t, s in zip(totals, sums.sums())])
+        return [total * g.h ** g.ndim for total in totals]
 
 
 def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
-                   slab=None) -> np.ndarray:
+                   slab=None, integrands=None) -> np.ndarray:
     """Integrals of each node array over B_r(center), intersected with the
     slab t_lo <= x_last <= t_hi when slab = (t_lo, t_hi) is given: one row
     per radius, one column per array. `arrays` is a list of whole-grid
     arrays, or a function that takes the index box of the largest ball (a
     tuple of slices; every node outside it is outside every ball) and
     returns the arrays on that box only.
+
+    With `integrands`, the columns are the integrals of the integrands it
+    forms instead: integrands(*gathered) takes each array's values on the
+    nodes a radius gathers (one 1-d array per array, in the arrays' order)
+    and returns the integrands' values on those nodes, as new arrays (the
+    band's are weighted in place). Formed elementwise, they have the bits
+    of integrands built on the whole box, which is never held.
 
     The one entry point into `_BallQuadrature`; it checks nothing. Its
     callers (`monotonicity.check_geometry`, `disc_integral`) check the
@@ -467,15 +539,21 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
                            radii[-1], *(slab or ()))
     arrays = (arrays(quad.box) if callable(arrays)
               else [v[quad.box] for v in arrays])
-    return np.array([quad.integral_many(arrays, r) for r in radii])
+    return np.array([quad.integral_many(arrays, r, integrands)
+                     for r in radii])
+
+
+def _slab_nodes(grid: Grid) -> int:
+    """The nodes of a slab: the size _SLAB_SHARE and _SLAB_NODES set."""
+    return min(max(int(np.prod(grid.points)) // _SLAB_SHARE, _SLAB_NODES),
+               8 * _SLAB_NODES)
 
 
 def _slabs(grid: Grid) -> list[slice]:
     """Consecutive runs of whole axis-0 planes that cover the grid in order,
-    of the size _SLAB_SHARE and _SLAB_NODES set (at least one plane)."""
+    of about _slab_nodes nodes (at least one plane)."""
     n, plane = grid.points[0], int(np.prod(grid.points[1:]))
-    nodes = min(max(n * plane // _SLAB_SHARE, _SLAB_NODES), 8 * _SLAB_NODES)
-    step = max(1, nodes // plane)
+    step = max(1, _slab_nodes(grid) // plane)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -516,6 +594,10 @@ class _PairwiseSums:
         offsets into the piece: (lo, hi) reduces a node, (None, hi) completes
         a leaf in the carry, (lo, None) carries a leaf's head, () adds the
         last two node sums."""
+        if self.arrays is None:  # per array: node sums, leaf carry
+            self.arrays = [([], []) for _ in pieces]
+        if not pieces[0].size:
+            return
         pos, stop, steps = self.pos, self.pos + pieces[0].size, []
 
         def visit(a, n):
@@ -534,8 +616,6 @@ class _PairwiseSums:
                     steps.append(())
 
         visit(0, self.size)
-        if self.arrays is None:  # per array: node sums, leaf carry
-            self.arrays = [([], []) for _ in pieces]
         for piece, (stack, carry) in zip(pieces, self.arrays, strict=True):
             flat = piece.reshape(-1)
             for step in steps:
@@ -553,7 +633,8 @@ class _PairwiseSums:
         self.pos = stop
 
     def sums(self) -> list[float]:
-        return [float(stack[0]) for stack, _ in self.arrays]
+        """The sums, +0.0 for arrays of no element (as np.sum's)."""
+        return [float(stack[0]) if stack else 0.0 for stack, _ in self.arrays]
 
 
 def _integrals(grid: Grid, fill) -> list[float]:
@@ -627,7 +708,8 @@ def _locate(grid: Grid, pts: np.ndarray):
 
 
 def interpolate(f: ScalarField, pts) -> np.ndarray:
-    """Multilinear interpolation of a field at points of shape (m, ndim)."""
+    """Multilinear interpolation of a field (a ScalarField or a _LazyField,
+    read on the corner nodes only) at points of shape (m, ndim)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     g = f.grid
     i0, i1, w = _locate(g, pts)
@@ -638,17 +720,22 @@ def interpolate(f: ScalarField, pts) -> np.ndarray:
         wt = np.ones(len(pts))
         for ax, c in enumerate(corner):
             wt = wt * (w[:, ax] if c else 1.0 - w[:, ax])
-        out += wt * f.values[idx]
+        out += wt * f.at(idx)
     return out
 
 
 def line_sample(f: ScalarField, base, direction, samples: int,
                 t_lo: float, t_hi: float) -> np.ndarray:
-    """Field values along the segment base + t*direction/|direction|.
+    """Field values (see interpolate) along the segment
+    base + t*direction/|direction|.
 
     Returns rows (t, value) at `samples` equispaced parameters in
-    [t_lo, t_hi]. The whole segment must lie inside the domain.
+    [t_lo, t_hi], a whole number of at least 2. The whole segment must lie
+    inside the domain.
     """
+    _check_finite(samples=samples)
+    if not float(samples).is_integer():
+        raise ValueError(f"samples must be a whole number, got {samples}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     base = np.asarray(base, dtype=float)
@@ -677,14 +764,12 @@ def _plane_stencil(g: Grid, t: float):
 
 
 def restrict_to_plane(f: ScalarField, t: float) -> np.ndarray:
-    """Field on the hyperplane {x_last = t}: linear interpolation between the
-    two adjacent grid planes. Returns the transverse-shaped array."""
+    """Field (a ScalarField or a _LazyField, read on two grid planes) on the
+    hyperplane {x_last = t}: linear interpolation between the two adjacent
+    grid planes. Returns the transverse-shaped array."""
     g = f.grid
     k0, k1, lam = _plane_stencil(g, t)
-    sl0 = [slice(None)] * g.ndim
-    sl1 = [slice(None)] * g.ndim
-    sl0[-1], sl1[-1] = k0, k1
-    return (1.0 - lam) * f.values[tuple(sl0)] + lam * f.values[tuple(sl1)]
+    return (1.0 - lam) * f.at((..., k0)) + lam * f.at((..., k1))
 
 
 def disc_integral(grid: Grid, plane_values: np.ndarray, center_transverse,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (PERIODIC, ScalarField, VectorField, _central_difference,
-                     _gradient_planes, _halo, _integrals, _slabs, _stream)
+                     _gradient_planes, _halo, _integrals, _LazyField, _slabs,
+                     _stream)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -57,13 +58,50 @@ class AnalysisParams:
         return q0
 
 
+def energy_densities(grad_sq, u, eps: float):
+    """(mu, xi) on the nodes of grad_sq = |grad u|^2 and u: the one formula
+    of the two densities. It is elementwise, so on any nodes they have the
+    bits of the whole grid's."""
+    half = 0.5 * eps * grad_sq
+    w = double_well(u) / eps
+    mu = half + w
+    half -= w  # now xi
+    return mu, half
+
+
 @dataclass(frozen=True)
 class DensityFields:
-    """Pointwise densities derived from one state."""
+    """|grad u|^2 of one state, read-only: the one grid array a state
+    caches. Readers form mu, xi (`on`) and |grad u| = sqrt(grad_sq) from it
+    and u on the nodes they read: a slab, the nodes a ball gathers, two
+    grid planes, the corners of a line's interpolation stencil. `mu`, `xi`
+    and `grad_mag` build them whole, on every access, for callers outside
+    the package."""
 
-    mu: ScalarField
-    xi: ScalarField
-    grad_mag: ScalarField
+    u: ScalarField
+    epsilon: float
+    grad_sq: np.ndarray
+
+    def on(self, idx):
+        """(mu, xi) on the nodes idx (any index of a grid-shaped array)."""
+        return energy_densities(self.grad_sq[idx], self.u.values[idx],
+                                self.epsilon)
+
+    def lazy_mu(self) -> _LazyField:
+        """mu as a field formed on the nodes it is read on."""
+        return _LazyField(self.u.grid, lambda idx: self.on(idx)[0])
+
+    @property
+    def mu(self) -> ScalarField:
+        return ScalarField._adopt(self.u.grid, self.on(...)[0])
+
+    @property
+    def xi(self) -> ScalarField:
+        return ScalarField._adopt(self.u.grid, self.on(...)[1])
+
+    @property
+    def grad_mag(self) -> ScalarField:
+        return ScalarField._adopt(self.u.grid, np.sqrt(self.grad_sq))
 
 
 @dataclass(frozen=True)
@@ -82,7 +120,8 @@ class NormReport:
 
 
 def density_fields(state: PhaseFieldState) -> DensityFields:
-    """Evaluate mu, xi and |grad u|.
+    """|grad u|^2 of the state, built a slab of axis-0 planes at a time,
+    and with it mu, xi and |grad u|.
 
     Computed once per state; later calls return the same object.
     """
@@ -90,24 +129,15 @@ def density_fields(state: PhaseFieldState) -> DensityFields:
 
 
 def _density_fields(state: PhaseFieldState) -> DensityFields:
-    g = state.grid
-    eps = state.epsilon
-    u = state.u.values
+    g, u = state.grid, state.u.values
 
     def fill(sl):
         part = _gradient_planes(u, g, sl)
-        grad_sq = np.sum(part * part, axis=0)
-        w = double_well(u[sl])
-        mu = 0.5 * eps * grad_sq + w / eps
-        xi = 0.5 * eps * grad_sq - w / eps
-        return mu, xi, np.sqrt(grad_sq)
+        return (np.sum(part * part, axis=0),)
 
-    mu, xi, grad_mag = _stream(g, fill, 3)
-    return DensityFields(
-        mu=ScalarField._adopt(g, mu),
-        xi=ScalarField._adopt(g, xi),
-        grad_mag=ScalarField._adopt(g, grad_mag),
-    )
+    grad_sq = _stream(g, fill, 1)[0]
+    grad_sq.setflags(write=False)
+    return DensityFields(u=state.u, epsilon=state.epsilon, grad_sq=grad_sq)
 
 
 def _finite(*sums):
@@ -140,11 +170,11 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
     """
     q0 = params.resolve_q0(state.grid.ndim)
     g = state.grid
-    grad_mag, f = density_fields(state).grad_mag.values, state.f.values
+    grad_sq, f = density_fields(state).grad_sq, state.f.values
 
     def integrands(sl):
         quotient, mass, included = _curvature_quotient(
-            grad_mag[sl], f[sl], state.epsilon, params.grad_threshold)
+            np.sqrt(grad_sq[sl]), f[sl], state.epsilon, params.grad_threshold)
         return quotient ** q0 * mass, mass, np.where(included, 0.0, mass)
 
     lam, total_mass, excl = _finite(*_integrals(g, integrands))
@@ -159,16 +189,21 @@ def norm_report(state: PhaseFieldState,
     eps = state.epsilon
     dens = density_fields(state)
     lam, fraction = diffuse_mean_curvature_norm(state, params)
-    mu, xi, f = dens.mu.values, dens.xi.values, state.f.values
-    xi_abs, f_sq, energy, xi_plus_mass = _integrals(g, lambda sl: (
-        np.abs(xi[sl]), f[sl] ** 2, mu[sl], np.maximum(xi[sl], 0.0)))
+    f = state.f.values
+
+    def integrands(sl):
+        mu, xi = dens.on(sl)
+        return np.abs(xi), f[sl] ** 2, mu, np.maximum(xi, 0.0)
+
+    xi_abs, f_sq, energy, xi_plus_mass = _integrals(g, integrands)
     _finite(xi_abs, f_sq)
     return NormReport(
         total_energy=energy,
         sup_u=max(float(np.max(np.abs(state.u.values[sl])))
                   for sl in _slabs(g)),
         lambda_hat=lam,
-        sup_eps_grad=float(eps * np.max(dens.grad_mag.values)),
+        # sqrt is monotone, so sqrt(max) is the max of |grad u|
+        sup_eps_grad=float(eps * np.sqrt(np.max(dens.grad_sq))),
         xi_plus_mass=xi_plus_mass,
         xi_abs_mass=xi_abs,
         f_l2_over_eps=f_sq / eps,
@@ -211,10 +246,10 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
         raise ValueError(f"resulting q0={q0} must exceed n={n}")
     eps = state.epsilon
     lhs, _ = diffuse_mean_curvature_norm(state, replace(params, q0=q0))
-    grad_mag, f = density_fields(state).grad_mag.values, state.f.values
+    grad_sq, f = density_fields(state).grad_sq, state.f.values
 
     def powers(sl):
-        quotient, _, _ = _curvature_quotient(grad_mag[sl], f[sl], eps,
+        quotient, _, _ = _curvature_quotient(np.sqrt(grad_sq[sl]), f[sl], eps,
                                              params.grad_threshold)
         return np.abs(f[sl]) ** s, quotient ** t
 
@@ -231,8 +266,8 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
 
         def scaled_powers(sl):
             scaled = f[sl] / peak
-            quotient, mass, _ = _curvature_quotient(grad_mag[sl], scaled, eps,
-                                                    params.grad_threshold)
+            quotient, mass, _ = _curvature_quotient(
+                np.sqrt(grad_sq[sl]), scaled, eps, params.grad_threshold)
             return (quotient ** q0 * mass, np.abs(scaled) ** s,
                     quotient ** t)
 
@@ -277,8 +312,7 @@ def first_variation_identity(state: PhaseFieldState, eta,
     if eta.grid != g:
         raise ValueError("eta must live on the state's grid")
     dens = density_fields(state)
-    mu, xi, f = dens.mu.values, dens.xi.values, state.f.values
-    u = state.u.values
+    u, f = state.u.values, state.f.values
     carry = None  # eta on the last two planes read
     # max |eta| over the nodes read, and over those of them closer than 4h
     # to a face: the 4 outermost layers on each side of each axis
@@ -305,7 +339,7 @@ def first_variation_identity(state: PhaseFieldState, eta,
         # the mask eps|grad u| >= threshold and the unit normal on it (0
         # elsewhere, and where grad u = 0)
         grad_u = _gradient_planes(u, g, sl)
-        grad_mag = dens.grad_mag.values[sl]
+        grad_mag = np.sqrt(dens.grad_sq[sl])
         included = state.epsilon * grad_mag >= params.grad_threshold
         nu = np.divide(grad_u, grad_mag,
                        out=np.zeros((g.ndim,) + grad_mag.shape),
@@ -328,8 +362,9 @@ def first_variation_identity(state: PhaseFieldState, eta,
             for term in d_eta:
                 grad_eta_nunu += term
         div_eta -= grad_eta_nunu
-        div_eta *= mu[sl]  # now (div_eta - grad_eta_nunu) mu
-        grad_eta_nunu *= xi[sl]
+        mu, xi = dens.on(sl)
+        div_eta *= mu  # now (div_eta - grad_eta_nunu) mu
+        grad_eta_nunu *= xi
         pairing = sum(grad_u[i] * core[i] for i in range(g.ndim))
         return (np.where(included, div_eta, 0.0),
                 np.where(included, grad_eta_nunu, 0.0), f[sl] * pairing)
@@ -348,7 +383,7 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     bound on the first variation. q = inf gives the mu-essential sup: the
     max of |eta| over nodes carrying mu mass. eta is read one slab of
     axis-0 planes at a time, as by first_variation_identity."""
-    g, mu = state.grid, density_fields(state).mu.values
+    g, dens = state.grid, density_fields(state)
 
     def magnitude(sl):
         # |eta|^2 summed a component at a time, in the order np.sum(axis=0)
@@ -361,9 +396,9 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
 
     if np.isinf(q):
         return max(float(np.max(magnitude(sl),
-                                 where=mu[sl] * g.node_weights(sl) > 0,
+                                 where=dens.on(sl)[0] * g.node_weights(sl) > 0,
                                  initial=0.0)) for sl in _slabs(g))
-    total, = _integrals(g, lambda sl: (magnitude(sl) ** q * mu[sl],))
+    total, = _integrals(g, lambda sl: (magnitude(sl) ** q * dens.on(sl)[0],))
     return total ** (1.0 / q)
 
 

@@ -33,7 +33,7 @@ from .fields import (RegionError, _check_ball_margin, _check_finite,
                      _gradient_planes, _plane_stencil, _slabs, ball_integrals,
                      disc_integral, radial_derivative, restrict_to_plane,
                      trapezoid)
-from .measures import density_fields
+from .measures import density_fields, energy_densities
 from .phasefield import PhaseFieldState, resolution_floor
 
 
@@ -101,17 +101,18 @@ def _radial_pairing(grad, mesh, center):
 
 
 def _identity_integrands(state: PhaseFieldState, center, box):
-    """mu, xi, eps <x-c,grad u>^2 and <x-c,grad u> f on the index box `box`
-    (a tuple of slices); the last two are built a slab of axis-0 planes at a
-    time, with grad u on the slab's rows of the box, so neither grad u nor
-    <x-c,grad u> is ever held on the whole box."""
-    dens = density_fields(state)
+    """|grad u|^2, u, eps <x-c,grad u>^2 and <x-c,grad u> f on the index box
+    `box` (a tuple of slices), the arrays `_identity_densities` forms the
+    ball terms from: views of the state's arrays, then two box arrays built
+    a slab of axis-0 planes at a time, with grad u on the slab's rows of
+    the box, so neither grad u nor <x-c,grad u> is ever held on the whole
+    box."""
+    grad_sq = density_fields(state).grad_sq[box]
     g, u, f = state.grid, state.u.values, state.f.values
     c = np.atleast_1d(np.asarray(center, dtype=float))
     mesh = [m[(slice(None),) * ax + (b,)]
             for ax, (m, b) in enumerate(zip(g.meshgrid(sparse=True), box))]
-    mu, xi = dens.mu.values[box], dens.xi.values[box]
-    out = np.empty((2,) + mu.shape)
+    out = np.empty((2,) + grad_sq.shape)
     lo, hi, _ = box[0].indices(g.points[0])
     for sl in _slabs(g):
         a, b = max(sl.start, lo), min(sl.stop, hi)
@@ -122,7 +123,18 @@ def _identity_integrands(state: PhaseFieldState, center, box):
                                      c)
             out[0, a - lo:b - lo] = state.epsilon * radial ** 2
             out[1, a - lo:b - lo] = radial * f[(rows,) + box[1:]]
-    return mu, xi, out[0], out[1]
+    return grad_sq, u[box], out[0], out[1]
+
+
+def _identity_densities(state: PhaseFieldState):
+    """The ball terms' integrands mu, xi, eps <x-c,grad u>^2 and
+    <x-c,grad u> f from the values of `_identity_integrands`' arrays on the
+    nodes a radius gathers: mu and xi from one gather of |grad u|^2 and u,
+    so they are never held on the box."""
+    def form(grad_sq, u, boundary, forcing):
+        return (*energy_densities(grad_sq, u, state.epsilon), boundary,
+                forcing)
+    return form
 
 
 def _d_dr(radii, values):
@@ -141,7 +153,7 @@ def _identity_report(state: PhaseFieldState, center, radii, supersample,
     c = np.atleast_1d(np.asarray(center, dtype=float))
     mu_c, xi_c, bnd_c, frc_c = ball_integrals(
         g, lambda box: _identity_integrands(state, c, box), c, radii,
-        supersample, slab).T
+        supersample, slab, _identity_densities(state)).T
     ratio = mu_c / radii ** n
     lhs = _d_dr(radii, ratio)
     terms = {"term_xi": -xi_c / radii ** (n + 1),
@@ -170,8 +182,10 @@ def density_ratio_profile(state: PhaseFieldState, center, radii,
     """Rows (r, r^-n mu(B_r(center))) over a uniform radius grid."""
     g = state.grid
     radii = check_geometry(g, state.epsilon, center, radii, min_count=1)
-    mu = density_fields(state).mu.values
-    vals = ball_integrals(g, [mu], center, radii, supersample)[:, 0]
+    vals = ball_integrals(
+        g, [density_fields(state).grad_sq, state.u.values], center, radii,
+        supersample, integrands=lambda grad_sq, u: energy_densities(
+            grad_sq, u, state.epsilon)[:1])[:, 0]
     return np.column_stack([radii, vals / radii ** (g.ndim - 1)])
 
 
@@ -188,8 +202,8 @@ def monotonicity_report(state: PhaseFieldState, center, radii,
 def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
     """S_c restricted to the hyperplane {x_last = t} (transverse array): the
     values on the two grid planes of the last axis around it, mixed as
-    `restrict_to_plane` mixes them. grad u is formed on those two planes
-    only."""
+    `restrict_to_plane` mixes them. grad u and mu are formed on those two
+    planes only."""
     g, u = state.grid, state.u.values
     eps = state.epsilon
     dens = density_fields(state)
@@ -204,7 +218,7 @@ def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
             part, [m[..., k if m.shape[-1] > 1 else 0] for m in mesh], c)
 
     (dlast0, radial0), (dlast1, radial1) = on_plane(k0), on_plane(k1)
-    return ((t - c[-1]) * restrict_to_plane(dens.mu, t)
+    return ((t - c[-1]) * restrict_to_plane(dens.lazy_mu(), t)
             - eps * ((1.0 - lam) * dlast0 + lam * dlast1)
             * ((1.0 - lam) * radial0 + lam * radial1))
 

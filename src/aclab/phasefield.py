@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (PERIODIC, Grid, ScalarField, _integrals,
-                     _neighbour_sum_into, _unit_weights, gradient, laplacian)
+                     _laplacian_planes, _neighbour_sum_into, _slabs, _stream,
+                     _unit_weights, gradient, laplacian)
 
 
 class SolverError(RuntimeError):
@@ -116,11 +117,11 @@ class PhaseFieldState:
     """A triple (u, f, eps) with the max-norm residual of the discrete
     equation recorded at construction.
 
-    The density fields (mu, xi, |grad u|) are the one array derived from
+    |grad u|^2 (`measures.density_fields`) is the one array derived from
     the state that is kept: computed once through `derived`, for the
-    state's lifetime. The gradient of u, the unit normal and the node
-    weights are not kept: each reader forms them a slab of axis-0 planes
-    at a time, where it reads them.
+    state's lifetime. mu, xi, |grad u|, the gradient of u, the unit normal
+    and the node weights are not kept: each reader forms them where it
+    reads them, a slab of axis-0 planes (or fewer nodes) at a time.
     """
 
     u: ScalarField
@@ -167,14 +168,20 @@ def resolution_floor(grid: Grid, epsilon: float) -> float:
     return max(4.0 * grid.h, epsilon)
 
 
-def residual_field(u: ScalarField, f: ScalarField, epsilon: float) -> np.ndarray:
-    return (epsilon * laplacian(u).values
-            - double_well_prime(u.values) / epsilon - f.values)
+def _operator_planes(u: np.ndarray, grid: Grid, epsilon: float, sl):
+    """eps*lap_h(u) - W'(u)/eps, the left side of the equation, on the
+    axis-0 planes sl."""
+    return (epsilon * _laplacian_planes(u, grid, sl)
+            - double_well_prime(u[sl]) / epsilon)
 
 
 def make_state(u: ScalarField, f: ScalarField, epsilon: float) -> PhaseFieldState:
-    """Assemble a state, recording the discrete residual max-norm."""
-    rn = float(np.max(np.abs(residual_field(u, f, epsilon))))
+    """Assemble a state, recording the discrete residual max-norm, taken a
+    slab of axis-0 planes at a time (np.max, so a NaN is kept)."""
+    g = u.grid
+    rn = float(np.max([
+        np.max(np.abs(_operator_planes(u.values, g, epsilon, sl)
+                      - f.values[sl])) for sl in _slabs(g)]))
     return PhaseFieldState(u=u, f=f, epsilon=float(epsilon), residual_norm=rn)
 
 
@@ -235,11 +242,12 @@ def build_radial_layer(grid: Grid, epsilon: float, center, radius: float) -> Sca
 
 def manufactured_forcing(u_exact: ScalarField, epsilon: float) -> ScalarField:
     """f := eps*lap_h(u) - W'(u)/eps, so (u_exact, f) solves the discrete
-    equation with residual exactly zero."""
-    _check_epsilon(u_exact.grid, epsilon)
-    f = (epsilon * laplacian(u_exact).values
-         - double_well_prime(u_exact.values) / epsilon)
-    return ScalarField(u_exact.grid, f)
+    equation with residual exactly zero. Built a slab of axis-0 planes at
+    a time."""
+    g = u_exact.grid
+    _check_epsilon(g, epsilon)
+    return ScalarField._adopt(g, _stream(g, lambda sl: (
+        _operator_planes(u_exact.values, g, epsilon, sl),), 1)[0])
 
 
 @functools.lru_cache(maxsize=8)

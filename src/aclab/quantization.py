@@ -109,8 +109,8 @@ def quantization_check(state: PhaseFieldState, lines, tau: float = 0.1
     for i, line in enumerate(lines):
         u_samp = line_sample(state.u, line.base, line.direction, line.samples,
                              line.t_lo, line.t_hi)
-        mu_samp = line_sample(dens.mu, line.base, line.direction, line.samples,
-                              line.t_lo, line.t_hi)
+        mu_samp = line_sample(dens.lazy_mu(), line.base, line.direction,
+                              line.samples, line.t_lo, line.t_hi)
         t = u_samp[:, 0]
         windows = detect_layers(u_samp, tau, eps)
         theta = float(trapezoid(mu_samp[:, 1], t))

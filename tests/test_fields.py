@@ -343,6 +343,19 @@ def test_line_sample_refuses_non_finite_by_name(boundary, name, bad):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples,message", [
+    (np.nan, "samples must be finite"), (np.inf, "samples must be finite"),
+    (-np.inf, "samples must be finite"),
+    (2.5, "samples must be a whole number")], ids=str)
+def test_line_sample_refuses_a_count_that_is_not_whole_by_name(samples,
+                                                              message):
+    g = grid2d(17, ZERO_FLUX)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        line_sample(ScalarField(g, np.zeros(g.shape)), (0.0, 0.0),
+                    (1.0, 0.5), samples, -0.4, 0.4)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                          ids=("nan", "inf", "-inf"))

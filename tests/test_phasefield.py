@@ -13,8 +13,7 @@ from aclab import (Grid, LayerSpec, PERIODIC, ScalarField, SolverError,
                    constants, double_well, double_well_prime, laplacian,
                    make_state, manufactured_forcing, solve_stationary)
 from aclab import density_fields, phasefield
-from aclab.phasefield import (check_layer_fit, double_well_second,
-                              residual_field)
+from aclab.phasefield import check_layer_fit, double_well_second
 
 
 # ---------------------------------------------------------------- potential
@@ -311,7 +310,8 @@ def newton_system(boundary, points, pure_newton):
     f = manufactured_forcing(u_star, eps)
     rng = np.random.default_rng(len(points))
     u = u_star.values + 0.01 * rng.standard_normal(g.shape)
-    r = residual_field(ScalarField(g, u), f, eps)
+    r = (eps * laplacian(ScalarField(g, u)).values
+         - double_well_prime(u) / eps - f.values)
     shift = 0.0 if pure_newton else 4.0 / eps  # 1/dtau at the first step
     return g, eps, u, double_well_second(u) / eps + shift, r
 

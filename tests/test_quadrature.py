@@ -7,12 +7,13 @@ non-negative integrands.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aclab import Grid, PERIODIC, RegionError, ZERO_FLUX
+from aclab import Grid, PERIODIC, RegionError, ZERO_FLUX, fields
 from aclab.fields import (_CELL_DIAG, _BallQuadrature, ball_integrals,
                           disc_integral)
 
@@ -155,6 +156,33 @@ def test_ball_and_slab_match_full_grid_reference(case):
                 assert slab.integral_many([v[slab.box] for v in values], r) == \
                     reference_integral_many(g, center, ss, values, r,
                                             t_lo=t_lo, t_hi=t_hi)
+
+
+@pytest.mark.parametrize("nodes", [2, 64], ids=lambda n: f"runs-of-{n // 2}")
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_runs_of_gathered_nodes_and_formed_integrands_match_reference(
+        case, nodes):
+    """A radius gathers its full and its band nodes in runs of whole planes
+    of about half a slab's nodes. With slabs of `nodes` nodes every run is
+    a plane or a few, and the sums must keep the bits of the whole gather;
+    integrands formed from the gathered values must give the reference's
+    integrals of the integrands built whole."""
+    ndim, boundary, ss = case
+    g = box_grid(ndim, boundary)
+    rng = np.random.default_rng(ndim * 100 + ss)
+    a, b = (rng.standard_normal(g.shape) for _ in range(2))
+    center = rng.uniform(-0.15, 0.15, ndim)
+    radii = sorted(edge_radii(g, center) + list(rng.uniform(0.0, 0.65, 3)))
+    with mock.patch.object(fields, "_SLAB_NODES", nodes), \
+            mock.patch.object(fields, "_SLAB_SHARE", 10 ** 9):
+        assert fields._slab_nodes(g) == nodes
+        for slab in (None, (-0.37, 0.21)):
+            got = ball_integrals(g, [a, b], center, radii, ss, slab,
+                                 lambda x, y: (x * y, x - y, y))
+            want = [reference_integral_many(g, center, ss, [a * b, a - b, b],
+                                            r, *(slab or ())) for r in radii]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[0] > 1], ids=_case_id)

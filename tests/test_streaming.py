@@ -1,11 +1,12 @@
 """Every whole-grid integrand is built one slab of axis-0 planes at a time
 and summed slab by slab along numpy's own pairwise tree
-(`fields._PairwiseSums`), with no whole-grid buffer; the gradient of u and
-the node weights are built a slab at a time where they are read. Each
-streamed number must equal, bit for bit, the whole-grid computation it
-replaced; those computations are kept here as the references. Slabs of 1,
-2 and 3 planes and the whole grid, on 1-d, 2-d and 3-d, zero-flux and
-periodic grids."""
+(`fields._PairwiseSums`), with no whole-grid buffer; the gradient and the
+Laplacian of u, the node weights, the forcing and the residual are built a
+slab at a time, and mu, xi and |grad u| are formed from the one cached
+|grad u|^2 on the nodes they are read on. Each streamed number must equal,
+bit for bit, the whole-grid computation it replaced; those computations
+are kept here as the references. Slabs of 1, 2 and 3 planes and the whole
+grid, on 1-d, 2-d and 3-d, zero-flux and periodic grids."""
 
 from unittest import mock
 
@@ -17,7 +18,8 @@ from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField,
                    SmoothTestField, ZERO_FLUX, build_radial_layer,
                    corollary_holder_check, density_fields,
                    diffuse_mean_curvature_norm, double_well,
-                   first_variation_identity, gradient, integrate, make_state,
+                   double_well_prime, first_variation_identity, gradient,
+                   integrate, interpolate, laplacian, make_state,
                    manufactured_forcing, norm_report, smooth_test_field)
 from aclab import fields, monotonicity
 from aclab.fields import restrict_to_plane
@@ -65,14 +67,29 @@ def reference_gradient(state):
     return grad
 
 
+def reference_laplacian(v, grid):
+    """The (2*dim+1)-point stencil along whole grid axes, summed axis by
+    axis onto zeros."""
+    out, term = np.zeros(grid.shape), np.empty(grid.shape)
+    for ax in range(grid.ndim):
+        for nodes, plus, minus in fields._neighbours(grid, ax):
+            np.multiply(v[nodes], 2.0, out=term[nodes])
+            np.subtract(v[plus], term[nodes], out=term[nodes])
+            term[nodes] += v[minus]
+        term /= grid.h ** 2
+        out += term
+    return out
+
+
 def reference_densities(state):
+    """mu, xi and |grad u| built whole, and |grad u|^2."""
     grad = reference_gradient(state)
     grad_sq = np.sum(grad * grad, axis=0)
     w = double_well(state.u.values)
     eps = state.epsilon
     mu = 0.5 * eps * grad_sq + w / eps
     xi = 0.5 * eps * grad_sq - w / eps
-    return mu, xi, np.sqrt(grad_sq)
+    return mu, xi, np.sqrt(grad_sq), grad_sq
 
 
 def reference_quotient(state, threshold):
@@ -162,13 +179,73 @@ def test_pairwise_sums_on_whole_grids(shape):
         assert_bits_of_np_sum([weighted, values], cuts)
 
 
-# ---------------------------------------------------------------- tests
+# ---------------------------------------------------------------- stencil
 
 def assert_same_bits(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
+
+def dyadic_grid(points, boundary):
+    """A grid of spacing 1/8 at the origin: node coordinates, and quadratics
+    with small integer coefficients on them, are exact in floating point."""
+    h = 0.125
+    extent = tuple(h * (n if boundary == PERIODIC else n - 1) for n in points)
+    return Grid(extent=extent, points=points, boundary=boundary)
+
+
+def grids(max_points):
+    return st.tuples(
+        st.integers(1, 3), st.sampled_from([ZERO_FLUX, PERIODIC])).flatmap(
+        lambda nb: st.tuples(
+            st.lists(st.integers(8, max_points), min_size=nb[0],
+                     max_size=nb[0]).map(tuple), st.just(nb[1])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(shape_boundary=grids(12), data=st.data())
+def test_slab_laplacian_matches_whole_axis_stencil(shape_boundary, data):
+    """_laplacian_planes on any run of axis-0 planes has the bits of the
+    stencil along whole grid axes, signed zeros included."""
+    points, boundary = shape_boundary
+    g = dyadic_grid(points, boundary)
+    n0 = points[0]
+    cuts = sorted(data.draw(st.sets(st.integers(1, n0 - 1)), label="cuts"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    v = rng.choice([-1.0, 1.0], points) * 10.0 ** rng.uniform(-8, 8, points)
+    v[rng.random(points) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] *= 0.0
+    ref = reference_laplacian(v, g)
+    bounds = [0, *cuts, n0]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert_same_bits(fields._laplacian_planes(v, g, slice(lo, hi)),
+                         ref[lo:hi])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape_boundary=grids(11),
+       coef=st.lists(st.integers(-4, 4), min_size=10, max_size=10))
+def test_laplacian_is_exact_on_quadratics_in_the_interior(shape_boundary,
+                                                          coef):
+    """On a polynomial of degree <= 2 the stencil is exact away from the
+    boundary ghosts: sum_i 2 a_ii, where the polynomial is c + sum_i b_i x_i
+    + sum_{i<=j} a_ij x_i x_j. Node values and differences are exact on the
+    dyadic grid, so the check is ==."""
+    points, boundary = shape_boundary
+    g = dyadic_grid(points, boundary)
+    x = g.meshgrid()
+    nd = g.ndim
+    p = coef[0] + sum(coef[1 + i] * x[i] for i in range(nd))
+    quad = coef[4:]
+    pairs = [(i, j) for i in range(nd) for j in range(i, nd)]
+    p = p + sum(quad[k] * x[i] * x[j] for k, (i, j) in enumerate(pairs))
+    want = float(sum(2 * quad[k] for k, (i, j) in enumerate(pairs) if i == j))
+    interior = (slice(1, -1),) * nd
+    got = laplacian(ScalarField(g, p)).values[interior]
+    assert np.all(got == want)
+
+
+# ---------------------------------------------------------------- tests
 
 def test_slab_gradient_matches_whole_grid(streamed):
     g, u = streamed.grid, streamed.u.values
@@ -192,12 +269,39 @@ def test_slab_weights_match_whole_grid(streamed):
         assert_same_bits(g.node_weights(sl), whole[sl])
 
 
+def test_slab_laplacian_forcing_and_residual_match_whole_grid(streamed):
+    g, eps, u = streamed.grid, streamed.epsilon, streamed.u
+    ref = reference_laplacian(u.values, g)
+    assert_same_bits(laplacian(u).values, ref)
+    for sl in fields._slabs(g):
+        assert_same_bits(fields._laplacian_planes(u.values, g, sl), ref[sl])
+    forcing = eps * ref - double_well_prime(u.values) / eps
+    assert_same_bits(manufactured_forcing(u, eps).values, forcing)
+    # a residual that is not zero: the state's f against another forcing
+    f = ScalarField(g, np.cos(7.0 * u.values))
+    assert make_state(u, f, eps).residual_norm == float(
+        np.max(np.abs(forcing - f.values)))
+
+
 def test_density_fields_match_whole_grid(streamed):
     dens = density_fields(streamed)
+    mu, xi, grad_mag, grad_sq = reference_densities(streamed)
+    assert_same_bits(dens.grad_sq, grad_sq)
     got = (dens.mu, dens.xi, dens.grad_mag)
-    for field, ref in zip(got, reference_densities(streamed)):
-        assert np.array_equal(field.values, ref)
-        assert np.array_equal(np.signbit(field.values), np.signbit(ref))
+    for field, ref in zip(got, (mu, xi, grad_mag), strict=True):
+        assert_same_bits(field.values, ref)
+    for sl in fields._slabs(streamed.grid):
+        for a, ref in zip(dens.on(sl), (mu, xi), strict=True):
+            assert_same_bits(a, ref[sl])
+    # mu read on the corners of an interpolation stencil and on the two
+    # grid planes of a hyperplane, as the lines and the sheets read it
+    g = streamed.grid
+    whole = ScalarField(g, mu)
+    pts = np.random.default_rng(3).uniform(g.lo, g.hi, (50, g.ndim))
+    assert_same_bits(interpolate(dens.lazy_mu(), pts), interpolate(whole, pts))
+    t = g.axis_coords(g.ndim - 1)[4] + 0.3 * g.h
+    assert_same_bits(np.asarray(restrict_to_plane(dens.lazy_mu(), t)),
+                     np.asarray(restrict_to_plane(whole, t)))
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1e-8, 0.3])
@@ -220,7 +324,7 @@ def test_curvature_norm_and_holder_sums_match_whole_grid(streamed, threshold):
 def test_norm_report_matches_whole_grid(streamed):
     params = AnalysisParams(grad_threshold=0.05)
     rep = norm_report(streamed, params)
-    mu, xi, grad_mag = reference_densities(streamed)
+    mu, xi, grad_mag = reference_densities(streamed)[:3]
     w, f = streamed.grid.node_weights(), streamed.f.values
     lam, fraction = reference_curvature_norm(streamed, streamed.grid.ndim,
                                              0.05)
@@ -240,16 +344,37 @@ def test_identity_integrands_and_sheet_match_whole_grid(streamed):
     grad = reference_gradient(streamed)
     radial = sum((m - ci) * grad[i]
                  for i, (m, ci) in enumerate(zip(g.meshgrid(sparse=True), c)))
-    mu, xi = reference_densities(streamed)[:2]
-    # on the index box of a ball (cut by the slabs anywhere) and on the
-    # whole grid
+    mu, xi, _, grad_sq = reference_densities(streamed)
+    terms = (mu, xi, eps * radial ** 2, radial * streamed.f.values)
+    # the arrays on the index box of a ball (cut by the slabs anywhere) and
+    # on the whole grid
     ball_box = fields._BallQuadrature(g, c, 4, 0.25).box
     for box in (ball_box, (slice(None),) * g.ndim):
         got = monotonicity._identity_integrands(streamed, c, box)
-        for a, b in zip(got, (mu, xi, eps * radial ** 2,
-                              radial * streamed.f.values)):
-            assert np.array_equal(a, b[box])
-            assert np.array_equal(np.signbit(a), np.signbit(b[box]))
+        for a, b in zip(got, (grad_sq, streamed.u.values, *terms[2:]),
+                        strict=True):
+            assert_same_bits(a, b[box])
+    # the ball terms as the quadrature forms them, on the nodes it gathers
+    # for each radius (full and band, in runs of planes): a last array of
+    # node numbers says which nodes those are
+    form = monotonicity._identity_densities(streamed)
+    ids = np.arange(mu.size, dtype=float).reshape(g.shape)
+    seen = []
+
+    def formed(*gathered):
+        nodes = gathered[-1].astype(int)
+        seen.append(len(nodes))
+        got = form(*gathered[:-1])
+        for a, b in zip(got, terms, strict=True):
+            assert_same_bits(a, b.reshape(-1)[nodes])
+        return got
+
+    radii = np.linspace(0.1, 0.25, 4)
+    cols = fields.ball_integrals(
+        g, lambda box: (*monotonicity._identity_integrands(streamed, c, box),
+                        ids[box]), c, radii, 4, integrands=formed)
+    assert sum(seen) > 0
+    assert np.array_equal(cols, fields.ball_integrals(g, terms, c, radii, 4))
     # S_c on planes between and on grid planes of the last axis
     coords = g.axis_coords(g.ndim - 1)
     for t in (coords[3], 0.5 * (coords[5] + coords[6]),
