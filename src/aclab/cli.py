@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -578,6 +579,29 @@ _RUNNERS = {
 }
 
 
+_NON_FINITE = {_fmt(x) for x in (math.nan, math.inf, -math.inf)}
+
+
+def _non_finite_cells(header, rows) -> list[str]:
+    """The CSV cells that _fmt wrote from a NaN or an infinity, by row
+    (1-based, with its first cell) and column."""
+    return [f"row {i} ({row[0]}), column {name}"
+            for i, row in enumerate(rows, start=1)
+            for name, cell in zip(header, row) if cell in _NON_FINITE]
+
+
+def _strict_json(obj):
+    """obj with each non-finite float written as the text of its CSV cell
+    ("nan", "inf", "-inf"), so that the summary is strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _fmt(obj)
+    return obj
+
+
 def _write_csv(path: Path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -620,8 +644,14 @@ def run(cfg: RunConfig) -> int:
             continue
         fname, header, rows, frag = result
         _write_csv(out / fname, header, rows)
+        cells = _non_finite_cells(header, rows)
+        if cells:  # written as they are, but never silently
+            frag["flags"]["non_finite"] = "warn"
+            frag["non_finite_cells"] = cells
+            print(f"warning: non-finite cells in {fname}: {'; '.join(cells)}",
+                  file=sys.stderr)
         summary["analyses"][name] = frag
-        warned |= any(v == "warn" for v in frag.get("flags", {}).values())
+        warned |= any(v == "warn" for v in frag["flags"].values())
 
     if failures:
         summary["status"] = "failed"
@@ -629,7 +659,8 @@ def run(cfg: RunConfig) -> int:
     elif warned:
         summary["status"] = "warn"
     (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(_strict_json(summary), allow_nan=False, indent=2,
+                   sort_keys=True) + "\n", encoding="utf-8")
 
     for msg in failures:
         print(f"analysis failure: {msg}", file=sys.stderr)

@@ -159,6 +159,19 @@ def _unit_weights(grid: Grid, planes=slice(None)) -> np.ndarray:
     return w
 
 
+def _scale_by_unit_weights(a: np.ndarray, grid: Grid, factor: float = 0.5):
+    """a * _unit_weights(grid) (factor 1/2) or a / _unit_weights(grid)
+    (factor 2), in place on a grid-shaped array, one axis at a time: each
+    per-axis table is 1 but on the two zero-flux faces, so only those
+    planes are scaled. Every factor is a power of two, so the bits are
+    those of the product with the whole table."""
+    if grid.boundary == ZERO_FLUX:
+        for ax in range(grid.ndim):
+            for end in (0, -1):
+                a[(slice(None),) * ax + (end,)] *= factor
+    return a
+
+
 def _transverse(grid: Grid) -> Grid:
     """The grid of a hyperplane {x_last = t}: the first ndim-1 axes."""
     nd = grid.ndim - 1

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (PERIODIC, Grid, ScalarField, _integrals,
-                     _laplacian_planes, _neighbour_sum_into, _slabs, _stream,
-                     _unit_weights, gradient, laplacian)
+                     _laplacian_planes, _neighbour_sum_into,
+                     _scale_by_unit_weights, _slabs, _stream, _unit_weights,
+                     gradient, laplacian)
 
 
 class SolverError(RuntimeError):
@@ -333,10 +334,12 @@ def minres(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
     symmetric positive definite M. The recurrences and stopping tests are
     those of scipy.sparse.linalg.minres (scipy 1.17, shift 0); inner
     products and ||x|| use `_dot`. The arrays matvec returns are updated in
-    place. Returns (x, iterations)."""
+    place, and psolve's result is read before the next matvec. Besides b
+    and what matvec and psolve keep, it holds five vectors: x, v, a
+    scratch and the two last directions w. Returns (x, iterations)."""
     n = b.size
     eps = np.finfo(float).eps
-    x, w, w1, w2 = (np.zeros(n) for _ in range(4))
+    x, w1, w2 = (np.zeros(n) for _ in range(3))
     v, tmp = np.empty(n), np.empty(n)
     r1 = r2 = b
     y = psolve(r1)
@@ -377,11 +380,13 @@ def minres(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
         gamma = max(math.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        # w = (v - oldeps w1 - delta w2)/gamma in the buffer of the old w1
-        w1, w2, w = w2, w, w1
+        # w = (v - oldeps w1 - delta w2)/gamma in the buffer of w1, which
+        # it reads first and only once
+        w = w1
         np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
         w -= np.multiply(w2, delta, out=tmp)
         w *= 1.0 / gamma
+        w1, w2 = w2, w
         x += np.multiply(w, phi, out=tmp)
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
         anorm = math.sqrt(tnorm2)
@@ -539,56 +544,69 @@ class InterfaceSpace:
 
 
 def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
-            rtol: float = _LINEAR_RTOL, coarse: InterfaceSpace = None
-            ) -> np.ndarray:
+            rtol: float = _LINEAR_RTOL, coarse: InterfaceSpace = None,
+            shift: float = 0.0) -> np.ndarray:
     """Preconditioned MINRES solve of one Newton system K du = rhs, where
 
-        K = diag(diag) - eps*lap_h,    diag = W''(u)/eps + 1/dtau,
+        K = diag(diag + shift) - eps*lap_h,    diag = W''(u)/eps,
 
-    i.e. (I/dtau - J) on pseudo-transient steps and -J (1/dtau dropped) on
-    pure-Newton steps. With D = node_weights/h^d, D*K is symmetric, so
-    MINRES runs on D*K du = D*rhs (the same iterates as on the symmetrised
+    i.e. (I/dtau - J) on pseudo-transient steps (shift = 1/dtau) and -J
+    on pure-Newton steps (shift = 0); the shift is added where the centre
+    is formed, so diag + shift is never an array of its own. With
+    D = node_weights/h^d, D*K is symmetric, so MINRES runs on
+    D*K du = D*rhs (the same iterates as on the symmetrised
     D^{1/2} K D^{-1/2}). The matvec applies D*K as one fused operator,
-    centre*x - off*S(x) with S the neighbour sum of the Laplacian stencil
-    (`fields._neighbour_sum_into`), centre = D*(diag + 2 nd eps/h^2) and
-    off = D*eps/h^2, into preallocated buffers; no matrix is assembled.
-    The preconditioner is (D*P)^{-1} with P = c*I - eps*lap_h and
-    c = max|diag|: symmetric positive definite, and applied exactly by
-    DCT-I (zero-flux) or FFT (periodic). With `coarse`, an
+    centre*x - D*((eps/h^2) S(x)) with S the neighbour sum of the
+    Laplacian stencil (`fields._neighbour_sum_into`) and
+    centre = D*(diag + shift + 2 nd eps/h^2); no matrix is assembled, and
+    D is never an array: it scales the zero-flux face planes one axis at
+    a time (`fields._scale_by_unit_weights`), with the bits of the whole
+    product. The preconditioner is (D*P)^{-1} with P = c*I - eps*lap_h
+    and c = max|diag + shift|: symmetric positive definite, and applied
+    exactly by DCT-I (zero-flux) or FFT (periodic). With `coarse`, an
     `InterfaceSpace` of a pure-Newton step, its correction is added to it
     (still SPD). MINRES stops at relative residual rtol.
+
+    Besides MINRES's five vectors it holds eight grid arrays: the centre,
+    the transform's symbol, D*rhs, three matvec products (MINRES keeps
+    the two before the last), the neighbour sum, in which the
+    preconditioner also works (MINRES has read its result before the
+    next matvec), and the coarse correction's scratch.
     """
     import scipy.fft
 
     shape = grid.shape
-    d = _unit_weights(grid).ravel()
-    diag = diag.ravel()
-    c = float(np.max(np.abs(diag)))
+    # max|fl(x + shift)| over diag is reached at diag's max or min, as
+    # x -> fl(x + shift) is monotone
+    c = max(abs(float(np.max(diag)) + shift), abs(float(np.min(diag)) + shift))
     inv_symbol = 1.0 / (c + epsilon * _laplacian_eigenvalues(
         grid.points, grid.h, grid.boundary))
     coupling = epsilon / grid.h ** 2
-    centre = diag + 2.0 * grid.ndim * coupling
-    centre *= d
-    off = (d * coupling).reshape(shape)
-    spread, scaled = np.empty(shape), np.empty(d.size)
+    centre = np.add(diag, shift).reshape(shape)
+    centre += 2.0 * grid.ndim * coupling
+    centre = _scale_by_unit_weights(centre, grid).ravel()
+    spread = np.empty(shape)
     # minres keeps the two products before the last, so three buffers rotate
-    products = [np.empty(d.size) for _ in range(3)]
+    products = [np.empty(centre.size) for _ in range(3)]
 
     def matvec(x):
         y = products.pop(0)
         products.append(y)
         _neighbour_sum_into(x.reshape(shape), grid, spread)
         np.multiply(centre, x, out=y)
-        y -= np.multiply(spread, off, out=spread).ravel()
+        np.multiply(spread, coupling, out=spread)
+        y -= _scale_by_unit_weights(spread, grid).ravel()
         return y
 
     def precondition(y):
-        # the DCT runs in place: x is the buffer `scaled` until the next call
-        y = np.divide(y, d, out=scaled).reshape(shape)
+        # D^{-1} y, transformed in place in `spread` until the next call
+        x = spread
+        np.copyto(x, y.reshape(shape))
+        _scale_by_unit_weights(x, grid, 2.0)
         if grid.boundary == PERIODIC:
-            x = scipy.fft.ifftn(scipy.fft.fftn(y) * inv_symbol).real
+            x = scipy.fft.ifftn(scipy.fft.fftn(x) * inv_symbol).real
         else:
-            x = scipy.fft.dctn(y, type=1, overwrite_x=True)
+            x = scipy.fft.dctn(x, type=1, overwrite_x=True)
             x *= inv_symbol
             x = scipy.fft.idctn(x, type=1, overwrite_x=True)
         return x.ravel()
@@ -602,7 +620,8 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
             coarse.add_correction(y.reshape(shape), x.reshape(shape), work)
             return x
 
-    du, _ = minres(matvec, precondition, d * rhs.ravel(), rtol=rtol,
+    b = _scale_by_unit_weights(np.array(rhs, dtype=float).reshape(shape), grid)
+    du, _ = minres(matvec, precondition, b.ravel(), rtol=rtol,
                    maxiter=_LINEAR_MAXITER)
     return du.reshape(shape)
 
@@ -635,6 +654,11 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     ordering, single-worker transforms, grid-sized products and MINRES
     inner products without BLAS). Raises SolverError with the best residual
     when max_iter accepted steps cannot reach tol.
+
+    Through a linear solve a step holds u, R, W''(u)/eps and the coarse
+    space's weight, but not the last step's du: with `spsolve`'s eight
+    arrays and MINRES's five, about 17 grid arrays besides f and u_init,
+    which is read, never copied.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -647,13 +671,13 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     def resid_energy(uv):
         """R(uv) and F(uv) from one Laplacian, freed on return; F is not
         checked finite, so that a trial whose F overflows is rejected."""
-        lap_uv = laplacian(ScalarField(grid, uv)).values
+        lap_uv = laplacian(ScalarField._adopt(grid, uv)).values
         dens = (-0.5 * epsilon * uv * lap_uv
                 + double_well(uv) / epsilon + fv * uv)
         return (epsilon * lap_uv - double_well_prime(uv) / epsilon - fv,
                 _integrals(grid, lambda sl: (dens[sl],))[0])
 
-    u = u_init.values.copy()
+    u = u_init.values  # read-only; every step forms a new array
     r, fu = resid_energy(u)
     rnorm = float(np.max(np.abs(r)))
     best = rnorm
@@ -670,10 +694,10 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
         if pure_newton and coarse is None:
             coarse = InterfaceSpace(grid, epsilon, u)
         while True:
-            du = spsolve(grid, epsilon,
-                         w2 if pure_newton else w2 + 1.0 / dtau, r, rtol=eta,
-                         coarse=coarse if pure_newton else None)
-            trial = u + du
+            # du is added and dropped: it is not held through the next solve
+            trial = u + spsolve(grid, epsilon, w2, r, rtol=eta,
+                                coarse=coarse if pure_newton else None,
+                                shift=0.0 if pure_newton else 1.0 / dtau)
             rt_field, ft = resid_energy(trial)
             rt = float(np.max(np.abs(rt_field)))
             if np.isfinite(rt) and (rt < rnorm or (

@@ -138,9 +138,9 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
     if isinstance(prof, SolvedBubbleProfile):
         _check_bubble_grid(scenario)
         force = (g.ndim - 1) * constants().alpha / (2.0 * prof.radius)
-        f = ScalarField(g, np.full(g.shape, force))
+        f = ScalarField._adopt(g, np.full(g.shape, force))
         dist = signed_distance_ball(g, prof.center, prof.radius)
-        init = ScalarField(g, np.tanh(dist / eps) + eps * force / 4.0)
+        init = ScalarField._adopt(g, np.tanh(dist / eps) + eps * force / 4.0)
         state = solve_stationary(g, eps, f, init, max_iter=_SOLVER_MAX_ITER)
         _check_bubble(state, dist)
         return state
@@ -148,8 +148,9 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
         u_star = build_radial_layer(g, eps, prof.center, prof.radius)
         f = manufactured_forcing(u_star, eps)
         rng = np.random.default_rng(scenario.seed)
-        init = ScalarField(
+        init = ScalarField._adopt(
             g, u_star.values + prof.noise_amplitude * rng.standard_normal(g.shape))
+        del u_star  # not held through the solve
         return solve_stationary(g, eps, f, init, max_iter=_SOLVER_MAX_ITER)
     raise ScenarioError(f"unknown profile type {type(prof).__name__}")
 
@@ -184,7 +185,8 @@ def build(scenario: Scenario) -> list[PhaseFieldState]:
             raise
         except Exception as exc:
             raise ScenarioError(
-                f"scenario {scenario.name!r} failed at eps={eps:g}: {exc}") from exc
+                f"scenario {scenario.name!r} failed at eps={eps:g}: "
+                f"{type(exc).__name__}: {exc}") from exc
     return states
 
 

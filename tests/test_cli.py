@@ -602,3 +602,48 @@ def test_solved_csvs_do_not_depend_on_blas_threads(tmp_path):
     assert csvs == ["norms.csv", "sweep.csv"]
     for name in csvs:
         assert len({out.joinpath(name).read_bytes() for out in outs}) == 1
+
+
+def non_finite_runner(cfg, states):
+    values = {"finite": 1.5, "missing": math.nan, "overflow": -math.inf}
+    return ("norms.csv", ("name", "value"),
+            [(k, cli._fmt(v)) for k, v in values.items()],
+            {"values": values, "flags": {"excluded_mass": "pass"}})
+
+
+def test_non_finite_cells_are_flagged_and_named(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setitem(cli._RUNNERS, "norms", non_finite_runner)
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms\n"
+                    f"out = {tmp_path/'out'}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--strict"]) == 1
+    # the cells are written as they are, and the summary is strict JSON
+    csv = (tmp_path / "out" / "norms.csv").read_text(encoding="utf-8")
+    assert csv == "name,value\nfinite,1.5\nmissing,nan\noverflow,-inf\n"
+
+    def refuse(constant):
+        raise AssertionError(f"bare {constant} in summary.json")
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=refuse)
+    assert summary["status"] == "warn"
+    norms = summary["analyses"]["norms"]
+    assert norms["flags"] == {"excluded_mass": "pass", "non_finite": "warn"}
+    assert norms["non_finite_cells"] == ["row 2 (missing), column value",
+                                         "row 3 (overflow), column value"]
+    assert norms["values"] == {"finite": 1.5, "missing": "nan",
+                               "overflow": "-inf"}
+    assert "non-finite cells in norms.csv: row 2 (missing)" in \
+        capsys.readouterr().err
+
+
+def test_finite_runs_raise_no_non_finite_flag(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms, sweep\n"
+                    f"out = {tmp_path/'out'}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "ok"
+    for frag in summary["analyses"].values():
+        assert "non_finite" not in frag["flags"]
+        assert "non_finite_cells" not in frag

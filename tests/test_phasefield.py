@@ -12,7 +12,7 @@ from aclab import (Grid, LayerSpec, PERIODIC, ScalarField, SolverError,
                    ZERO_FLUX, build_layer_stack, build_radial_layer,
                    constants, double_well, double_well_prime, laplacian,
                    make_state, manufactured_forcing, solve_stationary)
-from aclab import density_fields, phasefield
+from aclab import density_fields, fields, phasefield
 from aclab.phasefield import check_layer_fit, double_well_second
 
 
@@ -333,6 +333,32 @@ def test_newton_linear_solve_matches_direct_solve(boundary, points,
 
 
 @pytest.mark.parametrize("boundary,points", NEWTON_SYSTEMS)
+def test_a_scalar_shift_solves_the_shifted_system_bit_for_bit(boundary,
+                                                              points):
+    # pseudo-transient steps pass 1/dtau as `shift`, not as diag + 1/dtau
+    g, eps, _, diag, r = newton_system(boundary, points, True)
+    shift = 4.0 / eps
+    got = phasefield.spsolve(g, eps, diag, r, shift=shift)
+    want = phasefield.spsolve(g, eps, diag + shift, r)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])
+@pytest.mark.parametrize("points", [(9,), (9, 10), (8, 9, 10)])
+def test_face_scaling_is_the_unit_weight_product(boundary, points):
+    # D = node_weights/h^d applied one axis at a time, on the faces only,
+    # has the bits of the product with the whole table
+    h = 0.125
+    g = Grid(extent=tuple(h * (n if boundary == PERIODIC else n - 1)
+                          for n in points), points=points, boundary=boundary)
+    a = np.random.default_rng(len(points)).standard_normal(points)
+    unit = fields._unit_weights(g)
+    for factor, want in ((0.5, a * unit), (2.0, a / unit)):
+        got = fields._scale_by_unit_weights(a.copy(), g, factor)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("boundary,points", NEWTON_SYSTEMS)
 def test_two_level_solve_matches_direct_solve(boundary, points):
     g, eps, u, diag, r = newton_system(boundary, points, True)
     coarse = phasefield.InterfaceSpace(g, eps, u)
@@ -377,8 +403,8 @@ def operator_problems(draw):
 @settings(max_examples=40, deadline=None)
 @given(operator_problems())
 def test_fused_operator_equals_the_laplacian_form(problem):
-    # the matvec's centre*x - off*S(x) is D*(diag*x - eps*lap_h x) with the
-    # sum in another order
+    # the matvec's centre*x - D*((eps/h^2) S(x)) is D*(diag*x - eps*lap_h x)
+    # with the sum in another order
     g, eps, diag, x = problem
     with pytest.MonkeyPatch.context() as mp:
         (matvec, _, _), _ = minres_arguments(mp, g, eps, diag, x)
