@@ -313,10 +313,12 @@ def _scenario(values: dict) -> Scenario:
         scenario = Scenario(
             name=values.get("scenario.name", f"inline-{kind}"), grid=grid,
             profile=profile, params=params, **_fields(values, "scenario"))
-    # check_buildable refuses a stack that does not fit and a 1-d bubble
+    # check_buildable refuses a stack that does not fit, a 1-d bubble and
+    # a bubble whose sphere leaves every node on one side
     stack = kind in _STACK
     with _naming_keys(values, kind if stack else None, default=(
-            "scenario.positions" if stack else "grid.extent",)):
+            "scenario.positions" if stack else
+            "grid.extent" if grid.ndim == 1 else "scenario.radius",)):
         check_buildable(scenario)
     return scenario
 

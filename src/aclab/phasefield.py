@@ -311,15 +311,81 @@ def _laplacian_eigenvalues(points: tuple, h: float, boundary: str) -> np.ndarray
     """Eigenvalues of -lap_h in the transform basis that diagonalises it,
     summed over axes: (4/h^2) sin^2(pi k/m) for k < n, with m = n in the
     FFT basis (periodic) and m = 2(n-1) in the DCT-I basis (zero-flux),
-    whose even extension is the mirror ghost."""
+    whose even extension is the mirror ghost. A periodic last axis keeps
+    k <= n/2, the half spectrum of a real FFT."""
     total = np.zeros((1,) * len(points))
     for ax, n in enumerate(points):
         m = n if boundary == PERIODIC else 2 * (n - 1)
+        k = n // 2 + 1 if boundary == PERIODIC and ax == len(points) - 1 else n
         shape = [1] * len(points)
-        shape[ax] = n
-        lam = np.sin(np.pi * np.arange(n) / m) ** 2
+        shape[ax] = k
+        lam = np.sin(np.pi * np.arange(k) / m) ** 2
         total = total + (4.0 / h ** 2) * lam.reshape(shape)
     return total
+
+
+# The DCT-I transforms the lines of one axis in chunks of 1/_DCT_SHARE of
+# another axis's planes, through two buffers of about 4/_DCT_SHARE grid
+# arrays together.
+_DCT_SHARE = 16
+
+
+class _CosineTransform:
+    """The DCT-I along every axis of a zero-flux grid array, in place:
+
+        y_k = x_0 + (-1)^k x_{n-1} + 2 sum_{0<i<n-1} x_i cos(pi i k/(n-1))
+
+    on each line, axis 0 first. A line's y is the real part of the real
+    FFT of its even extension (x_0, ..., x_{n-1}, x_{n-2}, ..., x_1) of
+    length 2(n-1), which is how pocketfft forms it, and numpy's FFT is the
+    same pocketfft: the result has the bits of scipy.fft.dctn(x, type=1),
+    and with `inverse` those of scipy.fft.idctn(x, type=1), which
+    multiplies the axis-0 pass by 1/prod_k 2(n_k-1) rounded from long
+    double. The lines go through two buffers allocated once, a chunk of
+    1/_DCT_SHARE of another axis's planes at a time (axis 1 for axis 0,
+    else axis 0; the one line in 1-d)."""
+
+    def __init__(self, shape: tuple):
+        nd = len(shape)
+        self.scale = float(np.longdouble(1)
+                           / math.prod(2 * (n - 1) for n in shape))
+        chunks = []  # (axis, index of the chunk's lines, their shape)
+        for ax in range(nd):
+            cut = 1 if ax == 0 else 0
+            planes = shape[cut] if nd > 1 else 1
+            step = -(-planes // _DCT_SHARE)
+            for lo in range(0, planes, step):
+                block, part = [slice(None)] * nd, list(shape)
+                if nd > 1:
+                    hi = min(lo + step, planes)
+                    block[cut], part[cut] = slice(lo, hi), hi - lo
+                chunks.append((ax, tuple(block), part))
+        self.even = np.empty(max(math.prod(p) // p[ax] * 2 * (p[ax] - 1)
+                                 for ax, _, p in chunks))
+        self.spectrum = np.empty(max(math.prod(p) for _, _, p in chunks),
+                                 dtype=complex)
+        self.chunks = []
+        for ax, block, part in chunks:
+            n = part[ax]
+            spectrum = self.spectrum[:math.prod(part)].reshape(part)
+            part[ax] = 2 * (n - 1)
+            even = self.even[:math.prod(part)].reshape(part)
+            axis = (slice(None),) * ax
+            self.chunks.append((ax, block, axis + (slice(n - 2, 0, -1),),
+                                even, even[axis + (slice(0, n),)],
+                                even[axis + (slice(n, None),)], spectrum))
+
+    def __call__(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+        for ax, block, mirror, even, head, tail, spectrum in self.chunks:
+            lines = x[block]
+            np.copyto(head, lines)
+            np.copyto(tail, lines[mirror])
+            np.fft.rfft(even, axis=ax, out=spectrum)
+            if inverse and ax == 0:
+                np.multiply(spectrum.real, self.scale, out=lines)
+            else:
+                np.copyto(lines, spectrum.real)
+        return x
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -563,7 +629,8 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     a time (`fields._scale_by_unit_weights`), with the bits of the whole
     product. The preconditioner is (D*P)^{-1} with P = c*I - eps*lap_h
     and c = max|diag + shift|: symmetric positive definite, and applied
-    exactly by DCT-I (zero-flux) or FFT (periodic). With `coarse`, an
+    exactly by numpy's FFT: a DCT-I (`_CosineTransform`, zero-flux) or a
+    real FFT on the half spectrum (periodic). With `coarse`, an
     `InterfaceSpace` of a pure-Newton step, its correction is added to it
     (still SPD). MINRES stops at relative residual rtol.
 
@@ -571,10 +638,9 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     the transform's symbol, D*rhs, three matvec products (MINRES keeps
     the two before the last), the neighbour sum, in which the
     preconditioner also works (MINRES has read its result before the
-    next matvec), and the coarse correction's scratch.
+    next matvec), and the coarse correction's scratch; and the DCT-I's
+    chunk buffers, about 4/_DCT_SHARE = 1/4 of a grid array.
     """
-    import scipy.fft
-
     shape = grid.shape
     # max|fl(x + shift)| over diag is reached at diag's max or min, as
     # x -> fl(x + shift) is monotone
@@ -586,6 +652,8 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     centre += 2.0 * grid.ndim * coupling
     centre = _scale_by_unit_weights(centre, grid).ravel()
     spread = np.empty(shape)
+    if grid.boundary != PERIODIC:
+        dct = _CosineTransform(shape)
     # minres keeps the two products before the last, so three buffers rotate
     products = [np.empty(centre.size) for _ in range(3)]
 
@@ -604,11 +672,14 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
         np.copyto(x, y.reshape(shape))
         _scale_by_unit_weights(x, grid, 2.0)
         if grid.boundary == PERIODIC:
-            x = scipy.fft.ifftn(scipy.fft.fftn(x) * inv_symbol).real
+            spectrum = np.fft.rfftn(x)
+            spectrum *= inv_symbol
+            np.fft.irfftn(spectrum, s=shape, axes=tuple(range(grid.ndim)),
+                          out=x)
         else:
-            x = scipy.fft.dctn(x, type=1, overwrite_x=True)
+            dct(x)
             x *= inv_symbol
-            x = scipy.fft.idctn(x, type=1, overwrite_x=True)
+            dct(x, inverse=True)
         return x.ravel()
 
     if coarse is not None and coarse.weights.size:

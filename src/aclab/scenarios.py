@@ -8,6 +8,7 @@ carry the solver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,17 +97,35 @@ class Scenario:
 
 
 def _check_bubble_grid(scenario: Scenario):
-    if scenario.grid.ndim < 2:
+    """A solved bubble needs a curved interface (2 or 3 grid axes) and a
+    sphere with nodes on both sides. The node box's farthest and nearest
+    points to the centre bound every node's `signed_distance_ball` from
+    above and below in the same arithmetic, so a sphere is refused only
+    when every node lies inside it (distance < 0) or none does."""
+    g, prof = scenario.grid, scenario.profile
+    if g.ndim < 2:
         raise ScenarioError(
             f"scenario {scenario.name!r}: a solved bubble needs a 2-d or "
             "3-d grid; in 1-d there is no curvature to balance")
+    near = far = 0.0
+    for c, lo, n in zip(prof.center, g.lo, g.points):
+        hi = lo + g.h * (n - 1)  # the last node, as Grid.axis_coords has it
+        ends = ((lo - c) * (lo - c), (hi - c) * (hi - c))
+        near += 0.0 if lo <= c <= hi else min(ends)
+        far += max(ends)
+    inside = math.sqrt(far) - prof.radius < 0.0
+    if inside or not math.sqrt(near) - prof.radius < 0.0:
+        raise ScenarioError(
+            f"scenario {scenario.name!r}: every grid node lies "
+            f"{'inside' if inside else 'outside'} the bubble of radius "
+            f"{prof.radius:g}, so the grid holds no interface to solve for")
 
 
 def check_buildable(scenario: Scenario):
     """The scalar preconditions of build(), checked without building an
     array: a stack's layers must fit the grid at every epsilon, and a
-    solved bubble needs a curved interface (2 or 3 grid axes). Raises
-    ScenarioError."""
+    solved bubble needs a curved interface (2 or 3 grid axes) that crosses
+    the grid. Raises ScenarioError."""
     prof = scenario.profile
     if isinstance(prof, SolvedBubbleProfile):
         _check_bubble_grid(scenario)

@@ -550,15 +550,27 @@ def test_manufactured_runs_import_no_scipy(tmp_path):
     assert seen["load"] == [] and seen["run"] == []
 
 
-def test_solved_runs_import_only_the_transforms(tmp_path):
-    # the Newton matvec applies the stencil: no sparse matrix is built
-    body = SOLVED_BUBBLE + "grid.points = 81, 81\nanalyses = norms\n"
-    seen = probe_imports(tmp_path, body)
+SOLVED_3D = """
+scenario.kind = solved-circle
+scenario.center = 0, 0, 0
+scenario.radius = 0.5
+scenario.epsilon = 0.25
+grid.extent = 2, 2, 2
+grid.origin = -1, -1, -1
+grid.points = 33, 33, 33
+"""
+
+
+@pytest.mark.parametrize("body", [
+    SOLVED_BUBBLE + "grid.points = 81, 81\n",
+    SOLVED_BUBBLE + "grid.points = 80, 80\ngrid.boundary = periodic\n",
+    SOLVED_3D], ids=["zero-flux", "periodic", "3-d"])
+def test_solved_runs_import_no_scipy(tmp_path, body):
+    # the Newton matvec applies the stencil and the preconditioner numpy's
+    # FFT: neither a sparse matrix nor scipy.fft
+    seen = probe_imports(tmp_path, body + "analyses = norms\n")
     assert seen["exit"] == 0
-    assert seen["load"] == []
-    assert "scipy.fft" in seen["run"]
-    for module in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
-        assert module not in seen["run"]
+    assert seen["load"] == [] and seen["run"] == []
 
 
 # every variable that sets OpenBLAS's thread count, unset: the pytest

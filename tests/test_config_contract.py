@@ -257,6 +257,27 @@ def test_a_defaulted_center_is_named(tmp_path, radii, message):
             in err) and message in err
 
 
+# A bubble with no interface on the grid: the default R = 0.5 covers every
+# node of a 13^2 grid of extent 0.375, and a sphere centred at (3, 0)
+# misses every node of GRID_2D. Before `validate` refused them by the
+# radius, both validated and failed in `run` after a whole Newton solve.
+@pytest.mark.parametrize("body, side", [
+    ("grid.extent = 0.375, 0.375\ngrid.points = 13, 13\n"
+     "grid.origin = -0.1875, -0.1875\nscenario.epsilon = 0.125\n", "inside"),
+    (GRID_2D + "scenario.center = 3, 0\n", "outside")],
+    ids=["inside", "outside"])
+def test_a_bubble_without_interface_is_refused_by_radius(tmp_path, body,
+                                                         side):
+    body = "scenario.kind = bubble\nanalyses = norms\n" + body
+    check_contract(tmp_path, body)
+    cfg = tmp_path / "bubble.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    code, err = _command("validate", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("config error: scenario.radius: ")
+    assert f"every grid node lies {side} the bubble" in err
+
+
 # The example: h = 1/4 leaves the test fields' bump no room inside its 5h
 # margins, so `validate` must refuse it as `run` does.
 @settings(derandomize=True, deadline=None, max_examples=120)

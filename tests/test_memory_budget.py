@@ -20,11 +20,12 @@ distances and the scratch of the band fractions; 0.48 (`firstvar`), 0.45
 (`gdelta`), 0.20 (`norms`), 0.15 (`sweep`) and 0.01 (`quantize`).
 
 The Newton solve of a 161^2 solved circle peaks within 19 grid arrays
-above the f and initial guess it is given. It measures 18.3: u, R and
+above the f and initial guess it is given. It measures 18.6: u, R and
 W''(u)/eps of the Newton loop, the coarse space's weight, eight arrays of
-`spsolve` and MINRES's five vectors, and 0.95 for the fixed 196 KB of
-buffers numpy takes for the matvec's in-place sums on strided views
-(0.1 of a 481^2 array). It measured 23.2 when the solve held
+`spsolve` and MINRES's five vectors, 0.27 for the DCT-I's chunk buffers
+(18.2 when scipy.fft transformed in place), and 0.95 for the fixed
+196 KB of buffers numpy takes for the matvec's in-place sums on strided
+views (0.1 of a 481^2 array). It measured 23.2 when the solve held
 the previous step's du, D and D*eps/h^2 as arrays, a preconditioner
 buffer of its own and a third MINRES direction."""
 

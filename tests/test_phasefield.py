@@ -3,6 +3,7 @@ solver."""
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg
@@ -412,6 +413,51 @@ def test_fused_operator_equals_the_laplacian_form(problem):
     want = (d * (diag * x - eps * laplacian(ScalarField(g, x)).values)).ravel()
     got = matvec(x.ravel())
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# Zero-flux shapes: odd, even and non-square; (17, 9) and (17, 9, 33) cut
+# axis 0 into chunks of 2 planes, the last of one line (of one plane of
+# lines in 3-d); at 2732 points 1/(2 * 2731) rounded from long double is
+# not 1/5462 rounded from double.
+COSINE_SHAPES = [(8,), (129,), (2732,), (16, 20), (33, 17), (17, 9),
+                 (8, 9, 10), (17, 9, 33)]
+
+
+@pytest.mark.parametrize("shape", COSINE_SHAPES)
+def test_cosine_transform_has_scipys_bits(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape)
+    symbol = 1.0 + rng.random(shape)
+    dct = phasefield._CosineTransform(shape)
+    forward = dct(x.copy())
+    assert forward.tobytes() == scipy.fft.dctn(x, type=1).tobytes()
+    pair = dct(forward * symbol, inverse=True)
+    want = scipy.fft.idctn(scipy.fft.dctn(x, type=1) * symbol, type=1)
+    assert pair.tobytes() == want.tobytes()
+
+
+def test_cosine_transform_chunks_may_hold_one_line():
+    shape = (17, 9)
+    dct = phasefield._CosineTransform(shape)
+    x = np.empty(shape)
+    lines = [x[block].size // shape[ax] for ax, block, *_ in dct.chunks]
+    assert min(lines) == 1 and max(lines) == 2
+    assert len(dct.chunks) == 9 + 9  # axis 0 by columns, axis 1 by pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_problems())
+def test_preconditioner_inverts_the_transform_operator(problem):
+    # psolve is (D*P)^{-1}, P = c*I - eps*lap_h and c = max|diag|, on
+    # either boundary: this pins the symbols and the inverses' scaling
+    g, eps, diag, x = problem
+    with pytest.MonkeyPatch.context() as mp:
+        (_, psolve, _), _ = minres_arguments(mp, g, eps, diag, x)
+    c = float(np.max(np.abs(diag)))
+    d = g.node_weights() / g.h ** g.ndim
+    dpx = d * (c * x - eps * laplacian(ScalarField(g, x)).values)
+    got = psolve(dpx.ravel()).reshape(g.shape)
+    assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
 
 
 def check_against_scipy_minres(matvec, psolve, b, kwargs):

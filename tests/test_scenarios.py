@@ -1,5 +1,6 @@
 """Scenario corpus validation and deterministic builds."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -116,6 +117,65 @@ def test_1d_bubble_is_refused_before_building():
         build(sc)
 
 
+# The box of the nodes [-1, 1]^2 and a 3-d box from -0.3 to 0.5: a sphere
+# that covers the box's farthest corner holds every node, one that misses
+# its nearest point none.
+@pytest.mark.parametrize("grid, center, radius, side", [
+    (small_grid(), (0.0, 0.0), 1.5, "inside"),
+    (small_grid(), (3.0, 0.0), 1.9, "outside"),
+    (Grid(extent=(0.8,) * 3, points=(17,) * 3, origin=(-0.3,) * 3),
+     (0.0, 0.0, 0.0), 0.9, "inside")])
+def test_bubble_without_interface_is_refused_before_building(grid, center,
+                                                             radius, side):
+    sc = Scenario(name="b0", grid=grid, epsilons=(0.2,),
+                  profile=SolvedBubbleProfile(center=center, radius=radius))
+    with pytest.raises(ScenarioError, match=f"every grid node lies {side}"):
+        scenarios.check_buildable(sc)
+    with pytest.raises(ScenarioError, match=f"every grid node lies {side}"):
+        build(sc)
+
+
+@st.composite
+def _bubble_grids(draw):
+    """A small 2-d or 3-d grid, a centre in or near it, and a radius that is
+    either drawn or the exact distance from the centre to a node, often a
+    corner."""
+    ndim = draw(st.integers(2, 3))
+    points = draw(st.tuples(*[st.integers(8, 12)] * ndim))
+    h = draw(st.floats(0.01, 0.5))
+    grid = Grid(extent=[h * (n - 1) for n in points], points=points,
+                origin=draw(st.tuples(*[st.floats(-3.0, 3.0)] * ndim)))
+    center = draw(st.tuples(*[st.floats(-6.0, 6.0)] * ndim))
+    node = tuple(draw(st.sampled_from((0, n - 1)) | st.integers(0, n - 1))
+                 for n in points)
+    radius = draw(st.floats(1e-3, 10.0) | st.just(
+        float(signed_distance_ball(grid, center, 0.0)[node])))
+    return grid, center, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bubble_grids())
+def test_bubble_refusal_agrees_with_the_signed_distance(problem):
+    # refused "inside" exactly when every node is inside (the farthest
+    # point of the box is a corner node), "outside" only when no node is,
+    # and exactly then when the nearest point of the box is a corner too
+    grid, center, radius = problem
+    sc = Scenario(name="b", grid=grid, epsilons=(4.0 * grid.h,),
+                  profile=SolvedBubbleProfile(center=center, radius=radius))
+    inside = signed_distance_ball(grid, center, radius) < 0.0
+    try:
+        scenarios.check_buildable(sc)
+        refused = None
+    except ScenarioError as exc:
+        refused = "inside" if "lies inside" in str(exc) else "outside"
+    assert (refused == "inside") == inside.all()
+    if refused == "outside":
+        assert not inside.any()
+    last = [lo + grid.h * (n - 1) for lo, n in zip(grid.lo, grid.points)]
+    if all(not lo <= c <= hi for c, lo, hi in zip(center, grid.lo, last)):
+        assert (refused is not None) == (inside.all() or not inside.any())
+
+
 def test_to_config_round_trip(tmp_path, corpus):
     from aclab.cli import load_config
     from aclab.cli import to_config
@@ -172,6 +232,11 @@ def _scenarios(draw):
                 origin=draw(st.tuples(*[_coord] * ndim)))
     point = st.tuples(*[_coord] * ndim)
     radial = st.builds(RadialProfile, center=point, radius=_positive)
+    # a bubble's sphere must cross the grid (`check_buildable`): its centre
+    # in the box of the nodes and its radius under half the box's diagonal
+    last = [lo + grid.h * (n - 1) for lo, n in zip(grid.lo, grid.points)]
+    inner = st.tuples(*[st.floats(lo, hi) for lo, hi in zip(grid.lo, last)])
+    crossing = st.floats(1e-3, 0.4 * math.dist(grid.lo, last))
     epsilons = st.lists(st.floats(4.0 * grid.h, 1.0), min_size=1,
                         max_size=3).map(tuple)
     if kind == "stack":
@@ -179,8 +244,8 @@ def _scenarios(draw):
     else:
         profile = draw({
             "radial": radial,
-            "bubble": st.builds(SolvedBubbleProfile, center=point,
-                                radius=_positive),
+            "bubble": st.builds(SolvedBubbleProfile, center=inner,
+                                radius=crossing),
             "constant": st.builds(ConstantProfile, _coord),
             "solved-forcing": st.builds(SolvedFromForcingProfile,
                                         center=point, radius=_positive,
