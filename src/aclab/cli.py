@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -34,9 +33,9 @@ from .quantization import quantization_check
 from .phasefield import LayerSpec
 from .scenarios import (ConstantProfile, RadialProfile, Scenario,
                         ScenarioError, SolvedBubbleProfile,
-                        SolvedFromForcingProfile, build, check_buildable,
-                        default_center, default_lines, default_radii,
-                        standard_corpus)
+                        SolvedFromForcingProfile, build, check_bubble_radius,
+                        check_buildable, default_center, default_lines,
+                        default_radii, standard_corpus)
 
 ANALYSES = ("norms", "monotonicity", "slab", "quantize", "gdelta",
             "firstvar", "sweep")
@@ -313,6 +312,10 @@ def _scenario(values: dict) -> Scenario:
         scenario = Scenario(
             name=values.get("scenario.name", f"inline-{kind}"), grid=grid,
             profile=profile, params=params, **_fields(values, "scenario"))
+    if kind == "bubble" and grid.ndim > 1:
+        with _naming_keys(values,
+                          default=("scenario.radius", "scenario.epsilon")):
+            check_bubble_radius(scenario)
     # check_buildable refuses a stack that does not fit, a 1-d bubble and
     # a bubble whose sphere leaves every node on one side
     stack = kind in _STACK
@@ -626,7 +629,8 @@ def run(cfg: RunConfig) -> int:
         except Exception as exc:
             return exc
 
-    if cfg.threads > 1:
+    if cfg.threads > 1:  # the pool is imported only by a run that uses it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = dict(zip(cfg.analyses, pool.map(job, cfg.analyses)))
     else:

@@ -14,6 +14,7 @@ measure-correct.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +54,9 @@ class AnalysisParams:
 
     def resolve_q0(self, ndim: int) -> float:
         q0 = float(self.q0) if self.q0 is not None else float(ndim)
-        if not q0 > ndim - 1:
-            raise ValueError(f"q0={q0} must exceed n={ndim - 1}")
+        # at least 1, so that firstvar's conjugate exponent is too
+        if not q0 > ndim - 1 or q0 < 1.0:
+            raise ValueError(f"q0={q0} must exceed n={ndim - 1} and be >= 1")
         return q0
 
 
@@ -383,6 +385,8 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     bound on the first variation. q = inf gives the mu-essential sup: the
     max of |eta| over nodes carrying mu mass. eta is read one slab of
     axis-0 planes at a time, as by first_variation_identity."""
+    if not q >= 1.0:
+        raise ValueError(f"q must be >= 1 (inf for the sup), got {q}")
     g, dens = state.grid, density_fields(state)
 
     def magnitude(sl):
@@ -412,6 +416,65 @@ def bump_half_widths(grid) -> list[float]:
     return halves
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _PCG64:
+    """The stream of `np.random.default_rng(seed)`, drawn without importing
+    numpy.random: NumPy's SeedSequence (pool of four 32-bit words, NEP 19)
+    seeds PCG64 (XSL-RR 128/64, O'Neill 2014), and `uniform` maps 53 bits
+    of each 64-bit output to [low, high) as numpy does, bit for bit."""
+
+    def __init__(self, seed):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        words = [seed >> k & _M32
+                 for k in range(0, max(seed.bit_length(), 1), 32)]
+        const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight 32-bit words, paired low first
+        const, out = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _M32
+            value = value * const & _M32
+            out.append(value ^ value >> 16)
+        s0, s1, s2, s3 = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+        # pcg64_set_seed: state 0, step, add the initial state, step
+        self._inc = (s2 << 64 | s3) << 1 & _M128 | 1
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT
+                       + self._inc) & _M128
+
+    def next64(self) -> int:
+        self._state = s = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * ((self.next64() >> 11) * 2.0 ** -53)
+
+
 class SmoothTestField:
     """A pseudo-random smooth vector field vanishing near the boundary,
     evaluated on demand on any axis-0 grid planes, so that it need never be
@@ -426,7 +489,7 @@ class SmoothTestField:
 
     def __init__(self, grid, seed: int):
         halves = bump_half_widths(grid)
-        rng = np.random.default_rng(seed)
+        rng = _PCG64(seed)
         centers = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
         self.grid = grid
         self._bumps, scaled = [], []

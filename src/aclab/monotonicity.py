@@ -79,9 +79,11 @@ def check_geometry(grid, epsilon: float, center, radii, slab=None,
         raise ValueError(
             f"radii start at {radii[0]}, below the resolution floor "
             f"max(4h, eps) = {floor}")
-    if slab is not None and not slab[0] < slab[1]:
-        raise RegionError(f"degenerate slab: t = {slab[0]}, {slab[1]} "
-                          "needs t_lo < t_hi")
+    if slab is not None:
+        _check_finite(t_lo=slab[0], t_hi=slab[1])
+        if not slab[0] < slab[1]:
+            raise RegionError(f"degenerate slab: t = {slab[0]}, {slab[1]} "
+                              "needs t_lo < t_hi")
     c = np.atleast_1d(np.asarray(center, dtype=float))
     _check_ball_margin(grid, c, radii[-1], slab=slab)
     for t in slab or ():

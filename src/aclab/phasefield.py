@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (PERIODIC, Grid, ScalarField, _integrals,
+from .fields import (PERIODIC, Grid, ScalarField, _check_finite, _integrals,
                      _laplacian_planes, _neighbour_sum_into,
                      _scale_by_unit_weights, _slabs, _stream, _unit_weights,
                      gradient, laplacian)
@@ -65,10 +65,20 @@ class Constants:
     t0: float
 
 
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1] by
+    Golub-Welsch: the eigenvalues of Legendre's Jacobi matrix, held on the
+    lower diagonal (the triangle eigh reads), and twice the squared first
+    components of its eigenvectors."""
+    k = np.arange(1.0, n)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
 def _composite_gauss(fn, lo: float, hi: float, panels: int):
     """int_lo^hi fn by 20-point Gauss-Legendre on 2*panels equal panels,
     with the change from the rule on `panels` panels as the error."""
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = _gauss_legendre(20)
 
     def rule(m):
         half = (hi - lo) / (2 * m)
@@ -157,8 +167,8 @@ class PhaseFieldState:
 
 
 def _check_epsilon(grid: Grid, epsilon: float):
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if epsilon < 2.0 * grid.h - 1e-12 * grid.h:  # slack as in check_layer_fit
         raise ValueError(
             f"epsilon={epsilon} under-resolves the layer: need eps >= 2h = {2 * grid.h}")
@@ -180,6 +190,7 @@ def make_state(u: ScalarField, f: ScalarField, epsilon: float) -> PhaseFieldStat
     """Assemble a state, recording the discrete residual max-norm, taken a
     slab of axis-0 planes at a time (np.max, so a NaN is kept)."""
     g = u.grid
+    _check_epsilon(g, epsilon)
     rn = float(np.max([
         np.max(np.abs(_operator_planes(u.values, g, epsilon, sl)
                       - f.values[sl])) for sl in _slabs(g)]))
@@ -194,6 +205,7 @@ def check_layer_fit(grid: Grid, epsilon: float, spec: LayerSpec):
     pos = spec.positions
     if not len(pos):
         raise ValueError("need at least one layer position")
+    _check_finite(positions=pos)
     if any(b <= a for a, b in zip(pos, pos[1:])):
         raise ValueError("layer positions must be strictly increasing")
     if spec.first_sign not in (1, -1):
@@ -238,6 +250,7 @@ def signed_distance_ball(grid: Grid, center, radius: float) -> np.ndarray:
 def build_radial_layer(grid: Grid, epsilon: float, center, radius: float) -> ScalarField:
     """tanh profile across a circular/spherical interface, -1 inside."""
     _check_epsilon(grid, epsilon)
+    _check_finite(center=center, radius=radius)
     return ScalarField(grid, np.tanh(signed_distance_ball(grid, center, radius) / epsilon))
 
 

@@ -32,8 +32,8 @@ class GDeltaParams:
     def __post_init__(self):
         if not 0 < self.delta <= 0.5:
             raise ValueError("delta must lie in (0, 1/2]")
-        if self.c0 < 1:
-            raise ValueError("c0 must be >= 1")
+        if not 1 <= self.c0 < np.inf:
+            raise ValueError("c0 must be finite and >= 1")
         if self.points < 100:
             raise ValueError("need at least 100 quadrature points")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import line_sample, trapezoid
+from .fields import _check_finite, line_sample, trapezoid
 from .measures import density_fields
 from .phasefield import PhaseFieldState, constants, double_well
 
@@ -32,6 +32,8 @@ class Line:
         object.__setattr__(self, "base", tuple(float(b) for b in self.base))
         object.__setattr__(self, "direction",
                            tuple(float(d) for d in self.direction))
+        _check_finite(base=self.base, direction=self.direction,
+                      t_lo=self.t_lo, t_hi=self.t_hi)
         if self.samples < 3:
             raise ValueError("need at least 3 samples per line")
         if not self.t_lo < self.t_hi:

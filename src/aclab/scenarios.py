@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, ScalarField, ZERO_FLUX
+from .fields import Grid, ScalarField, ZERO_FLUX, _check_finite
 from .measures import AnalysisParams
 from .phasefield import (LayerSpec, PhaseFieldState, SolverError,
                          build_layer_stack, build_radial_layer,
@@ -26,15 +26,22 @@ class ScenarioError(RuntimeError):
     """A scenario failed to validate or build; carries scenario context."""
 
 
+def _finite_fields(profile):
+    """A profile's __post_init__: refuse a non-finite number by its field."""
+    _check_finite(**vars(profile))
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     center: tuple[float, ...]
     radius: float
+    __post_init__ = _finite_fields
 
 
 @dataclass(frozen=True)
 class ConstantProfile:
     value: float
+    __post_init__ = _finite_fields
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,7 @@ class SolvedBubbleProfile:
 
     center: tuple[float, ...]
     radius: float
+    __post_init__ = _finite_fields
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,7 @@ class SolvedFromForcingProfile:
     center: tuple[float, ...]
     radius: float
     noise_amplitude: float = 0.01
+    __post_init__ = _finite_fields
 
 
 Profile = (LayerSpec, RadialProfile, ConstantProfile,
@@ -84,8 +93,9 @@ class Scenario:
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ScenarioError(f"{self.name}: needs at least one epsilon")
-        if any(e <= 0 for e in eps):
-            raise ScenarioError(f"{self.name}: epsilon must be positive")
+        if not all(0 < e < math.inf for e in eps):
+            raise ScenarioError(
+                f"{self.name}: epsilon must be positive and finite")
         h = self.grid.h
         for e in eps:
             if h > e / 4.0 + 1e-12 * h:
@@ -121,14 +131,29 @@ def _check_bubble_grid(scenario: Scenario):
             f"{prof.radius:g}, so the grid holds no interface to solve for")
 
 
+def check_bubble_radius(scenario: Scenario):
+    """A solved bubble of radius at most 2.5 eps loses its interface in the
+    Newton solve (in 2-d at eps 0.05-0.1 on 129^2 and 161^2, and in 3-d at
+    eps 0.1 on 81^3, R = 2.5 eps failed), so it is refused at every
+    epsilon before an array is built."""
+    radius = scenario.profile.radius
+    for eps in scenario.epsilons:
+        if radius <= 2.5 * eps:
+            raise ScenarioError(
+                f"scenario {scenario.name!r}: a solved bubble of radius "
+                f"{radius:g} loses its interface at eps={eps:g}; the radius "
+                "must exceed 2.5 eps")
+
+
 def check_buildable(scenario: Scenario):
     """The scalar preconditions of build(), checked without building an
     array: a stack's layers must fit the grid at every epsilon, and a
     solved bubble needs a curved interface (2 or 3 grid axes) that crosses
-    the grid. Raises ScenarioError."""
+    the grid, of radius above 2.5 eps. Raises ScenarioError."""
     prof = scenario.profile
     if isinstance(prof, SolvedBubbleProfile):
         _check_bubble_grid(scenario)
+        check_bubble_radius(scenario)
     if not isinstance(prof, LayerSpec):
         return
     for eps in scenario.epsilons:
@@ -155,7 +180,7 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
         u = _analytic_field(g, eps, prof)
         return make_state(u, manufactured_forcing(u, eps), eps)
     if isinstance(prof, SolvedBubbleProfile):
-        _check_bubble_grid(scenario)
+        check_buildable(scenario)
         force = (g.ndim - 1) * constants().alpha / (2.0 * prof.radius)
         f = ScalarField._adopt(g, np.full(g.shape, force))
         dist = signed_distance_ball(g, prof.center, prof.radius)
@@ -238,6 +263,7 @@ def default_radii(scenario: Scenario, eps: float, center, count: int = 25):
     identity terms decay like (eps/r)^2 beyond that, leaving nothing but
     quadrature noise in the residual columns.
     """
+    _check_finite(eps=eps, center=center)
     g = scenario.grid
     gap = min(min(c - lo for c, lo in zip(center, g.lo)),
               min(hi - c for c, hi in zip(center, g.hi)))

@@ -501,19 +501,22 @@ def test_python_dash_m_runs_the_cli():
 
 # ---------------------------------------------------------------- child processes
 
-# Prints the scipy modules loaded after `load_config` and after `run`.
+# Prints the modules of sys.modules in or under the packages given after the
+# config and the output directory, after load_config and after the run.
 IMPORT_PROBE = """
 import json, sys
 from aclab import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+cfg, out, *packages = sys.argv[1:]
 
-cfg, out = sys.argv[1:]
+def loaded():
+    return sorted(m for m in sys.modules
+                  if any(m == p or m.startswith(p + ".") for p in packages))
+
 cli.load_config(cfg)
-loaded = scipy_modules()
+at_load = loaded()
 code = cli.main(["run", "--config", cfg, "--out", out, "--threads", "1"])
-print(json.dumps({"exit": code, "load": loaded, "run": scipy_modules()}))
+print(json.dumps({"exit": code, "load": at_load, "run": loaded()}))
 """
 
 SOLVED_BUBBLE = """
@@ -538,14 +541,19 @@ def run_child(args, **env):
     return proc.stdout
 
 
-def probe_imports(tmp_path, body):
+def probe_imports(tmp_path, body, packages=("scipy",)):
     cfg = write_cfg(tmp_path, body)
-    return json.loads(run_child(["-c", IMPORT_PROBE, cfg, tmp_path / "out"]))
+    return json.loads(run_child(["-c", IMPORT_PROBE, cfg, tmp_path / "out",
+                                 *packages]))
 
 
-def test_manufactured_runs_import_no_scipy(tmp_path):
+def test_manufactured_runs_import_only_what_they_run(tmp_path):
+    # the test fields draw default_rng's stream in pure Python, the layer
+    # constants' Gauss rule comes from eigh, and one thread needs no pool
     body = f"scenario = circle\nanalyses = {', '.join(ANALYSES)}\n"
-    seen = probe_imports(tmp_path, body)
+    seen = probe_imports(tmp_path, body, (
+        "scipy", "numpy.random", "numpy.polynomial", "hashlib",
+        "concurrent.futures"))
     assert seen["exit"] == 0
     assert seen["load"] == [] and seen["run"] == []
 

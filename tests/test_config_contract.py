@@ -278,6 +278,24 @@ def test_a_bubble_without_interface_is_refused_by_radius(tmp_path, body,
     assert f"every grid node lies {side} the bubble" in err
 
 
+# A bubble of radius 2.5 eps loses its interface in the solve, so both
+# `validate` and `run` refuse it by both keys; a radius just above passes
+# `validate`.
+def test_a_bubble_at_most_2_5_eps_is_refused_by_radius_and_epsilon(tmp_path):
+    cfg = tmp_path / "bubble.cfg"
+    body = "scenario.kind = bubble\nanalyses = norms\n" + GRID_2D
+    cfg.write_text(body + "scenario.radius = 0.3126\n", encoding="utf-8")
+    assert _command("validate", "--config", str(cfg)) == (0, "")
+    cfg.write_text(body + "scenario.radius = 0.3125\n", encoding="utf-8")
+    for argv in (("validate",), ("run", "--out", str(tmp_path / "out"))):
+        code, err = _command(*argv, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith(
+            "config error: scenario.radius, scenario.epsilon: ")
+        assert "must exceed 2.5 eps" in err
+    assert not (tmp_path / "out").exists()
+
+
 # The example: h = 1/4 leaves the test fields' bump no room inside its 5h
 # margins, so `validate` must refuse it as `run` does.
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -290,10 +308,10 @@ def test_config_contract(tmp_path_factory, body):
 
 
 # Of the 60 examples, 23 solved circles run clean in 1-3 d and one 1-d
-# bubble is refused by key. The 36 bubbles in 2-d and 3-d all lose their
-# interface and exit 1 by name: a drawn radius is at most 0.3 extents, so
-# at most 2.5 eps on these grids, and a critical bubble that small is
-# unstable.
+# bubble is refused by key. The 36 bubbles in 2-d and 3-d are all refused
+# by scenario.radius and scenario.epsilon before any solve: a drawn radius
+# is at most 0.3 extents, so at most 2.5 eps on these grids, and a critical
+# bubble that small loses its interface.
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(body=inline_configs(solved=True))
 def test_solved_config_contract(tmp_path_factory, body):

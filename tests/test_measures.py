@@ -18,7 +18,7 @@ from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField, VectorField,
                    density_fields, diffuse_mean_curvature_norm,
                    first_variation_identity, make_state, norm_report,
                    smooth_test_field)
-from aclab import fields
+from aclab import fields, measures
 from aclab.measures import eta_lq_norm
 from aclab import (LayerSpec, build_layer_stack, build_radial_layer,
                    gradient, manufactured_forcing)
@@ -439,6 +439,23 @@ def stacked_test_field(grid, seed, sparse, margin_cells=5.0):
             poly = poly + rng.uniform(-1.0, 1.0) * np.cos(np.pi * s)
         comps.append(bump * poly)
     return np.stack(comps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**256) | st.sampled_from(
+    (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**256)))
+def test_test_field_draws_are_default_rngs_stream(seed):
+    # 21 draws make a 3-d field; 32 cover it with margin
+    rng, ours = np.random.default_rng(seed), measures._PCG64(seed)
+    for _ in range(32):
+        assert ours.uniform(-1.0, 1.0) == rng.uniform(-1.0, 1.0)
+
+
+def test_test_field_seed_is_a_non_negative_integer():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        measures._PCG64(-1)
+    with pytest.raises(TypeError):
+        measures._PCG64(1.5)
 
 
 @pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])

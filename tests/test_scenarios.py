@@ -1,6 +1,7 @@
 """Scenario corpus validation and deterministic builds."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -109,6 +110,29 @@ def test_bubble_check_refuses_a_moved_interface():
         _check_bubble(state, signed_distance_ball(g, (0.0, 0.0), 0.5))
 
 
+def test_bubble_of_at_most_2_5_eps_is_refused_before_building():
+    # R = 0.25 is 4 eps at eps = 0.0625 and 2.5 eps at 0.1: refused at 0.1,
+    # before any solve
+    sc = Scenario(name="b", grid=small_grid(129), epsilons=(0.0625, 0.1),
+                  profile=SolvedBubbleProfile(center=(0.0, 0.0), radius=0.25))
+    for check in (scenarios.check_buildable, build):
+        with mock.patch.object(scenarios, "solve_stationary") as solve, \
+                pytest.raises(ScenarioError,
+                              match="radius 0.25 loses its interface at "
+                                    r"eps=0.1; the radius must exceed 2.5"):
+            check(sc)
+        solve.assert_not_called()
+    scenarios.check_buildable(replace(
+        sc, profile=SolvedBubbleProfile(center=(0.0, 0.0), radius=0.2500001)))
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0])
+def test_scenario_refuses_an_epsilon_not_positive_and_finite(eps):
+    with pytest.raises(ScenarioError, match="positive and finite"):
+        Scenario(name="e", grid=small_grid(), epsilons=(0.1, eps),
+                 profile=ConstantProfile(0.0))
+
+
 def test_1d_bubble_is_refused_before_building():
     g = Grid(extent=(2.0,), points=(401,), boundary=ZERO_FLUX, origin=(-1.0,))
     sc = Scenario(name="b1", grid=g, epsilons=(0.05,),
@@ -164,7 +188,7 @@ def test_bubble_refusal_agrees_with_the_signed_distance(problem):
                   profile=SolvedBubbleProfile(center=center, radius=radius))
     inside = signed_distance_ball(grid, center, radius) < 0.0
     try:
-        scenarios.check_buildable(sc)
+        scenarios._check_bubble_grid(sc)
         refused = None
     except ScenarioError as exc:
         refused = "inside" if "lies inside" in str(exc) else "outside"
@@ -226,6 +250,8 @@ def _scenarios(draw):
     points = list(draw(st.tuples(*[st.integers(8, 40)] * ndim)))
     if kind == "stack":  # 12 eps >= 48 h of face margins must fit the axis
         points[axis] = draw(st.integers(90, 200))
+    if kind == "bubble":  # a radius over 2.5 eps >= 10 h must cross the grid
+        points = [max(n, 24) for n in points]
     h = draw(st.floats(1e-3, 0.1))
     extent = [h * (n if boundary == PERIODIC else n - 1) for n in points]
     grid = Grid(extent=extent, points=tuple(points), boundary=boundary,
@@ -233,27 +259,31 @@ def _scenarios(draw):
     point = st.tuples(*[_coord] * ndim)
     radial = st.builds(RadialProfile, center=point, radius=_positive)
     # a bubble's sphere must cross the grid (`check_buildable`): its centre
-    # in the box of the nodes and its radius under half the box's diagonal
+    # in the box of the nodes and its radius under half the box's diagonal,
+    # and above 2.5 eps
     last = [lo + grid.h * (n - 1) for lo, n in zip(grid.lo, grid.points)]
     inner = st.tuples(*[st.floats(lo, hi) for lo, hi in zip(grid.lo, last)])
-    crossing = st.floats(1e-3, 0.4 * math.dist(grid.lo, last))
-    epsilons = st.lists(st.floats(4.0 * grid.h, 1.0), min_size=1,
+    diagonal = math.dist(grid.lo, last)
+    cap = min(1.0, 0.15 * diagonal) if kind == "bubble" else 1.0
+    epsilons = st.lists(st.floats(4.0 * grid.h, cap), min_size=1,
                         max_size=3).map(tuple)
     if kind == "stack":
         profile, eps = _fitting_stack(draw, grid, axis)
     else:
+        eps = draw(epsilons)
         profile = draw({
             "radial": radial,
             "bubble": st.builds(SolvedBubbleProfile, center=inner,
-                                radius=crossing),
+                                radius=st.floats(2.5 * max(eps),
+                                                 0.4 * diagonal,
+                                                 exclude_min=True)),
             "constant": st.builds(ConstantProfile, _coord),
             "solved-forcing": st.builds(SolvedFromForcingProfile,
                                         center=point, radius=_positive,
                                         noise_amplitude=_positive)}[kind])
-        eps = draw(epsilons)
     params = draw(st.builds(
-        AnalysisParams,  # q0 must exceed n = ndim - 1
-        q0=st.none() | st.floats(ndim - 1, 5.0, exclude_min=True),
+        AnalysisParams,  # q0 must exceed n = ndim - 1 and be >= 1
+        q0=st.none() | st.floats(max(ndim - 1, 1), 5.0, exclude_min=ndim > 1),
         grad_threshold=st.floats(0.0, 1.0), supersample=st.integers(1, 8),
         tau=st.floats(0.01, 0.99)))
     return Scenario(

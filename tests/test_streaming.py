@@ -245,6 +245,70 @@ def test_laplacian_is_exact_on_quadratics_in_the_interior(shape_boundary,
     assert np.all(got == want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(shape_boundary=grids(11),
+       coef=st.lists(st.integers(-4, 4), min_size=10, max_size=10))
+def test_gradient_is_exact_on_quadratics_in_the_interior(shape_boundary,
+                                                         coef):
+    """On a polynomial of degree <= 2 the central difference is exact away
+    from the boundary ghosts: b_i + sum_j a_ij x_j (+ a_ii x_i again), as
+    in the Laplacian's test above; exact on the dyadic grid, so ==."""
+    points, boundary = shape_boundary
+    g = dyadic_grid(points, boundary)
+    x = g.meshgrid()
+    nd = g.ndim
+    pairs = [(i, j) for i in range(nd) for j in range(i, nd)]
+    quad = coef[4:]
+    p = coef[0] + sum(coef[1 + i] * x[i] for i in range(nd))
+    p = p + sum(quad[k] * x[i] * x[j] for k, (i, j) in enumerate(pairs))
+    interior = (slice(1, -1),) * nd
+    got = gradient(ScalarField(g, p)).values
+    for axis in range(nd):
+        want = coef[1 + axis] + sum(
+            quad[k] * (x[j] * (i == axis) + x[i] * (j == axis))
+            for k, (i, j) in enumerate(pairs))
+        assert np.all(got[axis][interior] == want[interior])
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(1, 3).flatmap(lambda nd: st.lists(
+           st.integers(8, 11), min_size=nd, max_size=nd).map(tuple)),
+       data=st.data())
+def test_stencils_are_exact_at_zero_flux_faces_on_even_polynomials(points,
+                                                                    data):
+    """A zero-flux ghost mirrors the node next to the face, so on a
+    polynomial even about one face of each axis, c + sum_i a_i y_i^2 +
+    sum_{i<j} b_ij y_i^2 y_j^2 with y_i the distance to that face, the
+    Laplacian and the gradient are exact on that face as in the interior
+    (only the opposite face, where it is not even, is left out)."""
+    g = dyadic_grid(points, ZERO_FLUX)
+    nd = g.ndim
+    far = data.draw(st.lists(st.booleans(), min_size=nd, max_size=nd))
+    face = [(n - 1) * g.h if f else 0.0 for n, f in zip(points, far)]
+    y = [xi - fi for xi, fi in zip(g.meshgrid(), face)]
+    a = data.draw(st.lists(st.integers(-4, 4), min_size=nd + 1,
+                           max_size=nd + 1))
+    pairs = [(i, j) for i in range(nd) for j in range(i + 1, nd)]
+    b = data.draw(st.lists(st.integers(-4, 4), min_size=len(pairs),
+                           max_size=len(pairs)))
+    sq = [yi * yi for yi in y]
+    p = a[0] + sum(a[1 + i] * sq[i] for i in range(nd))
+    lap = sum(2.0 * a[1 + i] for i in range(nd)) + np.zeros(g.shape)
+    grad = [2.0 * a[1 + i] * y[i] for i in range(nd)]
+    for k, (i, j) in enumerate(pairs):
+        p = p + b[k] * sq[i] * sq[j]
+        lap = lap + 2.0 * b[k] * (sq[i] + sq[j])
+        grad[i] = grad[i] + 2.0 * b[k] * y[i] * sq[j]
+        grad[j] = grad[j] + 2.0 * b[k] * sq[i] * y[j]
+    # every node but those on the face opposite the even one
+    kept = tuple(slice(None, -1) if not f else slice(1, None) for f in far)
+    f = ScalarField(g, p)
+    assert np.all(laplacian(f).values[kept] == lap[kept])
+    got = gradient(f).values
+    for axis in range(nd):
+        assert np.all(got[axis][kept] == grad[axis][kept])
+
+
 # ---------------------------------------------------------------- tests
 
 def test_slab_gradient_matches_whole_grid(streamed):
