@@ -24,9 +24,8 @@ import numpy as np
 from . import __version__
 from .fields import Grid, ZERO_FLUX, PERIODIC
 from .measures import (AnalysisParams, SmoothTestField, bump_half_widths,
-                       corollary_holder_check,
-                       diffuse_mean_curvature_norm, eta_lq_norm,
-                       first_variation_identity, norm_report)
+                       corollary_holder_check, diffuse_mean_curvature_norm,
+                       first_variations, norm_report)
 from .monotonicity import check_geometry, monotonicity_report, slab_report
 from .proofdevices import GDeltaParams, g_delta_ledger
 from .quantization import quantization_check
@@ -554,11 +553,12 @@ def _run_firstvar(cfg: RunConfig, states):
     rows = []
     worst = 0.0
     duality_ok = True
-    for k in range(inputs["count"]):
-        # generated a slab at a time as it is read, never held whole
-        eta = SmoothTestField(st.grid, inputs["seed"] + k)
-        res = first_variation_identity(st, eta, params)
-        bound = lam ** (1.0 / q0) * eta_lq_norm(st, eta, conjugate)
+    # generated a slab at a time as they are read, never held whole
+    etas = [SmoothTestField(st.grid, inputs["seed"] + k)
+            for k in range(inputs["count"])]
+    for k, (res, norm) in enumerate(
+            first_variations(st, etas, params, conjugate)):
+        bound = lam ** (1.0 / q0) * norm
         ok = abs(res.lhs) <= bound * (1.0 + 1e-6)
         duality_ok &= ok
         worst = max(worst, res.residual)

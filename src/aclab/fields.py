@@ -9,6 +9,7 @@ line and hyperplane restrictions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -395,7 +396,8 @@ class _BallQuadrature:
     in the same order as over the whole grid, so every sum is unchanged.
     Node distances and the integrands are kept on the box of `max_radius`,
     the largest radius asked for, only; the box of a smaller radius lies
-    inside it.
+    inside it. The distances are formed on the first pass, so that
+    `slab_is_inert` costs only the slab's 1-d masks.
     """
 
     def __init__(self, grid: Grid, center, supersample: int,
@@ -409,20 +411,40 @@ class _BallQuadrature:
         self.t_hi = t_hi
         self.half_diag = _CELL_DIAG[grid.ndim] * grid.h
         self.box = self._window(max_radius)
-        mesh = grid.meshgrid(sparse=True)
-        rel = [(m - c)[(slice(None),) * ax + (self.box[ax],)]
-               for ax, (m, c) in enumerate(zip(mesh, self.center))]
-        self.dist = sum(r * r for r in rel)
-        np.sqrt(self.dist, out=self.dist)
         # subcell-center offsets along one axis, relative to the node
         s = self.supersample
         self._offsets = (np.arange(s) + 0.5) / s * grid.h - 0.5 * grid.h
         if t_lo is not None:
             # (1, ..., 1, n): sliced on the last axis only, then broadcast
-            tcoord = mesh[-1]
+            tcoord = grid.meshgrid(sparse=True)[-1]
             half = 0.5 * grid.h
             self._slab_in = (tcoord - half >= t_lo) & (tcoord + half <= t_hi)
             self._slab_out = (tcoord + half <= t_lo) | (tcoord - half >= t_hi)
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        """The nodes' distances to the center on the box."""
+        rel = [(m - c)[(slice(None),) * ax + (self.box[ax],)]
+               for ax, (m, c) in enumerate(zip(self.grid.meshgrid(sparse=True),
+                                               self.center))]
+        dist = sum(r * r for r in rel)
+        return np.sqrt(dist, out=dist)
+
+    def _subcells_in_slab(self, window) -> np.ndarray:
+        """(cells, supersample): which subcell centers of the last axis'
+        nodes in window[-1] lie in [t_lo, t_hi]."""
+        g = self.grid
+        sub = g.axis_coords(g.ndim - 1)[window[-1], None] + self._offsets
+        return (sub >= self.t_lo) & (sub <= self.t_hi)
+
+    def slab_is_inert(self) -> bool:
+        """Whether the slab masks nothing on the box: every node cell there
+        lies inside it and none outside, and so does every subcell center.
+        Then every radius's region is the ball's, with the ball's bits."""
+        last = (..., self.box[-1])
+        return bool(self._slab_in[last].all()
+                    and not self._slab_out[last].any()
+                    and self._subcells_in_slab(self.box).all())
 
     def _window(self, radius: float) -> tuple[slice, ...]:
         """Index box holding every node that is not fully outside B_radius,
@@ -447,9 +469,8 @@ class _BallQuadrature:
         nb, s = len(flat), self.supersample
         tables = [(g.axis_coords(ax)[window[ax], None] + self._offsets
                    - self.center[ax]) ** 2 for ax in range(g.ndim)]
-        if self.t_lo is not None:  # the last axis' subcells inside the slab
-            sub = g.axis_coords(g.ndim - 1)[window[-1], None] + self._offsets
-            in_slab = (sub >= self.t_lo) & (sub <= self.t_hi)
+        if self.t_lo is not None:
+            in_slab = self._subcells_in_slab(window)
         frac = np.empty(nb)
         step = max(1, 2 * _SLAB_NODES // s ** g.ndim)
         for lo in range(0, nb, step):
@@ -543,9 +564,10 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
     band's are weighted in place). Formed elementwise, they have the bits
     of integrands built on the whole box, which is never held.
 
-    The one entry point into `_BallQuadrature`; it checks nothing. Its
-    callers (`monotonicity.check_geometry`, `disc_integral`) check the
-    center, the radii, the slab and the 2h margin of the largest ball.
+    With `inert_slab`, the one entry point into `_BallQuadrature`; it
+    checks nothing. Its callers (`monotonicity.check_geometry`,
+    `disc_integral`) check the center, the radii, the slab and the 2h
+    margin of the largest ball.
     """
     radii = np.asarray(radii, dtype=float)
     quad = _BallQuadrature(grid, np.atleast_1d(center), supersample,
@@ -556,18 +578,40 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
                      for r in radii])
 
 
+def inert_slab(grid: Grid, center, max_radius: float, supersample: int,
+               slab) -> bool:
+    """Whether the slab masks nothing of any ball up to max_radius (see
+    `_BallQuadrature.slab_is_inert`): ball_integrals with it then has the
+    bits of ball_integrals without it."""
+    return _BallQuadrature(grid, np.atleast_1d(center), supersample,
+                           max_radius, *slab).slab_is_inert()
+
+
 def _slab_nodes(grid: Grid) -> int:
     """The nodes of a slab: the size _SLAB_SHARE and _SLAB_NODES set."""
     return min(max(int(np.prod(grid.points)) // _SLAB_SHARE, _SLAB_NODES),
                8 * _SLAB_NODES)
 
 
-def _slabs(grid: Grid) -> list[slice]:
+def _slabs(grid: Grid, parts: int = 1) -> list[slice]:
     """Consecutive runs of whole axis-0 planes that cover the grid in order,
-    of about _slab_nodes nodes (at least one plane)."""
+    of about _slab_nodes / parts nodes, but no fewer than _SLAB_NODES (and
+    at least one plane): a pass that holds `parts` sets of a slab's
+    temporaries takes smaller slabs."""
     n, plane = grid.points[0], int(np.prod(grid.points[1:]))
-    step = max(1, _slab_nodes(grid) // plane)
+    nodes = max(_slab_nodes(grid) // parts, _SLAB_NODES)
+    step = max(1, nodes // plane)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _weighted_slabs(grid: Grid, parts: int = 1):
+    """(sl, Grid.node_weights(sl)) for each slab of _slabs(grid, parts).
+    The slabs between the first and the last are alike: one length, no face
+    plane, so they share one set of weights."""
+    slabs = _slabs(grid, parts)
+    inner = grid.node_weights(slabs[1]) if len(slabs) > 2 else None
+    for k, sl in enumerate(slabs):
+        yield sl, (inner if 0 < k < len(slabs) - 1 else grid.node_weights(sl))
 
 
 def _stream(grid: Grid, fill, count: int) -> np.ndarray:
@@ -646,8 +690,10 @@ class _PairwiseSums:
         self.pos = stop
 
     def sums(self) -> list[float]:
-        """The sums, +0.0 for arrays of no element (as np.sum's)."""
-        return [float(stack[0]) if stack else 0.0 for stack, _ in self.arrays]
+        """The sums, +0.0 for arrays of no element (as np.sum's); none
+        before the first piece."""
+        return [float(stack[0]) if stack else 0.0
+                for stack, _ in self.arrays or ()]
 
 
 def _integrals(grid: Grid, fill) -> list[float]:
@@ -656,12 +702,7 @@ def _integrals(grid: Grid, fill) -> list[float]:
     Grid.node_weights, summed slab by slab by _PairwiseSums: the bits of
     np.sum over a whole-grid temporary, with every temporary slab-sized."""
     sums = _PairwiseSums(int(np.prod(grid.shape)))
-    slabs = _slabs(grid)
-    # the slabs between the first and the last are alike: one length, no
-    # face plane, so one set of weights
-    inner = grid.node_weights(slabs[1]) if len(slabs) > 2 else None
-    for k, sl in enumerate(slabs):
-        w = inner if 0 < k < len(slabs) - 1 else grid.node_weights(sl)
+    for sl, w in _weighted_slabs(grid):
         sums.add([v * w for v in fill(sl)])
     return sums.sums()
 

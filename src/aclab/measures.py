@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (PERIODIC, ScalarField, VectorField, _central_difference,
-                     _gradient_planes, _halo, _integrals, _LazyField, _slabs,
-                     _stream)
+                     _gradient_planes, _halo, _integrals, _LazyField,
+                     _PairwiseSums, _slabs, _stream, _weighted_slabs)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -168,15 +168,22 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
 
     The quotient is evaluated only on cells with eps|grad u| above the
     threshold; the eps|grad u|^2 mass carried by excluded cells is reported
-    as a fraction of the total so silent truncation is visible.
+    as a fraction of the total so silent truncation is visible. Computed
+    once per state, q0 and threshold.
     """
     q0 = params.resolve_q0(state.grid.ndim)
+    return state.derived(
+        ("curvature_norm", q0, params.grad_threshold),
+        lambda: _curvature_norm(state, q0, params.grad_threshold))
+
+
+def _curvature_norm(state: PhaseFieldState, q0: float, threshold: float):
     g = state.grid
     grad_sq, f = density_fields(state).grad_sq, state.f.values
 
     def integrands(sl):
         quotient, mass, included = _curvature_quotient(
-            np.sqrt(grad_sq[sl]), f[sl], state.epsilon, params.grad_threshold)
+            np.sqrt(grad_sq[sl]), f[sl], state.epsilon, threshold)
         return quotient ** q0 * mass, mass, np.where(included, 0.0, mass)
 
     lam, total_mass, excl = _finite(*_integrals(g, integrands))
@@ -186,7 +193,13 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
 
 def norm_report(state: PhaseFieldState,
                 params: AnalysisParams = AnalysisParams()) -> NormReport:
-    """Assemble all scalar diagnostics of a state in one pass."""
+    """Assemble all scalar diagnostics of a state in one pass, once per
+    state and params."""
+    return state.derived(("norm_report", params),
+                         lambda: _norm_report(state, params))
+
+
+def _norm_report(state: PhaseFieldState, params: AnalysisParams) -> NormReport:
     g = state.grid
     eps = state.epsilon
     dens = density_fields(state)
@@ -307,26 +320,80 @@ def first_variation_identity(state: PhaseFieldState, eta,
     |lhs - rhs| / (1 + |lhs| + |rhs|) is pure discretization error.
 
     eta, a VectorField or a SmoothTestField, is read one slab of axis-0
-    planes at a time. On a zero-flux grid it must vanish (to 1e-12 of its
-    peak) on the nodes closer than 4h to a face.
+    planes at a time, by the walk of `first_variations`. On a zero-flux
+    grid it must vanish (to 1e-12 of its peak) on the nodes closer than 4h
+    to a face.
     """
-    g = state.grid
-    if eta.grid != g:
-        raise ValueError("eta must live on the state's grid")
-    dens = density_fields(state)
-    u, f = state.u.values, state.f.values
-    carry = None  # eta on the last two planes read
-    # max |eta| over the nodes read, and over those of them closer than 4h
-    # to a face: the 4 outermost layers on each side of each axis
-    peak = shell = 0.0
+    return first_variations(state, [eta], params)[0][0]
 
-    def identity_terms(sl):
-        nonlocal carry, peak, shell
+
+# test fields per walk of first_variations: each holds two planes of its
+# own between slabs
+_WALK_FIELDS = 8
+
+
+def first_variations(state: PhaseFieldState, etas,
+                     params: AnalysisParams = AnalysisParams(), q=None):
+    """(first_variation_identity(state, eta, params), eta_lq_norm(state,
+    eta, q) or None without q) for each eta, with their bits, from one walk
+    over the slabs per _WALK_FIELDS fields.
+
+    Each slab's state factors (grad u, the mask, nu, mu, xi) are formed
+    once, and each field's planes once: a field keeps the two planes its
+    next slab's axis-0 difference reads. A field's integrands are summed
+    by its own _PairwiseSums, so one field's are held at a time, and the
+    slabs shrink with the number of fields (see _slabs). A field that does
+    not vanish within 4h of a zero-flux face is refused after the walk,
+    before any result."""
+    g, dens = state.grid, density_fields(state)
+    if any(eta.grid != g for eta in etas):
+        raise ValueError("eta must live on the state's grid")
+    u, f = state.u.values, state.f.values
+    out = []
+    for lo in range(0, len(etas), _WALK_FIELDS):
+        walks = [_FieldWalk(eta, g, q)
+                 for eta in etas[lo:lo + _WALK_FIELDS]]
+        for sl, w in _weighted_slabs(g, len(walks)):
+            # the mask eps|grad u| >= threshold and the unit normal on it
+            # (0 elsewhere, and where grad u = 0)
+            grad_u = _gradient_planes(u, g, sl)
+            grad_mag = np.sqrt(dens.grad_sq[sl])
+            included = state.epsilon * grad_mag >= params.grad_threshold
+            nu = np.divide(grad_u, grad_mag,
+                           out=np.zeros((g.ndim,) + grad_mag.shape),
+                           where=included & (grad_mag > 0))
+            mu, xi, excluded = *dens.on(sl), ~included
+            for walk in walks:
+                walk.add(sl, w, grad_u, excluded, nu, mu, xi, f[sl])
+        if any(walk.shell > 1e-12 * walk.peak for walk in walks):
+            raise ValueError(
+                "eta must vanish within 4h of the domain boundary")
+        out += [walk.results() for walk in walks]
+    return out
+
+
+class _FieldWalk:
+    """One test field's share of a walk of `first_variations`: its planes
+    carried between slabs, the max |eta| over all nodes and over those
+    within 4h of a face, and the sums of its three identity integrands and
+    of its L^q(mu) integrand."""
+
+    def __init__(self, eta, grid, q):
+        self.eta, self.grid = eta, grid
+        self.carry = None  # eta on the last two planes read
+        # max |eta| over the nodes read, and over those of them closer than
+        # 4h to a face: the 4 outermost layers on each side of each axis
+        self.peak = self.shell = 0.0
+        self.sums = _PairwiseSums(int(np.prod(grid.shape)))
+        self.norm = None if q is None else _LqNorm(q)
+
+    def add(self, sl, w, grad_u, excluded, nu, mu, xi, f):
+        g, eta = self.grid, self.eta
         # eta on the planes sl and one past each end, each plane read once
         idx = _halo(g, sl)
-        halo = (eta.planes(idx) if carry is None else
-                np.concatenate((carry, eta.planes(idx[2:])), axis=1))
-        carry, core = halo[:, -2:], halo[:, 1:-1]  # core: eta on sl
+        halo = (eta.planes(idx) if self.carry is None else
+                np.concatenate((self.carry, eta.planes(idx[2:])), axis=1))
+        self.carry, core = None, halo[:, 1:-1]  # core: eta on sl
         if g.boundary != PERIODIC:
             n = g.points[0]
             strips = [core[:, :max(4 - sl.start, 0)],
@@ -337,15 +404,8 @@ def first_variation_identity(state: PhaseFieldState, eta,
             # max |eta| as max(max, -min): no slab-sized |eta| is built
             top = [max(float(a.max()), -float(a.min()))
                    for a in (core, *strips) if a.size]
-            peak, shell = max(peak, top[0]), max([shell, *top[1:]])
-        # the mask eps|grad u| >= threshold and the unit normal on it (0
-        # elsewhere, and where grad u = 0)
-        grad_u = _gradient_planes(u, g, sl)
-        grad_mag = np.sqrt(dens.grad_sq[sl])
-        included = state.epsilon * grad_mag >= params.grad_threshold
-        nu = np.divide(grad_u, grad_mag,
-                       out=np.zeros((g.ndim,) + grad_mag.shape),
-                       where=included & (grad_mag > 0))
+            self.peak = max(self.peak, top[0])
+            self.shell = max([self.shell, *top[1:]])
         # one derivative axis i at a time, so only d_i eta is ever held;
         # the sums keep the order and the products of div_eta = sum_j
         # d_j eta_j and grad_eta_nunu = sum_i sum_j (d_i eta_j nu_i) nu_j
@@ -363,47 +423,80 @@ def first_variation_identity(state: PhaseFieldState, eta,
             d_eta *= nu  # d_eta[j] = (d_i eta_j nu_i) nu_j
             for term in d_eta:
                 grad_eta_nunu += term
+        del d_eta
         div_eta -= grad_eta_nunu
-        mu, xi = dens.on(sl)
         div_eta *= mu  # now (div_eta - grad_eta_nunu) mu
         grad_eta_nunu *= xi
+        # 0 off the mask, as np.where(included, ..., 0.0) gives
+        np.copyto(div_eta, 0.0, where=excluded)
+        np.copyto(grad_eta_nunu, 0.0, where=excluded)
         pairing = sum(grad_u[i] * core[i] for i in range(g.ndim))
-        return (np.where(included, div_eta, 0.0),
-                np.where(included, grad_eta_nunu, 0.0), f[sl] * pairing)
+        pairing *= f
+        terms = [div_eta, grad_eta_nunu, pairing]
+        lq = None if self.norm is None else self.norm.integrand(core, mu, w)
+        if lq is not None:
+            terms.append(lq)
+        for v in terms:
+            v *= w  # the node weights, as _integrals weighs
+        self.sums.add(terms)
+        # a copy, made last: a view would keep the whole halo
+        self.carry = halo[:, -2:].copy()
 
-    lhs, disc, forcing = _integrals(g, identity_terms)
-    if shell > 1e-12 * peak:
-        raise ValueError("eta must vanish within 4h of the domain boundary")
-    rhs = forcing + disc
-    residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-    return FirstVariationResult(lhs=lhs, rhs=rhs, residual=residual,
-                                forcing_term=forcing, discrepancy_term=disc)
+    def results(self):
+        lhs, disc, forcing, *lq = self.sums.sums()
+        rhs = forcing + disc
+        residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+        return (FirstVariationResult(lhs=lhs, rhs=rhs, residual=residual,
+                                     forcing_term=forcing,
+                                     discrepancy_term=disc),
+                None if self.norm is None else self.norm.value(*lq))
+
+
+class _LqNorm:
+    """||eta||_{L^q(mu)}, |eta| the Euclidean norm, from eta's and mu's
+    values on consecutive slabs: the integral of |eta|^q mu, or for q = inf
+    the max of |eta| over nodes carrying mu mass."""
+
+    def __init__(self, q: float):
+        if not q >= 1.0:
+            raise ValueError(f"q must be >= 1 (inf for the sup), got {q}")
+        self.q, self.sups = q, []
+
+    def integrand(self, part, mu, w):
+        """|eta|^q mu on the slab, for the caller to integrate; for q = inf
+        None, and the slab's max is kept."""
+        # |eta|^2 summed a component at a time, in the order np.sum(axis=0)
+        # adds
+        mag = part[0] ** 2
+        for comp in part[1:]:
+            mag += comp ** 2
+        np.sqrt(mag, out=mag)
+        if not np.isinf(self.q):
+            np.power(mag, self.q, out=mag)
+            mag *= mu
+            return mag
+        self.sups.append(float(np.max(mag, where=mu * w > 0, initial=0.0)))
+        return None
+
+    def value(self, total=None) -> float:
+        """The norm from the integral of the integrands (q finite)."""
+        return max(self.sups) if total is None else total ** (1.0 / self.q)
 
 
 def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     """||eta||_{L^q(mu)} with |eta| the Euclidean norm, used by the duality
     bound on the first variation. q = inf gives the mu-essential sup: the
     max of |eta| over nodes carrying mu mass. eta is read one slab of
-    axis-0 planes at a time, as by first_variation_identity."""
-    if not q >= 1.0:
-        raise ValueError(f"q must be >= 1 (inf for the sup), got {q}")
-    g, dens = state.grid, density_fields(state)
-
-    def magnitude(sl):
-        # |eta|^2 summed a component at a time, in the order np.sum(axis=0)
-        # adds
-        part = eta.planes(sl)
-        mag = part[0] ** 2
-        for comp in part[1:]:
-            mag += comp ** 2
-        return np.sqrt(mag, out=mag)
-
-    if np.isinf(q):
-        return max(float(np.max(magnitude(sl),
-                                 where=dens.on(sl)[0] * g.node_weights(sl) > 0,
-                                 initial=0.0)) for sl in _slabs(g))
-    total, = _integrals(g, lambda sl: (magnitude(sl) ** q * dens.on(sl)[0],))
-    return total ** (1.0 / q)
+    axis-0 planes at a time; `first_variations` forms the same integrand
+    in its walk."""
+    norm, g, dens = _LqNorm(q), state.grid, density_fields(state)
+    sums = _PairwiseSums(int(np.prod(g.shape)))
+    for sl, w in _weighted_slabs(g):
+        lq = norm.integrand(eta.planes(sl), dens.on(sl)[0], w)
+        if lq is not None:
+            lq *= w
+            sums.add([lq])
+    return norm.value(*sums.sums())
 
 
 def bump_half_widths(grid) -> list[float]:

@@ -31,8 +31,8 @@ import numpy as np
 
 from .fields import (RegionError, _check_ball_margin, _check_finite,
                      _gradient_planes, _plane_stencil, _slabs, ball_integrals,
-                     disc_integral, radial_derivative, restrict_to_plane,
-                     trapezoid)
+                     disc_integral, inert_slab, radial_derivative,
+                     restrict_to_plane, trapezoid)
 from .measures import density_fields, energy_densities
 from .phasefield import PhaseFieldState, resolution_floor
 
@@ -143,19 +143,40 @@ def _d_dr(radii, values):
     return radial_derivative(np.column_stack([radii, values]))[:, 1]
 
 
+def _ball_columns(state: PhaseFieldState, c, radii, supersample, slab):
+    """The ball terms mu, xi, eps <x-c,grad u>^2 and <x-c,grad u> f
+    integrated over each radius's region: one read-only row per radius,
+    swept once per state for each center, radii, supersample and effective
+    slab. A slab that masks no ball (`inert_slab`) is no slab, so the
+    default slab reads the ball identity's columns."""
+    g = state.grid
+    if slab is not None and inert_slab(g, c, radii[-1], supersample, slab):
+        slab = None
+
+    def sweep():
+        cols = ball_integrals(
+            g, lambda box: _identity_integrands(state, c, box), c, radii,
+            supersample, slab, _identity_densities(state))
+        cols.setflags(write=False)
+        return cols
+
+    key = ("ball_columns", c.tobytes(), radii.tobytes(), int(supersample),
+           None if slab is None else tuple(map(float, slab)))
+    return state.derived(key, sweep)
+
+
 def _identity_report(state: PhaseFieldState, center, radii, supersample,
                      slab=None) -> MonotonicityReport:
-    """The identity's columns from one sweep of ball_integrals over the
-    radii. With a slab (t_lo, t_hi) every ball integral is slab-restricted
-    and the two plane terms enter the right-hand side after the three ball
-    terms."""
+    """The identity's columns from the ball columns of one sweep over the
+    radii (`_ball_columns`). With a slab (t_lo, t_hi) every ball integral
+    is slab-restricted and the two plane terms enter the right-hand side
+    after the three ball terms."""
     g = state.grid
     radii = check_geometry(g, state.epsilon, center, radii, slab)
     n = g.ndim - 1
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    mu_c, xi_c, bnd_c, frc_c = ball_integrals(
-        g, lambda box: _identity_integrands(state, c, box), c, radii,
-        supersample, slab, _identity_densities(state)).T
+    mu_c, xi_c, bnd_c, frc_c = _ball_columns(state, c, radii, supersample,
+                                             slab).T
     ratio = mu_c / radii ** n
     lhs = _d_dr(radii, ratio)
     terms = {"term_xi": -xi_c / radii ** (n + 1),

@@ -23,7 +23,7 @@ from .phasefield import (LayerSpec, PhaseFieldState, SolverError,
 
 
 class ScenarioError(RuntimeError):
-    """A scenario failed to validate or build; carries scenario context."""
+    """A scenario cannot build, or failed to; carries scenario context."""
 
 
 def _finite_fields(profile):
@@ -90,19 +90,22 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        """Refuses a bad argument with a ValueError that names it;
+        ScenarioError is left to a scenario that cannot build."""
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
-            raise ScenarioError(f"{self.name}: needs at least one epsilon")
+            raise ValueError(f"{self.name}: epsilons holds no epsilon")
         if not all(0 < e < math.inf for e in eps):
-            raise ScenarioError(
+            raise ValueError(
                 f"{self.name}: epsilon must be positive and finite")
         h = self.grid.h
         for e in eps:
             if h > e / 4.0 + 1e-12 * h:
-                raise ScenarioError(
-                    f"{self.name}: grid spacing h={h:g} exceeds eps/4 for eps={e:g}")
+                raise ValueError(f"{self.name}: grid spacing h={h:g} exceeds "
+                                 f"eps/4 for epsilon={e:g}")
         if not isinstance(self.profile, Profile):
-            raise ScenarioError(f"{self.name}: unknown profile type")
+            raise ValueError(f"{self.name}: unknown profile type "
+                             f"{type(self.profile).__name__}")
         object.__setattr__(self, "epsilons", eps)
 
 

@@ -156,6 +156,9 @@ CASES = {
     "ConstantProfile.value": (
         "value", 0.5, lambda st_, x: build(_scenario(
             ConstantProfile(value=x)))),
+    "build.epsilon": (
+        "epsilon", EPS, lambda st_, x: build(dataclasses.replace(
+            _circle()[1], epsilons=(x,)))),
 }
 
 

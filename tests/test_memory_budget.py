@@ -1,7 +1,8 @@
 """Memory budget of the build and the analyses on a 65^3 manufactured
-sphere, in grid arrays. A state caches |grad u|^2 and nothing else: mu, xi,
-|grad u|, the gradient of u and the node weights are formed where they are
-read, a slab of axis-0 planes (or fewer nodes) at a time. Every
+sphere, in grid arrays. A state caches |grad u|^2 as its one grid array,
+besides scalars and the ball identity's columns (one row per radius): mu,
+xi, |grad u|, the gradient of u and the node weights are formed where they
+are read, a slab of axis-0 planes (or fewer nodes) at a time. Every
 whole-domain integral is summed a slab at a time with no whole-grid buffer
 (`fields._integrals`); the ball identity builds its two radial integrands
 on the index box of the largest ball only, and forms mu and xi from
@@ -14,10 +15,13 @@ time. It measures 0.13; 4.0 when `manufactured_forcing` and `make_state`
 formed the Laplacian and the residual whole.
 
 Each CLI runner's traced peak above the state's fields (u, f and
-|grad u|^2) stays within 0.95 grid arrays. The measured peaks are 0.87
-(`monotonicity`) and 0.89 (`slab`): two box arrays, the box's node
-distances and the scratch of the band fractions; 0.48 (`firstvar`), 0.45
-(`gdelta`), 0.20 (`norms`), 0.15 (`sweep`) and 0.01 (`quantize`).
+|grad u|^2) stays within 0.95 grid arrays, each on new states, so that no
+value another runner memoised spares it its work. The measured peaks are
+0.91 (`monotonicity` and `slab`): two box arrays, the box's node distances
+and the scratch of the band fractions; 0.65 (`firstvar`: one walk for its
+two test fields, each carrying two planes between slabs; 0.49 when each
+field walked the grid alone), 0.45 (`gdelta`), 0.18 (`norms`, `sweep`)
+and 0.01 (`quantize`).
 
 The Newton solve of a 161^2 solved circle peaks within 19 grid arrays
 above the f and initial guess it is given. It measures 18.6: u, R and
@@ -93,22 +97,46 @@ def test_build_peaks_within_a_grid_array_above_u_and_f(sphere):
 
 
 def test_each_runner_peaks_within_a_grid_array(sphere):
-    cfg, states = sphere
-    peaks = {name: traced_peak(lambda: _RUNNERS[name](cfg, states))[1]
-             / GRID_ARRAY for name in ANALYSES}
+    # each runner on new states that cache |grad u|^2 alone, so that no
+    # value another runner computed spares it its work
+    cfg, _ = sphere
+    peaks = {}
+    for name in ANALYSES:
+        states = build(cfg.scenario)
+        density_fields(states[0])
+        peaks[name] = traced_peak(
+            lambda: _RUNNERS[name](cfg, states))[1] / GRID_ARRAY
     assert max(peaks.values()) <= 0.95, peaks
 
 
 def test_a_state_caches_one_density_array(sphere):
-    # after every analysis: |grad u|^2, read-only, and no other grid array
-    # than the state's own u
-    state = sphere[1][0]
-    assert list(state._derived) == ["density_fields"]
+    # after every analysis: |grad u|^2, read-only, is the one grid array
+    # the state caches, with the state's own u; the other values are the
+    # norm report and the curvature norms (at the default q0 and at the
+    # Hoelder chain's q0 = 4) as scalars, and the ball identity's four
+    # columns, one read-only row per radius, which the inert default slab
+    # reads too
+    cfg, states = sphere
+    state, params = states[0], cfg.scenario.params
+    ball = cfg.geometry["monotonicity"]
+    assert np.array_equal(cfg.geometry["slab"]["radii"], ball["radii"])
+    columns = ("ball_columns", np.asarray(ball["center"], float).tobytes(),
+               ball["radii"].tobytes(), params.supersample, None)
+    assert set(state._derived) == {
+        "density_fields", ("norm_report", params),
+        ("curvature_norm", 3.0, params.grad_threshold),
+        ("curvature_norm", 4.0, params.grad_threshold), columns}
     dens = state._derived["density_fields"]
     arrays = [v for v in vars(dens).values() if isinstance(v, np.ndarray)]
     assert [a.nbytes for a in arrays] == [GRID_ARRAY]
     assert arrays[0] is dens.grad_sq and not dens.grad_sq.flags.writeable
     assert dens.u is state.u
+    cols = state._derived[columns]
+    assert cols.shape == (len(ball["radii"]), 4) and not cols.flags.writeable
+    scalars = [*vars(state._derived[("norm_report", params)]).values(),
+               *(v for key, value in state._derived.items()
+                 if key[0] == "curvature_norm" for v in value)]
+    assert all(isinstance(v, float) for v in scalars)
 
 
 def test_integrate_holds_no_grid_sized_scratch():

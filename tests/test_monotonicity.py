@@ -1,12 +1,16 @@
 """Ball and slab monotonicity identities, density ratios, sheet separation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from aclab import (Grid, LayerSpec, RegionError, ScalarField, ZERO_FLUX,
-                   build_layer_stack, density_ratio_profile, make_state,
+                   build_layer_stack, build_radial_layer, density_fields,
+                   density_ratio_profile, gradient, make_state,
                    manufactured_forcing, monotonicity_report,
                    sheet_separation_integral, slab_report)
+from aclab import fields, monotonicity
 
 
 def constant_state(value=1.0, eps=0.05, n=161):
@@ -230,3 +234,80 @@ def test_sheet_separation_refuses_non_finite_by_name(name, bad):
     args = {"t3": 0.1, "d": 0.05, "R": 0.4, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         sheet_separation_integral(st, (0.0, 0.0), **args)
+
+
+# ---------------------------------------------------------------- shared sweep
+
+def circle_81():
+    """A fresh manufactured circle R = 0.5 at eps = 0.1 on 81^2 (h = eps/4),
+    with nothing cached."""
+    g = Grid(extent=(2.0, 2.0), points=(81, 81), origin=(-1.0, -1.0))
+    u = build_radial_layer(g, 0.1, (0.0, 0.0), 0.5)
+    return make_state(u, manufactured_forcing(u, 0.1), 0.1)
+
+
+def whole_ball_columns(state, center, radii, slab):
+    """The four ball terms' integrals from whole-grid integrand arrays, by
+    ball_integrals with the slab."""
+    g, c = state.grid, np.asarray(center)
+    grad = gradient(state.u).values
+    radial = sum((m - ci) * gi
+                 for gi, m, ci in zip(grad, g.meshgrid(sparse=True), c))
+    dens = density_fields(state)
+    terms = [dens.mu.values, dens.xi.values, state.epsilon * radial ** 2,
+             radial * state.f.values]
+    return fields.ball_integrals(g, terms, c, radii, 4, slab=slab)
+
+
+def counted_passes():
+    return mock.patch.object(fields._BallQuadrature, "integral_many",
+                             autospec=True,
+                             side_effect=fields._BallQuadrature.integral_many)
+
+
+BALL_COLUMNS = ("ratio", "lhs", "term_xi", "term_boundary", "term_forcing",
+                "residual")
+CENTER, RADII = (0.0, 0.0), np.linspace(0.15, 0.75, 5)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_an_inert_slab_reads_the_balls_columns_from_one_sweep():
+    # the largest ball's box reaches x_last = -0.8 - h/2: the slab lies
+    # beyond it on both sides
+    state, slab = circle_81(), (-0.9, 0.9)
+    assert fields.inert_slab(state.grid, CENTER, RADII[-1], 4, slab)
+    with counted_passes() as passes:
+        ball = monotonicity_report(state, CENTER, RADII)
+        cut = slab_report(state, CENTER, RADII, *slab)
+    assert passes.call_count == len(RADII)
+    # the shared columns are those the slab-restricted quadrature gives
+    shared = monotonicity._ball_columns(state, np.asarray(CENTER), RADII, 4,
+                                        slab)
+    assert_same_bits(shared, whole_ball_columns(state, CENTER, RADII, slab))
+    for name in BALL_COLUMNS:
+        assert_same_bits(getattr(cut, name), getattr(ball, name))
+    assert (cut.scale, cut.aggregate) == (ball.scale, ball.aggregate)
+    # the slab's planes miss every ball
+    for plane in (cut.term_plane_lo, cut.term_plane_hi):
+        assert_same_bits(plane, np.zeros(len(RADII)))
+
+
+def test_a_slab_that_clips_a_ball_sweeps_its_own_columns():
+    # x_last = -0.375 cuts the balls of radius 0.45 and up
+    state, slab = circle_81(), (-0.375, 0.9)
+    assert not fields.inert_slab(state.grid, CENTER, RADII[-1], 4, slab)
+    with counted_passes() as passes:
+        ball = monotonicity_report(state, CENTER, RADII)
+        cut = slab_report(state, CENTER, RADII, *slab)
+    # a sweep each, and a disc for each radius the plane cuts
+    assert passes.call_count == 2 * len(RADII) + 3
+    clipped = monotonicity._ball_columns(state, np.asarray(CENTER), RADII, 4,
+                                         slab)
+    assert_same_bits(clipped, whole_ball_columns(state, CENTER, RADII, slab))
+    assert_same_bits(cut.ratio[:2], ball.ratio[:2])
+    assert np.all(cut.ratio[2:] < ball.ratio[2:])
+    assert np.all(cut.term_plane_lo[2:] != 0.0)

@@ -34,16 +34,16 @@ def test_corpus_contents(corpus):
 
 
 def test_scenario_rejects_underresolved_epsilon():
-    with pytest.raises(ScenarioError, match="exceeds eps/4"):
+    with pytest.raises(ValueError, match="exceeds eps/4 for epsilon=0.05"):
         Scenario(name="bad", grid=small_grid(), epsilons=(0.05,),
                  profile=ConstantProfile(0.0))
 
 
 def test_scenario_rejects_empty_or_negative_epsilon():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match="epsilons holds no epsilon"):
         Scenario(name="bad", grid=small_grid(), epsilons=(),
                  profile=ConstantProfile(0.0))
-    with pytest.raises(ScenarioError, match="positive"):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
         Scenario(name="bad", grid=small_grid(), epsilons=(-0.1,),
                  profile=ConstantProfile(0.0))
 
@@ -128,7 +128,8 @@ def test_bubble_of_at_most_2_5_eps_is_refused_before_building():
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0])
 def test_scenario_refuses_an_epsilon_not_positive_and_finite(eps):
-    with pytest.raises(ScenarioError, match="positive and finite"):
+    with pytest.raises(ValueError,
+                       match="epsilon must be positive and finite"):
         Scenario(name="e", grid=small_grid(), epsilons=(0.1, eps),
                  profile=ConstantProfile(0.0))
 

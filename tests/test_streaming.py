@@ -5,8 +5,10 @@ Laplacian of u, the node weights, the forcing and the residual are built a
 slab at a time, and mu, xi and |grad u| are formed from the one cached
 |grad u|^2 on the nodes they are read on. Each streamed number must equal,
 bit for bit, the whole-grid computation it replaced; those computations
-are kept here as the references. Slabs of 1, 2 and 3 planes and the whole
-grid, on 1-d, 2-d and 3-d, zero-flux and periodic grids."""
+are kept here as the references; the one walk of `first_variations` over
+many test fields must give each field's numbers of the one-field forms.
+Slabs of 1, 2 and 3 planes and the whole grid, on 1-d, 2-d and 3-d,
+zero-flux and periodic grids."""
 
 from unittest import mock
 
@@ -15,13 +17,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField,
-                   SmoothTestField, ZERO_FLUX, build_radial_layer,
+                   SmoothTestField, VectorField, ZERO_FLUX, build_radial_layer,
                    corollary_holder_check, density_fields,
                    diffuse_mean_curvature_norm, double_well,
                    double_well_prime, first_variation_identity, gradient,
                    integrate, interpolate, laplacian, make_state,
                    manufactured_forcing, norm_report, smooth_test_field)
-from aclab import fields, monotonicity
+from aclab import fields, measures, monotonicity
 from aclab.fields import restrict_to_plane
 from aclab.measures import eta_lq_norm
 
@@ -468,3 +470,55 @@ def test_slab_generated_test_field_matches_whole(streamed):
         first_variation_identity(streamed, whole, params)
     for q in (1.5, 3.0, np.inf):
         assert eta_lq_norm(streamed, lazy, q) == eta_lq_norm(streamed, whole, q)
+
+
+def assert_same_float(got, want):
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.parametrize("q", [None, 1.5, np.inf])
+def test_one_walk_gives_each_fields_numbers(streamed, q):
+    # the walk over all fields against first_variation_identity and
+    # eta_lq_norm per field, bit for bit: on the fixture's slabs, on slabs
+    # shrunk for the number of fields (a share of 1 makes _slab_nodes up
+    # to 8 slabs' worth), and in walks of two fields at a time
+    g = streamed.grid
+    params = AnalysisParams(grad_threshold=1e-3)
+    etas = [SmoothTestField(g, 5), SmoothTestField(g, 6),
+            smooth_test_field(g, 7)]
+    want = [(first_variation_identity(streamed, eta, params),
+             None if q is None else eta_lq_norm(streamed, eta, q))
+            for eta in etas]
+    with mock.patch.object(fields, "_SLAB_SHARE", 1):
+        shrunk = measures.first_variations(streamed, etas, params, q)
+    with mock.patch.object(measures, "_WALK_FIELDS", 2):
+        paired = measures.first_variations(streamed, etas, params, q)
+    for got in (measures.first_variations(streamed, etas, params, q),
+                shrunk, paired):
+        assert len(got) == len(etas)
+        for (res, norm), (res_want, norm_want) in zip(got, want):
+            for name in ("lhs", "rhs", "residual", "forcing_term",
+                         "discrepancy_term"):
+                assert_same_float(getattr(res, name), getattr(res_want, name))
+            if q is None:
+                assert norm is None
+            else:
+                assert_same_float(norm, norm_want)
+
+
+def test_one_walk_refuses_a_field_off_its_support_before_any_result(streamed):
+    # the second of three fields is 1 on a node of the first face layer: a
+    # zero-flux grid refuses the walk, a periodic one takes it
+    g = streamed.grid
+    values = np.zeros((g.ndim,) + g.shape)
+    values[(0,) * (g.ndim + 1)] = 1.0
+    etas = [SmoothTestField(g, 5), VectorField(g, values),
+            SmoothTestField(g, 6)]
+    if g.boundary == PERIODIC:
+        assert len(measures.first_variations(streamed, etas, q=2.0)) == 3
+        return
+    for fields_per_walk in (1, 2, 8):
+        with mock.patch.object(measures, "_WALK_FIELDS", fields_per_walk), \
+                pytest.raises(ValueError, match="vanish within 4h"):
+            measures.first_variations(streamed, etas, q=2.0)
