@@ -80,44 +80,30 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"must be a finite number, got {text.strip()}")
-    return value
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(_float(v) for v in text.split(","))
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be an integer >= {low}, got {value}")
-        return value
+def _numbers(kind=float, count=None, low=None):
+    """A parser of comma-separated numbers: finite floats, or integers with
+    kind=int; each at least `low` and `count` of them, when given. It
+    returns a tuple, or with count=1 the one number."""
+    def parse(text: str):
+        vals = tuple(kind(v) for v in text.split(","))
+        if count is not None and len(vals) != count:
+            raise ValueError(f"takes {count} values, got {len(vals)}")
+        for v in vals:
+            if kind is float and not math.isfinite(v):
+                raise ValueError(f"must be a finite number, got {v}")
+            if low is not None and v < low:
+                raise ValueError(f"must be >= {low}, got {v}")
+        return vals[0] if count == 1 else vals
     return parse
 
 
-def _point(text: str) -> tuple[float, ...]:
-    """One coordinate per grid axis; the count is checked against the grid."""
-    return _floats(text)
-
-
-def _values(text: str, count: int) -> tuple[float, ...]:
-    vals = _floats(text)
-    if len(vals) != count:
-        raise ValueError(f"takes {count} values, got {len(vals)}")
-    return vals
+# one coordinate per grid axis: `_scenario` checks the count of each key
+# this parser reads against the grid
+_point = _numbers()
 
 
 def _radii(text: str) -> np.ndarray:
-    start, stop, count = _values(text, 3)
+    start, stop, count = _numbers(count=3)(text)
     # one ball pass per radius: at most 400 times the default count of 25
     if not (count.is_integer() and 0 <= count <= 10_000):
         raise ValueError(f"count must be an integer in [0, 10000], got "
@@ -200,34 +186,35 @@ _KEYS = {
     "scenario": _Key(_corpus_scenario, "corpus"),
     "scenario.kind": _Key(_one_of("kind", tuple(_PROFILES)), "inline"),
     "scenario.name": _Key(str, "inline"),
-    "scenario.epsilon": _Key(_floats, "scenario", field="epsilons",
+    "scenario.epsilon": _Key(_numbers(), "scenario", field="epsilons",
                              default=(0.05,)),
-    "scenario.seed": _Key(_int_at_least(0), "scenario"),
-    "scenario.positions": _Key(_floats, *_STACK, default=(0.0,)),
+    "scenario.seed": _Key(_numbers(int, 1, low=0), "scenario"),
+    "scenario.positions": _Key(_numbers(), *_STACK, default=(0.0,)),
     "scenario.axis": _Key(int, *_STACK),
     "scenario.first_sign": _Key(int, *_STACK),
     # default: one zero per grid axis
     "scenario.center": _Key(_point, *_BALL),
-    "scenario.radius": _Key(_float, *_BALL, default=0.5),
-    "scenario.value": _Key(_float, "constant", default=0.0),
-    "scenario.noise": _Key(_float, "solved-circle", field="noise_amplitude"),
-    "grid.extent": _Key(_floats, "grid"),
-    "grid.points": _Key(_ints, "grid"),
+    "scenario.radius": _Key(_numbers(count=1), *_BALL, default=0.5),
+    "scenario.value": _Key(_numbers(count=1), "constant", default=0.0),
+    "scenario.noise": _Key(_numbers(count=1), "solved-circle",
+                           field="noise_amplitude"),
+    "grid.extent": _Key(_numbers(), "grid"),
+    "grid.points": _Key(_numbers(int), "grid"),
     "grid.boundary": _Key(_one_of("boundary", (ZERO_FLUX, PERIODIC)), "grid"),
-    "grid.origin": _Key(_floats, "grid"),
-    "analysis.q0": _Key(_float, "params"),
-    "analysis.grad_threshold": _Key(_float, "params"),
+    "grid.origin": _Key(_numbers(), "grid"),
+    "analysis.q0": _Key(_numbers(count=1), "params"),
+    "analysis.grad_threshold": _Key(_numbers(count=1), "params"),
     "analysis.supersample": _Key(int, "params"),
-    "analysis.tau": _Key(_float, "params"),
+    "analysis.tau": _Key(_numbers(count=1), "params"),
     "monotonicity.center": _Key(_point, "monotonicity"),
     "monotonicity.radii": _Key(_radii, "monotonicity"),
     "slab.center": _Key(_point, "slab"),
     "slab.radii": _Key(_radii, "slab"),
-    "slab.t": _Key(partial(_values, count=2), "slab"),
-    "gdelta.delta": _Key(_floats, "gdelta", default=(0.1, 0.01)),
-    "gdelta.c0": _Key(_float, "gdelta", default=2.0),
-    "firstvar.count": _Key(_int_at_least(1), "firstvar", default=5),
-    "firstvar.seed": _Key(_int_at_least(0), "firstvar"),
+    "slab.t": _Key(_numbers(count=2), "slab"),
+    "gdelta.delta": _Key(_numbers(), "gdelta", default=(0.1, 0.01)),
+    "gdelta.c0": _Key(_numbers(count=1), "gdelta", default=2.0),
+    "firstvar.count": _Key(_numbers(int, 1, low=1), "firstvar", default=5),
+    "firstvar.seed": _Key(_numbers(int, 1, low=0), "firstvar"),
 }
 
 

@@ -316,6 +316,19 @@ def gradient(f: ScalarField) -> VectorField:
         g, _stream(g, lambda sl: _gradient_planes(f.values, g, sl), g.ndim))
 
 
+def _grad_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """|grad v|^2 of the node values v, the squares of the central-difference
+    gradient's components summed in axis order, built a slab of axis-0
+    planes at a time (see _gradient_planes): the one |grad u| of the
+    package, read by `measures.density_fields` and the Newton coarse
+    space."""
+    def fill(sl):
+        part = _gradient_planes(v, grid, sl)
+        return (np.sum(part * part, axis=0),)
+
+    return _stream(grid, fill, 1)[0]
+
+
 def _laplacian_planes(v: np.ndarray, grid: Grid, sl) -> np.ndarray:
     """The (2*dim+1)-point second-order Laplacian of the node values v on
     the axis-0 planes sl (a slice): axis 0 reads v's halo planes (see
@@ -385,8 +398,9 @@ def _check_ball_margin(grid: Grid, center, radius, what="ball region",
 
 class _BallQuadrature:
     """The one cell-indicator quadrature core: balls and slab-balls, and
-    discs on the grid of a hyperplane (disc_integral). Built only by
-    `ball_integrals`, whose callers check the center, radii and margin.
+    discs on the grid of a hyperplane (disc_integral). Built by
+    `ball_integrals` and `inert_slab`, whose callers check the center,
+    radii and margin.
 
     Classifies every node cell as fully inside, fully outside, or boundary;
     boundary cells get an indicator fraction from subcell-center sampling.
@@ -564,9 +578,9 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
     band's are weighted in place). Formed elementwise, they have the bits
     of integrands built on the whole box, which is never held.
 
-    With `inert_slab`, the one entry point into `_BallQuadrature`; it
-    checks nothing. Its callers (`monotonicity.check_geometry`,
-    `disc_integral`) check the center, the radii, the slab and the 2h
+    It checks nothing. Its callers, `monotonicity._ball_columns` (the ball
+    identities and `density_ratio_profile`, after `check_geometry`) and
+    `disc_integral`, check the center, the radii, the slab and the 2h
     margin of the largest ball.
     """
     radii = np.asarray(radii, dtype=float)

@@ -15,13 +15,13 @@ measure-correct.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (PERIODIC, ScalarField, VectorField, _central_difference,
-                     _gradient_planes, _halo, _integrals, _LazyField,
-                     _PairwiseSums, _slabs, _stream, _weighted_slabs)
+                     _grad_sq, _gradient_planes, _halo, _integrals,
+                     _LazyField, _PairwiseSums, _slabs, _weighted_slabs)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -76,9 +76,7 @@ class DensityFields:
     """|grad u|^2 of one state, read-only: the one grid array a state
     caches. Readers form mu, xi (`on`) and |grad u| = sqrt(grad_sq) from it
     and u on the nodes they read: a slab, the nodes a ball gathers, two
-    grid planes, the corners of a line's interpolation stencil. `mu`, `xi`
-    and `grad_mag` build them whole, on every access, for callers outside
-    the package."""
+    grid planes, the corners of a line's interpolation stencil."""
 
     u: ScalarField
     epsilon: float
@@ -92,18 +90,6 @@ class DensityFields:
     def lazy_mu(self) -> _LazyField:
         """mu as a field formed on the nodes it is read on."""
         return _LazyField(self.u.grid, lambda idx: self.on(idx)[0])
-
-    @property
-    def mu(self) -> ScalarField:
-        return ScalarField._adopt(self.u.grid, self.on(...)[0])
-
-    @property
-    def xi(self) -> ScalarField:
-        return ScalarField._adopt(self.u.grid, self.on(...)[1])
-
-    @property
-    def grad_mag(self) -> ScalarField:
-        return ScalarField._adopt(self.u.grid, np.sqrt(self.grad_sq))
 
 
 @dataclass(frozen=True)
@@ -122,8 +108,8 @@ class NormReport:
 
 
 def density_fields(state: PhaseFieldState) -> DensityFields:
-    """|grad u|^2 of the state, built a slab of axis-0 planes at a time,
-    and with it mu, xi and |grad u|.
+    """|grad u|^2 of the state (`fields._grad_sq`), and with it mu and xi
+    on the nodes a reader asks for.
 
     Computed once per state; later calls return the same object.
     """
@@ -131,13 +117,7 @@ def density_fields(state: PhaseFieldState) -> DensityFields:
 
 
 def _density_fields(state: PhaseFieldState) -> DensityFields:
-    g, u = state.grid, state.u.values
-
-    def fill(sl):
-        part = _gradient_planes(u, g, sl)
-        return (np.sum(part * part, axis=0),)
-
-    grad_sq = _stream(g, fill, 1)[0]
+    grad_sq = _grad_sq(state.u.values, state.grid)
     grad_sq.setflags(write=False)
     return DensityFields(u=state.u, epsilon=state.epsilon, grad_sq=grad_sq)
 
@@ -250,25 +230,32 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
     quadrature, so any violation indicates a quadrature bug; `holds` is
     decided at the scale max|f| = 1 where the reported sides underflow.
     """
-    if not s > 2:
-        raise ValueError("s must exceed 2")
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not 2 < s < np.inf:
+        raise ValueError("s must exceed 2 and be finite")
+    if not 0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
     g = state.grid
     q0 = t * (s - 2.0) / s + 2.0
     n = g.ndim - 1
     if not q0 > n:
         raise ValueError(f"resulting q0={q0} must exceed n={n}")
     eps = state.epsilon
-    lhs, _ = diffuse_mean_curvature_norm(state, replace(params, q0=q0))
     grad_sq, f = density_fields(state).grad_sq, state.f.values
 
-    def powers(sl):
-        quotient, _, _ = _curvature_quotient(np.sqrt(grad_sq[sl]), f[sl], eps,
-                                             params.grad_threshold)
-        return np.abs(f[sl]) ** s, quotient ** t
+    def powers(scale):
+        """The integrals of quotient^q0 * mass (Lambda_hat), |f/scale|^s
+        and quotient^t, the quotient formed from f/scale."""
+        def integrands(sl):
+            scaled = f[sl] / scale
+            quotient, mass, _ = _curvature_quotient(
+                np.sqrt(grad_sq[sl]), scaled, eps, params.grad_threshold)
+            return (quotient ** q0 * mass, np.abs(scaled) ** s,
+                    quotient ** t)
+        return _integrals(g, integrands)
 
-    f_s, quotient_t = _integrals(g, powers)
+    # f / 1.0 is f, bit for bit
+    lhs, f_s, quotient_t = powers(1.0)
+    _finite(lhs)
     c1 = f_s ** (1.0 / s) / np.sqrt(eps)
     c2 = quotient_t ** (1.0 / t)
     rhs = c1 ** 2 * c2 ** (q0 - 2.0)
@@ -278,15 +265,7 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
         # the chain is homogeneous of degree q0 in f, so decide it again
         # for f / max|f| (only the comparison is kept)
         peak = max(float(np.max(np.abs(f[sl]))) for sl in _slabs(g))
-
-        def scaled_powers(sl):
-            scaled = f[sl] / peak
-            quotient, mass, _ = _curvature_quotient(
-                np.sqrt(grad_sq[sl]), scaled, eps, params.grad_threshold)
-            return (quotient ** q0 * mass, np.abs(scaled) ** s,
-                    quotient ** t)
-
-        lam, f_s, quotient_t = _integrals(g, scaled_powers)
+        lam, f_s, quotient_t = powers(peak)
         holds = bool(lam <= f_s ** (2.0 / s) / eps
                      * quotient_t ** ((q0 - 2.0) / t) * (1.0 + 1e-9))
     return HolderCheck(lhs=float(lhs), rhs=float(rhs), holds=holds,

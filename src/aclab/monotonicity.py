@@ -202,14 +202,13 @@ def _identity_report(state: PhaseFieldState, center, radii, supersample,
 
 def density_ratio_profile(state: PhaseFieldState, center, radii,
                           supersample: int = 4) -> np.ndarray:
-    """Rows (r, r^-n mu(B_r(center))) over a uniform radius grid."""
+    """Rows (r, r^-n mu(B_r(center))) over a uniform radius grid: the mu
+    column of the ball identity's sweep (`_ball_columns`)."""
     g = state.grid
     radii = check_geometry(g, state.epsilon, center, radii, min_count=1)
-    vals = ball_integrals(
-        g, [density_fields(state).grad_sq, state.u.values], center, radii,
-        supersample, integrands=lambda grad_sq, u: energy_densities(
-            grad_sq, u, state.epsilon)[:1])[:, 0]
-    return np.column_stack([radii, vals / radii ** (g.ndim - 1)])
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    mu_c = _ball_columns(state, c, radii, supersample, None)[:, 0]
+    return np.column_stack([radii, mu_c / radii ** (g.ndim - 1)])
 
 
 def monotonicity_report(state: PhaseFieldState, center, radii,

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from aclab import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
-                   ZERO_FLUX, gradient, integrate, interpolate, laplacian,
-                   line_sample, radial_derivative)
+                   ZERO_FLUX, interpolate, laplacian, line_sample,
+                   radial_derivative)
 from aclab.fields import (_central_difference, ball_integrals,
-                          disc_integral, restrict_to_plane)
+                          disc_integral, gradient, integrate,
+                          restrict_to_plane)
 
 
 def grid2d(n=65, boundary=ZERO_FLUX):

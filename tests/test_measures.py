@@ -21,7 +21,8 @@ from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField, VectorField,
 from aclab import fields, measures
 from aclab.measures import eta_lq_norm
 from aclab import (LayerSpec, build_layer_stack, build_radial_layer,
-                   gradient, manufactured_forcing)
+                   manufactured_forcing)
+from aclab.fields import gradient
 
 
 def constant_state(value, eps=0.1, n=81):
@@ -36,14 +37,14 @@ def constant_state(value, eps=0.1, n=81):
 
 def test_density_trivial_states():
     st1 = constant_state(1.0)
-    d1 = density_fields(st1)
-    assert np.max(np.abs(d1.mu.values)) == 0.0
-    assert np.max(np.abs(d1.xi.values)) == 0.0
+    mu1, xi1 = density_fields(st1).on(...)
+    assert np.max(np.abs(mu1)) == 0.0
+    assert np.max(np.abs(xi1)) == 0.0
 
     st0 = constant_state(0.0, eps=0.1)
-    d0 = density_fields(st0)
-    assert d0.mu.values == pytest.approx(1.0 / 0.2)
-    assert d0.xi.values == pytest.approx(-1.0 / 0.2)
+    mu0, xi0 = density_fields(st0).on(...)
+    assert mu0 == pytest.approx(1.0 / 0.2)
+    assert xi0 == pytest.approx(-1.0 / 0.2)
     assert norm_report(st0).xi_plus_mass == 0.0
 
 
@@ -54,14 +55,13 @@ def test_pointwise_density_identities():
     eps = 0.1
     u = ScalarField(g, rng.uniform(-1.2, 1.2, g.shape))
     st = make_state(u, ScalarField(g, np.zeros(g.shape)), eps)
-    d = density_fields(st)
-    from aclab import double_well, gradient
+    mu, xi = density_fields(st).on(...)
+    from aclab import double_well
     grad_sq = np.sum(gradient(u).values ** 2, axis=0)
-    assert np.max(np.abs(d.mu.values - d.xi.values
-                         - 2 * double_well(u.values) / eps)) <= 1e-12
-    assert np.max(np.abs(d.mu.values + d.xi.values - eps * grad_sq)) <= 1e-12
-    assert np.all(d.mu.values >= 0)
-    assert np.all(np.abs(d.xi.values) <= d.mu.values * (1 + 1e-12) + 1e-15)
+    assert np.max(np.abs(mu - xi - 2 * double_well(u.values) / eps)) <= 1e-12
+    assert np.max(np.abs(mu + xi - eps * grad_sq)) <= 1e-12
+    assert np.all(mu >= 0)
+    assert np.all(np.abs(xi) <= mu * (1 + 1e-12) + 1e-15)
 
 
 def random_state(n=33, seed=6, eps=0.1):
@@ -74,15 +74,12 @@ def test_density_fields_computed_once_per_state():
     st = random_state()
     d = density_fields(st)
     assert density_fields(st) is d
-    for field in (d.mu, d.xi, d.grad_mag):
-        with pytest.raises(ValueError):
-            field.values[0, 0] = 1.0
-    # a fresh state of the same data computes the same arrays
+    with pytest.raises(ValueError):
+        d.grad_sq[0, 0] = 1.0
+    # a fresh state of the same data computes the same array
     fresh = density_fields(make_state(st.u, st.f, st.epsilon))
     assert fresh is not d
-    for name in ("mu", "xi", "grad_mag"):
-        assert np.array_equal(getattr(fresh, name).values,
-                              getattr(d, name).values)
+    assert np.array_equal(fresh.grad_sq, d.grad_sq)
 
 
 def test_density_fields_shared_by_racing_threads():
@@ -325,13 +322,13 @@ def full_tensor_first_variation(state, eta, params):
     comps = [gradient(ScalarField(g, eta.values[j])).values
              for j in range(g.ndim)]  # comps[j][i] = d_i eta_j
     div_eta = sum(comps[j][j] for j in range(g.ndim))
-    grad_mag = dens.grad_mag.values
+    grad_mag = np.sqrt(dens.grad_sq)
     included = state.epsilon * grad_mag >= params.grad_threshold
     with np.errstate(divide="ignore", invalid="ignore"):
         nu = np.where(included, grad_u / grad_mag, 0.0)
     grad_eta_nunu = sum(comps[j][i] * nu[i] * nu[j]
                         for i in range(g.ndim) for j in range(g.ndim))
-    mu, xi = dens.mu.values, dens.xi.values
+    mu, xi = dens.on(...)
     lhs = float(np.sum(np.where(included, (div_eta - grad_eta_nunu) * mu,
                                 0.0) * w))
     pairing = sum(grad_u[i] * eta.values[i] for i in range(g.ndim))
@@ -382,7 +379,7 @@ def test_first_variation_equals_full_tensor_reference(problem):
     assert res.lhs == lhs and res.rhs == rhs
     assert res.forcing_term == forcing and res.discrepancy_term == disc
     # |eta| of the whole (ndim,) + shape array at once as the reference
-    mu, w = density_fields(state).mu.values, state.grid.node_weights()
+    mu, w = density_fields(state).on(...)[0], state.grid.node_weights()
     mag = np.sqrt(np.sum(eta.values ** 2, axis=0))
     assert eta_lq_norm(state, eta, q) == np.sum(mag ** q * mu * w) ** (1 / q)
     assert eta_lq_norm(state, eta, np.inf) == np.max(

@@ -39,8 +39,8 @@ import numpy as np
 import pytest
 
 from aclab import (Grid, ScalarField, build, build_radial_layer,
-                   density_fields, integrate, manufactured_forcing,
-                   solve_stationary)
+                   density_fields, manufactured_forcing, solve_stationary)
+from aclab.fields import integrate
 from aclab.cli import ANALYSES, _RUNNERS, load_config
 
 
@@ -112,10 +112,10 @@ def test_each_runner_peaks_within_a_grid_array(sphere):
 def test_a_state_caches_one_density_array(sphere):
     # after every analysis: |grad u|^2, read-only, is the one grid array
     # the state caches, with the state's own u; the other values are the
-    # norm report and the curvature norms (at the default q0 and at the
-    # Hoelder chain's q0 = 4) as scalars, and the ball identity's four
-    # columns, one read-only row per radius, which the inert default slab
-    # reads too
+    # norm report and the curvature norm at the default q0 (the Hoelder
+    # chain forms its own in its one pass) as scalars, and the ball
+    # identity's four columns, one read-only row per radius, which the
+    # inert default slab reads too
     cfg, states = sphere
     state, params = states[0], cfg.scenario.params
     ball = cfg.geometry["monotonicity"]
@@ -124,8 +124,7 @@ def test_a_state_caches_one_density_array(sphere):
                ball["radii"].tobytes(), params.supersample, None)
     assert set(state._derived) == {
         "density_fields", ("norm_report", params),
-        ("curvature_norm", 3.0, params.grad_threshold),
-        ("curvature_norm", 4.0, params.grad_threshold), columns}
+        ("curvature_norm", 3.0, params.grad_threshold), columns}
     dens = state._derived["density_fields"]
     arrays = [v for v in vars(dens).values() if isinstance(v, np.ndarray)]
     assert [a.nbytes for a in arrays] == [GRID_ARRAY]

@@ -7,10 +7,11 @@ import pytest
 
 from aclab import (Grid, LayerSpec, RegionError, ScalarField, ZERO_FLUX,
                    build_layer_stack, build_radial_layer, density_fields,
-                   density_ratio_profile, gradient, make_state,
+                   density_ratio_profile, make_state,
                    manufactured_forcing, monotonicity_report,
                    sheet_separation_integral, slab_report)
 from aclab import fields, monotonicity
+from aclab.fields import gradient
 
 
 def constant_state(value=1.0, eps=0.05, n=161):
@@ -254,7 +255,7 @@ def whole_ball_columns(state, center, radii, slab):
     radial = sum((m - ci) * gi
                  for gi, m, ci in zip(grad, g.meshgrid(sparse=True), c))
     dens = density_fields(state)
-    terms = [dens.mu.values, dens.xi.values, state.epsilon * radial ** 2,
+    terms = [*dens.on(...), state.epsilon * radial ** 2,
              radial * state.f.values]
     return fields.ball_integrals(g, terms, c, radii, 4, slab=slab)
 

@@ -122,9 +122,9 @@ def test_two_layer_energy_matches_single_layer_quadrature():
     g = Grid(extent=(1.0, 1.0), points=(401, 401), boundary=ZERO_FLUX,
              origin=(-0.5, -0.5))
     u = build_layer_stack(g, eps, LayerSpec(positions=(-0.1, 0.1), axis=1))
-    from aclab import density_fields, integrate
+    from aclab.fields import integrate
     st = make_state(u, manufactured_forcing(u, eps), eps)
-    total = integrate(density_fields(st).mu)
+    total = integrate(ScalarField(g, density_fields(st).on(...)[0]))
     # oracle: per-layer 1-d energy by quadrature, decoupling error exp(-gap/eps)
     per_layer, _ = scipy.integrate.quad(
         lambda t: (1 - np.tanh(t / eps) ** 2) ** 2 / eps, -0.5, 0.5)
@@ -565,12 +565,13 @@ def test_interface_space_is_a_ritz_basis(boundary, points):
 @pytest.mark.parametrize("boundary,points", NEWTON_SYSTEMS)
 def test_interface_weight_is_the_density_gradient_magnitude(boundary,
                                                             points):
-    # one |grad_h u|: the coarse space's weight g is density_fields' grad_mag
+    # one |grad_h u|: the coarse space's weight g is the square root of
+    # density_fields' grad_sq
     g, eps, u, _, _ = newton_system(boundary, points, True)
     state = make_state(ScalarField(g, u), ScalarField(g, np.zeros(g.shape)),
                        eps)
     space = phasefield.InterfaceSpace(g, eps, u)
-    assert np.array_equal(space.g, density_fields(state).grad_mag.values)
+    assert np.array_equal(space.g, np.sqrt(density_fields(state).grad_sq))
 
 
 def test_interface_free_state_uses_the_plain_preconditioner(monkeypatch):

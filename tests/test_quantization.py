@@ -100,7 +100,7 @@ def test_line_window_mass_concentration(stack2_state):
     from aclab import density_fields
     dens = density_fields(stack2_state)
     line = axis_line()
-    mu = line_sample(dens.mu, line.base, line.direction, line.samples,
+    mu = line_sample(dens.lazy_mu(), line.base, line.direction, line.samples,
                      line.t_lo, line.t_hi)
     u = line_sample(stack2_state.u, line.base, line.direction, line.samples,
                     line.t_lo, line.t_hi)
