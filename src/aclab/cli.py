@@ -33,7 +33,8 @@ from .phasefield import LayerSpec
 from .scenarios import (ConstantProfile, RadialProfile, Scenario,
                         ScenarioError, SolvedBubbleProfile,
                         SolvedFromForcingProfile, build, check_bubble_radius,
-                        check_buildable, default_center, default_lines,
+                        check_buildable, check_epsilon_labels,
+                        default_center, default_lines,
                         default_radii, standard_corpus)
 
 ANALYSES = ("norms", "monotonicity", "slab", "quantize", "gdelta",
@@ -111,6 +112,14 @@ def _radii(text: str) -> np.ndarray:
     return np.linspace(start, stop, int(count))
 
 
+def _epsilons(text: str) -> tuple[float, ...]:
+    # Scenario refuses them too, but an inline scenario's refusals also
+    # name grid.points: refused here, they name this key alone
+    eps = _numbers()(text)
+    check_epsilon_labels(eps)
+    return eps
+
+
 def _bool(text: str) -> bool:
     low = text.lower()
     if low in ("true", "yes", "1", "on"):
@@ -186,7 +195,7 @@ _KEYS = {
     "scenario": _Key(_corpus_scenario, "corpus"),
     "scenario.kind": _Key(_one_of("kind", tuple(_PROFILES)), "inline"),
     "scenario.name": _Key(str, "inline"),
-    "scenario.epsilon": _Key(_numbers(), "scenario", field="epsilons",
+    "scenario.epsilon": _Key(_epsilons, "scenario", field="epsilons",
                              default=(0.05,)),
     "scenario.seed": _Key(_numbers(int, 1, low=0), "scenario"),
     "scenario.positions": _Key(_numbers(), *_STACK, default=(0.0,)),
@@ -424,56 +433,53 @@ def _flag(value, key, larger_is_bad=True):
     return "pass" if ok else "warn"
 
 
-def _run_norms(cfg: RunConfig, states):
-    scenario = cfg.scenario
-    rows = []
-    values = {}
-    flags = {}
-    multi = len(states) > 1
-    for eps, st in zip(scenario.epsilons, states):
-        rep = norm_report(st, scenario.params)
-        hold = corollary_holder_check(st, s=3.0, t=6.0, params=scenario.params)
-        scalars = {**asdict(rep), "residual_norm": st.residual_norm,
-                   "holder_lhs": hold.lhs, "holder_rhs": hold.rhs,
-                   "holder_holds": 1.0 if hold.holds else 0.0}
-        for name, val in scalars.items():
-            label = f"{name}@eps={eps:g}" if multi else name
-            rows.append((label, _fmt(val)))
-            values[label] = val
-        flags[f"excluded_mass@eps={eps:g}" if multi else "excluded_mass"] = \
-            _flag(rep.excluded_mass_fraction, "norms.excluded_mass_fraction")
-        if not hold.holds:
-            flags["holder"] = "warn"
-    return ("norms.csv", ("name", "value"), rows,
+def _run_norms(cfg: RunConfig, state):
+    scenario, eps = cfg.scenario, state.epsilon
+    rep = norm_report(state, scenario.params)
+    hold = corollary_holder_check(state, s=3.0, t=6.0, params=scenario.params)
+    scalars = {**asdict(rep), "residual_norm": state.residual_norm,
+               "holder_lhs": hold.lhs, "holder_rhs": hold.rhs,
+               "holder_holds": 1.0 if hold.holds else 0.0}
+    multi = len(scenario.epsilons) > 1
+    values = {f"{name}@eps={eps:g}" if multi else name: val
+              for name, val in scalars.items()}
+    flags = {f"excluded_mass@eps={eps:g}" if multi else "excluded_mass":
+             _flag(rep.excluded_mass_fraction, "norms.excluded_mass_fraction")}
+    if not hold.holds:
+        flags["holder"] = "warn"
+    return ("norms.csv", ("name", "value"),
+            [(label, _fmt(val)) for label, val in values.items()],
             {"values": values, "flags": flags})
 
 
-def _run_sweep(cfg: RunConfig, states):
-    scenario = cfg.scenario
-    rows = []
-    values = {}
-    xi_plus = []
-    for eps, st in zip(scenario.epsilons, states):
-        rep = norm_report(st, scenario.params)
-        xi_plus.append(rep.xi_plus_mass)
-        rows.append((_fmt(eps), _fmt(rep.xi_plus_mass),
-                     _fmt(rep.xi_abs_mass / rep.total_energy
-                          if rep.total_energy > 0 else 0.0),
-                     _fmt(rep.lambda_hat), _fmt(rep.sup_eps_grad),
-                     _fmt(rep.total_energy)))
-        values[f"xi_plus_mass@eps={eps:g}"] = rep.xi_plus_mass
-    decreasing = all(b < a for a, b in zip(xi_plus, xi_plus[1:]))
-    flags = {"xi_plus_decreasing": "pass" if (decreasing or len(xi_plus) < 2)
-             else "warn"}
+def _run_sweep(cfg: RunConfig, state):
+    eps = state.epsilon
+    rep = norm_report(state, cfg.scenario.params)
+    row = (_fmt(eps), _fmt(rep.xi_plus_mass),
+           _fmt(rep.xi_abs_mass / rep.total_energy
+                if rep.total_energy > 0 else 0.0),
+           _fmt(rep.lambda_hat), _fmt(rep.sup_eps_grad),
+           _fmt(rep.total_energy))
     header = ("epsilon", "xi_plus_mass", "xi_abs_over_mu", "lambda_hat",
               "sup_eps_grad", "total_energy")
-    return ("sweep.csv", header, rows, {"values": values, "flags": flags})
+    return ("sweep.csv", header, [row],
+            {"values": {f"xi_plus_mass@eps={eps:g}": rep.xi_plus_mass},
+             "flags": {}})
 
 
-def _run_identity(cfg: RunConfig, states, kind: str):
+def _xi_plus_decreasing(epsilons, values) -> str:
+    """pass when xi+ mass falls strictly as eps falls, read in order of
+    decreasing eps whatever order the config lists them in."""
+    xi_plus = [values[f"xi_plus_mass@eps={eps:g}"]
+               for eps in sorted(epsilons, reverse=True)]
+    decreasing = all(b < a for a, b in zip(xi_plus, xi_plus[1:]))
+    return "pass" if decreasing else "warn"
+
+
+def _run_identity(cfg: RunConfig, st, kind: str):
     """The ball identity ("monotonicity") or its slab variant ("slab")."""
     geo = cfg.geometry[kind]
-    st, center, radii = states[0], geo["center"], geo["radii"]
+    center, radii = geo["center"], geo["radii"]
     supersample = cfg.scenario.params.supersample
     columns = ("ratio", "lhs", "term_xi", "term_boundary", "term_forcing")
     if kind == "slab":
@@ -490,8 +496,8 @@ def _run_identity(cfg: RunConfig, states, kind: str):
     return (f"{kind}.csv", ("r",) + columns, rows, frag)
 
 
-def _run_quantize(cfg: RunConfig, states):
-    rep = quantization_check(states[0], **cfg.geometry["quantize"])
+def _run_quantize(cfg: RunConfig, state):
+    rep = quantization_check(state, **cfg.geometry["quantize"])
     rows = []
     for r in rep.rows:
         pot_min = min(r.potential_per_layer) if r.potential_per_layer else 0.0
@@ -509,7 +515,7 @@ def _run_quantize(cfg: RunConfig, states):
     return ("quantize.csv", header, rows, frag)
 
 
-def _run_gdelta(cfg: RunConfig, states):
+def _run_gdelta(cfg: RunConfig, state):
     rows = []
     values = {}
     worst = np.inf
@@ -530,8 +536,7 @@ def _run_gdelta(cfg: RunConfig, states):
             {"values": values, "flags": flags})
 
 
-def _run_firstvar(cfg: RunConfig, states):
-    st = states[0]
+def _run_firstvar(cfg: RunConfig, st):
     inputs = cfg.geometry["firstvar"]
     params = cfg.scenario.params
     q0 = params.resolve_q0(st.grid.ndim)
@@ -559,7 +564,9 @@ def _run_firstvar(cfg: RunConfig, states):
     return ("firstvar.csv", header, rows, frag)
 
 
-# one distinct callable per key: perfbench's tracer names spans by key
+# A runner takes the config and one state and returns the table it makes
+# of that state: (CSV name, header, rows, summary fragment). One distinct
+# callable per key: perfbench's tracer names spans by key.
 _RUNNERS = {
     "norms": _run_norms,
     "sweep": _run_sweep,
@@ -569,6 +576,9 @@ _RUNNERS = {
     "gdelta": _run_gdelta,
     "firstvar": _run_firstvar,
 }
+
+# the analyses that read every epsilon's state; the others read the first
+_EVERY_EPSILON = ("norms", "sweep")
 
 
 _NON_FINITE = {_fmt(x) for x in (math.nan, math.inf, -math.inf)}
@@ -600,30 +610,63 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _join(tables):
+    """One table from a runner's tables of each state, in epsilon order:
+    their rows in turn, and their values and flags merged."""
+    fname, header, rows, frag = tables[0]
+    for _, _, more, part in tables[1:]:
+        rows = rows + more
+        frag = {key: {**frag[key], **part[key]} for key in ("values", "flags")}
+    return fname, header, rows, frag
+
+
+def _analyse(cfg: RunConfig, map_):
+    """Build the states one epsilon at a time, in scenario.epsilons order,
+    run on each the analyses that read it (`map_` maps them), and drop it
+    before the next is built, so that a run holds one state. Returns each
+    analysis's tables, one per state read, and the failures by analysis;
+    raises the ScenarioError of a failed build."""
+    scenario = cfg.scenario
+    tables = {name: [] for name in cfg.analyses}
+    failures = {}
+
+    def job(name, state):  # the runner's table, or what it raised, named
+        try:
+            return _RUNNERS[name](cfg, state)
+        except Exception as exc:
+            # the message only: the traceback's frames hold the state
+            return f"{name}: {exc}"
+
+    for i, eps in enumerate(scenario.epsilons):
+        state, = build(replace(scenario, epsilons=(eps,)))
+        names = [name for name in tables if name not in failures
+                 and (i == 0 or name in _EVERY_EPSILON)]
+        for name, result in zip(names, map_(job, names, [state] * len(names))):
+            if isinstance(result, str):
+                failures[name] = result
+            else:
+                tables[name].append(result)
+        del state  # and its cache, before the next state is built
+    return tables, failures
+
+
 def run(cfg: RunConfig) -> int:
-    """Execute the configured analyses; returns the process exit code."""
+    """Execute the configured analyses; returns the process exit code.
+    Nothing is written until every state has been built."""
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    pool = None
+    if cfg.threads > 1:  # the pool is imported only by a run that uses it
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=cfg.threads)
     try:
-        states = build(cfg.scenario)
+        tables, failures = _analyse(cfg, pool.map if pool else map)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    def job(name):  # the runner's result, or the exception it raised
-        try:
-            return _RUNNERS[name](cfg, states)
-        except Exception as exc:
-            return exc
-
-    if cfg.threads > 1:  # the pool is imported only by a run that uses it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = dict(zip(cfg.analyses, pool.map(job, cfg.analyses)))
-    else:
-        results = {name: job(name) for name in cfg.analyses}
-    failures = [f"{name}: {exc}" for name, exc in results.items()
-                if isinstance(exc, Exception)]
+    finally:
+        if pool:
+            pool.shutdown()
 
     summary = {"scenario": cfg.scenario.name,
                "epsilons": list(cfg.scenario.epsilons),
@@ -632,10 +675,13 @@ def run(cfg: RunConfig) -> int:
                    datetime.timezone.utc).isoformat(),
                    "package_version": __version__}}
     warned = False
-    for name, result in results.items():
-        if isinstance(result, Exception):
+    for name, parts in tables.items():
+        if name in failures:
             continue
-        fname, header, rows, frag = result
+        fname, header, rows, frag = _join(parts)
+        if name == "sweep":  # read across the epsilons once all are in
+            frag["flags"]["xi_plus_decreasing"] = _xi_plus_decreasing(
+                cfg.scenario.epsilons, frag["values"])
         _write_csv(out / fname, header, rows)
         cells = _non_finite_cells(header, rows)
         if cells:  # written as they are, but never silently
@@ -646,18 +692,19 @@ def run(cfg: RunConfig) -> int:
         summary["analyses"][name] = frag
         warned |= any(v == "warn" for v in frag["flags"].values())
 
-    if failures:
+    failed = [failures[name] for name in tables if name in failures]
+    if failed:
         summary["status"] = "failed"
-        summary["failures"] = failures
+        summary["failures"] = failed
     elif warned:
         summary["status"] = "warn"
     (out / "summary.json").write_text(
         json.dumps(_strict_json(summary), allow_nan=False, indent=2,
                    sort_keys=True) + "\n", encoding="utf-8")
 
-    for msg in failures:
+    for msg in failed:
         print(f"analysis failure: {msg}", file=sys.stderr)
-    if failures:
+    if failed:
         return 1
     if warned and cfg.strict:
         print("tolerance warnings escalated by --strict", file=sys.stderr)

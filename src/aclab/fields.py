@@ -476,8 +476,9 @@ class _BallQuadrature:
         lie in the region. Squared distances are sums of per-axis tables
         ((x + o) - c)^2 taken in axis order, the order in which numpy sums
         the coordinate axis of a (cells, subcells, ndim) array. The cells go
-        in chunks of about 2 _SLAB_NODES subcells, so that the squared
-        distances are never held for the whole band."""
+        in chunks of about 2 _SLAB_NODES subcells, summed into one buffer
+        and compared into another, so that the squared distances are never
+        held for the whole band nor twice for a chunk."""
         g = self.grid
         flat = np.flatnonzero(band)
         nb, s = len(flat), self.supersample
@@ -487,6 +488,8 @@ class _BallQuadrature:
             in_slab = self._subcells_in_slab(window)
         frac = np.empty(nb)
         step = max(1, 2 * _SLAB_NODES // s ** g.ndim)
+        d2_buf = np.empty((min(step, nb),) + (s,) * g.ndim)
+        inside_buf = np.empty(d2_buf.shape, dtype=bool)
         for lo in range(0, nb, step):
             chunk = np.unravel_index(flat[lo:lo + step], band.shape)
             m = len(chunk[0])
@@ -496,10 +499,11 @@ class _BallQuadrature:
                 shape[1 + ax] = s
                 return table[chunk[ax]].reshape(shape)
 
-            d2 = rows(tables[0], 0)
+            d2, inside = d2_buf[:m], inside_buf[:m]
+            np.copyto(d2, rows(tables[0], 0))
             for ax in range(1, g.ndim):
-                d2 = d2 + rows(tables[ax], ax)
-            inside = d2 <= radius * radius
+                np.add(d2, rows(tables[ax], ax), out=d2)
+            np.less_equal(d2, radius * radius, out=inside)
             if self.t_lo is not None:
                 inside &= rows(in_slab, g.ndim - 1)
             frac[lo:lo + m] = (np.count_nonzero(inside.reshape(m, -1), axis=1)

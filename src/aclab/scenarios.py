@@ -80,6 +80,19 @@ _BALLS = (RadialProfile, SolvedBubbleProfile, SolvedFromForcingProfile)
 _SOLVER_MAX_ITER = 80
 
 
+def check_epsilon_labels(epsilons):
+    """Refuse two epsilons that print alike: a run keys each epsilon's
+    results by its label f"{eps:g}" (`norms` rows, summary values and
+    flags), so one epsilon's results would hide the other's. Raises
+    ValueError naming both."""
+    labels = [f"{eps:g}" for eps in epsilons]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(
+                f"epsilons {epsilons[labels.index(label)]!r} and "
+                f"{epsilons[i]!r} share the label eps={label}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -98,6 +111,10 @@ class Scenario:
         if not all(0 < e < math.inf for e in eps):
             raise ValueError(
                 f"{self.name}: epsilon must be positive and finite")
+        try:
+            check_epsilon_labels(eps)
+        except ValueError as exc:
+            raise ValueError(f"{self.name}: {exc}") from None
         h = self.grid.h
         for e in eps:
             if h > e / 4.0 + 1e-12 * h:

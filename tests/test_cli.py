@@ -160,7 +160,7 @@ def test_reruns_are_byte_identical(tmp_path):
             (tmp_path / "b" / fname).read_bytes()
 
 
-def failing_runner(cfg, states):
+def failing_runner(cfg, state):
     raise ValueError("no identity on this state")
 
 
@@ -225,6 +225,73 @@ def test_strict_escalates_warnings(tmp_path):
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + 2
     assert main(["run", "--config", str(cfg), "--strict"]) == 1
+
+
+@pytest.mark.parametrize("body", [
+    SMALL_SCENARIO.replace("scenario.epsilon = 0.1",
+                           "scenario.epsilon = 0.1, 0.1000001"),
+    "scenario = circle\nscenario.epsilon = 0.1, 0.05, 0.1\n"],
+    ids=["inline", "corpus"])
+def test_epsilons_that_share_a_label_are_refused(tmp_path, capsys, body):
+    # norms and summary.json key each epsilon's results by f"{eps:g}"
+    cfg = write_cfg(tmp_path,
+                    body + f"analyses = norms\nout = {tmp_path/'out'}\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2  # one refusal each
+    for line in lines:
+        assert re.match(r"config error: scenario\.epsilon: epsilons 0\.1 and "
+                        r"0\.1\d* share the label eps=0\.1$", line), line
+    assert not (tmp_path / "out").exists()
+
+
+def sweep_flags(tmp_path, epsilons):
+    out = tmp_path / epsilons.replace(", ", "_")
+    cfg = write_cfg(tmp_path, "scenario.kind = circle\nscenario.center = 0, 0\n"
+                    f"scenario.epsilon = {epsilons}\ngrid.extent = 2, 2\n"
+                    "grid.points = 257, 257\ngrid.origin = -1, -1\n"
+                    f"analyses = sweep\nout = {out}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    summary = json.loads((out / "summary.json").read_text())
+    return [row.split(",")[0] for row in rows], summary["analyses"]["sweep"]
+
+
+def test_sweep_flag_reads_epsilons_in_decreasing_order(tmp_path):
+    # xi+ of the same 257^2 circle does not fall from eps 0.1 to 0.05, in
+    # whichever order the config lists them; the rows keep the config's
+    rows, fine_first = sweep_flags(tmp_path, "0.05, 0.1")
+    assert rows == ["0.050000000000000003", "0.10000000000000001"]
+    rows, coarse_first = sweep_flags(tmp_path, "0.1, 0.05")
+    assert rows == ["0.10000000000000001", "0.050000000000000003"]
+    assert fine_first == coarse_first
+    assert coarse_first["flags"] == {"xi_plus_decreasing": "warn"}
+
+
+def test_a_build_failing_at_a_later_epsilon_writes_nothing(tmp_path, capsys,
+                                                          monkeypatch):
+    # the second epsilon's build raises once the first state is built
+    build_state = aclab.scenarios._build_state
+
+    def failing_at_second(scenario, eps):
+        if eps == 0.1:
+            raise RuntimeError("no state at this epsilon")
+        return build_state(scenario, eps)
+
+    monkeypatch.setattr(aclab.scenarios, "_build_state", failing_at_second)
+    body = SMALL_SCENARIO.replace("scenario.epsilon = 0.1",
+                                  "scenario.epsilon = 0.15, 0.1")
+    cfg = write_cfg(tmp_path, body + f"analyses = {', '.join(ANALYSES)}\n")
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 1
+        assert capsys.readouterr().err == (
+            "error: scenario 'inline-planar' failed at eps=0.1: "
+            "RuntimeError: no state at this epsilon\n")
+        assert not list(out.glob("*.csv"))
+        assert not (out / "summary.json").exists()
 
 
 def test_threads_match_serial(tmp_path):
@@ -624,7 +691,7 @@ def test_solved_csvs_do_not_depend_on_blas_threads(tmp_path):
         assert len({out.joinpath(name).read_bytes() for out in outs}) == 1
 
 
-def non_finite_runner(cfg, states):
+def non_finite_runner(cfg, state):
     values = {"finite": 1.5, "missing": math.nan, "overflow": -math.inf}
     return ("norms.csv", ("name", "value"),
             [(k, cli._fmt(v)) for k, v in values.items()],

@@ -15,10 +15,14 @@ time. It measures 0.13; 4.0 when `manufactured_forcing` and `make_state`
 formed the Laplacian and the residual whole.
 
 Each CLI runner's traced peak above the state's fields (u, f and
-|grad u|^2) stays within 0.95 grid arrays, each on new states, so that no
-value another runner memoised spares it its work. The measured peaks are
-0.91 (`monotonicity` and `slab`): two box arrays, the box's node distances
-and the scratch of the band fractions; 0.65 (`firstvar`: one walk for its
+|grad u|^2) stays within 0.95 grid arrays, each on a new state, so that
+no value another runner memoised spares it its work. The measured peaks
+are 0.91 (`monotonicity` and `slab`): two box arrays, the box's node
+distances and the nodes one run of planes gathers, with mu and xi formed
+on them; the band fractions reach 0.86 there, summing each chunk's
+squared distances into one buffer per call (0.90 when each axis's sum
+was a new array: 0.19 of a grid array of scratch for the largest radius,
+now 0.15); 0.65 (`firstvar`: one walk for its
 two test fields, each carrying two planes between slabs; 0.49 when each
 field walked the grid alone), 0.45 (`gdelta`), 0.18 (`norms`, `sweep`)
 and 0.01 (`quantize`).
@@ -31,7 +35,15 @@ W''(u)/eps of the Newton loop, the coarse space's weight, eight arrays of
 196 KB of buffers numpy takes for the matvec's in-place sums on strided
 views (0.1 of a 481^2 array). It measured 23.2 when the solve held
 the previous step's du, D and D*eps/h^2 as arrays, a preconditioner
-buffer of its own and a third MINRES direction."""
+buffer of its own and a third MINRES direction.
+
+A whole `cli.run` holds one state at a time: on the corpus circle (641^2,
+three epsilons, every analysis) its traced peak stays within 4 grid
+arrays above its start, one state's u, f and |grad u|^2 and one runner's
+scratch. It measures 3.98, the ball identity's 0.97 on the first state
+(in 2-d its box is a quarter of the grid); it measured 9.98 when the run
+built every state before the first analysis and held them all to the
+end."""
 
 import tracemalloc
 
@@ -41,7 +53,7 @@ import pytest
 from aclab import (Grid, ScalarField, build, build_radial_layer,
                    density_fields, manufactured_forcing, solve_stationary)
 from aclab.fields import integrate
-from aclab.cli import ANALYSES, _RUNNERS, load_config
+from aclab.cli import ANALYSES, _RUNNERS, load_config, run
 
 
 def traced_peak(fn):
@@ -71,21 +83,26 @@ analyses = {}
 
 GRID_ARRAY = 8 * 65 ** 3
 
+CIRCLE_SWEEP = """scenario = circle
+firstvar.count = 2
+analyses = {}
+"""
+
 
 @pytest.fixture(scope="module")
 def sphere(tmp_path_factory):
-    """The config and states of the 65^3 sphere after one untraced run of
+    """The config and state of the 65^3 sphere after one untraced run of
     every analysis: lazy imports and process-wide caches are not the
     runners' working memory."""
     tmp_path = tmp_path_factory.mktemp("sphere")
     path = tmp_path / "sphere.cfg"
     path.write_text(SPHERE_65.format(", ".join(ANALYSES)), encoding="utf-8")
     cfg = load_config(path, tmp_path / "out")
-    states = build(cfg.scenario)
-    density_fields(states[0])
+    state, = build(cfg.scenario)
+    density_fields(state)
     for name in ANALYSES:
-        _RUNNERS[name](cfg, states)
-    return cfg, states
+        _RUNNERS[name](cfg, state)
+    return cfg, state
 
 
 def test_build_peaks_within_a_grid_array_above_u_and_f(sphere):
@@ -97,15 +114,15 @@ def test_build_peaks_within_a_grid_array_above_u_and_f(sphere):
 
 
 def test_each_runner_peaks_within_a_grid_array(sphere):
-    # each runner on new states that cache |grad u|^2 alone, so that no
+    # each runner on a new state that caches |grad u|^2 alone, so that no
     # value another runner computed spares it its work
     cfg, _ = sphere
     peaks = {}
     for name in ANALYSES:
-        states = build(cfg.scenario)
-        density_fields(states[0])
+        state, = build(cfg.scenario)
+        density_fields(state)
         peaks[name] = traced_peak(
-            lambda: _RUNNERS[name](cfg, states))[1] / GRID_ARRAY
+            lambda: _RUNNERS[name](cfg, state))[1] / GRID_ARRAY
     assert max(peaks.values()) <= 0.95, peaks
 
 
@@ -116,8 +133,8 @@ def test_a_state_caches_one_density_array(sphere):
     # chain forms its own in its one pass) as scalars, and the ball
     # identity's four columns, one read-only row per radius, which the
     # inert default slab reads too
-    cfg, states = sphere
-    state, params = states[0], cfg.scenario.params
+    cfg, state = sphere
+    params = cfg.scenario.params
     ball = cfg.geometry["monotonicity"]
     assert np.array_equal(cfg.geometry["slab"]["radii"], ball["radii"])
     columns = ("ball_columns", np.asarray(ball["center"], float).tobytes(),
@@ -159,3 +176,18 @@ def test_newton_solve_peaks_within_nineteen_grid_arrays():
     state, peak = traced_peak(lambda: solve_stationary(g, eps, f, init))
     assert state.residual_norm <= 1e-10
     assert peak / f.values.nbytes <= 19, peak / f.values.nbytes
+
+
+def test_a_run_holds_one_state_at_a_time(tmp_path):
+    # the corpus circle's three epsilons: a run that held every state's u,
+    # f and |grad u|^2 until its last analysis would trace about 10 arrays
+    path = tmp_path / "circle.cfg"
+    path.write_text(CIRCLE_SWEEP.format(", ".join(ANALYSES)),
+                    encoding="utf-8")
+    cfg = load_config(path, tmp_path / "out")
+    assert len(cfg.scenario.epsilons) == 3
+    assert run(cfg) == 0  # lazy imports and caches first
+    code, peak = traced_peak(lambda: run(cfg))
+    assert code == 0
+    grid_array = 8 * np.prod(cfg.scenario.grid.points)
+    assert peak / grid_array <= 4, peak / grid_array

@@ -1,6 +1,7 @@
 """Scenario corpus validation and deterministic builds."""
 
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -45,6 +46,15 @@ def test_scenario_rejects_empty_or_negative_epsilon():
                  profile=ConstantProfile(0.0))
     with pytest.raises(ValueError, match="epsilon must be positive"):
         Scenario(name="bad", grid=small_grid(), epsilons=(-0.1,),
+                 profile=ConstantProfile(0.0))
+
+
+@pytest.mark.parametrize("eps", [(0.1, 0.1), (0.1, 0.05, 0.1000001)])
+def test_scenario_refuses_epsilons_that_share_a_label(eps):
+    # results are keyed by f"{eps:g}": both would read eps=0.1
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad: epsilons 0.1 and {eps[-1]!r} share the label eps=0.1")):
+        Scenario(name="bad", grid=small_grid(), epsilons=eps,
                  profile=ConstantProfile(0.0))
 
 
@@ -221,6 +231,11 @@ _coord = st.floats(-10.0, 10.0)
 _positive = st.floats(1e-3, 10.0)
 
 
+def _label(eps):
+    # a Scenario refuses two epsilons with one label
+    return f"{eps:g}"
+
+
 def _fitting_stack(draw, grid, axis):
     """A layer stack and its epsilons that build: layers 4 eps apart and
     6 eps from the faces of the axis, for every eps, with 1% to spare so
@@ -230,7 +245,7 @@ def _fitting_stack(draw, grid, axis):
     widths = 12 + 4 * (k - 1)  # face margins and gaps, in units of eps
     cap = min(1.0, (hi - lo) / (1.01 * widths))
     epsilons = draw(st.lists(st.floats(4.0 * grid.h, cap), min_size=1,
-                             max_size=3).map(tuple))
+                             max_size=3, unique_by=_label).map(tuple))
     room = 1.01 * max(epsilons)
     free = max(0.0, (hi - lo) - widths * room)
     shifts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=k,
@@ -267,7 +282,7 @@ def _scenarios(draw):
     diagonal = math.dist(grid.lo, last)
     cap = min(1.0, 0.15 * diagonal) if kind == "bubble" else 1.0
     epsilons = st.lists(st.floats(4.0 * grid.h, cap), min_size=1,
-                        max_size=3).map(tuple)
+                        max_size=3, unique_by=_label).map(tuple)
     if kind == "stack":
         profile, eps = _fitting_stack(draw, grid, axis)
     else:
