@@ -646,7 +646,7 @@ def _analyse(cfg: RunConfig, map_):
                 failures[name] = result
             else:
                 tables[name].append(result)
-        del state  # and its cache, before the next state is built
+        del state  # and its memo, before the next state is built
     return tables, failures
 
 

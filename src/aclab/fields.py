@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -242,26 +243,37 @@ class VectorField(_Field):
         return self.values[:, idx]
 
 
-def _neighbours(grid: Grid, axis: int):
-    """Index triples (nodes, i+1 neighbours, i-1 neighbours) along one axis.
+def _neighbours(grid: Grid, axis: int, span: slice = slice(None)):
+    """Index triples (nodes, i+1 neighbours, i-1 neighbours) along one axis,
+    for the nodes `span` of it (a slice of step 1; all of them by default).
 
-    The triples cover the interior, the first and the last node; each index
-    is slices on the trailing grid axes, so values[...] is a view, never a
-    copy, also of fields stacked in front of the grid. Periodic wraps;
-    zero-flux mirrors across the boundary node (ghost(-1) = u[1]), which
-    makes the central first derivative vanish at the boundary.
+    The triples cover the span's interior nodes and, where the span holds
+    them, the first and the last node; `nodes` counts from the span's
+    start, the neighbours from the axis's. Each index is slices on the
+    trailing grid axes, so values[...] is a view, never a copy, also of
+    fields stacked in front of the grid. Periodic wraps; zero-flux mirrors
+    across the boundary node (ghost(-1) = u[1]), which makes the central
+    first derivative vanish at the boundary.
     """
     def at(s):
         return (..., s) + (slice(None),) * (grid.ndim - 1 - axis)
 
     n = grid.points[axis]
+    lo, hi, _ = span.indices(n)
     wrap = grid.boundary == PERIODIC
-    return [(at(slice(1, n - 1)), at(slice(2, n)), at(slice(0, n - 2))),
-            (at(slice(0, 1)), at(slice(1, 2)),
-             at(slice(n - 1, n) if wrap else slice(1, 2))),
-            (at(slice(n - 1, n)),
-             at(slice(0, 1) if wrap else slice(n - 2, n - 1)),
-             at(slice(n - 2, n - 1)))]
+    a, b = max(lo, 1), min(hi, n - 1)  # the span's interior nodes
+    triples = []
+    if a < b:
+        triples.append((at(slice(a - lo, b - lo)), at(slice(a + 1, b + 1)),
+                        at(slice(a - 1, b - 1))))
+    if lo == 0 < hi:
+        triples.append((at(slice(0, 1)), at(slice(1, 2)),
+                        at(slice(n - 1, n) if wrap else slice(1, 2))))
+    if lo < n == hi:
+        triples.append((at(slice(n - 1 - lo, n - lo)),
+                        at(slice(0, 1) if wrap else slice(n - 2, n - 1)),
+                        at(slice(n - 2, n - 1))))
+    return triples
 
 
 def _central_difference(v: np.ndarray, grid: Grid, axis: int,
@@ -272,11 +284,11 @@ def _central_difference(v: np.ndarray, grid: Grid, axis: int,
     out /= 2.0 * grid.h
 
 
-def _halo(grid: Grid, sl, axis: int = 0) -> np.ndarray:
-    """Indices of the planes sl.start - 1 .. sl.stop of one grid axis, with
+def _halo(grid: Grid, sl) -> np.ndarray:
+    """Indices of the planes sl.start - 1 .. sl.stop of grid axis 0, with
     the ghosts of `_neighbours` past the ends: wrapped, or mirrored across
     the boundary node."""
-    n = grid.points[axis]
+    n = grid.points[0]
     idx = np.arange(sl.start - 1, sl.stop + 1)
     if grid.boundary == PERIODIC:
         return idx % n
@@ -286,47 +298,122 @@ def _halo(grid: Grid, sl, axis: int = 0) -> np.ndarray:
     return idx
 
 
-def _gradient_planes(v: np.ndarray, grid: Grid, sl, axis: int = 0
-                     ) -> np.ndarray:
-    """The central-difference gradient of the node values v on the planes
-    sl (a slice) of one grid axis: `axis` reads v's halo planes (see
-    _halo), the other axes are differenced within the planes by
-    `_central_difference`. Every node gets the operations of the
-    whole-axis stencil, so its bits do not depend on the planes asked
-    for."""
-    lead = (slice(None),) * (axis % grid.ndim)
-    core = v[lead + (sl,)]
-    out = np.empty((grid.ndim,) + core.shape)
+def _gradient_box(v: np.ndarray, grid: Grid, box) -> np.ndarray:
+    """The central-difference gradient of the node values v on the index
+    box `box` (a tuple of slices of step 1 for the leading grid axes; the
+    others whole): along each axis, the `_neighbours` triples of the box's
+    span on that axis read v, whole along it and cut to the box on the
+    others, as views. Every node gets the operations of the whole-axis
+    stencil, so its bits do not depend on the box asked for."""
+    box += (slice(None),) * (grid.ndim - len(box))
+    shape = tuple(len(range(*b.indices(n))) for b, n in zip(box, grid.points))
+    out = np.empty((grid.ndim,) + shape)
     for ax in range(grid.ndim):
-        if ax == axis % grid.ndim:
-            idx = _halo(grid, sl, axis)
-            np.subtract(v[lead + (idx[2:],)], v[lead + (idx[:-2],)],
-                        out=out[ax])
-            out[ax] /= 2.0 * grid.h
-        else:
-            _central_difference(core, grid, ax, out[ax])
+        line = v[box[:ax] + (slice(None),) + box[ax + 1:]]
+        for nodes, plus, minus in _neighbours(grid, ax, box[ax]):
+            np.subtract(line[plus], line[minus], out=out[ax][nodes])
+        out[ax] /= 2.0 * grid.h
     return out
+
+
+def _gradient_points(v: np.ndarray, grid: Grid, idx) -> np.ndarray:
+    """The central-difference gradient of the node values v on the nodes
+    idx, a tuple of integer index arrays (one per axis, broadcast
+    together): each node's two neighbours on each axis, with the ghosts of
+    `_neighbours`, differenced and halved as _gradient_box does."""
+    idx = tuple(np.asarray(i) % n for i, n in zip(idx, grid.points))
+    out = np.empty((grid.ndim,)
+                   + np.broadcast_shapes(*(i.shape for i in idx)))
+    for ax, (i, n) in enumerate(zip(idx, grid.points)):
+        plus, minus = i + 1, i - 1
+        if grid.boundary == PERIODIC:
+            plus %= n
+            minus %= n
+        else:
+            plus[i == n - 1] = n - 2
+            minus[i == 0] = 1
+        np.subtract(v[idx[:ax] + (plus,) + idx[ax + 1:]],
+                    v[idx[:ax] + (minus,) + idx[ax + 1:]], out=out[ax])
+        out[ax] /= 2.0 * grid.h
+    return out
+
+
+def _square_sum(grad: np.ndarray) -> np.ndarray:
+    """|grad|^2 from a gradient's components: their squares summed in axis
+    order, as np.sum(grad * grad, axis=0) adds them."""
+    total = grad[0] * grad[0]
+    for comp in grad[1:]:
+        total += comp * comp
+    return total
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Second-order central-difference gradient respecting the boundary tag,
-    built a slab of axis-0 planes at a time (see _gradient_planes)."""
+    built a slab of axis-0 planes at a time (see _gradient_box)."""
     g = f.grid
-    return VectorField._adopt(
-        g, _stream(g, lambda sl: _gradient_planes(f.values, g, sl), g.ndim))
+    return VectorField._adopt(g, _stream(
+        g, lambda sl: _gradient_box(f.values, g, (sl,)), g.ndim))
+
+
+def _as_box(grid: Grid, idx):
+    """(box, pick) for a basic index idx of a grid-shaped array (slices of
+    step 1, integers, at most one Ellipsis): the index box of its nodes,
+    and the index that takes them, in v[idx]'s shape, from an array on
+    the box."""
+    idx = idx if isinstance(idx, tuple) else (idx,)
+    for k, i in enumerate(idx):
+        if i is Ellipsis:
+            idx = (idx[:k] + (slice(None),) * (grid.ndim + 1 - len(idx))
+                   + idx[k + 1:])
+            break
+    if len(idx) > grid.ndim:
+        raise IndexError(f"too many indices for a {grid.ndim}-d grid")
+    box, pick = [], []
+    for i, n in zip(idx + (slice(None),) * grid.ndim, grid.points):
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(n)
+            if step != 1:
+                raise IndexError("a slice of nodes must have step 1")
+            box.append(slice(lo, max(lo, hi)))
+            pick.append(slice(None))
+        else:
+            k = range(n)[i]
+            box.append(slice(k, k + 1))
+            pick.append(0)
+    return tuple(box), tuple(pick)
+
+
+def _grad_sq_at(v: np.ndarray, grid: Grid, idx) -> np.ndarray:
+    """|grad v|^2 of the node values v on the nodes idx, in v[idx]'s shape:
+    the one |grad u|^2 of the package, formed where it is read and never
+    kept. idx is a basic index (see _as_box): a slab of axis-0 planes, an
+    index box, a plane (..., k) of the last axis; or a tuple of integer
+    arrays, one per axis (the corners of an interpolation stencil).
+
+    Every node gets the operations of the whole-grid stencil in its order,
+    mirror and wrap ghosts included (_gradient_box, _gradient_points), and
+    the squares of the components summed in axis order (_square_sum), so
+    its bits do not depend on the nodes asked for. A box is formed one run
+    of its axis-0 planes at a time (see _slabs), so its gradient is
+    never held on more than about a slab's nodes."""
+    if isinstance(idx, tuple) and any(isinstance(i, np.ndarray) for i in idx):
+        return _square_sum(_gradient_points(v, grid, idx))
+    box, pick = _as_box(grid, idx)
+    runs = _slabs(grid, box=box)
+    if len(runs) == 1:  # a slab or less: no buffer
+        return _square_sum(_gradient_box(v, grid, box))[pick]
+    lo = box[0].start
+    out = np.empty(tuple(b.stop - b.start for b in box))
+    for rows in runs:
+        out[rows.start - lo:rows.stop - lo] = _square_sum(
+            _gradient_box(v, grid, (rows, *box[1:])))
+    return out[pick]
 
 
 def _grad_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad v|^2 of the node values v, the squares of the central-difference
-    gradient's components summed in axis order, built a slab of axis-0
-    planes at a time (see _gradient_planes): the one |grad u| of the
-    package, read by `measures.density_fields` and the Newton coarse
-    space."""
-    def fill(sl):
-        part = _gradient_planes(v, grid, sl)
-        return (np.sum(part * part, axis=0),)
-
-    return _stream(grid, fill, 1)[0]
+    """|grad v|^2 on the whole grid (_grad_sq_at, a slab at a time): the
+    Newton coarse space's weight."""
+    return _grad_sq_at(v, grid, ...)
 
 
 def _laplacian_planes(v: np.ndarray, grid: Grid, sl) -> np.ndarray:
@@ -607,19 +694,23 @@ def inert_slab(grid: Grid, center, max_radius: float, supersample: int,
 
 def _slab_nodes(grid: Grid) -> int:
     """The nodes of a slab: the size _SLAB_SHARE and _SLAB_NODES set."""
-    return min(max(int(np.prod(grid.points)) // _SLAB_SHARE, _SLAB_NODES),
+    return min(max(math.prod(grid.points) // _SLAB_SHARE, _SLAB_NODES),
                8 * _SLAB_NODES)
 
 
-def _slabs(grid: Grid, parts: int = 1) -> list[slice]:
+def _slabs(grid: Grid, parts: int = 1, box=None) -> list[slice]:
     """Consecutive runs of whole axis-0 planes that cover the grid in order,
     of about _slab_nodes / parts nodes, but no fewer than _SLAB_NODES (and
     at least one plane): a pass that holds `parts` sets of a slab's
-    temporaries takes smaller slabs."""
-    n, plane = grid.points[0], int(np.prod(grid.points[1:]))
-    nodes = max(_slab_nodes(grid) // parts, _SLAB_NODES)
-    step = max(1, nodes // plane)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    temporaries takes smaller slabs. With an index box `box` (a tuple of
+    slices of step 1, one per axis), runs of the box's axis-0 planes that
+    cover the box, counting its nodes only."""
+    rows, *rest = (range(*b.indices(n)) for b, n
+                   in zip(box or (slice(None),) * grid.ndim, grid.points))
+    plane = max(math.prod(len(r) for r in rest), 1)
+    step = max(1, max(_slab_nodes(grid) // parts, _SLAB_NODES) // plane)
+    return [slice(lo, min(lo + step, rows.stop))
+            for lo in range(rows.start, rows.stop, step)]
 
 
 def _weighted_slabs(grid: Grid, parts: int = 1):

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (PERIODIC, ScalarField, VectorField, _central_difference,
-                     _grad_sq, _gradient_planes, _halo, _integrals,
-                     _LazyField, _PairwiseSums, _slabs, _weighted_slabs)
+                     _grad_sq_at, _gradient_box, _halo, _integrals,
+                     _LazyField, _PairwiseSums, _slabs, _square_sum,
+                     _weighted_slabs)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -73,19 +74,21 @@ def energy_densities(grad_sq, u, eps: float):
 
 @dataclass(frozen=True)
 class DensityFields:
-    """|grad u|^2 of one state, read-only: the one grid array a state
-    caches. Readers form mu, xi (`on`) and |grad u| = sqrt(grad_sq) from it
-    and u on the nodes they read: a slab, the nodes a ball gathers, two
-    grid planes, the corners of a line's interpolation stencil."""
+    """mu and xi of one state, formed from u and |grad u|^2 on the nodes a
+    reader reads (`on`): a slab, two grid planes, the corners of a line's
+    interpolation stencil. It holds no array of its own: |grad u|^2 is
+    formed there too (`fields._grad_sq_at`)."""
 
     u: ScalarField
     epsilon: float
-    grad_sq: np.ndarray
 
     def on(self, idx):
-        """(mu, xi) on the nodes idx (any index of a grid-shaped array)."""
-        return energy_densities(self.grad_sq[idx], self.u.values[idx],
-                                self.epsilon)
+        """(mu, xi) on the nodes idx: a basic index of a grid-shaped array
+        (slices of step 1, integers, an Ellipsis) or a tuple of integer
+        index arrays, one per axis."""
+        u = self.u
+        return energy_densities(_grad_sq_at(u.values, u.grid, idx),
+                                u.values[idx], self.epsilon)
 
     def lazy_mu(self) -> _LazyField:
         """mu as a field formed on the nodes it is read on."""
@@ -108,18 +111,9 @@ class NormReport:
 
 
 def density_fields(state: PhaseFieldState) -> DensityFields:
-    """|grad u|^2 of the state (`fields._grad_sq`), and with it mu and xi
-    on the nodes a reader asks for.
-
-    Computed once per state; later calls return the same object.
-    """
-    return state.derived("density_fields", lambda: _density_fields(state))
-
-
-def _density_fields(state: PhaseFieldState) -> DensityFields:
-    grad_sq = _grad_sq(state.u.values, state.grid)
-    grad_sq.setflags(write=False)
-    return DensityFields(u=state.u, epsilon=state.epsilon, grad_sq=grad_sq)
+    """mu and xi of the state on the nodes a reader asks for. Nothing is
+    computed or kept here: each read forms them where it reads."""
+    return DensityFields(u=state.u, epsilon=state.epsilon)
 
 
 def _finite(*sums):
@@ -157,18 +151,27 @@ def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
         lambda: _curvature_norm(state, q0, params.grad_threshold))
 
 
+def _curvature_integrands(grad_sq, f, eps: float, q0: float,
+                           threshold: float):
+    """The curvature norm's integrands on the nodes of grad_sq =
+    |grad u|^2 and f: quotient^q0 times the eps|grad u|^2 mass, the mass,
+    and the mass the threshold excludes."""
+    quotient, mass, included = _curvature_quotient(np.sqrt(grad_sq), f, eps,
+                                                   threshold)
+    return quotient ** q0 * mass, mass, np.where(included, 0.0, mass)
+
+
+def _curvature_value(lam, total_mass, excl):
+    """(Lambda_hat, excluded mass fraction) from the integrals of
+    _curvature_integrands."""
+    lam, total_mass, excl = _finite(lam, total_mass, excl)
+    return lam, excl / total_mass if total_mass > 0 else 0.0
+
+
 def _curvature_norm(state: PhaseFieldState, q0: float, threshold: float):
-    g = state.grid
-    grad_sq, f = density_fields(state).grad_sq, state.f.values
-
-    def integrands(sl):
-        quotient, mass, included = _curvature_quotient(
-            np.sqrt(grad_sq[sl]), f[sl], state.epsilon, threshold)
-        return quotient ** q0 * mass, mass, np.where(included, 0.0, mass)
-
-    lam, total_mass, excl = _finite(*_integrals(g, integrands))
-    fraction = excl / total_mass if total_mass > 0 else 0.0
-    return lam, fraction
+    g, u, f = state.grid, state.u.values, state.f.values
+    return _curvature_value(*_integrals(g, lambda sl: _curvature_integrands(
+        _grad_sq_at(u, g, sl), f[sl], state.epsilon, q0, threshold)))
 
 
 def norm_report(state: PhaseFieldState,
@@ -180,25 +183,34 @@ def norm_report(state: PhaseFieldState,
 
 
 def _norm_report(state: PhaseFieldState, params: AnalysisParams) -> NormReport:
-    g = state.grid
-    eps = state.epsilon
-    dens = density_fields(state)
-    lam, fraction = diffuse_mean_curvature_norm(state, params)
-    f = state.f.values
+    """One walk over the slabs: |grad u|^2 is formed once per slab, and
+    with it the integrands of the report and of the curvature norm, whose
+    memo it fills, and the slab's max |u| and max |grad u|^2."""
+    g, eps = state.grid, state.epsilon
+    q0 = params.resolve_q0(g.ndim)
+    u, f = state.u.values, state.f.values
+    sups = []  # per slab: max |u|, max |grad u|^2
 
     def integrands(sl):
-        mu, xi = dens.on(sl)
-        return np.abs(xi), f[sl] ** 2, mu, np.maximum(xi, 0.0)
+        grad_sq = _grad_sq_at(u, g, sl)
+        sups.append((np.max(np.abs(u[sl])), np.max(grad_sq)))
+        mu, xi = energy_densities(grad_sq, u[sl], eps)
+        return (np.abs(xi), f[sl] ** 2, mu, np.maximum(xi, 0.0),
+                *_curvature_integrands(grad_sq, f[sl], eps, q0,
+                                       params.grad_threshold))
 
-    xi_abs, f_sq, energy, xi_plus_mass = _integrals(g, integrands)
+    xi_abs, f_sq, energy, xi_plus_mass, *curvature = _integrals(g, integrands)
+    lam, fraction = state.derived(
+        ("curvature_norm", q0, params.grad_threshold),
+        lambda: _curvature_value(*curvature))
     _finite(xi_abs, f_sq)
+    sup_u, sup_grad_sq = map(max, zip(*sups))
     return NormReport(
         total_energy=energy,
-        sup_u=max(float(np.max(np.abs(state.u.values[sl])))
-                  for sl in _slabs(g)),
+        sup_u=float(sup_u),
         lambda_hat=lam,
         # sqrt is monotone, so sqrt(max) is the max of |grad u|
-        sup_eps_grad=float(eps * np.sqrt(np.max(dens.grad_sq))),
+        sup_eps_grad=float(eps * np.sqrt(sup_grad_sq)),
         xi_plus_mass=xi_plus_mass,
         xi_abs_mass=xi_abs,
         f_l2_over_eps=f_sq / eps,
@@ -240,7 +252,7 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
     if not q0 > n:
         raise ValueError(f"resulting q0={q0} must exceed n={n}")
     eps = state.epsilon
-    grad_sq, f = density_fields(state).grad_sq, state.f.values
+    u, f = state.u.values, state.f.values
 
     def powers(scale):
         """The integrals of quotient^q0 * mass (Lambda_hat), |f/scale|^s
@@ -248,7 +260,8 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
         def integrands(sl):
             scaled = f[sl] / scale
             quotient, mass, _ = _curvature_quotient(
-                np.sqrt(grad_sq[sl]), scaled, eps, params.grad_threshold)
+                np.sqrt(_grad_sq_at(u, g, sl)), scaled, eps,
+                params.grad_threshold)
             return (quotient ** q0 * mass, np.abs(scaled) ** s,
                     quotient ** t)
         return _integrals(g, integrands)
@@ -317,14 +330,14 @@ def first_variations(state: PhaseFieldState, etas,
     eta, q) or None without q) for each eta, with their bits, from one walk
     over the slabs per _WALK_FIELDS fields.
 
-    Each slab's state factors (grad u, the mask, nu, mu, xi) are formed
-    once, and each field's planes once: a field keeps the two planes its
-    next slab's axis-0 difference reads. A field's integrands are summed
-    by its own _PairwiseSums, so one field's are held at a time, and the
-    slabs shrink with the number of fields (see _slabs). A field that does
-    not vanish within 4h of a zero-flux face is refused after the walk,
-    before any result."""
-    g, dens = state.grid, density_fields(state)
+    Each slab's state factors (grad u, and from it |grad u|^2, the mask,
+    nu, mu and xi) are formed once, and each field's planes once: a field
+    keeps the two planes its next slab's axis-0 difference reads. A
+    field's integrands are summed by its own _PairwiseSums, so one field's
+    are held at a time, and the slabs shrink with the number of fields
+    (see _slabs). A field that does not vanish within 4h of a zero-flux
+    face is refused after the walk, before any result."""
+    g = state.grid
     if any(eta.grid != g for eta in etas):
         raise ValueError("eta must live on the state's grid")
     u, f = state.u.values, state.f.values
@@ -335,13 +348,15 @@ def first_variations(state: PhaseFieldState, etas,
         for sl, w in _weighted_slabs(g, len(walks)):
             # the mask eps|grad u| >= threshold and the unit normal on it
             # (0 elsewhere, and where grad u = 0)
-            grad_u = _gradient_planes(u, g, sl)
-            grad_mag = np.sqrt(dens.grad_sq[sl])
+            grad_u = _gradient_box(u, g, (sl,))
+            grad_sq = _square_sum(grad_u)
+            grad_mag = np.sqrt(grad_sq)
             included = state.epsilon * grad_mag >= params.grad_threshold
             nu = np.divide(grad_u, grad_mag,
                            out=np.zeros((g.ndim,) + grad_mag.shape),
                            where=included & (grad_mag > 0))
-            mu, xi, excluded = *dens.on(sl), ~included
+            mu, xi = energy_densities(grad_sq, u[sl], state.epsilon)
+            excluded = ~included
             for walk in walks:
                 walk.add(sl, w, grad_u, excluded, nu, mu, xi, f[sl])
         if any(walk.shell > 1e-12 * walk.peak for walk in walks):

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (RegionError, _check_ball_margin, _check_finite,
-                     _gradient_planes, _plane_stencil, _slabs, ball_integrals,
-                     disc_integral, inert_slab, radial_derivative,
-                     restrict_to_plane, trapezoid)
+                     _gradient_box, _plane_stencil, _slabs, _square_sum,
+                     ball_integrals, disc_integral, inert_slab,
+                     radial_derivative, restrict_to_plane, trapezoid)
 from .measures import density_fields, energy_densities
 from .phasefield import PhaseFieldState, resolution_floor
 
@@ -103,39 +103,38 @@ def _radial_pairing(grad, mesh, center):
 
 
 def _identity_integrands(state: PhaseFieldState, center, box):
-    """|grad u|^2, u, eps <x-c,grad u>^2 and <x-c,grad u> f on the index box
-    `box` (a tuple of slices), the arrays `_identity_densities` forms the
-    ball terms from: views of the state's arrays, then two box arrays built
-    a slab of axis-0 planes at a time, with grad u on the slab's rows of
-    the box, so neither grad u nor <x-c,grad u> is ever held on the whole
-    box."""
-    grad_sq = density_fields(state).grad_sq[box]
+    """|grad u|^2, u, <x-c,grad u> and f on the index box `box` (a tuple of
+    slices), the arrays `_identity_densities` forms the ball terms from:
+    two box arrays, both taken from grad u on one run of the box's axis-0
+    planes at a time (see _slabs), so grad u is never held on the whole
+    box, and views of the state's u and f."""
     g, u, f = state.grid, state.u.values, state.f.values
     c = np.atleast_1d(np.asarray(center, dtype=float))
     mesh = [m[(slice(None),) * ax + (b,)]
             for ax, (m, b) in enumerate(zip(g.meshgrid(sparse=True), box))]
-    out = np.empty((2,) + grad_sq.shape)
-    lo, hi, _ = box[0].indices(g.points[0])
-    for sl in _slabs(g):
-        a, b = max(sl.start, lo), min(sl.stop, hi)
-        if a < b:
-            rows = slice(a, b)
-            grad = _gradient_planes(u, g, rows)[(slice(None),) * 2 + box[1:]]
-            radial = _radial_pairing(grad, [mesh[0][a - lo:b - lo], *mesh[1:]],
-                                     c)
-            out[0, a - lo:b - lo] = state.epsilon * radial ** 2
-            out[1, a - lo:b - lo] = radial * f[(rows,) + box[1:]]
-    return grad_sq, u[box], out[0], out[1]
+    out = np.empty((2,) + u[box].shape)
+    lo = box[0].indices(g.points[0])[0]
+    for rows in _slabs(g, box=box):
+        grad = _gradient_box(u, g, (rows, *box[1:]))
+        part = slice(rows.start - lo, rows.stop - lo)
+        out[0, part] = _square_sum(grad)
+        out[1, part] = _radial_pairing(grad, [mesh[0][part], *mesh[1:]], c)
+    return out[0], u[box], out[1], f[box]
 
 
 def _identity_densities(state: PhaseFieldState):
     """The ball terms' integrands mu, xi, eps <x-c,grad u>^2 and
     <x-c,grad u> f from the values of `_identity_integrands`' arrays on the
-    nodes a radius gathers: mu and xi from one gather of |grad u|^2 and u,
-    so they are never held on the box."""
-    def form(grad_sq, u, boundary, forcing):
-        return (*energy_densities(grad_sq, u, state.epsilon), boundary,
-                forcing)
+    nodes a radius gathers, so none is ever held on the box: mu and xi from
+    the gathers of |grad u|^2 and u, the last two in place in the gathers
+    of <x-c,grad u> and f."""
+    eps = state.epsilon
+
+    def form(grad_sq, u, radial, f):
+        f *= radial  # <x-c,grad u> f
+        radial *= radial
+        radial *= eps  # eps <x-c,grad u>^2
+        return (*energy_densities(grad_sq, u, eps), radial, f)
     return form
 
 
@@ -232,9 +231,10 @@ def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
     c = np.atleast_1d(np.asarray(center, dtype=float))
     k0, k1, lam = _plane_stencil(g, t)
     mesh = g.meshgrid(sparse=True)
+    rest = (slice(None),) * (g.ndim - 1)
 
     def on_plane(k):  # d_last u and <x-c, grad u> on the grid plane k
-        part = _gradient_planes(u, g, slice(k, k + 1), -1)[..., 0]
+        part = _gradient_box(u, g, (*rest, slice(k, k + 1)))[..., 0]
         # the other axes' coordinates have length 1 on the last axis
         return part[-1], _radial_pairing(
             part, [m[..., k if m.shape[-1] > 1 else 0] for m in mesh], c)

@@ -128,11 +128,11 @@ class PhaseFieldState:
     """A triple (u, f, eps) with the max-norm residual of the discrete
     equation recorded at construction.
 
-    |grad u|^2 (`measures.density_fields`) is the one array derived from
-    the state that is kept: computed once through `derived`, for the
-    state's lifetime. mu, xi, |grad u|, the gradient of u, the unit normal
-    and the node weights are not kept: each reader forms them where it
-    reads them, a slab of axis-0 planes (or fewer nodes) at a time.
+    u and f are the state's only grid arrays: nothing derived from them is
+    kept as one. |grad u|^2, mu, xi, the gradient of u, the unit normal
+    and the node weights are formed by each reader where it reads them, a
+    slab of axis-0 planes (or fewer nodes) at a time; `derived` keeps
+    scalars and the ball identity's columns (one row per radius).
     """
 
     u: ScalarField
@@ -534,8 +534,8 @@ def _expand(coeffs: np.ndarray, tables, out: np.ndarray) -> np.ndarray:
 class InterfaceSpace:
     """Coarse space of a pure-Newton step, localised on the interface:
     Q = g * (products of the m smoothest modes per axis), with the weight
-    g = |grad_h u|, the square root of `fields._grad_sq` as
-    `density_fields` forms it, 0 in the pure phases. K is the pure-Newton
+    g = |grad_h u|, the square root of `fields._grad_sq`, the |grad u|^2
+    every analysis forms, 0 in the pure phases. K is the pure-Newton
     operator at u, diag = W''(u)/eps.
 
     With A = D*K and M = D*P the operator and preconditioner of `spsolve`,

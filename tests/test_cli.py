@@ -306,7 +306,8 @@ def test_threads_match_serial(tmp_path):
 
 
 def test_threads_match_serial_on_circle_all_analyses(tmp_path):
-    # analyses running concurrently fill the per-state derived-field cache
+    # analyses running concurrently fill the per-state memo (the norm
+    # report, the curvature norm and the ball columns)
     base = f"scenario = circle\nanalyses = {', '.join(ANALYSES)}\n"
     cfg1 = write_cfg(tmp_path, base + f"out = {tmp_path/'s'}\n", "s.cfg")
     cfg2 = write_cfg(tmp_path, base + f"out = {tmp_path/'t'}\n", "t.cfg")

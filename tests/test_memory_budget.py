@@ -1,31 +1,37 @@
 """Memory budget of the build and the analyses on a 65^3 manufactured
-sphere, in grid arrays. A state caches |grad u|^2 as its one grid array,
-besides scalars and the ball identity's columns (one row per radius): mu,
-xi, |grad u|, the gradient of u and the node weights are formed where they
-are read, a slab of axis-0 planes (or fewer nodes) at a time. Every
-whole-domain integral is summed a slab at a time with no whole-grid buffer
-(`fields._integrals`); the ball identity builds its two radial integrands
-on the index box of the largest ball only, and forms mu and xi from
-|grad u|^2 and u on the nodes each radius gathers, about half a slab's
-worth at a time.
+sphere, in grid arrays. A state holds u and f and caches no grid array,
+only scalars and the ball identity's columns (one row per radius):
+|grad u|^2, mu, xi, |grad u|, the gradient of u and the node weights are
+formed where they are read, a slab of axis-0 planes (or fewer nodes) at a
+time (`fields._grad_sq_at`). Every whole-domain integral is summed a slab
+at a time with no whole-grid buffer (`fields._integrals`); the ball
+identity builds |grad u|^2 and <x-c,grad u> on the index box of the
+largest ball only, from one gradient of a run of the box's planes, and
+forms mu, xi and its two radial integrands on the nodes each radius
+gathers, about half a slab's worth at a time.
 
 The build's traced peak above the u and f it returns stays within 0.95
 grid arrays: the forcing and the residual max-norm are formed a slab at a
 time. It measures 0.13; 4.0 when `manufactured_forcing` and `make_state`
 formed the Laplacian and the residual whole.
 
-Each CLI runner's traced peak above the state's fields (u, f and
-|grad u|^2) stays within 0.95 grid arrays, each on a new state, so that
-no value another runner memoised spares it its work. The measured peaks
-are 0.91 (`monotonicity` and `slab`): two box arrays, the box's node
-distances and the nodes one run of planes gathers, with mu and xi formed
-on them; the band fractions reach 0.86 there, summing each chunk's
-squared distances into one buffer per call (0.90 when each axis's sum
-was a new array: 0.19 of a grid array of scratch for the largest radius,
-now 0.15); 0.65 (`firstvar`: one walk for its
-two test fields, each carrying two planes between slabs; 0.49 when each
-field walked the grid alone), 0.45 (`gdelta`), 0.18 (`norms`, `sweep`)
-and 0.01 (`quantize`).
+Each CLI runner's traced peak above the state's u and f stays within 0.95
+grid arrays, each on a new state, so that no value another runner
+memoised spares it its work; since the runners form |grad u|^2 where they
+read it, nothing else is there when they start. The measured peaks are
+0.90 and 0.91 (`monotonicity` and `slab`): two box arrays (|grad u|^2 and
+<x-c,grad u>, 0.91 when the box arrays were eps <x-c,grad u>^2 and
+<x-c,grad u> f over a cached whole-grid |grad u|^2), the box's node
+distances and the nodes one run of planes gathers, with the four
+integrands formed on them; the band fractions reach 0.86 there, summing
+each chunk's squared distances into one buffer per call (0.90 when each
+axis's sum was a new array: 0.19 of a grid array of scratch for the
+largest radius, now 0.15); 0.67 (`firstvar`: one walk for its two test
+fields, each carrying two planes between slabs; 0.49 when each field
+walked the grid alone), 0.45 (`gdelta`), 0.28 (`norms` and `sweep`,
+whose one walk forms the report's and the curvature norm's seven
+integrands on each slab; 0.18 with a cached |grad u|^2) and 0.02
+(`quantize`).
 
 The Newton solve of a 161^2 solved circle peaks within 19 grid arrays
 above the f and initial guess it is given. It measures 18.6: u, R and
@@ -38,12 +44,12 @@ the previous step's du, D and D*eps/h^2 as arrays, a preconditioner
 buffer of its own and a third MINRES direction.
 
 A whole `cli.run` holds one state at a time: on the corpus circle (641^2,
-three epsilons, every analysis) its traced peak stays within 4 grid
-arrays above its start, one state's u, f and |grad u|^2 and one runner's
-scratch. It measures 3.98, the ball identity's 0.97 on the first state
-(in 2-d its box is a quarter of the grid); it measured 9.98 when the run
-built every state before the first analysis and held them all to the
-end."""
+three epsilons, every analysis) its traced peak stays within 3.5 grid
+arrays above its start, one state's u and f and one runner's scratch. It
+measures 2.98: u, f and the ball identity's 0.98 (in 2-d its box is a
+quarter of the grid); it measured 3.98 when each state cached |grad u|^2
+as a third grid array, and 9.98 when the run built every state before
+the first analysis and held them all to the end."""
 
 import tracemalloc
 
@@ -51,7 +57,7 @@ import numpy as np
 import pytest
 
 from aclab import (Grid, ScalarField, build, build_radial_layer,
-                   density_fields, manufactured_forcing, solve_stationary)
+                   manufactured_forcing, solve_stationary)
 from aclab.fields import integrate
 from aclab.cli import ANALYSES, _RUNNERS, load_config, run
 
@@ -99,7 +105,6 @@ def sphere(tmp_path_factory):
     path.write_text(SPHERE_65.format(", ".join(ANALYSES)), encoding="utf-8")
     cfg = load_config(path, tmp_path / "out")
     state, = build(cfg.scenario)
-    density_fields(state)
     for name in ANALYSES:
         _RUNNERS[name](cfg, state)
     return cfg, state
@@ -114,25 +119,23 @@ def test_build_peaks_within_a_grid_array_above_u_and_f(sphere):
 
 
 def test_each_runner_peaks_within_a_grid_array(sphere):
-    # each runner on a new state that caches |grad u|^2 alone, so that no
+    # each runner on a new state, which holds u and f alone, so that no
     # value another runner computed spares it its work
     cfg, _ = sphere
     peaks = {}
     for name in ANALYSES:
         state, = build(cfg.scenario)
-        density_fields(state)
         peaks[name] = traced_peak(
             lambda: _RUNNERS[name](cfg, state))[1] / GRID_ARRAY
     assert max(peaks.values()) <= 0.95, peaks
 
 
-def test_a_state_caches_one_density_array(sphere):
-    # after every analysis: |grad u|^2, read-only, is the one grid array
-    # the state caches, with the state's own u; the other values are the
-    # norm report and the curvature norm at the default q0 (the Hoelder
-    # chain forms its own in its one pass) as scalars, and the ball
-    # identity's four columns, one read-only row per radius, which the
-    # inert default slab reads too
+def test_a_state_caches_no_grid_array(sphere):
+    # after every analysis the state's memo holds no grid-sized array: the
+    # norm report and the curvature norm at the default q0 (which the
+    # report's walk fills; the Hoelder chain forms its own in its one pass)
+    # as scalars, and the ball identity's four columns, one read-only row
+    # per radius, which the inert default slab reads too
     cfg, state = sphere
     params = cfg.scenario.params
     ball = cfg.geometry["monotonicity"]
@@ -140,15 +143,11 @@ def test_a_state_caches_one_density_array(sphere):
     columns = ("ball_columns", np.asarray(ball["center"], float).tobytes(),
                ball["radii"].tobytes(), params.supersample, None)
     assert set(state._derived) == {
-        "density_fields", ("norm_report", params),
+        ("norm_report", params),
         ("curvature_norm", 3.0, params.grad_threshold), columns}
-    dens = state._derived["density_fields"]
-    arrays = [v for v in vars(dens).values() if isinstance(v, np.ndarray)]
-    assert [a.nbytes for a in arrays] == [GRID_ARRAY]
-    assert arrays[0] is dens.grad_sq and not dens.grad_sq.flags.writeable
-    assert dens.u is state.u
     cols = state._derived[columns]
     assert cols.shape == (len(ball["radii"]), 4) and not cols.flags.writeable
+    assert cols.nbytes < GRID_ARRAY / 1000
     scalars = [*vars(state._derived[("norm_report", params)]).values(),
                *(v for key, value in state._derived.items()
                  if key[0] == "curvature_norm" for v in value)]
@@ -179,8 +178,8 @@ def test_newton_solve_peaks_within_nineteen_grid_arrays():
 
 
 def test_a_run_holds_one_state_at_a_time(tmp_path):
-    # the corpus circle's three epsilons: a run that held every state's u,
-    # f and |grad u|^2 until its last analysis would trace about 10 arrays
+    # the corpus circle's three epsilons: a run that held every state's u
+    # and f until its last analysis would trace about 7 arrays
     path = tmp_path / "circle.cfg"
     path.write_text(CIRCLE_SWEEP.format(", ".join(ANALYSES)),
                     encoding="utf-8")
@@ -190,4 +189,4 @@ def test_a_run_holds_one_state_at_a_time(tmp_path):
     code, peak = traced_peak(lambda: run(cfg))
     assert code == 0
     grid_array = 8 * np.prod(cfg.scenario.grid.points)
-    assert peak / grid_array <= 4, peak / grid_array
+    assert peak / grid_array <= 3.5, peak / grid_array

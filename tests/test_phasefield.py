@@ -566,12 +566,12 @@ def test_interface_space_is_a_ritz_basis(boundary, points):
 def test_interface_weight_is_the_density_gradient_magnitude(boundary,
                                                             points):
     # one |grad_h u|: the coarse space's weight g is the square root of
-    # density_fields' grad_sq
+    # the squares of the central-difference gradient summed in axis order,
+    # the |grad u|^2 every analysis forms where it reads it
     g, eps, u, _, _ = newton_system(boundary, points, True)
-    state = make_state(ScalarField(g, u), ScalarField(g, np.zeros(g.shape)),
-                       eps)
+    grad_sq = np.sum(fields.gradient(ScalarField(g, u)).values ** 2, axis=0)
     space = phasefield.InterfaceSpace(g, eps, u)
-    assert np.array_equal(space.g, np.sqrt(density_fields(state).grad_sq))
+    assert np.array_equal(space.g, np.sqrt(grad_sq))
 
 
 def test_interface_free_state_uses_the_plain_preconditioner(monkeypatch):

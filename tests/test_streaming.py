@@ -2,8 +2,8 @@
 and summed slab by slab along numpy's own pairwise tree
 (`fields._PairwiseSums`), with no whole-grid buffer; the gradient and the
 Laplacian of u, the node weights, the forcing and the residual are built a
-slab at a time, and mu, xi and |grad u| are formed from the one cached
-|grad u|^2 on the nodes they are read on. Each streamed number must equal,
+slab at a time, and |grad u|^2, and from it mu, xi and |grad u|, are
+formed on the nodes they are read on. Each streamed number must equal,
 bit for bit, the whole-grid computation it replaced; those computations
 are kept here as the references; the one walk of `first_variations` over
 many test fields must give each field's numbers of the one-field forms.
@@ -315,15 +315,17 @@ def test_stencils_are_exact_at_zero_flux_faces_on_even_polynomials(points,
 
 def test_slab_gradient_matches_whole_grid(streamed):
     g, u = streamed.grid, streamed.u.values
+    rest = (slice(None),) * (g.ndim - 1)
     ref = reference_gradient(streamed)
     whole = gradient(streamed.u).values
     assert_same_bits(whole, ref)
     for sl in fields._slabs(g):
-        assert_same_bits(fields._gradient_planes(u, g, sl), whole[:, sl])
+        assert_same_bits(fields._gradient_box(u, g, (sl, *rest)),
+                         whole[:, sl])
     # one plane of the last axis at a time, as the sheet integrand forms
     # grad u on the two planes around {x_last = t}: the ends mirror or wrap
     for k in range(g.shape[-1]):
-        plane = fields._gradient_planes(u, g, slice(k, k + 1), -1)
+        plane = fields._gradient_box(u, g, (*rest, slice(k, k + 1)))
         assert_same_bits(plane[..., 0], whole[..., k])
 
 
@@ -349,11 +351,54 @@ def test_slab_laplacian_forcing_and_residual_match_whole_grid(streamed):
         np.max(np.abs(forcing - f.values)))
 
 
+@st.composite
+def grad_sq_node_sets(draw):
+    """Node values on a 1-, 2- or 3-d grid of spacing 0.1, and the node
+    sets readers form |grad u|^2 on: a slab of axis-0 planes, an index box,
+    a plane (..., k) of the last axis, and index arrays holding both face
+    nodes of every axis, where the mirror or wrap ghost is read."""
+    ndim = draw(st.sampled_from((1, 2, 3)))
+    boundary = draw(st.sampled_from((ZERO_FLUX, PERIODIC)))
+    top = {1: 40, 2: 20, 3: 12}[ndim]
+    points = tuple(draw(st.integers(8, top)) for _ in range(ndim))
+    extent = tuple(0.1 * (n if boundary == PERIODIC else n - 1)
+                   for n in points)
+    g = Grid(extent=extent, points=points, boundary=boundary)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def span(n):
+        lo = draw(st.integers(0, n - 1))
+        return slice(lo, draw(st.integers(lo + 1, n)))
+
+    box = tuple(span(n) for n in points)
+    k = draw(st.integers(-points[-1], points[-1] - 1))
+    count = draw(st.integers(2 * ndim, 40))
+    nodes = tuple(rng.integers(0, n, count) for n in points)
+    for ax, n in enumerate(points):
+        nodes[ax][2 * ax:2 * ax + 2] = 0, n - 1
+    return (g, rng.uniform(-1.5, 1.5, g.shape),
+            [box[0], box, (..., k), nodes])
+
+
+@settings(max_examples=60, deadline=None)
+@given(grad_sq_node_sets())
+def test_grad_sq_on_any_nodes_matches_whole_grid(problem):
+    g, u, node_sets = problem
+    whole = fields._grad_sq(u, g)
+    grad = np.empty((g.ndim,) + g.shape)
+    for ax in range(g.ndim):
+        fields._central_difference(u, g, ax, grad[ax])
+    assert_same_bits(whole, np.sum(grad * grad, axis=0))
+    for idx in node_sets:
+        assert_same_bits(fields._grad_sq_at(u, g, idx), whole[idx])
+
+
 def test_density_fields_match_whole_grid(streamed):
     dens = density_fields(streamed)
     mu, xi, grad_mag, grad_sq = reference_densities(streamed)
-    assert_same_bits(dens.grad_sq, grad_sq)
-    got = (*dens.on(...), np.sqrt(dens.grad_sq))
+    whole_grad_sq = fields._grad_sq(streamed.u.values, streamed.grid)
+    assert_same_bits(whole_grad_sq, grad_sq)
+    got = (*dens.on(...), np.sqrt(whole_grad_sq))
     for a, ref in zip(got, (mu, xi, grad_mag), strict=True):
         assert_same_bits(a, ref)
     for sl in fields._slabs(streamed.grid):
@@ -418,8 +463,8 @@ def test_identity_integrands_and_sheet_match_whole_grid(streamed):
     ball_box = fields._BallQuadrature(g, c, 4, 0.25).box
     for box in (ball_box, (slice(None),) * g.ndim):
         got = monotonicity._identity_integrands(streamed, c, box)
-        for a, b in zip(got, (grad_sq, streamed.u.values, *terms[2:]),
-                        strict=True):
+        for a, b in zip(got, (grad_sq, streamed.u.values, radial,
+                              streamed.f.values), strict=True):
             assert_same_bits(a, b[box])
     # the ball terms as the quadrature forms them, on the nodes it gathers
     # for each radius (full and band, in runs of planes): a last array of
