@@ -24,8 +24,8 @@ if not any(name in os.environ for name in
 from .fields import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
                      ZERO_FLUX, interpolate, laplacian, line_sample,
                      radial_derivative)
-from .measures import (AnalysisParams, DensityFields, NormReport,
-                       SmoothTestField, corollary_holder_check, density_fields,
+from .measures import (AnalysisParams, NormReport, SmoothTestField,
+                       corollary_holder_check, density_fields,
                        diffuse_mean_curvature_norm, first_variation_identity,
                        norm_report, smooth_test_field)
 from .monotonicity import (MonotonicityReport, SlabReport,

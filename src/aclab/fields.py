@@ -224,8 +224,8 @@ class ScalarField(_Field):
 @dataclass(frozen=True)
 class _LazyField:
     """Node values formed on demand, never held whole: at(idx) forms them
-    on the nodes idx (any index of a grid-shaped array). `interpolate`,
-    `line_sample` and `restrict_to_plane` read it as they read a
+    on the nodes idx, a tuple of integer index arrays, one per axis.
+    `interpolate` (and through it `line_sample`) reads it as it reads a
     ScalarField."""
 
     grid: Grid
@@ -284,18 +284,14 @@ def _central_difference(v: np.ndarray, grid: Grid, axis: int,
     out /= 2.0 * grid.h
 
 
-def _halo(grid: Grid, sl) -> np.ndarray:
-    """Indices of the planes sl.start - 1 .. sl.stop of grid axis 0, with
+def _ghosts(grid: Grid, axis: int, idx: np.ndarray) -> np.ndarray:
+    """The nodes of the indices idx (-1 .. n on an axis of n nodes), with
     the ghosts of `_neighbours` past the ends: wrapped, or mirrored across
-    the boundary node."""
-    n = grid.points[0]
-    idx = np.arange(sl.start - 1, sl.stop + 1)
+    the boundary node (-1 -> 1, n -> n-2)."""
+    n = grid.points[axis]
     if grid.boundary == PERIODIC:
         return idx % n
-    idx[0] = abs(idx[0])
-    if idx[-1] == n:
-        idx[-1] = n - 2
-    return idx
+    return n - 1 - np.abs(n - 1 - np.abs(idx))
 
 
 def _gradient_box(v: np.ndarray, grid: Grid, box) -> np.ndarray:
@@ -324,14 +320,8 @@ def _gradient_points(v: np.ndarray, grid: Grid, idx) -> np.ndarray:
     idx = tuple(np.asarray(i) % n for i, n in zip(idx, grid.points))
     out = np.empty((grid.ndim,)
                    + np.broadcast_shapes(*(i.shape for i in idx)))
-    for ax, (i, n) in enumerate(zip(idx, grid.points)):
-        plus, minus = i + 1, i - 1
-        if grid.boundary == PERIODIC:
-            plus %= n
-            minus %= n
-        else:
-            plus[i == n - 1] = n - 2
-            minus[i == 0] = 1
+    for ax, i in enumerate(idx):
+        plus, minus = (_ghosts(grid, ax, i + step) for step in (1, -1))
         np.subtract(v[idx[:ax] + (plus,) + idx[ax + 1:]],
                     v[idx[:ax] + (minus,) + idx[ax + 1:]], out=out[ax])
         out[ax] /= 2.0 * grid.h
@@ -355,87 +345,46 @@ def gradient(f: ScalarField) -> VectorField:
         g, lambda sl: _gradient_box(f.values, g, (sl,)), g.ndim))
 
 
-def _as_box(grid: Grid, idx):
-    """(box, pick) for a basic index idx of a grid-shaped array (slices of
-    step 1, integers, at most one Ellipsis): the index box of its nodes,
-    and the index that takes them, in v[idx]'s shape, from an array on
-    the box."""
-    idx = idx if isinstance(idx, tuple) else (idx,)
-    for k, i in enumerate(idx):
-        if i is Ellipsis:
-            idx = (idx[:k] + (slice(None),) * (grid.ndim + 1 - len(idx))
-                   + idx[k + 1:])
-            break
-    if len(idx) > grid.ndim:
-        raise IndexError(f"too many indices for a {grid.ndim}-d grid")
-    box, pick = [], []
-    for i, n in zip(idx + (slice(None),) * grid.ndim, grid.points):
-        if isinstance(i, slice):
-            lo, hi, step = i.indices(n)
-            if step != 1:
-                raise IndexError("a slice of nodes must have step 1")
-            box.append(slice(lo, max(lo, hi)))
-            pick.append(slice(None))
-        else:
-            k = range(n)[i]
-            box.append(slice(k, k + 1))
-            pick.append(0)
-    return tuple(box), tuple(pick)
-
-
 def _grad_sq_at(v: np.ndarray, grid: Grid, idx) -> np.ndarray:
     """|grad v|^2 of the node values v on the nodes idx, in v[idx]'s shape:
     the one |grad u|^2 of the package, formed where it is read and never
-    kept. idx is a basic index (see _as_box): a slab of axis-0 planes, an
-    index box, a plane (..., k) of the last axis; or a tuple of integer
-    arrays, one per axis (the corners of an interpolation stencil).
+    kept. idx is one of three node shapes: a slice of step 1 of axis-0
+    planes (a slab, formed at once), `...` (the whole grid, formed a slab
+    at a time), or a tuple of integer index arrays, one per axis (the
+    corners of an interpolation stencil).
 
     Every node gets the operations of the whole-grid stencil in its order,
     mirror and wrap ghosts included (_gradient_box, _gradient_points), and
     the squares of the components summed in axis order (_square_sum), so
-    its bits do not depend on the nodes asked for. A box is formed one run
-    of its axis-0 planes at a time (see _slabs), so its gradient is
-    never held on more than about a slab's nodes."""
-    if isinstance(idx, tuple) and any(isinstance(i, np.ndarray) for i in idx):
+    its bits do not depend on the nodes asked for."""
+    if isinstance(idx, slice) and idx.step in (None, 1):
+        return _square_sum(_gradient_box(v, grid, (idx,)))
+    if idx is Ellipsis:
+        return _stream(grid, lambda sl: (_grad_sq_at(v, grid, sl),), 1)[0]
+    if (isinstance(idx, tuple) and len(idx) == grid.ndim
+            and all(isinstance(i, np.ndarray) and i.dtype.kind in "iu"
+                    for i in idx)):
         return _square_sum(_gradient_points(v, grid, idx))
-    box, pick = _as_box(grid, idx)
-    runs = _slabs(grid, box=box)
-    if len(runs) == 1:  # a slab or less: no buffer
-        return _square_sum(_gradient_box(v, grid, box))[pick]
-    lo = box[0].start
-    out = np.empty(tuple(b.stop - b.start for b in box))
-    for rows in runs:
-        out[rows.start - lo:rows.stop - lo] = _square_sum(
-            _gradient_box(v, grid, (rows, *box[1:])))
-    return out[pick]
-
-
-def _grad_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad v|^2 on the whole grid (_grad_sq_at, a slab at a time): the
-    Newton coarse space's weight."""
-    return _grad_sq_at(v, grid, ...)
+    raise IndexError(
+        f"nodes must be a slice of axis-0 planes of step 1, `...` or a "
+        f"tuple of {grid.ndim} integer index arrays, got {idx!r}")
 
 
 def _laplacian_planes(v: np.ndarray, grid: Grid, sl) -> np.ndarray:
     """The (2*dim+1)-point second-order Laplacian of the node values v on
-    the axis-0 planes sl (a slice): axis 0 reads v's halo planes (see
-    _halo), the other axes the `_neighbours` triples within the planes.
-    Summed axis by axis onto a +0.0 start, each term as
+    the axis-0 planes sl (a slice), from the `_neighbours` triples of each
+    axis, as _gradient_box reads them: axis 0's read v, the others' the
+    planes sl. Summed axis by axis onto a +0.0 start, each term as
     ((v[i+1] - 2 v[i]) + v[i-1]) / h^2, so a node's bits do not depend on
     the planes asked for."""
     core = v[sl]
     out, term = np.zeros(core.shape), np.empty(core.shape)
-    idx = _halo(grid, sl)
     for ax in range(grid.ndim):
-        if ax == 0:
-            np.multiply(core, 2.0, out=term)
-            np.subtract(v[idx[2:]], term, out=term)
-            term += v[idx[:-2]]
-        else:
-            for nodes, plus, minus in _neighbours(grid, ax):
-                np.multiply(core[nodes], 2.0, out=term[nodes])
-                np.subtract(core[plus], term[nodes], out=term[nodes])
-                term[nodes] += core[minus]
+        line, span = (v, sl) if ax == 0 else (core, slice(None))
+        for nodes, plus, minus in _neighbours(grid, ax, span):
+            np.multiply(core[nodes], 2.0, out=term[nodes])
+            np.subtract(line[plus], term[nodes], out=term[nodes])
+            term[nodes] += line[minus]
         term /= grid.h ** 2
         out += term
     return out
@@ -723,14 +672,19 @@ def _weighted_slabs(grid: Grid, parts: int = 1):
         yield sl, (inner if 0 < k < len(slabs) - 1 else grid.node_weights(sl))
 
 
-def _stream(grid: Grid, fill, count: int) -> np.ndarray:
-    """`count` whole-grid arrays, stacked, filled one slab at a time:
-    fill(sl) returns their values on the axis-0 planes sl (see _slabs), so
-    every temporary of the integrands is slab-sized."""
-    out = np.empty((count,) + grid.shape)
-    for sl in _slabs(grid):
-        for buf, values in zip(out, fill(sl), strict=True):
-            buf[sl] = values
+def _stream(grid: Grid, fill, count: int, box=None) -> np.ndarray:
+    """`count` arrays on the index box `box` (a tuple of slices of step 1,
+    one per axis; the whole grid by default), stacked, filled one run of
+    its axis-0 planes at a time (see _slabs): fill(rows) returns their
+    values on the box's nodes on the planes rows, so every temporary of
+    the integrands is slab-sized."""
+    box = box or (slice(None),) * grid.ndim
+    ranges = [range(*b.indices(n)) for b, n in zip(box, grid.points)]
+    out = np.empty((count,) + tuple(map(len, ranges)))
+    for rows in _slabs(grid, box=box):
+        part = slice(rows.start - ranges[0].start, rows.stop - ranges[0].start)
+        for buf, values in zip(out, fill(rows), strict=True):
+            buf[part] = values
     return out
 
 
@@ -871,8 +825,8 @@ def _locate(grid: Grid, pts: np.ndarray):
 
 
 def interpolate(f: ScalarField, pts) -> np.ndarray:
-    """Multilinear interpolation of a field (a ScalarField or a _LazyField,
-    read on the corner nodes only) at points of shape (m, ndim)."""
+    """Multilinear interpolation of a field (a ScalarField, or a _LazyField,
+    which only this reads: on the corner nodes) at points (m, ndim)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     g = f.grid
     i0, i1, w = _locate(g, pts)
@@ -927,9 +881,9 @@ def _plane_stencil(g: Grid, t: float):
 
 
 def restrict_to_plane(f: ScalarField, t: float) -> np.ndarray:
-    """Field (a ScalarField or a _LazyField, read on two grid planes) on the
-    hyperplane {x_last = t}: linear interpolation between the two adjacent
-    grid planes. Returns the transverse-shaped array."""
+    """A ScalarField on the hyperplane {x_last = t}: linear interpolation
+    between the two adjacent grid planes. Returns the transverse-shaped
+    array."""
     g = f.grid
     k0, k1, lam = _plane_stencil(g, t)
     return (1.0 - lam) * f.at((..., k0)) + lam * f.at((..., k1))

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (PERIODIC, ScalarField, VectorField, _central_difference,
-                     _grad_sq_at, _gradient_box, _halo, _integrals,
-                     _LazyField, _PairwiseSums, _slabs, _square_sum,
-                     _weighted_slabs)
+from .fields import (PERIODIC, VectorField, _central_difference, _ghosts,
+                     _grad_sq_at, _gradient_box, _integrals, _PairwiseSums,
+                     _slabs, _square_sum, _weighted_slabs)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -73,29 +72,6 @@ def energy_densities(grad_sq, u, eps: float):
 
 
 @dataclass(frozen=True)
-class DensityFields:
-    """mu and xi of one state, formed from u and |grad u|^2 on the nodes a
-    reader reads (`on`): a slab, two grid planes, the corners of a line's
-    interpolation stencil. It holds no array of its own: |grad u|^2 is
-    formed there too (`fields._grad_sq_at`)."""
-
-    u: ScalarField
-    epsilon: float
-
-    def on(self, idx):
-        """(mu, xi) on the nodes idx: a basic index of a grid-shaped array
-        (slices of step 1, integers, an Ellipsis) or a tuple of integer
-        index arrays, one per axis."""
-        u = self.u
-        return energy_densities(_grad_sq_at(u.values, u.grid, idx),
-                                u.values[idx], self.epsilon)
-
-    def lazy_mu(self) -> _LazyField:
-        """mu as a field formed on the nodes it is read on."""
-        return _LazyField(self.u.grid, lambda idx: self.on(idx)[0])
-
-
-@dataclass(frozen=True)
 class NormReport:
     """Scalar diagnostics for the three compactness conditions plus the
     gradient sup bound and bookkeeping masses."""
@@ -110,10 +86,14 @@ class NormReport:
     excluded_mass_fraction: float
 
 
-def density_fields(state: PhaseFieldState) -> DensityFields:
-    """mu and xi of the state on the nodes a reader asks for. Nothing is
-    computed or kept here: each read forms them where it reads."""
-    return DensityFields(u=state.u, epsilon=state.epsilon)
+def density_fields(state: PhaseFieldState, idx=...):
+    """(mu, xi) of the state on the nodes idx, formed there from u and
+    |grad u|^2 and never kept. idx is a node shape of
+    `fields._grad_sq_at`: a slice of axis-0 planes, `...` (the whole grid)
+    or a tuple of integer index arrays; another raises IndexError."""
+    u = state.u.values
+    return energy_densities(_grad_sq_at(u, state.grid, idx), u[idx],
+                            state.epsilon)
 
 
 def _finite(*sums):
@@ -384,7 +364,7 @@ class _FieldWalk:
     def add(self, sl, w, grad_u, excluded, nu, mu, xi, f):
         g, eta = self.grid, self.eta
         # eta on the planes sl and one past each end, each plane read once
-        idx = _halo(g, sl)
+        idx = _ghosts(g, 0, np.arange(sl.start - 1, sl.stop + 1))
         halo = (eta.planes(idx) if self.carry is None else
                 np.concatenate((self.carry, eta.planes(idx[2:])), axis=1))
         self.carry, core = None, halo[:, 1:-1]  # core: eta on sl
@@ -483,10 +463,10 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     max of |eta| over nodes carrying mu mass. eta is read one slab of
     axis-0 planes at a time; `first_variations` forms the same integrand
     in its walk."""
-    norm, g, dens = _LqNorm(q), state.grid, density_fields(state)
+    norm, g = _LqNorm(q), state.grid
     sums = _PairwiseSums(int(np.prod(g.shape)))
     for sl, w in _weighted_slabs(g):
-        lq = norm.integrand(eta.planes(sl), dens.on(sl)[0], w)
+        lq = norm.integrand(eta.planes(sl), density_fields(state, sl)[0], w)
         if lq is not None:
             lq *= w
             sums.add([lq])

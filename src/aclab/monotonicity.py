@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (RegionError, _check_ball_margin, _check_finite,
-                     _gradient_box, _plane_stencil, _slabs, _square_sum,
+                     _gradient_box, _plane_stencil, _square_sum, _stream,
                      ball_integrals, disc_integral, inert_slab,
-                     radial_derivative, restrict_to_plane, trapezoid)
-from .measures import density_fields, energy_densities
+                     radial_derivative, trapezoid)
+from .measures import energy_densities
 from .phasefield import PhaseFieldState, resolution_floor
 
 
@@ -106,20 +106,21 @@ def _identity_integrands(state: PhaseFieldState, center, box):
     """|grad u|^2, u, <x-c,grad u> and f on the index box `box` (a tuple of
     slices), the arrays `_identity_densities` forms the ball terms from:
     two box arrays, both taken from grad u on one run of the box's axis-0
-    planes at a time (see _slabs), so grad u is never held on the whole
-    box, and views of the state's u and f."""
+    planes at a time (see fields._stream), so grad u is never held on the
+    whole box, and views of the state's u and f."""
     g, u, f = state.grid, state.u.values, state.f.values
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    mesh = [m[(slice(None),) * ax + (b,)]
-            for ax, (m, b) in enumerate(zip(g.meshgrid(sparse=True), box))]
-    out = np.empty((2,) + u[box].shape)
-    lo = box[0].indices(g.points[0])[0]
-    for rows in _slabs(g, box=box):
-        grad = _gradient_box(u, g, (rows, *box[1:]))
-        part = slice(rows.start - lo, rows.stop - lo)
-        out[0, part] = _square_sum(grad)
-        out[1, part] = _radial_pairing(grad, [mesh[0][part], *mesh[1:]], c)
-    return out[0], u[box], out[1], f[box]
+    mesh = g.meshgrid(sparse=True)
+
+    def fill(rows):
+        part = (rows, *box[1:])
+        grad = _gradient_box(u, g, part)
+        return _square_sum(grad), _radial_pairing(
+            grad, [m[(slice(None),) * ax + (b,)]
+                   for ax, (m, b) in enumerate(zip(mesh, part))], c)
+
+    grad_sq, radial = _stream(g, fill, 2, box)
+    return grad_sq, u[box], radial, f[box]
 
 
 def _identity_densities(state: PhaseFieldState):
@@ -223,26 +224,25 @@ def monotonicity_report(state: PhaseFieldState, center, radii,
 def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
     """S_c restricted to the hyperplane {x_last = t} (transverse array): the
     values on the two grid planes of the last axis around it, mixed as
-    `restrict_to_plane` mixes them. grad u and mu are formed on those two
-    planes only."""
+    `restrict_to_plane` mixes them. grad u is formed once on each of those
+    two planes, and mu, d_last u and <x-c, grad u> from it."""
     g, u = state.grid, state.u.values
     eps = state.epsilon
-    dens = density_fields(state)
     c = np.atleast_1d(np.asarray(center, dtype=float))
     k0, k1, lam = _plane_stencil(g, t)
     mesh = g.meshgrid(sparse=True)
     rest = (slice(None),) * (g.ndim - 1)
 
-    def on_plane(k):  # d_last u and <x-c, grad u> on the grid plane k
+    def on_plane(k):  # mu, d_last u and <x-c, grad u> on the grid plane k
         part = _gradient_box(u, g, (*rest, slice(k, k + 1)))[..., 0]
         # the other axes' coordinates have length 1 on the last axis
-        return part[-1], _radial_pairing(
-            part, [m[..., k if m.shape[-1] > 1 else 0] for m in mesh], c)
+        mesh_k = [m[..., k if m.shape[-1] > 1 else 0] for m in mesh]
+        return (energy_densities(_square_sum(part), u[..., k], eps)[0],
+                part[-1], _radial_pairing(part, mesh_k, c))
 
-    (dlast0, radial0), (dlast1, radial1) = on_plane(k0), on_plane(k1)
-    return ((t - c[-1]) * restrict_to_plane(dens.lazy_mu(), t)
-            - eps * ((1.0 - lam) * dlast0 + lam * dlast1)
-            * ((1.0 - lam) * radial0 + lam * radial1))
+    mu, dlast, radial = ((1.0 - lam) * a + lam * b
+                         for a, b in zip(on_plane(k0), on_plane(k1)))
+    return (t - c[-1]) * mu - eps * dlast * radial
 
 
 def _plane_term(grid, plane_values, center, t, radii, supersample,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (PERIODIC, Grid, ScalarField, _check_finite, _grad_sq,
+from .fields import (PERIODIC, Grid, ScalarField, _check_finite, _grad_sq_at,
                      _integrals, _laplacian_planes, _neighbour_sum_into,
                      _scale_by_unit_weights, _slabs, _stream, _unit_weights,
                      laplacian)
@@ -534,9 +534,9 @@ def _expand(coeffs: np.ndarray, tables, out: np.ndarray) -> np.ndarray:
 class InterfaceSpace:
     """Coarse space of a pure-Newton step, localised on the interface:
     Q = g * (products of the m smoothest modes per axis), with the weight
-    g = |grad_h u|, the square root of `fields._grad_sq`, the |grad u|^2
-    every analysis forms, 0 in the pure phases. K is the pure-Newton
-    operator at u, diag = W''(u)/eps.
+    g = |grad_h u|, the square root of `fields._grad_sq_at` on the whole
+    grid, the |grad u|^2 every analysis forms, 0 in the pure phases. K is
+    the pure-Newton operator at u, diag = W''(u)/eps.
 
     With A = D*K and M = D*P the operator and preconditioner of `spsolve`,
     the Galerkin matrices Q^T A Q and Q^T M Q are summed from the stencil
@@ -561,7 +561,7 @@ class InterfaceSpace:
 
     def __init__(self, grid: Grid, epsilon: float, u: np.ndarray):
         shape, nd, h = grid.shape, grid.ndim, grid.h
-        self.g = np.sqrt(_grad_sq(u, grid))
+        self.g = np.sqrt(_grad_sq_at(u, grid, ...))
         diag = double_well_second(u) / epsilon
         m = round(_COARSE_MODES ** (1.0 / nd))
         self.modes = [_axis_modes(n, min(m, n), grid.boundary) for n in shape]

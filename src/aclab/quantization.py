@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _check_finite, line_sample, trapezoid
+from .fields import _check_finite, _LazyField, line_sample, trapezoid
 from .measures import density_fields
 from .phasefield import PhaseFieldState, constants, double_well
 
@@ -105,13 +105,13 @@ def quantization_check(state: PhaseFieldState, lines, tau: float = 0.1
     half-up so ties stay visible through the reported residual.
     """
     alpha = constants().alpha
-    dens = density_fields(state)
+    mu = _LazyField(state.grid, lambda idx: density_fields(state, idx)[0])
     eps = state.epsilon
     rows = []
     for i, line in enumerate(lines):
         u_samp = line_sample(state.u, line.base, line.direction, line.samples,
                              line.t_lo, line.t_hi)
-        mu_samp = line_sample(dens.lazy_mu(), line.base, line.direction,
+        mu_samp = line_sample(mu, line.base, line.direction,
                               line.samples, line.t_lo, line.t_hi)
         t = u_samp[:, 0]
         windows = detect_layers(u_samp, tau, eps)

@@ -37,12 +37,12 @@ def constant_state(value, eps=0.1, n=81):
 
 def test_density_trivial_states():
     st1 = constant_state(1.0)
-    mu1, xi1 = density_fields(st1).on(...)
+    mu1, xi1 = density_fields(st1, ...)
     assert np.max(np.abs(mu1)) == 0.0
     assert np.max(np.abs(xi1)) == 0.0
 
     st0 = constant_state(0.0, eps=0.1)
-    mu0, xi0 = density_fields(st0).on(...)
+    mu0, xi0 = density_fields(st0, ...)
     assert mu0 == pytest.approx(1.0 / 0.2)
     assert xi0 == pytest.approx(-1.0 / 0.2)
     assert norm_report(st0).xi_plus_mass == 0.0
@@ -55,7 +55,7 @@ def test_pointwise_density_identities():
     eps = 0.1
     u = ScalarField(g, rng.uniform(-1.2, 1.2, g.shape))
     st = make_state(u, ScalarField(g, np.zeros(g.shape)), eps)
-    mu, xi = density_fields(st).on(...)
+    mu, xi = density_fields(st, ...)
     from aclab import double_well
     grad_sq = np.sum(gradient(u).values ** 2, axis=0)
     assert np.max(np.abs(mu - xi - 2 * double_well(u.values) / eps)) <= 1e-12
@@ -72,16 +72,13 @@ def random_state(n=33, seed=6, eps=0.1):
 
 def test_density_fields_hold_no_grid_array():
     # mu and xi are formed where they are read: the state's memo stays
-    # empty, the object holds no array of its own, and every read, also on
-    # a fresh state of the same data, gives the same bits
+    # empty, and every read, also on a fresh state of the same data, gives
+    # the same bits
     st = random_state()
-    d = density_fields(st)
-    assert not any(isinstance(v, np.ndarray) for v in vars(d).values())
-    assert d.u is st.u
-    mu, xi = d.on(...)
+    mu, xi = density_fields(st, ...)
     assert st._derived == {}
-    fresh = density_fields(make_state(st.u, st.f, st.epsilon))
-    for a, b in zip(fresh.on(...), (mu, xi), strict=True):
+    fresh = make_state(st.u, st.f, st.epsilon)
+    for a, b in zip(density_fields(fresh, ...), (mu, xi), strict=True):
         assert np.array_equal(a, b)
 
 
@@ -319,9 +316,8 @@ def full_tensor_first_variation(state, eta, params):
     once, one gradient per component, summed by sum(): the reference for
     the streamed form."""
     g = state.grid
-    dens = density_fields(state)
     grad_u = gradient(state.u).values
-    grad_sq = fields._grad_sq(state.u.values, g)
+    grad_sq = fields._grad_sq_at(state.u.values, g, ...)
     w = g.node_weights()
     comps = [gradient(ScalarField(g, eta.values[j])).values
              for j in range(g.ndim)]  # comps[j][i] = d_i eta_j
@@ -332,7 +328,7 @@ def full_tensor_first_variation(state, eta, params):
         nu = np.where(included, grad_u / grad_mag, 0.0)
     grad_eta_nunu = sum(comps[j][i] * nu[i] * nu[j]
                         for i in range(g.ndim) for j in range(g.ndim))
-    mu, xi = dens.on(...)
+    mu, xi = density_fields(state, ...)
     lhs = float(np.sum(np.where(included, (div_eta - grad_eta_nunu) * mu,
                                 0.0) * w))
     pairing = sum(grad_u[i] * eta.values[i] for i in range(g.ndim))
@@ -383,7 +379,7 @@ def test_first_variation_equals_full_tensor_reference(problem):
     assert res.lhs == lhs and res.rhs == rhs
     assert res.forcing_term == forcing and res.discrepancy_term == disc
     # |eta| of the whole (ndim,) + shape array at once as the reference
-    mu, w = density_fields(state).on(...)[0], state.grid.node_weights()
+    mu, w = density_fields(state, ...)[0], state.grid.node_weights()
     mag = np.sqrt(np.sum(eta.values ** 2, axis=0))
     assert eta_lq_norm(state, eta, q) == np.sum(mag ** q * mu * w) ** (1 / q)
     assert eta_lq_norm(state, eta, np.inf) == np.max(
@@ -392,11 +388,10 @@ def test_first_variation_equals_full_tensor_reference(problem):
 
 def test_first_variation_and_test_field_memory_budget():
     # traced peaks in units of one 3 x 65^3 float64 vector field, each the
-    # measured peak plus a quarter field; the densities exist already, as
-    # in `aclab run`, and the node weights are built inside the first call
-    # (a third of a field). At 65^3 one slab is one of the 65 planes.
+    # measured peak plus a quarter field; the node weights are built inside
+    # the first call (a third of a field). At 65^3 one slab is one of the
+    # 65 planes.
     state = manufactured_ball_state((65, 65, 65), ZERO_FLUX, 0.1, 0.5)
-    density_fields(state)
     size = 3 * 65 ** 3 * 8
 
     def traced_peak(fn, *args):

@@ -254,8 +254,7 @@ def whole_ball_columns(state, center, radii, slab):
     grad = gradient(state.u).values
     radial = sum((m - ci) * gi
                  for gi, m, ci in zip(grad, g.meshgrid(sparse=True), c))
-    dens = density_fields(state)
-    terms = [*dens.on(...), state.epsilon * radial ** 2,
+    terms = [*density_fields(state, ...), state.epsilon * radial ** 2,
              radial * state.f.values]
     return fields.ball_integrals(g, terms, c, radii, 4, slab=slab)
 

@@ -124,7 +124,7 @@ def test_two_layer_energy_matches_single_layer_quadrature():
     u = build_layer_stack(g, eps, LayerSpec(positions=(-0.1, 0.1), axis=1))
     from aclab.fields import integrate
     st = make_state(u, manufactured_forcing(u, eps), eps)
-    total = integrate(ScalarField(g, density_fields(st).on(...)[0]))
+    total = integrate(ScalarField(g, density_fields(st, ...)[0]))
     # oracle: per-layer 1-d energy by quadrature, decoupling error exp(-gap/eps)
     per_layer, _ = scipy.integrate.quad(
         lambda t: (1 - np.tanh(t / eps) ** 2) ** 2 / eps, -0.5, 0.5)

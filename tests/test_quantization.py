@@ -98,9 +98,11 @@ def test_quantization_circle_radial_lines(circle_state):
 def test_line_window_mass_concentration(stack2_state):
     # transition windows carry nearly all of the line energy
     from aclab import density_fields
-    dens = density_fields(stack2_state)
+    from aclab.fields import _LazyField
+    lazy_mu = _LazyField(stack2_state.grid,
+                         lambda idx: density_fields(stack2_state, idx)[0])
     line = axis_line()
-    mu = line_sample(dens.lazy_mu(), line.base, line.direction, line.samples,
+    mu = line_sample(lazy_mu, line.base, line.direction, line.samples,
                      line.t_lo, line.t_hi)
     u = line_sample(stack2_state.u, line.base, line.direction, line.samples,
                     line.t_lo, line.t_hi)

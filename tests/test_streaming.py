@@ -354,9 +354,9 @@ def test_slab_laplacian_forcing_and_residual_match_whole_grid(streamed):
 @st.composite
 def grad_sq_node_sets(draw):
     """Node values on a 1-, 2- or 3-d grid of spacing 0.1, and the node
-    sets readers form |grad u|^2 on: a slab of axis-0 planes, an index box,
-    a plane (..., k) of the last axis, and index arrays holding both face
-    nodes of every axis, where the mirror or wrap ghost is read."""
+    sets readers form |grad u|^2 on: a slab of axis-0 planes, the whole
+    grid, and index arrays holding both face nodes of every axis, where the
+    mirror or wrap ghost is read."""
     ndim = draw(st.sampled_from((1, 2, 3)))
     boundary = draw(st.sampled_from((ZERO_FLUX, PERIODIC)))
     top = {1: 40, 2: 20, 3: 12}[ndim]
@@ -366,25 +366,21 @@ def grad_sq_node_sets(draw):
     g = Grid(extent=extent, points=points, boundary=boundary)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
-    def span(n):
-        lo = draw(st.integers(0, n - 1))
-        return slice(lo, draw(st.integers(lo + 1, n)))
-
-    box = tuple(span(n) for n in points)
-    k = draw(st.integers(-points[-1], points[-1] - 1))
+    lo = draw(st.integers(0, points[0] - 1))
+    slab = slice(lo, draw(st.integers(lo + 1, points[0])))
     count = draw(st.integers(2 * ndim, 40))
     nodes = tuple(rng.integers(0, n, count) for n in points)
     for ax, n in enumerate(points):
         nodes[ax][2 * ax:2 * ax + 2] = 0, n - 1
     return (g, rng.uniform(-1.5, 1.5, g.shape),
-            [box[0], box, (..., k), nodes])
+            [slab, ..., nodes])
 
 
 @settings(max_examples=60, deadline=None)
 @given(grad_sq_node_sets())
 def test_grad_sq_on_any_nodes_matches_whole_grid(problem):
     g, u, node_sets = problem
-    whole = fields._grad_sq(u, g)
+    whole = fields._grad_sq_at(u, g, ...)
     grad = np.empty((g.ndim,) + g.shape)
     for ax in range(g.ndim):
         fields._central_difference(u, g, ax, grad[ax])
@@ -394,25 +390,32 @@ def test_grad_sq_on_any_nodes_matches_whole_grid(problem):
 
 
 def test_density_fields_match_whole_grid(streamed):
-    dens = density_fields(streamed)
     mu, xi, grad_mag, grad_sq = reference_densities(streamed)
-    whole_grad_sq = fields._grad_sq(streamed.u.values, streamed.grid)
+    whole_grad_sq = fields._grad_sq_at(streamed.u.values, streamed.grid, ...)
     assert_same_bits(whole_grad_sq, grad_sq)
-    got = (*dens.on(...), np.sqrt(whole_grad_sq))
+    got = (*density_fields(streamed, ...), np.sqrt(whole_grad_sq))
     for a, ref in zip(got, (mu, xi, grad_mag), strict=True):
         assert_same_bits(a, ref)
     for sl in fields._slabs(streamed.grid):
-        for a, ref in zip(dens.on(sl), (mu, xi), strict=True):
+        for a, ref in zip(density_fields(streamed, sl), (mu, xi), strict=True):
             assert_same_bits(a, ref[sl])
-    # mu read on the corners of an interpolation stencil and on the two
-    # grid planes of a hyperplane, as the lines and the sheets read it
+    # mu read on the corners of an interpolation stencil, as the lines
+    # read it
     g = streamed.grid
-    whole = ScalarField(g, mu)
+    lazy_mu = fields._LazyField(g, lambda idx: density_fields(streamed, idx)[0])
     pts = np.random.default_rng(3).uniform(g.lo, g.hi, (50, g.ndim))
-    assert_same_bits(interpolate(dens.lazy_mu(), pts), interpolate(whole, pts))
-    t = g.axis_coords(g.ndim - 1)[4] + 0.3 * g.h
-    assert_same_bits(np.asarray(restrict_to_plane(dens.lazy_mu(), t)),
-                     np.asarray(restrict_to_plane(whole, t)))
+    assert_same_bits(interpolate(lazy_mu, pts),
+                     interpolate(ScalarField(g, mu), pts))
+
+
+def test_density_fields_refuses_other_indices(streamed):
+    # public input: an index of none of the three node shapes is refused,
+    # by a message that names them
+    g = streamed.grid
+    for idx in ((..., 3), slice(0, g.points[0], 2)):
+        with pytest.raises(IndexError, match="slice of axis-0 planes of "
+                           "step 1, `...` or a tuple of"):
+            density_fields(streamed, idx)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1e-8, 0.3])
@@ -446,7 +449,7 @@ def test_norm_report_matches_whole_grid(streamed):
     assert rep.xi_plus_mass == float(np.sum(np.maximum(xi, 0.0) * w))
     assert rep.xi_abs_mass == float(np.sum(np.abs(xi) * w))
     assert rep.f_l2_over_eps == float(np.sum(f ** 2 * w)) / streamed.epsilon
-    xi_field = ScalarField(streamed.grid, density_fields(streamed).on(...)[1])
+    xi_field = ScalarField(streamed.grid, density_fields(streamed, ...)[1])
     assert integrate(xi_field) == float(np.sum(xi * w))
 
 
