@@ -34,7 +34,7 @@ from .fields import (RegionError, _check_ball_margin, _check_finite,
                      ball_integrals, disc_integral, inert_slab,
                      radial_derivative, trapezoid)
 from .measures import energy_densities
-from .phasefield import PhaseFieldState, resolution_floor
+from .phasefield import PhaseFieldState, resolution_floor, under_resolved
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,8 @@ def check_geometry(grid, epsilon: float, center, radii, slab=None,
         raise ValueError("radii must be strictly ascending and uniform")
     floor = resolution_floor(grid, epsilon)
     if radii[0] < floor - 1e-12:
-        raise ValueError(
-            f"radii start at {radii[0]}, below the resolution floor "
-            f"max(4h, eps) = {floor}")
+        raise ValueError(under_resolved("radius", radii[0],
+                                        "radii >= max(4h, eps)", floor))
     if slab is not None:
         _check_finite(t_lo=slab[0], t_hi=slab[1])
         if not slab[0] < slab[1]:

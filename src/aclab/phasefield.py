@@ -166,12 +166,19 @@ class PhaseFieldState:
             return self._derived.setdefault(key, compute())
 
 
+def under_resolved(quantity: str, value: float, rule: str,
+                   bound: float) -> str:
+    """The refusal text of a resolution check: the quantity and its value,
+    the rule it breaks and the rule's bound on the grid."""
+    return f"{quantity}={value} under-resolves the grid: need {rule} = {bound}"
+
+
 def _check_epsilon(grid: Grid, epsilon: float):
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     if epsilon < 2.0 * grid.h - 1e-12 * grid.h:  # slack as in check_layer_fit
         raise ValueError(
-            f"epsilon={epsilon} under-resolves the layer: need eps >= 2h = {2 * grid.h}")
+            under_resolved("epsilon", epsilon, "eps >= 2h", 2 * grid.h))
 
 
 def resolution_floor(grid: Grid, epsilon: float) -> float:
@@ -413,9 +420,11 @@ def minres(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
     symmetric positive definite M. The recurrences and stopping tests are
     those of scipy.sparse.linalg.minres (scipy 1.17, shift 0); inner
     products and ||x|| use `_dot`. The arrays matvec returns are updated in
-    place, and psolve's result is read before the next matvec. Besides b
-    and what matvec and psolve keep, it holds five vectors: x, v, a
-    scratch and the two last directions w. Returns (x, iterations)."""
+    place, and psolve's result is read before the next matvec. b is read
+    only in the first two iterations, so matvec may return its buffer from
+    the third on. Besides b and what matvec and psolve keep, it holds five
+    vectors: x, v, a scratch and the two last directions w. Returns (x,
+    iterations)."""
     n = b.size
     eps = np.finfo(float).eps
     x, w1, w2 = (np.zeros(n) for _ in range(3))
@@ -647,12 +656,15 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     `InterfaceSpace` of a pure-Newton step, its correction is added to it
     (still SPD). MINRES stops at relative residual rtol.
 
-    Besides MINRES's five vectors it holds eight grid arrays: the centre,
-    the transform's symbol, D*rhs, three matvec products (MINRES keeps
-    the two before the last), the neighbour sum, in which the
-    preconditioner also works (MINRES has read its result before the
-    next matvec), and the coarse correction's scratch; and the DCT-I's
-    chunk buffers, about 4/_DCT_SHARE = 1/4 of a grid array.
+    diag is overwritten: the centre is formed in its buffer, after c has
+    been read from it. Besides MINRES's five vectors the solve holds six
+    grid arrays: the centre, the transform's symbol, three matvec products
+    (MINRES keeps the two before the last), of which D*rhs is the third
+    (MINRES reads b only in its first two iterations), and the neighbour
+    sum, in which the preconditioner also works (MINRES has read its
+    result before the next matvec); the coarse correction works in the
+    product matvec writes next; and the DCT-I's chunk buffers, about
+    4/_DCT_SHARE = 1/4 of a grid array.
     """
     shape = grid.shape
     # max|fl(x + shift)| over diag is reached at diag's max or min, as
@@ -661,14 +673,18 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     inv_symbol = 1.0 / (c + epsilon * _laplacian_eigenvalues(
         grid.points, grid.h, grid.boundary))
     coupling = epsilon / grid.h ** 2
-    centre = np.add(diag, shift).reshape(shape)
+    centre = np.add(diag, shift, out=diag).reshape(shape)
     centre += 2.0 * grid.ndim * coupling
     centre = _scale_by_unit_weights(centre, grid).ravel()
     spread = np.empty(shape)
     if grid.boundary != PERIODIC:
         dct = _CosineTransform(shape)
-    # minres keeps the two products before the last, so three buffers rotate
-    products = [np.empty(centre.size) for _ in range(3)]
+    b = _scale_by_unit_weights(np.array(rhs, dtype=float).reshape(shape),
+                               grid).ravel()
+    # minres keeps the two products before the last, so three buffers
+    # rotate; b is the third, which minres reads only in its first two
+    # iterations and matvec first writes in the third
+    products = [np.empty(b.size), np.empty(b.size), b]
 
     def matvec(x):
         y = products.pop(0)
@@ -697,15 +713,16 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
 
     if coarse is not None and coarse.weights.size:
         plain = precondition
-        work = np.empty(shape)
 
         def precondition(y):
+            # the correction works in the product matvec writes next: minres
+            # holds only the other two when it preconditions
             x = plain(y)
-            coarse.add_correction(y.reshape(shape), x.reshape(shape), work)
+            coarse.add_correction(y.reshape(shape), x.reshape(shape),
+                                  products[0].reshape(shape))
             return x
 
-    b = _scale_by_unit_weights(np.array(rhs, dtype=float).reshape(shape), grid)
-    du, _ = minres(matvec, precondition, b.ravel(), rtol=rtol,
+    du, _ = minres(matvec, precondition, b, rtol=rtol,
                    maxiter=_LINEAR_MAXITER)
     return du.reshape(shape)
 
@@ -739,10 +756,12 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     inner products without BLAS). Raises SolverError with the best residual
     when max_iter accepted steps cannot reach tol.
 
-    Through a linear solve a step holds u, R, W''(u)/eps and the coarse
-    space's weight, but not the last step's du: with `spsolve`'s eight
-    arrays and MINRES's five, about 17 grid arrays besides f and u_init,
-    which is read, never copied.
+    Through a linear solve a step holds u, R and the coarse space's
+    weight, but not the last step's du, and W''(u)/eps only as the centre
+    `spsolve` forms in it: with `spsolve`'s six arrays and MINRES's five,
+    about 14 grid arrays besides f. u_init is read, never copied, and not
+    held past the first step (on CPython >= 3.11, when the caller holds
+    no name to it either).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -761,7 +780,11 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
         return (epsilon * lap_uv - double_well_prime(uv) / epsilon - fv,
                 _integrals(grid, lambda sl: (dens[sl],))[0])
 
-    u = u_init.values  # read-only; every step forms a new array
+    # read-only; every step forms a new array. The guess is not held past
+    # the first step: on CPython >= 3.11 a frame owns its call arguments,
+    # so a guess passed as a temporary is freed with the first step's u.
+    u = u_init.values
+    del u_init
     r, fu = resid_energy(u)
     rnorm = float(np.max(np.abs(r)))
     best = rnorm
@@ -773,13 +796,14 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     rprev = None
     coarse = None
     for _ in range(max_iter):
-        w2 = double_well_second(u) / epsilon
         eta = forcing_term(rnorm, rprev, tol)
         if pure_newton and coarse is None:
             coarse = InterfaceSpace(grid, epsilon, u)
         while True:
+            # W''(u)/eps is formed for each trial, as spsolve overwrites it;
             # du is added and dropped: it is not held through the next solve
-            trial = u + spsolve(grid, epsilon, w2, r, rtol=eta,
+            trial = u + spsolve(grid, epsilon, double_well_second(u) / epsilon,
+                                r, rtol=eta,
                                 coarse=coarse if pure_newton else None,
                                 shift=0.0 if pure_newton else 1.0 / dtau)
             rt_field, ft = resid_energy(trial)

@@ -19,7 +19,8 @@ from .phasefield import (LayerSpec, PhaseFieldState, SolverError,
                          build_layer_stack, build_radial_layer,
                          check_layer_fit, constants, make_state,
                          manufactured_forcing, resolution_floor,
-                         signed_distance_ball, solve_stationary)
+                         signed_distance_ball, solve_stationary,
+                         under_resolved)
 
 
 class ScenarioError(RuntimeError):
@@ -118,8 +119,8 @@ class Scenario:
         h = self.grid.h
         for e in eps:
             if h > e / 4.0 + 1e-12 * h:
-                raise ValueError(f"{self.name}: grid spacing h={h:g} exceeds "
-                                 f"eps/4 for epsilon={e:g}")
+                raise ValueError(f"{self.name}: " + under_resolved(
+                    "epsilon", e, "eps >= 4h", 4.0 * h))
         if not isinstance(self.profile, Profile):
             raise ValueError(f"{self.name}: unknown profile type "
                              f"{type(self.profile).__name__}")
@@ -203,19 +204,24 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
         check_buildable(scenario)
         force = (g.ndim - 1) * constants().alpha / (2.0 * prof.radius)
         f = ScalarField._adopt(g, np.full(g.shape, force))
-        dist = signed_distance_ball(g, prof.center, prof.radius)
-        init = ScalarField._adopt(g, np.tanh(dist / eps) + eps * force / 4.0)
-        state = solve_stationary(g, eps, f, init, max_iter=_SOLVER_MAX_ITER)
-        _check_bubble(state, dist)
+        # the initial guess, and the distance it is formed from, are
+        # temporaries: no name holds them through the solve (see
+        # `solve_stationary`), so the distance is formed again for the check
+        state = solve_stationary(g, eps, f, ScalarField._adopt(
+            g, np.tanh(signed_distance_ball(g, prof.center, prof.radius) / eps)
+            + eps * force / 4.0), max_iter=_SOLVER_MAX_ITER)
+        _check_bubble(state, signed_distance_ball(g, prof.center, prof.radius))
         return state
     if isinstance(prof, SolvedFromForcingProfile):
-        u_star = build_radial_layer(g, eps, prof.center, prof.radius)
-        f = manufactured_forcing(u_star, eps)
+        f = manufactured_forcing(
+            build_radial_layer(g, eps, prof.center, prof.radius), eps)
         rng = np.random.default_rng(scenario.seed)
-        init = ScalarField._adopt(
-            g, u_star.values + prof.noise_amplitude * rng.standard_normal(g.shape))
-        del u_star  # not held through the solve
-        return solve_stationary(g, eps, f, init, max_iter=_SOLVER_MAX_ITER)
+        # the guess is a temporary, formed from the layer again, so that
+        # neither is held through the solve
+        return solve_stationary(g, eps, f, ScalarField._adopt(
+            g, build_radial_layer(g, eps, prof.center, prof.radius).values
+            + prof.noise_amplitude * rng.standard_normal(g.shape)),
+            max_iter=_SOLVER_MAX_ITER)
     raise ScenarioError(f"unknown profile type {type(prof).__name__}")
 
 

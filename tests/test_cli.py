@@ -386,7 +386,9 @@ NON_FINITE = [
 # the refusal names and its text.
 GEOMETRY = {
     "monotonicity-floor": ("monotonicity.radii = 0.01, 0.05, 5",
-                           "monotonicity.radii", "resolution floor"),
+                           "monotonicity.radii",
+                           "radius=0.01 under-resolves the grid: "
+                           "need radii >= max(4h, eps)"),
     # B_0.9((0.5, 0)) reaches past the wall x = 1
     "monotonicity-margin": ("monotonicity.center = 0.5, 0\n"
                             "monotonicity.radii = 0.2, 0.9, 8",

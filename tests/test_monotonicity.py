@@ -66,7 +66,8 @@ def test_report_preconditions(planar_state):
     with pytest.raises(ValueError, match="uniform"):
         monotonicity_report(planar_state, (0.0, 0.0),
                             [0.1, 0.15, 0.25, 0.3, 0.35])
-    with pytest.raises(ValueError, match="resolution floor"):
+    with pytest.raises(ValueError, match=r"radius=0.01 under-resolves the "
+                       r"grid: need radii >= max\(4h, eps\)"):
         monotonicity_report(planar_state, (0.0, 0.0),
                             np.linspace(0.01, 0.4, 9))
 

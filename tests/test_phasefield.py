@@ -236,7 +236,8 @@ def test_epsilon_of_exactly_2h_is_accepted():
     zero = ScalarField(g, np.zeros(g.shape))
     assert 2.0 * g.h > 0.1
     assert make_state(zero, zero, 0.1).epsilon == 0.1
-    with pytest.raises(ValueError, match="under-resolves"):
+    with pytest.raises(ValueError, match="epsilon=0.099 under-resolves the "
+                       "grid: need eps >= 2h"):
         make_state(zero, zero, 0.099)
 
 
@@ -349,7 +350,7 @@ def test_a_scalar_shift_solves_the_shifted_system_bit_for_bit(boundary,
     # pseudo-transient steps pass 1/dtau as `shift`, not as diag + 1/dtau
     g, eps, _, diag, r = newton_system(boundary, points, True)
     shift = 4.0 / eps
-    got = phasefield.spsolve(g, eps, diag, r, shift=shift)
+    got = phasefield.spsolve(g, eps, diag.copy(), r, shift=shift)
     want = phasefield.spsolve(g, eps, diag + shift, r)
     assert got.tobytes() == want.tobytes()
 
@@ -380,12 +381,13 @@ def test_two_level_solve_matches_direct_solve(boundary, points):
 
 
 def minres_arguments(monkeypatch, *args, **kwargs):
-    """The (matvec, psolve, b) and keywords spsolve hands to minres."""
+    """The (matvec, psolve, b) and keywords spsolve hands to minres; b is
+    copied, as its buffer is matvec's third product."""
     calls = []
 
-    def recording_minres(*a, **kw):
-        calls.append((a, kw))
-        return minres(*a, **kw)
+    def recording_minres(matvec, psolve, b, **kw):
+        calls.append(((matvec, psolve, b.copy()), kw))
+        return minres(matvec, psolve, b, **kw)
 
     minres = phasefield.minres
     monkeypatch.setattr(phasefield, "minres", recording_minres)
@@ -418,7 +420,7 @@ def test_fused_operator_equals_the_laplacian_form(problem):
     # with the sum in another order
     g, eps, diag, x = problem
     with pytest.MonkeyPatch.context() as mp:
-        (matvec, _, _), _ = minres_arguments(mp, g, eps, diag, x)
+        (matvec, _, _), _ = minres_arguments(mp, g, eps, diag.copy(), x)
     d = g.node_weights() / g.h ** g.ndim
     want = (d * (diag * x - eps * laplacian(ScalarField(g, x)).values)).ravel()
     got = matvec(x.ravel())
@@ -462,7 +464,7 @@ def test_preconditioner_inverts_the_transform_operator(problem):
     # either boundary: this pins the symbols and the inverses' scaling
     g, eps, diag, x = problem
     with pytest.MonkeyPatch.context() as mp:
-        (_, psolve, _), _ = minres_arguments(mp, g, eps, diag, x)
+        (_, psolve, _), _ = minres_arguments(mp, g, eps, diag.copy(), x)
     c = float(np.max(np.abs(diag)))
     d = g.node_weights() / g.h ** g.ndim
     dpx = d * (c * x - eps * laplacian(ScalarField(g, x)).values)
@@ -516,7 +518,7 @@ def test_two_level_minres_matches_scipy_minres(boundary, points,
 def test_two_level_preconditioner_is_symmetric_positive_definite(
         boundary, points, monkeypatch):
     g, eps, u, diag, r = newton_system(boundary, points, True)
-    (_, plain, _), _ = minres_arguments(monkeypatch, g, eps, diag, r)
+    (_, plain, _), _ = minres_arguments(monkeypatch, g, eps, diag.copy(), r)
     (_, psolve, _), _ = minres_arguments(
         monkeypatch, g, eps, diag, r,
         coarse=phasefield.InterfaceSpace(g, eps, u))
@@ -583,7 +585,7 @@ def test_interface_free_state_uses_the_plain_preconditioner(monkeypatch):
     r = np.random.default_rng(2).standard_normal(g.shape)
     space = phasefield.InterfaceSpace(g, eps, u)
     assert space.weights.size == 0
-    got = phasefield.spsolve(g, eps, diag, r, coarse=space)
+    got = phasefield.spsolve(g, eps, diag.copy(), r, coarse=space)
     assert np.all(np.isfinite(got))
     assert np.array_equal(got, phasefield.spsolve(g, eps, diag, r))
 

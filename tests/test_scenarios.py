@@ -35,7 +35,8 @@ def test_corpus_contents(corpus):
 
 
 def test_scenario_rejects_underresolved_epsilon():
-    with pytest.raises(ValueError, match="exceeds eps/4 for epsilon=0.05"):
+    with pytest.raises(ValueError, match="epsilon=0.05 under-resolves the "
+                       "grid: need eps >= 4h"):
         Scenario(name="bad", grid=small_grid(), epsilons=(0.05,),
                  profile=ConstantProfile(0.0))
 
