@@ -1,9 +1,10 @@
 """Experiment runner: parses flat key-value configs, executes the selected
 analyses on a scenario, and writes CSV tables plus a JSON summary.
 
-Exit codes: 0 success, 1 analysis failure (or tolerance warning under
---strict), 2 config error. CSV bodies are byte-identical across reruns of
-the same config; timestamps live only in the summary metadata.
+Exit codes: 0 success, 1 analysis failure or failed build (or tolerance
+warning under --strict), 2 config error or usage error (a bad flag, or an
+output directory that cannot be made). CSV bodies are byte-identical across
+reruns of the same config; timestamps live only in the summary metadata.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _numbers(kind=float, count=None, low=None):
+def _numbers(kind=float, count=None, low=None, high=None):
     """A parser of comma-separated numbers: finite floats, or integers with
-    kind=int; each at least `low` and `count` of them, when given. It
-    returns a tuple, or with count=1 the one number."""
+    kind=int; each at least `low` and at most `high`, and `count` of them,
+    when given. It returns a tuple, or with count=1 the one number."""
     def parse(text: str):
         vals = tuple(kind(v) for v in text.split(","))
         if count is not None and len(vals) != count:
@@ -94,6 +95,8 @@ def _numbers(kind=float, count=None, low=None):
                 raise ValueError(f"must be a finite number, got {v}")
             if low is not None and v < low:
                 raise ValueError(f"must be >= {low}, got {v}")
+            if high is not None and v > high:
+                raise ValueError(f"must be <= {high}, got {v}")
         return vals[0] if count == 1 else vals
     return parse
 
@@ -110,6 +113,13 @@ def _radii(text: str) -> np.ndarray:
         raise ValueError(f"count must be an integer in [0, 10000], got "
                          f"{count:g}")
     return np.linspace(start, stop, int(count))
+
+
+def _radius(text: str) -> float:
+    radius = _numbers(count=1)(text)
+    if radius <= 0:  # a ball kind's interface is a sphere
+        raise ValueError(f"must be > 0, got {radius}")
+    return radius
 
 
 def _epsilons(text: str) -> tuple[float, ...]:
@@ -164,7 +174,6 @@ class RunConfig:
     analyses: tuple[str, ...]
     out_dir: Path
     strict: bool = False
-    threads: int = 1
     geometry: dict = field(default_factory=dict)
 
 
@@ -203,7 +212,7 @@ _KEYS = {
     "scenario.first_sign": _Key(int, *_STACK),
     # default: one zero per grid axis
     "scenario.center": _Key(_point, *_BALL),
-    "scenario.radius": _Key(_numbers(count=1), *_BALL, default=0.5),
+    "scenario.radius": _Key(_radius, *_BALL, default=0.5),
     "scenario.value": _Key(_numbers(count=1), "constant", default=0.0),
     "scenario.noise": _Key(_numbers(count=1), "solved-circle",
                            field="noise_amplitude"),
@@ -222,7 +231,9 @@ _KEYS = {
     "slab.t": _Key(_numbers(count=2), "slab"),
     "gdelta.delta": _Key(_numbers(), "gdelta", default=(0.1, 0.01)),
     "gdelta.c0": _Key(_numbers(count=1), "gdelta", default=2.0),
-    "firstvar.count": _Key(_numbers(int, 1, low=1), "firstvar", default=5),
+    # one slab walk per field: at most 400 times the default count of 5
+    "firstvar.count": _Key(_numbers(int, 1, low=1, high=2000), "firstvar",
+                           default=5),
     "firstvar.seed": _Key(_numbers(int, 1, low=0), "firstvar"),
 }
 
@@ -368,11 +379,11 @@ def _analysis_inputs(values: dict, scenario: Scenario, analyses) -> dict:
     return inputs
 
 
-def load_config(path: Path, out_override=None, strict_override=None,
-                threads: int = 1) -> RunConfig:
+def load_config(path: Path, out_override=None,
+                strict_override=None) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     kv = parse_config_text(text)
     unknown = sorted(set(kv) - set(_KEYS))
@@ -394,7 +405,7 @@ def load_config(path: Path, out_override=None, strict_override=None,
         scenario=scenario, analyses=run["analyses"],
         out_dir=Path(out_override) if out_override else run["out"],
         strict=run["strict"] if strict_override is None else strict_override,
-        threads=threads, geometry=geometry)
+        geometry=geometry)
 
 
 def _format(value) -> str:
@@ -620,32 +631,25 @@ def _join(tables):
     return fname, header, rows, frag
 
 
-def _analyse(cfg: RunConfig, map_):
+def _analyse(cfg: RunConfig):
     """Build the states one epsilon at a time, in scenario.epsilons order,
-    run on each the analyses that read it (`map_` maps them), and drop it
-    before the next is built, so that a run holds one state. Returns each
-    analysis's tables, one per state read, and the failures by analysis;
-    raises the ScenarioError of a failed build."""
+    run on each the analyses that read it, and drop it before the next is
+    built, so that a run holds one state. Returns each analysis's tables,
+    one per state read, and the failures by analysis; raises the
+    ScenarioError of a failed build."""
     scenario = cfg.scenario
     tables = {name: [] for name in cfg.analyses}
     failures = {}
-
-    def job(name, state):  # the runner's table, or what it raised, named
-        try:
-            return _RUNNERS[name](cfg, state)
-        except Exception as exc:
-            # the message only: the traceback's frames hold the state
-            return f"{name}: {exc}"
-
     for i, eps in enumerate(scenario.epsilons):
         state, = build(replace(scenario, epsilons=(eps,)))
-        names = [name for name in tables if name not in failures
-                 and (i == 0 or name in _EVERY_EPSILON)]
-        for name, result in zip(names, map_(job, names, [state] * len(names))):
-            if isinstance(result, str):
-                failures[name] = result
-            else:
-                tables[name].append(result)
+        for name in tables:
+            if name in failures or (i > 0 and name not in _EVERY_EPSILON):
+                continue
+            try:
+                tables[name].append(_RUNNERS[name](cfg, state))
+            except Exception as exc:
+                # the message only: the traceback's frames hold the state
+                failures[name] = f"{name}: {exc}"
         del state  # and its memo, before the next state is built
     return tables, failures
 
@@ -654,19 +658,17 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured analyses; returns the process exit code.
     Nothing is written until every state has been built."""
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    pool = None
-    if cfg.threads > 1:  # the pool is imported only by a run that uses it
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
     try:
-        tables, failures = _analyse(cfg, pool.map if pool else map)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a usage error, like a config error
+        print(f"error: cannot use output directory {out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    try:
+        tables, failures = _analyse(cfg)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if pool:
-            pool.shutdown()
 
     summary = {"scenario": cfg.scenario.name,
                "epsilons": list(cfg.scenario.epsilons),
@@ -721,12 +723,14 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute analyses from a config file")
     p_run.add_argument("--config", required=True, type=Path)
     p_run.add_argument("--out", type=Path, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
+    # only the value 1: the benchmark's command line still passes it
+    p_run.add_argument("--threads", type=int, choices=(1,), default=1,
+                       help=argparse.SUPPRESS)
     p_run.add_argument("--strict", action="store_true", default=None)
 
     p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("--config", required=True, type=Path)
-    p_val.set_defaults(out=None, strict=None, threads=1)
+    p_val.set_defaults(out=None, strict=None)
 
     sub.add_parser("list-scenarios", help="print the named scenario corpus")
 
@@ -739,10 +743,8 @@ def main(argv=None) -> int:
                   f"grid={sc.grid.points} eps=[{eps}]")
         return 0
 
-    if args.threads < 1:
-        p_run.error(f"--threads must be >= 1, got {args.threads}")
     try:
-        cfg = load_config(args.config, args.out, args.strict, args.threads)
+        cfg = load_config(args.config, args.out, args.strict)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

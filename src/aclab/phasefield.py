@@ -156,14 +156,11 @@ class PhaseFieldState:
     def derived(self, key, compute):
         """The value of compute() stored under key, computed on first use.
 
-        Threads racing on a missing key may each compute it, but setdefault
-        keeps the first value stored, so every caller gets the same object.
         Values are shared: they must be immutable (read-only arrays).
         """
-        try:
-            return self._derived[key]
-        except KeyError:
-            return self._derived.setdefault(key, compute())
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
 
 def under_resolved(quantity: str, value: float, rule: str,

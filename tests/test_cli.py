@@ -18,7 +18,6 @@ from aclab.cli import (ANALYSES, ConfigError, _KEYS, load_config, main,
 SMALL_SCENARIO = """
 scenario.kind = planar
 scenario.epsilon = 0.1
-scenario.positions = 0.0
 grid.extent = 2, 2
 grid.points = 81, 81
 grid.origin = -1, -1
@@ -73,17 +72,41 @@ def test_validate_and_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     missing = tmp_path / "does-not-exist.cfg"
     assert main(["run", "--config", str(missing)]) == 2
+    # a byte that is not UTF-8, in a comment
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"scenario = planar-1\n# \xff\n")
+    capsys.readouterr()
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(binary)]) == 2
+        assert (f"config error: cannot read config {binary}: 'utf-8' codec"
+                in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+@pytest.mark.parametrize("threads", ["0", "-3", "2"])
+def test_threads_other_than_one_is_a_usage_error(tmp_path, capsys, threads):
+    # --threads takes only the 1 the benchmark's command line passes
     cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms\n"
                     f"out = {tmp_path/'out'}\n")
     with pytest.raises(SystemExit) as exit_info:
         main(["run", "--config", str(cfg), "--threads", threads])
     assert exit_info.value.code == 2
-    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("file", "File exists"), ("file/sub", "Not a directory")])
+def test_an_unusable_output_directory_is_a_usage_error(tmp_path, capsys,
+                                                      monkeypatch, out,
+                                                      reason):
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms\n")
+    # refused before any state is built
+    monkeypatch.setattr(aclab.scenarios, "_build_state", None)
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot use output directory {tmp_path / out}: {reason}\n")
 
 
 def test_list_scenarios(capsys):
@@ -175,6 +198,8 @@ def test_analysis_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert "analysis failure: monotonicity: no identity on this state" in err
     assert (tmp_path / "out" / "norms.csv").exists()
     assert not (tmp_path / "out" / "monotonicity.csv").exists()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["failures"][0].startswith("monotonicity: ")
 
 
 def test_stack_layers_that_fit_exactly_build(tmp_path):
@@ -283,52 +308,13 @@ def test_a_build_failing_at_a_later_epsilon_writes_nothing(tmp_path, capsys,
     body = SMALL_SCENARIO.replace("scenario.epsilon = 0.1",
                                   "scenario.epsilon = 0.15, 0.1")
     cfg = write_cfg(tmp_path, body + f"analyses = {', '.join(ANALYSES)}\n")
-    for threads in ("1", "2"):
-        out = tmp_path / f"out-{threads}"
-        assert main(["run", "--config", str(cfg), "--out", str(out),
-                     "--threads", threads]) == 1
-        assert capsys.readouterr().err == (
-            "error: scenario 'inline-planar' failed at eps=0.1: "
-            "RuntimeError: no state at this epsilon\n")
-        assert not list(out.glob("*.csv"))
-        assert not (out / "summary.json").exists()
-
-
-def test_threads_match_serial(tmp_path):
-    base = SMALL_SCENARIO + "analyses = norms, gdelta, quantize\n"
-    cfg1 = write_cfg(tmp_path, base + f"out = {tmp_path/'s'}\n", "s.cfg")
-    cfg2 = write_cfg(tmp_path, base + f"out = {tmp_path/'t'}\n", "t.cfg")
-    assert main(["run", "--config", str(cfg1)]) == 0
-    assert main(["run", "--config", str(cfg2), "--threads", "3"]) == 0
-    for fname in ("norms.csv", "gdelta.csv", "quantize.csv"):
-        assert (tmp_path / "s" / fname).read_bytes() == \
-            (tmp_path / "t" / fname).read_bytes()
-
-
-def test_threads_match_serial_on_circle_all_analyses(tmp_path):
-    # analyses running concurrently fill the per-state memo (the norm
-    # report, the curvature norm and the ball columns)
-    base = f"scenario = circle\nanalyses = {', '.join(ANALYSES)}\n"
-    cfg1 = write_cfg(tmp_path, base + f"out = {tmp_path/'s'}\n", "s.cfg")
-    cfg2 = write_cfg(tmp_path, base + f"out = {tmp_path/'t'}\n", "t.cfg")
-    assert main(["run", "--config", str(cfg1)]) == 0
-    assert main(["run", "--config", str(cfg2), "--threads", "2"]) == 0
-    csvs = sorted(p.name for p in (tmp_path / "s").glob("*.csv"))
-    assert len(csvs) == len(ANALYSES)
-    for fname in csvs:
-        assert (tmp_path / "s" / fname).read_bytes() == \
-            (tmp_path / "t" / fname).read_bytes()
-
-
-def test_threaded_failure_names_the_analysis(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._RUNNERS, "monotonicity", failing_runner)
-    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms, monotonicity\n"
-                    f"out = {tmp_path/'out'}\n")
-    assert main(["run", "--config", str(cfg), "--threads", "2"]) == 1
-    err = capsys.readouterr().err
-    assert "analysis failure: monotonicity: no identity on this state" in err
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["failures"][0].startswith("monotonicity: ")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: scenario 'inline-planar' failed at eps=0.1: "
+        "RuntimeError: no state at this epsilon\n")
+    assert not list(out.glob("*.csv"))
+    assert not (out / "summary.json").exists()
 
 
 MALFORMED = [
@@ -343,11 +329,19 @@ MALFORMED = [
     ("firstvar.count = many", "firstvar.count"),
     ("firstvar.count = 0", "firstvar.count"),
     ("firstvar.count = -2", "firstvar.count"),
+    # one slab walk per field: at most 2000 of them
+    ("firstvar.count = 100000000000000000000", "firstvar.count"),
+    ("firstvar.count = 2001", "firstvar.count"),
     ("firstvar.seed = -1", "firstvar.seed"),
     ("scenario.seed = abc", "scenario.seed"),
     ("scenario.seed = -5", "scenario.seed"),
     ("scenario.seed = -300", "scenario.seed"),
     ("scenario.radius = abc", "scenario.radius"),
+    # a ball of no positive radius has no interface
+    ("scenario.kind = circle\nscenario.radius = 0", "scenario.radius"),
+    ("scenario.kind = circle\nscenario.radius = -0.5", "scenario.radius"),
+    ("scenario.kind = solved-circle\nscenario.radius = 0", "scenario.radius"),
+    ("scenario.kind = bubble\nscenario.radius = -0.5", "scenario.radius"),
     ("scenario.radus = 0.5", "scenario.radus"),
     ("grid.extent = a, 2", "grid.extent"),
     ("grid.points = 81.5, 81", "grid.points"),
@@ -585,7 +579,7 @@ def loaded():
 
 cli.load_config(cfg)
 at_load = loaded()
-code = cli.main(["run", "--config", cfg, "--out", out, "--threads", "1"])
+code = cli.main(["run", "--config", cfg, "--out", out])
 print(json.dumps({"exit": code, "load": at_load, "run": loaded()}))
 """
 
@@ -619,7 +613,7 @@ def probe_imports(tmp_path, body, packages=("scipy",)):
 
 def test_manufactured_runs_import_only_what_they_run(tmp_path):
     # the test fields draw default_rng's stream in pure Python, the layer
-    # constants' Gauss rule comes from eigh, and one thread needs no pool
+    # constants' Gauss rule comes from eigh, and a run starts no pool
     body = f"scenario = circle\nanalyses = {', '.join(ANALYSES)}\n"
     seen = probe_imports(tmp_path, body, (
         "scipy", "numpy.random", "numpy.polynomial", "hashlib",

