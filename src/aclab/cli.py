@@ -222,7 +222,9 @@ _KEYS = {
     "grid.origin": _Key(_numbers(), "grid"),
     "analysis.q0": _Key(_numbers(count=1), "params"),
     "analysis.grad_threshold": _Key(_numbers(count=1), "params"),
-    "analysis.supersample": _Key(int, "params"),
+    # band work grows as supersample^d: at most 32, 512 times the default
+    # 4's subcell work in 3-d
+    "analysis.supersample": _Key(_numbers(int, 1, low=1, high=32), "params"),
     "analysis.tau": _Key(_numbers(count=1), "params"),
     "monotonicity.center": _Key(_point, "monotonicity"),
     "monotonicity.radii": _Key(_radii, "monotonicity"),

@@ -277,9 +277,11 @@ def _neighbours(grid: Grid, axis: int, span: slice = slice(None)):
 
 
 def _central_difference(v: np.ndarray, grid: Grid, axis: int,
-                        out: np.ndarray):
-    """out = (v[i+1] - v[i-1]) / 2h along one grid axis (see _neighbours)."""
-    for nodes, plus, minus in _neighbours(grid, axis):
+                        out: np.ndarray, span: slice = slice(None)):
+    """out = (v[i+1] - v[i-1]) / 2h along one grid axis, on the nodes
+    `span` of it (see _neighbours): v is whole along the axis, out holds
+    the span."""
+    for nodes, plus, minus in _neighbours(grid, axis, span):
         np.subtract(v[plus], v[minus], out=out[nodes])
     out /= 2.0 * grid.h
 
@@ -305,10 +307,8 @@ def _gradient_box(v: np.ndarray, grid: Grid, box) -> np.ndarray:
     shape = tuple(len(range(*b.indices(n))) for b, n in zip(box, grid.points))
     out = np.empty((grid.ndim,) + shape)
     for ax in range(grid.ndim):
-        line = v[box[:ax] + (slice(None),) + box[ax + 1:]]
-        for nodes, plus, minus in _neighbours(grid, ax, box[ax]):
-            np.subtract(line[plus], line[minus], out=out[ax][nodes])
-        out[ax] /= 2.0 * grid.h
+        _central_difference(v[box[:ax] + (slice(None),) + box[ax + 1:]],
+                            grid, ax, out[ax], box[ax])
     return out
 
 
@@ -804,39 +804,37 @@ def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     return float((d * (y[1:] + y[:-1]) / 2.0).sum())
 
 
-def _locate(grid: Grid, pts: np.ndarray):
-    """Cell indices and weights for multilinear interpolation at pts (m, d)."""
-    _check_finite(pts=pts)
-    rel = (pts - np.asarray(grid.lo)) / grid.h
+def _cell_stencil(grid: Grid, axis: int, x, outside: str):
+    """(i0, i1, w) for the finite coordinates x on one grid axis: the
+    nodes below and above each and the weight of the one above. A periodic
+    axis wraps them; a zero-flux axis keeps them in its last cell and
+    refuses a coordinate outside the domain with RegionError(outside)."""
+    rel, n = (x - grid.lo[axis]) / grid.h, grid.points[axis]
     if grid.boundary == PERIODIC:
-        i0 = np.floor(rel).astype(int)
-        w = rel - i0
-        i0 = np.mod(i0, grid.points)
-        i1 = np.mod(i0 + 1, grid.points)
-    else:
-        eps = 1e-9
-        n = np.asarray(grid.points)
-        if np.any(rel < -eps) or np.any(rel > (n - 1) + eps):
-            raise RegionError("interpolation point outside the domain")
-        i0 = np.clip(np.floor(rel).astype(int), 0, n - 2)
-        w = rel - i0
-        i1 = i0 + 1
-    return i0, i1, w
+        k = np.floor(rel)
+        i0 = (k % n).astype(int)  # k is whole, so k % n is exact
+        return i0, (i0 + 1) % n, rel - k
+    if np.any(rel < -1e-9) or np.any(rel > (n - 1) + 1e-9):
+        raise RegionError(outside)
+    i0 = np.clip(np.floor(rel).astype(int), 0, n - 2)
+    return i0, i0 + 1, rel - i0
 
 
 def interpolate(f: ScalarField, pts) -> np.ndarray:
     """Multilinear interpolation of a field (a ScalarField, or a _LazyField,
     which only this reads: on the corner nodes) at points (m, ndim)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    _check_finite(pts=pts)
     g = f.grid
-    i0, i1, w = _locate(g, pts)
+    cells = [_cell_stencil(g, ax, pts[:, ax],
+                           "interpolation point outside the domain")
+             for ax in range(g.ndim)]
     out = np.zeros(len(pts))
     for corner in itertools.product((0, 1), repeat=g.ndim):
-        idx = tuple(np.where(c, i1[:, ax], i0[:, ax])
-                    for ax, c in enumerate(corner))
+        idx = tuple(cell[c] for cell, c in zip(cells, corner))
         wt = np.ones(len(pts))
-        for ax, c in enumerate(corner):
-            wt = wt * (w[:, ax] if c else 1.0 - w[:, ax])
+        for (_, _, w), c in zip(cells, corner):
+            wt = wt * (w if c else 1.0 - w)
         out += wt * f.at(idx)
     return out
 
@@ -869,15 +867,9 @@ def line_sample(f: ScalarField, base, direction, samples: int,
 
 def _plane_stencil(g: Grid, t: float):
     """(k0, k1, lam): the grid planes on each side of {x_last = t} and the
-    weight of k1; a zero-flux grid refuses a plane outside the domain."""
-    rel, n = (t - g.lo[-1]) / g.h, g.points[-1]
-    if g.boundary == PERIODIC:
-        k0 = int(np.floor(rel)) % n
-        return k0, (k0 + 1) % n, rel - np.floor(rel)
-    if rel < -1e-9 or rel > (n - 1) + 1e-9:
-        raise RegionError(f"plane t={t} outside the domain")
-    k0 = min(max(int(np.floor(rel)), 0), n - 2)
-    return k0, k0 + 1, rel - k0
+    weight of k1 (see _cell_stencil)."""
+    _check_finite(t=t)
+    return _cell_stencil(g, g.ndim - 1, t, f"plane t={t} outside the domain")
 
 
 def restrict_to_plane(f: ScalarField, t: float) -> np.ndarray:

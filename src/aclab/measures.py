@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (PERIODIC, VectorField, _central_difference, _ghosts,
-                     _grad_sq_at, _gradient_box, _integrals, _PairwiseSums,
-                     _slabs, _square_sum, _weighted_slabs)
+from .fields import (PERIODIC, VectorField, _central_difference,
+                     _check_finite, _ghosts, _grad_sq_at, _gradient_box,
+                     _integrals, _PairwiseSums, _slabs, _square_sum,
+                     _weighted_slabs)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -96,14 +97,6 @@ def density_fields(state: PhaseFieldState, idx=...):
                             state.epsilon)
 
 
-def _finite(*sums):
-    """The sums, refused like a field of their integrand's values would be
-    if one is not finite."""
-    if not np.all(np.isfinite(sums)):
-        raise ValueError("field values must be finite")
-    return sums
-
-
 def _curvature_quotient(grad_mag, f, eps: float, threshold: float):
     """On the nodes of the arrays given: |f|/(eps|grad u|) where
     eps|grad u| >= threshold (0 elsewhere, and where a zero gradient makes
@@ -118,40 +111,15 @@ def _curvature_quotient(grad_mag, f, eps: float, threshold: float):
 
 
 def diffuse_mean_curvature_norm(state: PhaseFieldState, params: AnalysisParams):
-    """L^q0 norm integral of |f|/(eps|grad u|) against eps|grad u|^2 dx.
+    """(Lambda_hat, excluded mass fraction) of the state's norm report:
+    the L^q0 norm integral of |f|/(eps|grad u|) against eps|grad u|^2 dx.
 
     The quotient is evaluated only on cells with eps|grad u| above the
     threshold; the eps|grad u|^2 mass carried by excluded cells is reported
-    as a fraction of the total so silent truncation is visible. Computed
-    once per state, q0 and threshold.
+    as a fraction of the total so silent truncation is visible.
     """
-    q0 = params.resolve_q0(state.grid.ndim)
-    return state.derived(
-        ("curvature_norm", q0, params.grad_threshold),
-        lambda: _curvature_norm(state, q0, params.grad_threshold))
-
-
-def _curvature_integrands(grad_sq, f, eps: float, q0: float,
-                           threshold: float):
-    """The curvature norm's integrands on the nodes of grad_sq =
-    |grad u|^2 and f: quotient^q0 times the eps|grad u|^2 mass, the mass,
-    and the mass the threshold excludes."""
-    quotient, mass, included = _curvature_quotient(np.sqrt(grad_sq), f, eps,
-                                                   threshold)
-    return quotient ** q0 * mass, mass, np.where(included, 0.0, mass)
-
-
-def _curvature_value(lam, total_mass, excl):
-    """(Lambda_hat, excluded mass fraction) from the integrals of
-    _curvature_integrands."""
-    lam, total_mass, excl = _finite(lam, total_mass, excl)
-    return lam, excl / total_mass if total_mass > 0 else 0.0
-
-
-def _curvature_norm(state: PhaseFieldState, q0: float, threshold: float):
-    g, u, f = state.grid, state.u.values, state.f.values
-    return _curvature_value(*_integrals(g, lambda sl: _curvature_integrands(
-        _grad_sq_at(u, g, sl), f[sl], state.epsilon, q0, threshold)))
+    report = norm_report(state, params)
+    return report.lambda_hat, report.excluded_mass_fraction
 
 
 def norm_report(state: PhaseFieldState,
@@ -164,8 +132,9 @@ def norm_report(state: PhaseFieldState,
 
 def _norm_report(state: PhaseFieldState, params: AnalysisParams) -> NormReport:
     """One walk over the slabs: |grad u|^2 is formed once per slab, and
-    with it the integrands of the report and of the curvature norm, whose
-    memo it fills, and the slab's max |u| and max |grad u|^2."""
+    with it the integrands of the report, and the slab's max |u| and max
+    |grad u|^2. The curvature norm's are quotient^q0 times the
+    eps|grad u|^2 mass, the mass, and the mass the threshold excludes."""
     g, eps = state.grid, state.epsilon
     q0 = params.resolve_q0(g.ndim)
     u, f = state.u.values, state.f.values
@@ -175,15 +144,15 @@ def _norm_report(state: PhaseFieldState, params: AnalysisParams) -> NormReport:
         grad_sq = _grad_sq_at(u, g, sl)
         sups.append((np.max(np.abs(u[sl])), np.max(grad_sq)))
         mu, xi = energy_densities(grad_sq, u[sl], eps)
+        quotient, mass, included = _curvature_quotient(
+            np.sqrt(grad_sq), f[sl], eps, params.grad_threshold)
         return (np.abs(xi), f[sl] ** 2, mu, np.maximum(xi, 0.0),
-                *_curvature_integrands(grad_sq, f[sl], eps, q0,
-                                       params.grad_threshold))
+                quotient ** q0 * mass, mass, np.where(included, 0.0, mass))
 
-    xi_abs, f_sq, energy, xi_plus_mass, *curvature = _integrals(g, integrands)
-    lam, fraction = state.derived(
-        ("curvature_norm", q0, params.grad_threshold),
-        lambda: _curvature_value(*curvature))
-    _finite(xi_abs, f_sq)
+    xi_abs, f_sq, energy, xi_plus_mass, lam, mass, excl = _integrals(
+        g, integrands)
+    _check_finite(lambda_hat=lam, eps_grad_sq_mass=mass, excluded_mass=excl,
+                  xi_abs_mass=xi_abs, f_sq_integral=f_sq)
     sup_u, sup_grad_sq = map(max, zip(*sups))
     return NormReport(
         total_energy=energy,
@@ -194,7 +163,7 @@ def _norm_report(state: PhaseFieldState, params: AnalysisParams) -> NormReport:
         xi_plus_mass=xi_plus_mass,
         xi_abs_mass=xi_abs,
         f_l2_over_eps=f_sq / eps,
-        excluded_mass_fraction=fraction,
+        excluded_mass_fraction=excl / mass if mass > 0 else 0.0,
     )
 
 
@@ -248,7 +217,7 @@ def corollary_holder_check(state: PhaseFieldState, s: float, t: float,
 
     # f / 1.0 is f, bit for bit
     lhs, f_s, quotient_t = powers(1.0)
-    _finite(lhs)
+    _check_finite(holder_lhs=lhs)
     c1 = f_s ** (1.0 / s) / np.sqrt(eps)
     c2 = quotient_t ** (1.0 / t)
     rhs = c1 ** 2 * c2 ** (q0 - 2.0)
@@ -439,11 +408,7 @@ class _LqNorm:
     def integrand(self, part, mu, w):
         """|eta|^q mu on the slab, for the caller to integrate; for q = inf
         None, and the slab's max is kept."""
-        # |eta|^2 summed a component at a time, in the order np.sum(axis=0)
-        # adds
-        mag = part[0] ** 2
-        for comp in part[1:]:
-            mag += comp ** 2
+        mag = _square_sum(part)
         np.sqrt(mag, out=mag)
         if not np.isinf(self.q):
             np.power(mag, self.q, out=mag)

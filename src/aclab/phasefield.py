@@ -750,8 +750,11 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     (the interface barely moves in the tail). Deterministic at every BLAS
     thread count (the forcing terms follow from the residuals; fixed
     ordering, single-worker transforms, grid-sized products and MINRES
-    inner products without BLAS). Raises SolverError with the best residual
-    when max_iter accepted steps cannot reach tol.
+    inner products without BLAS). The state records the residual max-norm
+    of the last step's test: the expression of a state assembled from its
+    u, f and eps, in the same order, so the same bits. Raises SolverError,
+    before any linear solve, when the guess's residual is not finite, and
+    with the best residual when max_iter accepted steps cannot reach tol.
 
     Through a linear solve a step holds u, R and the coarse space's
     weight, but not the last step's du, and W''(u)/eps only as the centre
@@ -782,11 +785,15 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     # so a guess passed as a temporary is freed with the first step's u.
     u = u_init.values
     del u_init
-    r, fu = resid_energy(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        r, fu = resid_energy(u)
     rnorm = float(np.max(np.abs(r)))
+    if not np.isfinite(rnorm):
+        raise SolverError(
+            f"the initial guess's residual is not finite ({rnorm})", rnorm)
     best = rnorm
     if rnorm <= tol:
-        return make_state(ScalarField(grid, u), f, epsilon)
+        return PhaseFieldState(ScalarField(grid, u), f, float(epsilon), rnorm)
 
     dtau = epsilon / 4.0
     pure_newton = False
@@ -820,7 +827,8 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
         u, r, rnorm, fu = trial, rt_field, rt, ft
         best = min(best, rnorm)
         if rnorm <= tol:
-            return make_state(ScalarField(grid, u), f, epsilon)
+            return PhaseFieldState(ScalarField(grid, u), f, float(epsilon),
+                                   rnorm)
         if contraction <= 0.3:
             pure_newton = True
         elif not pure_newton:

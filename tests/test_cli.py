@@ -202,6 +202,17 @@ def test_analysis_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert summary["failures"][0].startswith("monotonicity: ")
 
 
+def test_an_overflowing_curvature_norm_is_refused_by_name(tmp_path, capsys):
+    # (|f|/(eps|grad u|))^2000 overflows: the refusal names the sum
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO.replace("planar", "circle")
+                    + "analyses = norms\nanalysis.q0 = 2000\n"
+                    f"out = {tmp_path/'out'}\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert ("analysis failure: norms: lambda_hat must be finite"
+            in capsys.readouterr().err)
+
+
 def test_stack_layers_that_fit_exactly_build(tmp_path):
     # the faces are exactly 6 eps from the layers: 0.5 - 0.2 = 6 * 0.05,
     # which floats round to 0.3 < 0.30000000000000004
@@ -320,6 +331,9 @@ def test_a_build_failing_at_a_later_epsilon_writes_nothing(tmp_path, capsys,
 MALFORMED = [
     ("analysis.q0 = abc", "analysis.q0"),
     ("analysis.supersample = 4.5", "analysis.supersample"),
+    # subcell work grows as supersample^d: at most 32
+    ("analysis.supersample = 33", "analysis.supersample"),
+    ("analysis.supersample = 100000", "analysis.supersample"),
     ("monotonicity.radii = 0.1, 0.2", "monotonicity.radii"),
     ("monotonicity.radii = 0.1, 0.3, 2.5", "monotonicity.radii"),
     ("slab.radii = 0.1, 0.3, 0", "slab.radii"),
@@ -477,6 +491,16 @@ def test_readme_key_table_lists_every_config_key():
     documented = [key for row in rows
                   for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(documented) == sorted(_KEYS)
+
+
+@pytest.mark.parametrize("head", ["scenario = circle-sweep",
+                                  "scenario.kind = stack"])
+def test_readme_config_examples_validate(tmp_path, head):
+    # the named-scenario and the inline example of the config format
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```\n")[1::2]
+    body, = [b for b in blocks if b.startswith(head)]
+    assert main(["validate", "--config", str(write_cfg(tmp_path, body))]) == 0
 
 
 def test_every_profile_class_is_a_config_kind():

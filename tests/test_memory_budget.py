@@ -176,25 +176,21 @@ def test_each_runner_peaks_within_a_grid_array_in_2d(tmp_path):
 
 def test_a_state_caches_no_grid_array(sphere):
     # after every analysis the state's memo holds no grid-sized array: the
-    # norm report and the curvature norm at the default q0 (which the
-    # report's walk fills; the Hoelder chain forms its own in its one pass)
-    # as scalars, and the ball identity's four columns, one read-only row
-    # per radius, which the inert default slab reads too
+    # norm report, whose scalars hold the curvature norm at the default q0
+    # (the Hoelder chain forms its own in its one pass), and the ball
+    # identity's four columns, one read-only row per radius, which the
+    # inert default slab reads too
     cfg, state = sphere
     params = cfg.scenario.params
     ball = cfg.geometry["monotonicity"]
     assert np.array_equal(cfg.geometry["slab"]["radii"], ball["radii"])
     columns = ("ball_columns", np.asarray(ball["center"], float).tobytes(),
                ball["radii"].tobytes(), params.supersample, None)
-    assert set(state._derived) == {
-        ("norm_report", params),
-        ("curvature_norm", 3.0, params.grad_threshold), columns}
+    assert set(state._derived) == {("norm_report", params), columns}
     cols = state._derived[columns]
     assert cols.shape == (len(ball["radii"]), 4) and not cols.flags.writeable
     assert cols.nbytes < GRID_ARRAY / 1000
-    scalars = [*vars(state._derived[("norm_report", params)]).values(),
-               *(v for key, value in state._derived.items()
-                 if key[0] == "curvature_norm" for v in value)]
+    scalars = vars(state._derived[("norm_report", params)]).values()
     assert all(isinstance(v, float) for v in scalars)
 
 

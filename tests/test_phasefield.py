@@ -9,10 +9,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from aclab import (Grid, LayerSpec, PERIODIC, ScalarField, SolverError,
-                   ZERO_FLUX, build_layer_stack, build_radial_layer,
-                   constants, double_well, double_well_prime, laplacian,
-                   make_state, manufactured_forcing, solve_stationary)
+from aclab import (Grid, LayerSpec, PERIODIC, ScalarField, Scenario,
+                   SolvedBubbleProfile, SolverError, ZERO_FLUX, build,
+                   build_layer_stack, build_radial_layer, constants,
+                   double_well, double_well_prime, laplacian, make_state,
+                   manufactured_forcing, solve_stationary)
 from aclab import density_fields, fields, phasefield
 from aclab.phasefield import check_layer_fit, double_well_second
 
@@ -643,6 +644,37 @@ def test_solver_periodic_2d():
     st = solve_stationary(g, eps, f, init, tol=1e-10)
     assert st.residual_norm <= 1e-10
     assert np.max(np.abs(st.u.values - u_star.values)) <= 1e-6
+
+
+@pytest.mark.parametrize("points, boundary", [
+    ((81, 81), ZERO_FLUX), ((80, 80), PERIODIC)],
+    ids=["zero-flux", "periodic"])
+def test_a_solved_state_keeps_the_residual_make_state_forms(points,
+                                                            boundary):
+    # the solve records the residual its last step's test measured;
+    # make_state forms it again from u, f and eps, with the same bits
+    st, = build(Scenario(
+        name="bubble", grid=centered_grid(points, boundary), epsilons=(0.1,),
+        profile=SolvedBubbleProfile(center=(0.0, 0.0), radius=0.5)))
+    assert st.residual_norm <= 1e-10
+    assert st.residual_norm == make_state(st.u, st.f,
+                                          st.epsilon).residual_norm
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_guess_of_non_finite_residual_is_refused_before_a_linear_solve(
+        monkeypatch):
+    # W'(u) of u = 1e300 overflows: MINRES would return a NaN step
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(phasefield, "spsolve", no_solve)
+    g = centered_grid((41, 41), ZERO_FLUX)
+    with pytest.raises(SolverError, match="initial guess's residual is not "
+                       "finite") as info:
+        solve_stationary(g, 0.1, ScalarField(g, np.zeros(g.shape)),
+                         ScalarField(g, np.full(g.shape, 1e300)))
+    assert not np.isfinite(info.value.best_residual)
 
 
 def test_solver_1d_two_layers_from_far_guess():
