@@ -130,15 +130,6 @@ def _epsilons(text: str) -> tuple[float, ...]:
     return eps
 
 
-def _bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean {text!r}")
-
-
 def _one_of(noun: str, known):
     def parse(text: str) -> str:
         if text not in known:
@@ -173,7 +164,6 @@ class RunConfig:
     scenario: Scenario
     analyses: tuple[str, ...]
     out_dir: Path
-    strict: bool = False
     geometry: dict = field(default_factory=dict)
 
 
@@ -200,7 +190,6 @@ _BALL = ("circle", "bubble", "solved-circle")
 _KEYS = {
     "analyses": _Key(_analyses, "run", default=("norms",)),
     "out": _Key(Path, "run", default=Path("out")),
-    "strict": _Key(_bool, "run", default=False),
     "scenario": _Key(_corpus_scenario, "corpus"),
     "scenario.kind": _Key(_one_of("kind", tuple(_PROFILES)), "inline"),
     "scenario.name": _Key(str, "inline"),
@@ -308,10 +297,11 @@ def _scenario(values: dict) -> Scenario:
         params = AnalysisParams(**_fields(values, "params"))
         params.resolve_q0(grid.ndim)
     if corpus is not None:
-        # a corpus scenario keeps its own seed; scenario.seed only must parse
         with _naming_keys(values, default=("scenario.epsilon",)):
-            scenario = replace(corpus, params=params, epsilons=values.get(
-                "scenario.epsilon", corpus.epsilons))
+            scenario = replace(
+                corpus, params=params,
+                epsilons=values.get("scenario.epsilon", corpus.epsilons),
+                seed=values.get("scenario.seed", corpus.seed))
             check_buildable(scenario)
         return scenario
     profile = _PROFILES[kind](**_fields(values, kind))
@@ -381,8 +371,7 @@ def _analysis_inputs(values: dict, scenario: Scenario, analyses) -> dict:
     return inputs
 
 
-def load_config(path: Path, out_override=None,
-                strict_override=None) -> RunConfig:
+def load_config(path: Path, out_override=None) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -406,7 +395,6 @@ def load_config(path: Path, out_override=None,
     return RunConfig(
         scenario=scenario, analyses=run["analyses"],
         out_dir=Path(out_override) if out_override else run["out"],
-        strict=run["strict"] if strict_override is None else strict_override,
         geometry=geometry)
 
 
@@ -418,11 +406,9 @@ def _format(value) -> str:
 
 def to_config(scenario: Scenario, out: str = "out") -> str:
     """Serialize a scenario to the flat key-value config format that
-    load_config reads back; refuses a profile type with no config kind."""
+    load_config reads back."""
     prof = scenario.profile
-    kind = next((k for k, cls in _PROFILES.items() if cls is type(prof)), None)
-    if kind is None:
-        raise ScenarioError(f"cannot serialize profile {type(prof).__name__}")
+    kind = next(k for k, cls in _PROFILES.items() if cls is type(prof))
     sources = {"run": {"out": out},
                "inline": {"kind": kind, "name": scenario.name},
                "scenario": vars(scenario), "grid": vars(scenario.grid),
@@ -656,9 +642,10 @@ def _analyse(cfg: RunConfig):
     return tables, failures
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute the configured analyses; returns the process exit code.
-    Nothing is written until every state has been built."""
+def run(cfg: RunConfig, strict: bool = False) -> int:
+    """Execute the configured analyses; returns the process exit code, 1 on
+    a tolerance warning when `strict`. Nothing is written until every state
+    has been built."""
     out = cfg.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -710,7 +697,7 @@ def run(cfg: RunConfig) -> int:
         print(f"analysis failure: {msg}", file=sys.stderr)
     if failed:
         return 1
-    if warned and cfg.strict:
+    if warned and strict:
         print("tolerance warnings escalated by --strict", file=sys.stderr)
         return 1
     return 0
@@ -728,11 +715,11 @@ def main(argv=None) -> int:
     # only the value 1: the benchmark's command line still passes it
     p_run.add_argument("--threads", type=int, choices=(1,), default=1,
                        help=argparse.SUPPRESS)
-    p_run.add_argument("--strict", action="store_true", default=None)
+    p_run.add_argument("--strict", action="store_true")
 
     p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("--config", required=True, type=Path)
-    p_val.set_defaults(out=None, strict=None)
+    p_val.set_defaults(out=None)
 
     sub.add_parser("list-scenarios", help="print the named scenario corpus")
 
@@ -746,7 +733,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = load_config(args.config, args.out, args.strict)
+        cfg = load_config(args.config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -754,8 +741,4 @@ def main(argv=None) -> int:
         print(f"ok: scenario={cfg.scenario.name} analyses={list(cfg.analyses)} "
               f"out={cfg.out_dir}")
         return 0
-    return run(cfg)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return run(cfg, args.strict)

@@ -48,15 +48,6 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite")
 
 
-def _as_tuple(x, n, kind=float):
-    if np.isscalar(x):
-        return tuple(kind(x) for _ in range(n))
-    t = tuple(kind(v) for v in x)
-    if len(t) != n:
-        raise ValueError(f"expected {n} entries, got {len(t)}")
-    return t
-
-
 @dataclass(frozen=True)
 class Grid:
     """Isotropic uniform grid on a box, tagged periodic or zero-flux.
@@ -72,22 +63,22 @@ class Grid:
     origin: tuple[float, ...] = None
 
     def __post_init__(self):
-        for name in ("extent", "points"):
-            if np.ndim(getattr(self, name)) != 1:
-                raise ValueError(f"{name} must have one entry per axis")
-        ndim = len(self.extent)
+        ndim = np.size(self.extent)
         if ndim not in (1, 2, 3):
             raise ValueError(f"ambient dimension must be 1, 2 or 3, got {ndim}")
-        if len(self.points) != ndim:
-            raise ValueError("extent and points must have equal length")
+        if self.origin is None:
+            object.__setattr__(self, "origin", (0.0,) * ndim)
+        # each is converted in place, a point count only if it is whole
+        for name, kind in (("extent", float), ("points", int),
+                           ("origin", float)):
+            value = getattr(self, name)
+            if np.ndim(value) != 1 or len(value) != ndim:
+                raise ValueError(f"{name} must have one entry per axis")
+            if kind is int and not all(float(n).is_integer() for n in value):
+                raise ValueError("points must be whole numbers")
+            object.__setattr__(self, name, tuple(map(kind, value)))
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
-        if not all(float(n).is_integer() for n in self.points):
-            raise ValueError("points must be whole numbers")
-        object.__setattr__(self, "extent", _as_tuple(self.extent, ndim))
-        object.__setattr__(self, "points", _as_tuple(self.points, ndim, int))
-        origin = self.origin if self.origin is not None else (0.0,) * ndim
-        object.__setattr__(self, "origin", _as_tuple(origin, ndim))
         if min(self.points) < 8:
             raise ValueError("each axis needs at least 8 points")
         if not all(0 < ext < np.inf for ext in self.extent):
@@ -795,13 +786,6 @@ def radial_derivative(profile: np.ndarray) -> np.ndarray:
     d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dr)
     d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dr)
     return np.column_stack([r, d])
-
-
-def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    """Trapezoidal rule for samples y at increasing nodes x, summed as
-    scipy.integrate.trapezoid sums a 1-d array (the same bits)."""
-    d = x[1:] - x[:-1]
-    return float((d * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _cell_stencil(grid: Grid, axis: int, x, outside: str):

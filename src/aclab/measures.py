@@ -149,8 +149,9 @@ def _norm_report(state: PhaseFieldState, params: AnalysisParams) -> NormReport:
         return (np.abs(xi), f[sl] ** 2, mu, np.maximum(xi, 0.0),
                 quotient ** q0 * mass, mass, np.where(included, 0.0, mass))
 
-    xi_abs, f_sq, energy, xi_plus_mass, lam, mass, excl = _integrals(
-        g, integrands)
+    with np.errstate(over="ignore"):  # the sums are refused by name below
+        xi_abs, f_sq, energy, xi_plus_mass, lam, mass, excl = _integrals(
+            g, integrands)
     _check_finite(lambda_hat=lam, eps_grad_sq_mass=mass, excluded_mass=excl,
                   xi_abs_mass=xi_abs, f_sq_integral=f_sq)
     sup_u, sup_grad_sq = map(max, zip(*sups))

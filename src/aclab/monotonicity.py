@@ -32,7 +32,7 @@ import numpy as np
 from .fields import (RegionError, _check_ball_margin, _check_finite,
                      _gradient_box, _plane_stencil, _square_sum, _stream,
                      ball_integrals, disc_integral, inert_slab,
-                     radial_derivative, trapezoid)
+                     radial_derivative)
 from .measures import energy_densities
 from .phasefield import PhaseFieldState, resolution_floor, under_resolved
 
@@ -289,4 +289,4 @@ def sheet_separation_integral(state: PhaseFieldState, x, t3: float, d: float,
     s_abs = np.abs(_sheet_integrand_on_plane(state, x, t3))
     rhos = np.linspace(d, R, 65)
     vals = _plane_term(state.grid, s_abs, x, t3, rhos, supersample)
-    return float(trapezoid(vals, rhos))
+    return float(np.trapezoid(vals, rhos))

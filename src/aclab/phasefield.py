@@ -754,7 +754,8 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     of the last step's test: the expression of a state assembled from its
     u, f and eps, in the same order, so the same bits. Raises SolverError,
     before any linear solve, when the guess's residual is not finite, and
-    with the best residual when max_iter accepted steps cannot reach tol.
+    with the best residual when a linear solve gives a non-finite step or
+    max_iter accepted steps cannot reach tol.
 
     Through a linear solve a step holds u, R and the coarse space's
     weight, but not the last step's du, and W''(u)/eps only as the centre
@@ -805,11 +806,17 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
             coarse = InterfaceSpace(grid, epsilon, u)
         while True:
             # W''(u)/eps is formed for each trial, as spsolve overwrites it;
-            # du is added and dropped: it is not held through the next solve
-            trial = u + spsolve(grid, epsilon, double_well_second(u) / epsilon,
-                                r, rtol=eta,
-                                coarse=coarse if pure_newton else None,
-                                shift=0.0 if pure_newton else 1.0 / dtau)
+            # du is added and dropped: it is not held through the next solve.
+            # A huge r can overflow MINRES's inner products: refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = u + spsolve(grid, epsilon,
+                                    double_well_second(u) / epsilon, r,
+                                    rtol=eta,
+                                    coarse=coarse if pure_newton else None,
+                                    shift=0.0 if pure_newton else 1.0 / dtau)
+            if not np.all(np.isfinite(trial)):
+                raise SolverError(f"the linear solve at residual {rnorm:.3e} "
+                                  "gave a non-finite step", best)
             rt_field, ft = resid_energy(trial)
             rt = float(np.max(np.abs(rt_field)))
             if np.isfinite(rt) and (rt < rnorm or (

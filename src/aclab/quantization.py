@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _check_finite, _LazyField, line_sample, trapezoid
+from .fields import _check_finite, _LazyField, line_sample
 from .measures import density_fields
 from .phasefield import PhaseFieldState, constants, double_well
 
@@ -93,7 +93,7 @@ def detect_layers(samples: np.ndarray, tau: float, epsilon: float):
 
 def _window_integral(t: np.ndarray, values: np.ndarray, lo: float, hi: float):
     mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
-    return float(trapezoid(values[mask], t[mask]))
+    return float(np.trapezoid(values[mask], t[mask]))
 
 
 def quantization_check(state: PhaseFieldState, lines, tau: float = 0.1
@@ -115,7 +115,7 @@ def quantization_check(state: PhaseFieldState, lines, tau: float = 0.1
                               line.samples, line.t_lo, line.t_hi)
         t = u_samp[:, 0]
         windows = detect_layers(u_samp, tau, eps)
-        theta = float(trapezoid(mu_samp[:, 1], t))
+        theta = float(np.trapezoid(mu_samp[:, 1], t))
         pots = tuple(
             _window_integral(t, double_well(u_samp[:, 1]) / eps, lo, hi)
             for lo, hi in windows)

@@ -122,8 +122,8 @@ class Scenario:
                 raise ValueError(f"{self.name}: " + under_resolved(
                     "epsilon", e, "eps >= 4h", 4.0 * h))
         if not isinstance(self.profile, Profile):
-            raise ValueError(f"{self.name}: unknown profile type "
-                             f"{type(self.profile).__name__}")
+            raise ValueError(f"{self.name}: {type(self.profile).__name__} "
+                             "is not a profile class")
         object.__setattr__(self, "epsilons", eps)
 
 
@@ -212,17 +212,16 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
             + eps * force / 4.0), max_iter=_SOLVER_MAX_ITER)
         _check_bubble(state, signed_distance_ball(g, prof.center, prof.radius))
         return state
-    if isinstance(prof, SolvedFromForcingProfile):
-        f = manufactured_forcing(
-            build_radial_layer(g, eps, prof.center, prof.radius), eps)
-        rng = np.random.default_rng(scenario.seed)
-        # the guess is a temporary, formed from the layer again, so that
-        # neither is held through the solve
-        return solve_stationary(g, eps, f, ScalarField._adopt(
-            g, build_radial_layer(g, eps, prof.center, prof.radius).values
-            + prof.noise_amplitude * rng.standard_normal(g.shape)),
-            max_iter=_SOLVER_MAX_ITER)
-    raise ScenarioError(f"unknown profile type {type(prof).__name__}")
+    # a SolvedFromForcingProfile, the last of `Profile`
+    f = manufactured_forcing(
+        build_radial_layer(g, eps, prof.center, prof.radius), eps)
+    rng = np.random.default_rng(scenario.seed)
+    # the guess is a temporary, formed from the layer again, so that
+    # neither is held through the solve
+    return solve_stationary(g, eps, f, ScalarField._adopt(
+        g, build_radial_layer(g, eps, prof.center, prof.radius).values
+        + prof.noise_amplitude * rng.standard_normal(g.shape)),
+        max_iter=_SOLVER_MAX_ITER)
 
 
 def _check_bubble(state: PhaseFieldState, dist: np.ndarray):

@@ -359,6 +359,8 @@ MALFORMED = [
     ("scenario.radus = 0.5", "scenario.radus"),
     ("grid.extent = a, 2", "grid.extent"),
     ("grid.points = 81.5, 81", "grid.points"),
+    # one origin coordinate per axis of grid.extent
+    ("grid.origin = -1, -1, 0", "grid.origin"),
     ("scenario.epsilon = x", "scenario.epsilon"),
     ("strict = maybe", "strict"),
     ("analysis.tau = 2", "analysis.tau"),
@@ -437,6 +439,24 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, line, key,
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {key}" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    (" = 1\n", "line 1: empty key"),
+    ("scenario = circle\nanalyses = ,\n",
+     "analyses: at least one analysis must be selected"),
+    ("analyses = norms\n",
+     "config needs 'scenario = <name>' or 'scenario.kind'"),
+    ("scenario.kind = circle\nscenario.epsilon = 0.1\n",
+     "grid.extent, grid.points: required by an inline scenario"),
+], ids=["empty-key", "no-analysis", "no-scenario", "no-grid"])
+def test_incomplete_configs_are_config_errors(tmp_path, capsys, body,
+                                              message):
+    cfg = write_cfg(tmp_path, body + f"out = {tmp_path/'out'}\n")
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -519,6 +539,13 @@ def test_corpus_config_seed_keys(tmp_path):
     bad = write_cfg(tmp_path, body + "scenario.seed = abc\n", name="bad.cfg")
     assert main(["validate", "--config", str(bad)]) == 2
     assert main(["run", "--config", str(bad)]) == 2
+    # scenario.seed takes effect, and with it firstvar.seed's default,
+    # scenario.seed + 100
+    cfg = load_config(write_cfg(tmp_path, "scenario = circle\n"
+                                "scenario.seed = 3\nanalyses = firstvar\n",
+                                name="seed.cfg"))
+    assert cfg.scenario.seed == 3
+    assert cfg.geometry["firstvar"]["seed"] == 103
 
 
 @pytest.mark.parametrize("head, line, key", [

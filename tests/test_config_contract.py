@@ -23,9 +23,9 @@ KINDS = ("planar", "stack", "circle", "constant")
 SOLVED_KINDS = ("bubble", "solved-circle")
 BALL_ANALYSES = ("monotonicity", "slab")
 
-# keys the generated configs leave out (the corpus key, `out` and `strict`)
-# or always write (the rest)
-LEFT_OUT = {"scenario", "out", "strict", "scenario.kind",
+# keys the generated configs leave out (the corpus key and `out`) or always
+# write (the rest)
+LEFT_OUT = {"scenario", "out", "scenario.kind",
             "grid.extent", "grid.points", "grid.origin", "grid.boundary",
             "scenario.epsilon", "analyses"}
 

@@ -185,6 +185,17 @@ def test_holder_check_zero_threshold_is_finite(planar_state):
     assert res.holds
 
 
+def test_holder_check_decides_an_underflowing_chain_again_rescaled():
+    # quotient^t of f = 1e-70 underflows to 0, so rhs = 0 < lhs; the chain
+    # is homogeneous in f and holds for f / max|f|
+    g = Grid(extent=(2.0, 2.0), points=(81, 81), origin=(-1.0, -1.0))
+    state = make_state(build_radial_layer(g, 0.1, (0.0, 0.0), 0.5),
+                       ScalarField(g, np.full(g.shape, 1e-70)), 0.1)
+    res = corollary_holder_check(state, s=3.0, t=6.0)
+    assert res.rhs == 0.0 < res.lhs
+    assert res.holds
+
+
 @st.composite
 def smooth_holder_problems(draw):
     """A random smooth u (tanh of a low-order cosine sum) and a random

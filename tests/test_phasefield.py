@@ -677,6 +677,29 @@ def test_a_guess_of_non_finite_residual_is_refused_before_a_linear_solve(
     assert not np.isfinite(info.value.best_residual)
 
 
+def test_a_linear_solve_that_breaks_down_is_refused_by_name():
+    # R(u) of u = 1e90 is finite (1e271), but MINRES's r.M^-1 r overflows
+    # and its step is NaN; warnings are errors in this suite
+    g = centered_grid((41, 41), ZERO_FLUX)
+    with pytest.raises(SolverError, match="the linear solve at residual "
+                       "1.000e[+]271 gave a non-finite step") as info:
+        solve_stationary(g, 0.2, ScalarField(g, np.zeros(g.shape)),
+                         ScalarField(g, np.full(g.shape, 1e90)))
+    assert info.value.best_residual == pytest.approx(1e271)
+
+
+def test_a_step_no_pseudo_timestep_accepts_is_refused(monkeypatch):
+    # a step of 10 everywhere raises the residual and the energy at every
+    # dtau, so dtau falls from eps/4 past its floor of 1e-14
+    monkeypatch.setattr(phasefield, "spsolve",
+                        lambda grid, *args, **kwargs: np.full(grid.shape, 10.0))
+    g = centered_grid((41, 41), ZERO_FLUX)
+    with pytest.raises(SolverError, match="pseudo-timestep underflow at "
+                       "residual 1.986e[+]00"):
+        solve_stationary(g, 0.2, ScalarField(g, np.full(g.shape, 0.5)),
+                         build_radial_layer(g, 0.2, (0.0, 0.0), 0.5))
+
+
 def test_solver_1d_two_layers_from_far_guess():
     eps = 0.05
     g = grid1d(201)

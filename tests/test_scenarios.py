@@ -50,6 +50,12 @@ def test_scenario_rejects_empty_or_negative_epsilon():
                  profile=ConstantProfile(0.0))
 
 
+def test_scenario_refuses_a_profile_of_no_profile_class():
+    # so that a build meets only the profile types it builds
+    with pytest.raises(ValueError, match="bad: dict is not a profile class"):
+        Scenario(name="bad", grid=small_grid(), epsilons=(0.1,), profile={})
+
+
 @pytest.mark.parametrize("eps", [(0.1, 0.1), (0.1, 0.05, 0.1000001)])
 def test_scenario_refuses_epsilons_that_share_a_label(eps):
     # results are keyed by f"{eps:g}": both would read eps=0.1
