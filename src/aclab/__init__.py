@@ -22,8 +22,7 @@ if not any(name in os.environ for name in
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .fields import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
-                     ZERO_FLUX, interpolate, laplacian, line_sample,
-                     radial_derivative)
+                     ZERO_FLUX, interpolate, line_sample, radial_derivative)
 from .measures import (AnalysisParams, NormReport, SmoothTestField,
                        corollary_holder_check, density_fields,
                        diffuse_mean_curvature_norm, first_variation_identity,

@@ -140,15 +140,21 @@ class Grid:
 
 def _unit_weights(grid: Grid, planes=slice(None)) -> np.ndarray:
     """Node weights in units of h^d on the axis-0 planes `planes` (a
-    slice): 1/2 on zero-flux faces, 1 elsewhere."""
+    slice): 1/2 on zero-flux faces, 1 elsewhere. Axis 0's table covers the
+    planes only, so that a slab's weights on a 1-d grid are no grid-sized
+    array."""
     w = np.ones(()).reshape((1,) * grid.ndim)
     for ax in range(grid.ndim):
-        wax = np.ones(grid.points[ax])
-        if grid.boundary == ZERO_FLUX:
-            wax[0] = wax[-1] = 0.5
+        n = grid.points[ax]
+        nodes = range(n)[planes] if ax == 0 else range(n)
+        wax = np.ones(len(nodes))
+        if grid.boundary == ZERO_FLUX and nodes:
+            for end in (0, -1):  # a slice meets the faces at its ends
+                if nodes[end] in (0, n - 1):
+                    wax[end] = 0.5
         shape = [1] * grid.ndim
         shape[ax] = -1
-        w = w * (wax[planes] if ax == 0 else wax).reshape(shape)
+        w = w * wax.reshape(shape)
     return w
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (PERIODIC, Grid, ScalarField, _check_finite, _grad_sq_at,
-                     _integrals, _laplacian_planes, _neighbour_sum_into,
+                     _laplacian_planes, _neighbour_sum_into, _PairwiseSums,
                      _scale_by_unit_weights, _slabs, _stream, _unit_weights,
-                     laplacian)
+                     _weighted_slabs)
 
 
 class SolverError(RuntimeError):
@@ -305,6 +305,9 @@ _LINEAR_RTOL = 1e-10
 _LINEAR_MAXITER = 500
 _FORCING_MAX = 1e-4
 _FORCING_GAMMA = 0.9
+# Choice 2 admits any exponent in (1, 2], its local q-order: at 2 the
+# early pure-Newton steps solved to digits the next step did not use
+_FORCING_EXPONENT = (1.0 + math.sqrt(5.0)) / 2.0
 # Far below 1 because MINRES stops on its estimate of the preconditioned
 # residual, not on the max-norm of R: at 0.1 tol/r_k both configs of the
 # `solve` benchmark take one more Newton step.
@@ -315,11 +318,13 @@ def forcing_term(rnorm: float, rprev, tol: float) -> float:
     """Relative MINRES tolerance for the Newton step taken at residual
     max-norm rnorm, where rprev is the previous accepted step's residual
     (None on the first step): Eisenstat & Walker's (1996) choice 2,
-    0.9 (rnorm/rprev)^2, capped at 1e-4 and floored at 1e-3 tol/rnorm and
-    1e-10, so a solve is only as accurate as the next step can use."""
+    0.9 (rnorm/rprev)^phi with phi = (1+sqrt 5)/2, capped at 1e-4 and
+    floored at 1e-3 tol/rnorm and 1e-10, so a solve is only as accurate as
+    the next step can use."""
     if rprev is None:
         return _FORCING_MAX
-    return min(_FORCING_MAX, max(_FORCING_GAMMA * (rnorm / rprev) ** 2,
+    return min(_FORCING_MAX, max(_FORCING_GAMMA * (rnorm / rprev)
+                                 ** _FORCING_EXPONENT,
                                  _FORCING_TOL_FLOOR * tol / rnorm,
                                  _LINEAR_RTOL))
 
@@ -724,6 +729,30 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
     return du.reshape(shape)
 
 
+def _resid_energy(grid: Grid, epsilon: float, u: np.ndarray, f: np.ndarray):
+    """The residual R(u) = eps*lap_h(u) - W'(u)/eps - f, as a new grid
+    array, and the energy
+
+        F(u) = sum_w [ -(eps/2) u lap_h(u) + W(u)/eps + f u ],
+
+    whose weighted gradient is -R, from one walk of weighted slabs: each
+    slab's Laplacian serves both, R is written into its planes and F's
+    integrand summed by `_PairwiseSums`, so every temporary besides R is
+    slab-sized, and R and F keep the bits of the whole-grid expressions.
+    F is not checked finite, so that a trial whose F overflows is
+    rejected."""
+    r = np.empty(grid.shape)
+    energy = _PairwiseSums(r.size)
+    for sl, w in _weighted_slabs(grid):
+        uv, fv = u[sl], f[sl]
+        lap = _laplacian_planes(u, grid, sl)
+        np.subtract(epsilon * lap - double_well_prime(uv) / epsilon, fv,
+                    out=r[sl])
+        energy.add([(-0.5 * epsilon * uv * lap + double_well(uv) / epsilon
+                     + fv * uv) * w])
+    return r, energy.sums()[0]
+
+
 def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
                      u_init: ScalarField, tol: float = 1e-10,
                      max_iter: int = 50) -> PhaseFieldState:
@@ -733,11 +762,8 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     Every step solves (I/dtau - J) du = R by preconditioned MINRES (see
     `spsolve`), a semi-implicit gradient-flow step for finite dtau and the
     Newton step as dtau -> infinity. Steps are accepted when either the
-    residual max-norm or the discrete energy
-
-        F(u) = sum_w [ -(eps/2) u lap_h(u) + W(u)/eps + f u ]
-
-    (whose weighted gradient is -R) decreases; the energy clause lets far
+    residual max-norm or the discrete energy F (`_resid_energy`, which
+    forms R and F in one walk) decreases; the energy clause lets far
     initial guesses follow the flow through residual humps into the right
     basin, as in the 1-d picture du/dt = -W'(u)/eps. dtau grows on accepted
     steps and collapses to pure Newton once the residual contracts strongly,
@@ -770,24 +796,13 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
     if u_init.grid != grid or f.grid != grid:
         raise ValueError("fields must live on the target grid")
 
-    fv = f.values
-
-    def resid_energy(uv):
-        """R(uv) and F(uv) from one Laplacian, freed on return; F is not
-        checked finite, so that a trial whose F overflows is rejected."""
-        lap_uv = laplacian(ScalarField._adopt(grid, uv)).values
-        dens = (-0.5 * epsilon * uv * lap_uv
-                + double_well(uv) / epsilon + fv * uv)
-        return (epsilon * lap_uv - double_well_prime(uv) / epsilon - fv,
-                _integrals(grid, lambda sl: (dens[sl],))[0])
-
     # read-only; every step forms a new array. The guess is not held past
     # the first step: on CPython >= 3.11 a frame owns its call arguments,
     # so a guess passed as a temporary is freed with the first step's u.
     u = u_init.values
     del u_init
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        r, fu = resid_energy(u)
+        r, fu = _resid_energy(grid, epsilon, u, f.values)
     rnorm = float(np.max(np.abs(r)))
     if not np.isfinite(rnorm):
         raise SolverError(
@@ -817,7 +832,7 @@ def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,
             if not np.all(np.isfinite(trial)):
                 raise SolverError(f"the linear solve at residual {rnorm:.3e} "
                                   "gave a non-finite step", best)
-            rt_field, ft = resid_energy(trial)
+            rt_field, ft = _resid_energy(grid, epsilon, trial, f.values)
             rt = float(np.max(np.abs(rt_field)))
             if np.isfinite(rt) and (rt < rnorm or (
                     not pure_newton and ft <= fu + 1e-12 * (1.0 + abs(fu)))):

@@ -65,7 +65,8 @@ class SolvedBubbleProfile:
 class SolvedFromForcingProfile:
     """Newton solve against the manufactured forcing of the radial tanh
     layer of `center` and `radius` (the RadialProfile's field), from that
-    field plus seeded noise of `noise_amplitude`."""
+    field plus seeded noise uniform on [-a, a), a = `noise_amplitude`
+    (`_guess_noise`)."""
 
     center: tuple[float, ...]
     radius: float
@@ -194,6 +195,25 @@ def _analytic_field(grid: Grid, eps: float, profile) -> ScalarField:
     return ScalarField(grid, np.full(grid.shape, float(profile.value)))
 
 
+def _guess_noise(shape: tuple, seed: int, amplitude: float) -> np.ndarray:
+    """Noise uniform on [-amplitude, amplitude) for a solved guess: node k
+    (in flat order) takes the k-th output of SplitMix64 (Steele, Lea &
+    Flood 2014) seeded with `seed`, a hash of (seed, k) formed on uint64
+    arrays, whose arithmetic wraps modulo 2^64 without the warning numpy
+    scalars give. Its top 53 bits, an integer j < 2^53, map exactly to
+    j/2^52 - 1 in [-1, 1), whose product with the amplitude rounds below
+    it. Needs no `numpy.random`."""
+    z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15  # the state advances by the golden gamma
+    z += seed % (1 << 64)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    return (((z >> 11).astype(float) * 2.0 ** -52 - 1.0)
+            * amplitude).reshape(shape)
+
+
 def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
     g = scenario.grid
     prof = scenario.profile
@@ -215,12 +235,11 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
     # a SolvedFromForcingProfile, the last of `Profile`
     f = manufactured_forcing(
         build_radial_layer(g, eps, prof.center, prof.radius), eps)
-    rng = np.random.default_rng(scenario.seed)
     # the guess is a temporary, formed from the layer again, so that
     # neither is held through the solve
     return solve_stationary(g, eps, f, ScalarField._adopt(
         g, build_radial_layer(g, eps, prof.center, prof.radius).values
-        + prof.noise_amplitude * rng.standard_normal(g.shape)),
+        + _guess_noise(g.shape, scenario.seed, prof.noise_amplitude)),
         max_iter=_SOLVER_MAX_ITER)
 
 

@@ -696,6 +696,18 @@ def test_solved_runs_import_no_scipy(tmp_path, body):
     assert seen["load"] == [] and seen["run"] == []
 
 
+@pytest.mark.parametrize("body", [
+    SOLVED_BUBBLE + "grid.points = 81, 81\n",
+    SOLVED_BUBBLE + "grid.points = 80, 80\ngrid.boundary = periodic\n",
+    SOLVED_3D], ids=["zero-flux", "periodic", "3-d"])
+def test_solved_runs_import_no_numpy_random(tmp_path, body):
+    # the solved-circle guess draws its noise from a SplitMix64 hash
+    seen = probe_imports(tmp_path, body + "analyses = norms\n",
+                         ("numpy.random",))
+    assert seen["exit"] == 0
+    assert seen["load"] == [] and seen["run"] == []
+
+
 # every variable that sets OpenBLAS's thread count, unset: the pytest
 # process itself imported aclab, which sets OPENBLAS_NUM_THREADS
 NO_BLAS_THREADS = dict.fromkeys(

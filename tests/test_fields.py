@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from aclab import (Grid, PERIODIC, RegionError, ScalarField, VectorField,
-                   ZERO_FLUX, interpolate, laplacian, line_sample,
-                   radial_derivative)
+                   ZERO_FLUX, interpolate, line_sample, radial_derivative)
 from aclab.fields import (_central_difference, ball_integrals,
-                          disc_integral, gradient, integrate,
+                          disc_integral, gradient, integrate, laplacian,
                           restrict_to_plane)
 
 

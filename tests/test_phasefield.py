@@ -1,6 +1,8 @@
 """Potential, the tanh layer profile, layer constructions, and the
 solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -12,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from aclab import (Grid, LayerSpec, PERIODIC, ScalarField, Scenario,
                    SolvedBubbleProfile, SolverError, ZERO_FLUX, build,
                    build_layer_stack, build_radial_layer, constants,
-                   double_well, double_well_prime, laplacian, make_state,
+                   double_well, double_well_prime, make_state,
                    manufactured_forcing, solve_stationary)
 from aclab import density_fields, fields, phasefield
+from aclab.fields import laplacian
 from aclab.phasefield import check_layer_fit, double_well_second
 
 
@@ -257,14 +260,17 @@ def test_solver_deterministic():
 
 def test_forcing_term_rule():
     cap, tol = phasefield._FORCING_MAX, 1e-10
+    phi = (1.0 + 5.0 ** 0.5) / 2.0
     assert phasefield.forcing_term(1.0, None, tol) == cap  # first step
-    # Eisenstat-Walker choice 2: 0.9 (r_k/r_{k-1})^2, capped at 1e-4
-    assert phasefield.forcing_term(1e-3, 1e-1, tol) == pytest.approx(9e-5)
+    # Eisenstat-Walker choice 2: 0.9 (r_k/r_{k-1})^phi, capped at 1e-4
+    assert phasefield.forcing_term(1e-5, 1e-2, tol) == pytest.approx(
+        0.9 * 1e-3 ** phi)
+    assert phasefield.forcing_term(1e-3, 1e-1, tol) == cap  # 5.2e-4
     assert phasefield.forcing_term(0.5, 1.0, tol) == cap
     # near tol the floor 1e-3 tol/r_k keeps the last step from oversolving
     assert phasefield.forcing_term(1e-7, 1e-2, tol) == pytest.approx(1e-6)
     # and no step asks for less than the full linear solve's 1e-10
-    assert phasefield.forcing_term(1e-6, 1e-1, 1e-14) == 1e-10
+    assert phasefield.forcing_term(1e-6, 1e1, 1e-14) == 1e-10
 
 
 def test_newton_steps_use_forcing_terms(monkeypatch):
@@ -287,6 +293,49 @@ def test_newton_steps_use_forcing_terms(monkeypatch):
     assert st.residual_norm <= 1e-10
     assert rtols[0] == 1e-4
     assert all(1e-10 <= rt <= 1e-4 for rt in rtols)
+
+
+@st.composite
+def energy_problems(draw):
+    """A grid of 1-3 axes on either boundary, of one slab or of at least 20
+    (`fields._slabs`), eps, and node values u and f."""
+    boundary = draw(st.sampled_from([ZERO_FLUX, PERIODIC]))
+    ndim = draw(st.integers(1, 3))
+    many = draw(st.booleans())
+    lo, hi = ({1: (170_000, 200_000), 2: (412, 450), 3: (56, 60)} if many
+              else {1: (8, 400), 2: (8, 40), 3: (8, 14)})[ndim]
+    points = tuple(draw(st.integers(lo, hi)) for _ in range(ndim))
+    h = 0.01
+    g = Grid(extent=tuple(h * (n if boundary == PERIODIC else n - 1)
+                          for n in points), points=points, boundary=boundary)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (g, draw(st.floats(2.0, 6.0)) * h,
+            rng.uniform(-1.5, 1.5, g.shape), rng.standard_normal(g.shape))
+
+
+@settings(max_examples=30, deadline=None)
+@given(energy_problems())
+def test_resid_energy_is_the_whole_grid_expression_in_one_walk(problem):
+    # R and F have the bits of the whole-grid Laplacian, density and
+    # weighted sum, while every temporary besides R is slab-sized: on a
+    # grid of many slabs, holding the Laplacian or the density whole would
+    # trace a grid array more
+    g, eps, u, f = problem
+    lap = laplacian(ScalarField(g, u)).values
+    want_r = eps * lap - double_well_prime(u) / eps - f
+    want_f = float(np.sum((-0.5 * eps * u * lap + double_well(u) / eps
+                           + f * u) * g.node_weights()))
+    del lap
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        r, energy = phasefield._resid_energy(g, eps, u, f)
+        extra = tracemalloc.get_traced_memory()[1] - base - r.nbytes
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(r, want_r) and energy == want_f
+    if len(fields._slabs(g)) >= 20:
+        assert extra < 0.5 * r.nbytes, extra / r.nbytes
 
 
 # ---------------------------------------------------------------- every boundary and dimension

@@ -91,6 +91,53 @@ def test_solved_scenarios_meet_tolerance(solved_circle_state):
     assert solved_circle_state.residual_norm <= 1e-10
 
 
+def splitmix64(seed, count):
+    """The first `count` outputs of SplitMix64 seeded with `seed`, in
+    Python integers: the scalar reference of `scenarios._guess_noise`."""
+    mask, out, state = (1 << 64) - 1, [], seed
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=st.lists(st.integers(1, 40), min_size=1, max_size=3).map(tuple),
+       seed=st.integers(0, 2 ** 64 - 1),
+       amplitude=st.floats(1e-300, 1e300))
+def test_guess_noise_is_seeded_and_uniform_on_the_amplitude(shape, seed,
+                                                            amplitude):
+    noise = scenarios._guess_noise(shape, seed, amplitude)
+    assert noise.shape == shape
+    assert np.all((-amplitude <= noise) & (noise < amplitude))
+    # the same seed gives the same bits, another seed other noise
+    assert np.array_equal(noise, scenarios._guess_noise(shape, seed,
+                                                        amplitude))
+    other = scenarios._guess_noise(shape, (seed + 1) % 2 ** 64, amplitude)
+    assert not np.array_equal(noise, other)
+    # node k holds the top 53 bits j of the k-th output, as j/2^52 - 1
+    want = [((z >> 11) * 2.0 ** -52 - 1.0) * amplitude
+            for z in splitmix64(seed, min(noise.size, 16))]
+    assert noise.ravel()[:16].tolist() == want
+
+
+def test_noiseless_solved_circle_starts_from_its_layer():
+    # noise 0 leaves the manufactured layer, whose residual is 0: the solve
+    # returns the guess as it is
+    g = small_grid()
+    sc = Scenario(name="quiet", grid=g, epsilons=(0.1,), seed=5,
+                  profile=SolvedFromForcingProfile(center=(0.0, 0.0),
+                                                   radius=0.5,
+                                                   noise_amplitude=0.0))
+    state, = build(sc)
+    layer = scenarios.build_radial_layer(g, 0.1, (0.0, 0.0), 0.5)
+    assert np.array_equal(state.u.values, layer.values)
+    assert state.residual_norm == 0.0
+
+
 def bubble_3d(radius):
     g = Grid(extent=(2.0, 2.0, 2.0), points=(81, 81, 81), boundary=ZERO_FLUX,
              origin=(-1.0, -1.0, -1.0))

@@ -21,10 +21,10 @@ from aclab import (AnalysisParams, Grid, PERIODIC, ScalarField,
                    corollary_holder_check, density_fields,
                    diffuse_mean_curvature_norm, double_well,
                    double_well_prime, first_variation_identity,
-                   interpolate, laplacian, make_state,
-                   manufactured_forcing, norm_report, smooth_test_field)
+                   interpolate, make_state, manufactured_forcing,
+                   norm_report, smooth_test_field)
 from aclab import fields, measures, monotonicity
-from aclab.fields import gradient, integrate, restrict_to_plane
+from aclab.fields import gradient, integrate, laplacian, restrict_to_plane
 from aclab.measures import eta_lq_norm
 
 POINTS = {1: (64,), 2: (30, 26), 3: (14, 12, 13)}
