@@ -529,8 +529,7 @@ def _run_gdelta(cfg: RunConfig, state):
             values[label] = margin
             worst = min(worst, margin)
         values[f"upper_constant[delta={params.delta:g}]"] = led.upper_constant
-    flags = {"margins": "pass" if worst >= TOLERANCES["gdelta.margin"]
-             else "warn"}
+    flags = {"margins": _flag(worst, "gdelta.margin", larger_is_bad=False)}
     return ("gdelta.csv", ("inequality", "min_margin"), rows,
             {"values": values, "flags": flags})
 

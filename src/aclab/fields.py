@@ -48,6 +48,13 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite")
 
 
+def _check_supersample(supersample):
+    """Refuse a subcell count that is not an integer >= 1: int() of 2.7
+    would quietly sample as 2 does."""
+    if not isinstance(supersample, (int, np.integer)) or supersample < 1:
+        raise ValueError("supersample must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Isotropic uniform grid on a box, tagged periodic or zero-flux.
@@ -449,8 +456,7 @@ class _BallQuadrature:
 
     def __init__(self, grid: Grid, center, supersample: int,
                  max_radius: float, t_lo=None, t_hi=None):
-        if supersample < 1:
-            raise ValueError("supersample must be >= 1")
+        _check_supersample(supersample)
         self.grid = grid
         self.center = np.asarray(center, dtype=float)
         self.supersample = int(supersample)
@@ -713,7 +719,7 @@ class _PairwiseSums:
         last two node sums."""
         if self.arrays is None:  # per array: node sums, leaf carry
             self.arrays = [([], []) for _ in pieces]
-        if not pieces[0].size:
+        if not pieces or not pieces[0].size:
             return
         pos, stop, steps = self.pos, self.pos + pieces[0].size, []
 

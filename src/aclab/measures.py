@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (PERIODIC, VectorField, _central_difference,
-                     _check_finite, _ghosts, _grad_sq_at, _gradient_box,
-                     _integrals, _PairwiseSums, _slabs, _square_sum,
-                     _weighted_slabs)
+                     _check_finite, _check_supersample, _ghosts,
+                     _grad_sq_at, _gradient_box, _integrals, _PairwiseSums,
+                     _slabs, _square_sum, _weighted_slabs)
 from .phasefield import PhaseFieldState, double_well
 
 
@@ -48,10 +48,7 @@ class AnalysisParams:
             raise ValueError("grad_threshold must be finite")
         if self.grad_threshold < 0:
             raise ValueError("grad_threshold must be nonnegative")
-        if not isinstance(self.supersample, (int, np.integer)):
-            raise ValueError("supersample must be an integer")
-        if self.supersample < 1:
-            raise ValueError("supersample must be >= 1")
+        _check_supersample(self.supersample)
 
     def resolve_q0(self, ndim: int) -> float:
         q0 = float(self.q0) if self.q0 is not None else float(ndim)
@@ -377,9 +374,8 @@ class _FieldWalk:
         pairing = sum(grad_u[i] * core[i] for i in range(g.ndim))
         pairing *= f
         terms = [div_eta, grad_eta_nunu, pairing]
-        lq = None if self.norm is None else self.norm.integrand(core, mu, w)
-        if lq is not None:
-            terms.append(lq)
+        if self.norm is not None:
+            terms += self.norm.integrand(core, mu)
         for v in terms:
             v *= w  # the node weights, as _integrals weighs
         self.sums.add(terms)
@@ -406,17 +402,18 @@ class _LqNorm:
             raise ValueError(f"q must be >= 1 (inf for the sup), got {q}")
         self.q, self.sups = q, []
 
-    def integrand(self, part, mu, w):
-        """|eta|^q mu on the slab, for the caller to integrate; for q = inf
-        None, and the slab's max is kept."""
+    def integrand(self, part, mu):
+        """(|eta|^q mu,) on the slab, for the caller to integrate; for
+        q = inf (), and the slab's max over nodes with mu > 0 is kept (a
+        node weight is never 0, so these are the nodes carrying mass)."""
         mag = _square_sum(part)
         np.sqrt(mag, out=mag)
         if not np.isinf(self.q):
             np.power(mag, self.q, out=mag)
             mag *= mu
-            return mag
-        self.sups.append(float(np.max(mag, where=mu * w > 0, initial=0.0)))
-        return None
+            return (mag,)
+        self.sups.append(float(np.max(mag, where=mu > 0, initial=0.0)))
+        return ()
 
     def value(self, total=None) -> float:
         """The norm from the integral of the integrands (q finite)."""
@@ -429,14 +426,9 @@ def eta_lq_norm(state: PhaseFieldState, eta, q: float) -> float:
     max of |eta| over nodes carrying mu mass. eta is read one slab of
     axis-0 planes at a time; `first_variations` forms the same integrand
     in its walk."""
-    norm, g = _LqNorm(q), state.grid
-    sums = _PairwiseSums(int(np.prod(g.shape)))
-    for sl, w in _weighted_slabs(g):
-        lq = norm.integrand(eta.planes(sl), density_fields(state, sl)[0], w)
-        if lq is not None:
-            lq *= w
-            sums.add([lq])
-    return norm.value(*sums.sums())
+    norm = _LqNorm(q)
+    return norm.value(*_integrals(state.grid, lambda sl: norm.integrand(
+        eta.planes(sl), density_fields(state, sl)[0])))
 
 
 def bump_half_widths(grid) -> list[float]:

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (RegionError, _check_ball_margin, _check_finite,
-                     _gradient_box, _plane_stencil, _square_sum, _stream,
-                     ball_integrals, disc_integral, inert_slab,
-                     radial_derivative)
+                     _check_supersample, _gradient_box, _plane_stencil,
+                     _square_sum, _stream, ball_integrals, disc_integral,
+                     inert_slab, radial_derivative)
 from .measures import energy_densities
 from .phasefield import PhaseFieldState, resolution_floor, under_resolved
 
@@ -147,7 +147,9 @@ def _ball_columns(state: PhaseFieldState, c, radii, supersample, slab):
     integrated over each radius's region: one read-only row per radius,
     swept once per state for each center, radii, supersample and effective
     slab. A slab that masks no ball (`inert_slab`) is no slab, so the
-    default slab reads the ball identity's columns."""
+    default slab reads the ball identity's columns. The supersample is
+    checked before the memo: 2.0 would find the entry of 2."""
+    _check_supersample(supersample)
     g = state.grid
     if slab is not None and inert_slab(g, c, radii[-1], supersample, slab):
         slab = None
@@ -159,7 +161,7 @@ def _ball_columns(state: PhaseFieldState, c, radii, supersample, slab):
         cols.setflags(write=False)
         return cols
 
-    key = ("ball_columns", c.tobytes(), radii.tobytes(), int(supersample),
+    key = ("ball_columns", c.tobytes(), radii.tobytes(), supersample,
            None if slab is None else tuple(map(float, slab)))
     return state.derived(key, sweep)
 

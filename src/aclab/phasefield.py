@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (PERIODIC, Grid, ScalarField, _check_finite, _grad_sq_at,
-                     _laplacian_planes, _neighbour_sum_into, _PairwiseSums,
-                     _scale_by_unit_weights, _slabs, _stream, _unit_weights,
-                     _weighted_slabs)
+                     _integrals, _laplacian_planes, _neighbour_sum_into,
+                     _scale_by_unit_weights, _slabs, _stream, _unit_weights)
 
 
 class SolverError(RuntimeError):
@@ -65,45 +64,9 @@ class Constants:
     t0: float
 
 
-def _gauss_legendre(n: int):
-    """The n-point Gauss-Legendre nodes and weights on [-1, 1] by
-    Golub-Welsch: the eigenvalues of Legendre's Jacobi matrix, held on the
-    lower diagonal (the triangle eigh reads), and twice the squared first
-    components of its eigenvectors."""
-    k = np.arange(1.0, n)
-    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    return nodes, 2.0 * vecs[0] ** 2
-
-
-def _composite_gauss(fn, lo: float, hi: float, panels: int):
-    """int_lo^hi fn by 20-point Gauss-Legendre on 2*panels equal panels,
-    with the change from the rule on `panels` panels as the error."""
-    nodes, weights = _gauss_legendre(20)
-
-    def rule(m):
-        half = (hi - lo) / (2 * m)
-        mids = lo + half * (2 * np.arange(m) + 1)
-        return half * float(np.sum(weights * fn(mids[:, None] + half * nodes)))
-
-    fine = rule(2 * panels)
-    return fine, abs(fine - rule(panels))
-
-
-@functools.lru_cache(maxsize=1)
 def constants() -> Constants:
-    """The closed forms sigma = alpha = 4/3, returned once composite
-    Gauss-Legendre quadratures of both integrands agree with them."""
-    sigma, sig_err = _composite_gauss(
-        lambda s: np.sqrt(2.0 * double_well(s)), -1.0, 1.0, 4)
-    alpha, alp_err = _composite_gauss(
-        lambda s: (1.0 - np.tanh(s) ** 2) ** 2, -40.0, 40.0, 40)
-    if sig_err > 1e-8 or alp_err > 1e-8:
-        raise RuntimeError("quadrature for the layer constants did not converge")
-    exact = 4.0 / 3.0
-    if abs(sigma - exact) > 1e-8 or abs(alpha - exact) > 1e-8:
-        raise RuntimeError(
-            f"layer constants disagree with closed forms: sigma={sigma}, alpha={alpha}")
-    return Constants(sigma=exact, alpha=exact, t0=1.0 / np.sqrt(3.0))
+    """The closed forms sigma = alpha = 4/3 and t0 = 1/sqrt(3)."""
+    return Constants(sigma=4.0 / 3.0, alpha=4.0 / 3.0, t0=1.0 / np.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -737,20 +700,21 @@ def _resid_energy(grid: Grid, epsilon: float, u: np.ndarray, f: np.ndarray):
 
     whose weighted gradient is -R, from one walk of weighted slabs: each
     slab's Laplacian serves both, R is written into its planes and F's
-    integrand summed by `_PairwiseSums`, so every temporary besides R is
+    integrand summed by `_integrals`, so every temporary besides R is
     slab-sized, and R and F keep the bits of the whole-grid expressions.
     F is not checked finite, so that a trial whose F overflows is
     rejected."""
     r = np.empty(grid.shape)
-    energy = _PairwiseSums(r.size)
-    for sl, w in _weighted_slabs(grid):
+
+    def fill(sl):
         uv, fv = u[sl], f[sl]
         lap = _laplacian_planes(u, grid, sl)
         np.subtract(epsilon * lap - double_well_prime(uv) / epsilon, fv,
                     out=r[sl])
-        energy.add([(-0.5 * epsilon * uv * lap + double_well(uv) / epsilon
-                     + fv * uv) * w])
-    return r, energy.sums()[0]
+        return (-0.5 * epsilon * uv * lap + double_well(uv) / epsilon
+                + fv * uv,)
+
+    return r, _integrals(grid, fill)[0]
 
 
 def solve_stationary(grid: Grid, epsilon: float, f: ScalarField,

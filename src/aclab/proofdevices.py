@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import _check_finite
 from .phasefield import double_well, double_well_prime
 
 
@@ -34,8 +35,8 @@ class GDeltaParams:
             raise ValueError("delta must lie in (0, 1/2]")
         if not 1 <= self.c0 < np.inf:
             raise ValueError("c0 must be finite and >= 1")
-        if self.points < 100:
-            raise ValueError("need at least 100 quadrature points")
+        if not isinstance(self.points, (int, np.integer)) or self.points < 100:
+            raise ValueError("points must be an integer >= 100")
 
     @property
     def r_lo(self) -> float:
@@ -70,6 +71,7 @@ def g_delta(r, params: GDeltaParams):
     derivative is analytic in G' and the integrand.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    _check_finite(r=r_arr)
     if np.any(r_arr < params.r_lo - 1e-12) or np.any(r_arr > params.r_hi + 1e-12):
         raise ValueError(f"r outside [{params.r_lo}, {params.r_hi}]")
     grid, inner, gprime, g = _tables(params)

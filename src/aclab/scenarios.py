@@ -300,8 +300,8 @@ def default_center(scenario: Scenario):
     return tuple(mid)
 
 
-def default_radii(scenario: Scenario, eps: float, center, count: int = 25):
-    """A uniform radius range respecting the resolution floor and margins.
+def default_radii(scenario: Scenario, eps: float, center):
+    """25 uniform radii respecting the resolution floor and margins.
 
     The upper end is capped at 8 eps: for interface-centered balls the
     identity terms decay like (eps/r)^2 beyond that, leaving nothing but
@@ -316,7 +316,7 @@ def default_radii(scenario: Scenario, eps: float, center, count: int = 25):
     if r_min >= r_max:
         raise ScenarioError(
             f"{scenario.name}: domain too small for a radius range")
-    return np.linspace(r_min, r_max, count)
+    return np.linspace(r_min, r_max, 25)
 
 
 def default_lines(scenario: Scenario, eps: float):

@@ -664,7 +664,7 @@ def probe_imports(tmp_path, body, packages=("scipy",)):
 
 def test_manufactured_runs_import_only_what_they_run(tmp_path):
     # the test fields draw default_rng's stream in pure Python, the layer
-    # constants' Gauss rule comes from eigh, and a run starts no pool
+    # constants are closed forms, and a run starts no pool
     body = f"scenario = circle\nanalyses = {', '.join(ANALYSES)}\n"
     seen = probe_imports(tmp_path, body, (
         "scipy", "numpy.random", "numpy.polynomial", "hashlib",

@@ -53,6 +53,17 @@ def test_zero_forcing_column_vanishes(planar_state):
     assert rep.aggregate <= 0.05
 
 
+def test_fractional_supersample_is_refused():
+    # int(2.7) would give the supersample-2 columns, and 2.0 would find
+    # their memo entry
+    st = constant_state(1.0, n=81)
+    radii = np.linspace(0.2, 0.5, 7)
+    monotonicity_report(st, (0.0, 0.0), radii, supersample=2)
+    for supersample in (2.7, 2.0):
+        with pytest.raises(ValueError, match="supersample must be an integer"):
+            monotonicity_report(st, (0.0, 0.0), radii, supersample=supersample)
+
+
 def test_circle_identity_forcing_material(circle_state):
     radii = np.linspace(0.1, 0.35, 21)
     rep = monotonicity_report(circle_state, (0.5, 0.0), radii, supersample=8)

@@ -214,25 +214,6 @@ def test_constants_are_the_closed_forms():
     assert c.sigma == c.alpha == 4.0 / 3.0
 
 
-def test_gauss_legendre_rule_matches_leggauss():
-    nodes, weights = phasefield._gauss_legendre(20)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(20)
-    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
-    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
-    # exact on x^38, the degree 2n - 2 even monomial below the rule's limit
-    assert np.sum(weights * nodes ** 38) == pytest.approx(2.0 / 39.0,
-                                                           rel=1e-13)
-
-
-def test_constants_quadrature_check_is_live(monkeypatch):
-    # a potential 1% off moves sigma = int sqrt(2 W) off 4/3; the uncached
-    # function must refuse it rather than return the closed form
-    well = phasefield.double_well
-    monkeypatch.setattr(phasefield, "double_well", lambda t: 1.01 * well(t))
-    with pytest.raises(RuntimeError, match="closed forms"):
-        constants.__wrapped__()
-
-
 def test_epsilon_of_exactly_2h_is_accepted():
     # h = 0.05 * 24 / 24 is 0.05000000000000001 in floats, so 2h is just
     # above 0.1; the check takes the same 1e-12 h slack as check_layer_fit

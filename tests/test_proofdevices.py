@@ -15,6 +15,21 @@ def test_params_validation():
         GDeltaParams(delta=0.1, c0=0.5)
 
 
+def test_fractional_points_are_refused():
+    # np.linspace would raise a TypeError in the ledger
+    with pytest.raises(ValueError, match="points must be an integer >= 100"):
+        GDeltaParams(delta=0.1, points=100.5)
+
+
+def test_nan_r_is_refused_by_name():
+    # every comparison with NaN is false, so the range test lets it through
+    params = GDeltaParams(delta=0.1, points=200)
+    with pytest.raises(ValueError, match="r must be finite"):
+        g_delta(float("nan"), params)
+    with pytest.raises(ValueError, match="r must be finite"):
+        g_delta(np.array([0.0, np.nan]), params)
+
+
 def test_left_endpoint_value_exact():
     params = GDeltaParams(delta=0.01, c0=2.0)
     g, gp, gpp = g_delta(params.r_lo, params)
