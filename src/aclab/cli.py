@@ -34,7 +34,7 @@ from .phasefield import LayerSpec
 from .scenarios import (ConstantProfile, RadialProfile, Scenario,
                         ScenarioError, SolvedBubbleProfile,
                         SolvedFromForcingProfile, build, check_bubble_radius,
-                        check_buildable, check_epsilon_labels,
+                        check_buildable, check_labels,
                         default_center, default_lines,
                         default_radii, standard_corpus)
 
@@ -126,7 +126,7 @@ def _epsilons(text: str) -> tuple[float, ...]:
     # Scenario refuses them too, but an inline scenario's refusals also
     # name grid.points: refused here, they name this key alone
     eps = _numbers()(text)
-    check_epsilon_labels(eps)
+    check_labels(eps)
     return eps
 
 
@@ -202,7 +202,10 @@ _KEYS = {
     # default: one zero per grid axis
     "scenario.center": _Key(_point, *_BALL),
     "scenario.radius": _Key(_radius, *_BALL, default=0.5),
-    "scenario.value": _Key(_numbers(count=1), "constant", default=0.0),
+    # W(u)/eps grows as u^4 and the norms square f = -W'(u)/eps: a phase
+    # value is near +-1, and 1e6 keeps every such power far from overflow
+    "scenario.value": _Key(_numbers(count=1, low=-1e6, high=1e6), "constant",
+                           default=0.0),
     "scenario.noise": _Key(_numbers(count=1), "solved-circle",
                            field="noise_amplitude"),
     "grid.extent": _Key(_numbers(), "grid"),
@@ -350,7 +353,7 @@ def _analysis_inputs(values: dict, scenario: Scenario, analyses) -> dict:
                 "slab.t", (g.lo[-1] + 0.5 * g.h, g.hi[-1] - 0.5 * g.h))
             with _naming_keys(values, name, default=(f"{name}.radii",),
                               defaulted=defaulted):
-                radii = check_geometry(g, eps, center, radii, slab)
+                _, radii = check_geometry(g, eps, center, radii, slab)
             inputs[name] = {"center": center, "radii": radii, "slab": slab}
         elif name == "quantize":
             # the lines start at the interface center
@@ -360,6 +363,7 @@ def _analysis_inputs(values: dict, scenario: Scenario, analyses) -> dict:
         elif name == "gdelta":
             gdelta = _fields(values, "gdelta")
             with _naming_keys(values, "gdelta"):
+                check_labels(gdelta["delta"], "delta", "deltas")
                 inputs[name] = [GDeltaParams(delta=delta, c0=gdelta["c0"])
                                 for delta in gdelta["delta"]]
         elif name == "firstvar":

@@ -97,6 +97,10 @@ class Grid:
         if any(abs(h - h0) > 1e-12 * h0 for h in spacings):
             raise ValueError(f"grid is anisotropic: extent and points give "
                              f"spacings {spacings}")
+        # the Laplacian divides by h^2, which must not underflow
+        if h0 * h0 < np.finfo(float).tiny:
+            raise ValueError(f"extent and points give a spacing {h0:g} whose "
+                             "square underflows the smallest normal float")
 
     def _spacing(self, axis):
         if self.boundary == PERIODIC:
@@ -176,13 +180,6 @@ def _scale_by_unit_weights(a: np.ndarray, grid: Grid, factor: float = 0.5):
             for end in (0, -1):
                 a[(slice(None),) * ax + (end,)] *= factor
     return a
-
-
-def _transverse(grid: Grid) -> Grid:
-    """The grid of a hyperplane {x_last = t}: the first ndim-1 axes."""
-    nd = grid.ndim - 1
-    return Grid(extent=grid.extent[:nd], points=grid.points[:nd],
-                boundary=grid.boundary, origin=grid.origin[:nd])
 
 
 @dataclass(frozen=True)
@@ -451,7 +448,7 @@ class _BallQuadrature:
     Node distances and the integrands are kept on the box of `max_radius`,
     the largest radius asked for, only; the box of a smaller radius lies
     inside it. The distances are formed on the first pass, so that
-    `slab_is_inert` costs only the slab's 1-d masks.
+    `inert_slab` costs only the slab's 1-d masks.
     """
 
     def __init__(self, grid: Grid, center, supersample: int,
@@ -489,15 +486,6 @@ class _BallQuadrature:
         g = self.grid
         sub = g.axis_coords(g.ndim - 1)[window[-1], None] + self._offsets
         return (sub >= self.t_lo) & (sub <= self.t_hi)
-
-    def slab_is_inert(self) -> bool:
-        """Whether the slab masks nothing on the box: every node cell there
-        lies inside it and none outside, and so does every subcell center.
-        Then every radius's region is the ball's, with the ball's bits."""
-        last = (..., self.box[-1])
-        return bool(self._slab_in[last].all()
-                    and not self._slab_out[last].any()
-                    and self._subcells_in_slab(self.box).all())
 
     def _window(self, radius: float) -> tuple[slice, ...]:
         """Index box holding every node that is not fully outside B_radius,
@@ -637,11 +625,16 @@ def ball_integrals(grid: Grid, arrays, center, radii, supersample: int,
 
 def inert_slab(grid: Grid, center, max_radius: float, supersample: int,
                slab) -> bool:
-    """Whether the slab masks nothing of any ball up to max_radius (see
-    `_BallQuadrature.slab_is_inert`): ball_integrals with it then has the
-    bits of ball_integrals without it."""
-    return _BallQuadrature(grid, np.atleast_1d(center), supersample,
-                           max_radius, *slab).slab_is_inert()
+    """Whether the slab masks nothing of any ball up to max_radius, so
+    that ball_integrals with it has the bits of ball_integrals without it:
+    every node cell and subcell center of the largest ball's index box lies
+    inside it. They ascend with the last axis's coordinates, so the cells
+    of the box's first and last node on that axis decide."""
+    quad = _BallQuadrature(grid, np.atleast_1d(center), supersample,
+                           max_radius, *slab)
+    ends = (..., [quad.box[-1].start, quad.box[-1].stop - 1])
+    return bool(quad._slab_in[ends].all() and not quad._slab_out[ends].any()
+                and quad._subcells_in_slab(ends).all())
 
 
 def _slab_nodes(grid: Grid) -> int:
@@ -778,13 +771,6 @@ def integrate(f: ScalarField) -> float:
     return _integrals(f.grid, lambda sl: (f.values[sl],))[0]
 
 
-def _uniform_spacing(radii: np.ndarray) -> float:
-    dr = np.diff(radii)
-    if np.any(np.abs(dr - dr[0]) > 1e-9 * dr[0]):
-        raise ValueError("radii must be uniformly spaced")
-    return float(dr[0])
-
-
 def radial_derivative(profile: np.ndarray) -> np.ndarray:
     """d/dr of a radial profile: central differences inside, one-sided (second
     order) at the ends. Needs at least 3 uniformly spaced radii."""
@@ -792,7 +778,10 @@ def radial_derivative(profile: np.ndarray) -> np.ndarray:
     if prof.ndim != 2 or prof.shape[0] < 3:
         raise ValueError("need a profile with at least 3 radii")
     r, v = prof[:, 0], prof[:, 1]
-    dr = _uniform_spacing(r)
+    steps = np.diff(r)
+    if np.any(np.abs(steps - steps[0]) > 1e-9 * steps[0]):
+        raise ValueError("radii must be uniformly spaced")
+    dr = float(steps[0])
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - v[:-2]) / (2.0 * dr)
     d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dr)
@@ -889,7 +878,9 @@ def disc_integral(grid: Grid, plane_values: np.ndarray, center_transverse,
         return 0.0
     if grid.ndim == 1:
         return float(plane_values)
-    plane = _transverse(grid)
+    nd = grid.ndim - 1  # the plane's grid: the first ndim-1 axes
+    plane = Grid(extent=grid.extent[:nd], points=grid.points[:nd],
+                 boundary=grid.boundary, origin=grid.origin[:nd])
     ct = np.atleast_1d(np.asarray(center_transverse, dtype=float))
     # checked here first so that a refusal names the disc, not a ball
     _check_ball_margin(plane, ct, radius, what="plane disc",

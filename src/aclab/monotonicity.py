@@ -62,11 +62,12 @@ class SlabReport(MonotonicityReport):
 
 
 def check_geometry(grid, epsilon: float, center, radii, slab=None,
-                   min_count: int = 5) -> np.ndarray:
-    """The identities' scalar preconditions; returns the radii as an array.
-    At least `min_count` uniform radii from the resolution floor up, t_lo <
-    t_hi, the 2h domain margin of the largest ball clipped by the slab, and
-    slab planes on the grid clear of every sphere's pole by 2h."""
+                   min_count: int = 5):
+    """The identities' scalar preconditions; returns (center, radii) as
+    float arrays. At least `min_count` uniform radii from the resolution
+    floor up, t_lo < t_hi, the 2h domain margin of the largest ball clipped
+    by the slab, and slab planes on the grid clear of every sphere's pole
+    by 2h."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < min_count:
         raise ValueError(f"need at least {min_count} radii")
@@ -92,7 +93,7 @@ def check_geometry(grid, epsilon: float, center, radii, slab=None,
             if r - 2.0 * grid.h < off < r + 2.0 * grid.h:
                 raise RegionError(
                     f"slab plane t={t} within 2h of the pole of B_{r:g}")
-    return radii
+    return c, radii
 
 
 def _radial_pairing(grad, mesh, center):
@@ -102,13 +103,13 @@ def _radial_pairing(grad, mesh, center):
 
 
 def _identity_integrands(state: PhaseFieldState, center, box):
-    """|grad u|^2, u, <x-c,grad u> and f on the index box `box` (a tuple of
-    slices), the arrays `_identity_densities` forms the ball terms from:
-    two box arrays, both taken from grad u on one run of the box's axis-0
-    planes at a time (see fields._stream), so grad u is never held on the
-    whole box, and views of the state's u and f."""
+    """|grad u|^2, u, <x-c,grad u> and f, c the float array `center`, on
+    the index box `box` (a tuple of slices), the arrays
+    `_identity_densities` forms the ball terms from: two box arrays, both
+    taken from grad u on one run of the box's axis-0 planes at a time (see
+    fields._stream), so grad u is never held on the whole box, and views
+    of the state's u and f."""
     g, u, f = state.grid, state.u.values, state.f.values
-    c = np.atleast_1d(np.asarray(center, dtype=float))
     mesh = g.meshgrid(sparse=True)
 
     def fill(rows):
@@ -116,7 +117,7 @@ def _identity_integrands(state: PhaseFieldState, center, box):
         grad = _gradient_box(u, g, part)
         return _square_sum(grad), _radial_pairing(
             grad, [m[(slice(None),) * ax + (b,)]
-                   for ax, (m, b) in enumerate(zip(mesh, part))], c)
+                   for ax, (m, b) in enumerate(zip(mesh, part))], center)
 
     grad_sq, radial = _stream(g, fill, 2, box)
     return grad_sq, u[box], radial, f[box]
@@ -173,9 +174,8 @@ def _identity_report(state: PhaseFieldState, center, radii, supersample,
     is slab-restricted and the two plane terms enter the right-hand side
     after the three ball terms."""
     g = state.grid
-    radii = check_geometry(g, state.epsilon, center, radii, slab)
+    c, radii = check_geometry(g, state.epsilon, center, radii, slab)
     n = g.ndim - 1
-    c = np.atleast_1d(np.asarray(center, dtype=float))
     mu_c, xi_c, bnd_c, frc_c = _ball_columns(state, c, radii, supersample,
                                              slab).T
     ratio = mu_c / radii ** n
@@ -206,8 +206,7 @@ def density_ratio_profile(state: PhaseFieldState, center, radii,
     """Rows (r, r^-n mu(B_r(center))) over a uniform radius grid: the mu
     column of the ball identity's sweep (`_ball_columns`)."""
     g = state.grid
-    radii = check_geometry(g, state.epsilon, center, radii, min_count=1)
-    c = np.atleast_1d(np.asarray(center, dtype=float))
+    c, radii = check_geometry(g, state.epsilon, center, radii, min_count=1)
     mu_c = _ball_columns(state, c, radii, supersample, None)[:, 0]
     return np.column_stack([radii, mu_c / radii ** (g.ndim - 1)])
 
@@ -223,13 +222,13 @@ def monotonicity_report(state: PhaseFieldState, center, radii,
 
 
 def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
-    """S_c restricted to the hyperplane {x_last = t} (transverse array): the
-    values on the two grid planes of the last axis around it, mixed as
-    `restrict_to_plane` mixes them. grad u is formed once on each of those
-    two planes, and mu, d_last u and <x-c, grad u> from it."""
+    """S_c, c the float array `center`, restricted to the hyperplane
+    {x_last = t} (transverse array): the values on the two grid planes of
+    the last axis around it, mixed as `restrict_to_plane` mixes them.
+    grad u is formed once on each of those two planes, and mu, d_last u
+    and <x-c, grad u> from it."""
     g, u = state.grid, state.u.values
     eps = state.epsilon
-    c = np.atleast_1d(np.asarray(center, dtype=float))
     k0, k1, lam = _plane_stencil(g, t)
     mesh = g.meshgrid(sparse=True)
     rest = (slice(None),) * (g.ndim - 1)
@@ -239,11 +238,11 @@ def _sheet_integrand_on_plane(state: PhaseFieldState, center, t):
         # the other axes' coordinates have length 1 on the last axis
         mesh_k = [m[..., k if m.shape[-1] > 1 else 0] for m in mesh]
         return (energy_densities(_square_sum(part), u[..., k], eps)[0],
-                part[-1], _radial_pairing(part, mesh_k, c))
+                part[-1], _radial_pairing(part, mesh_k, center))
 
     mu, dlast, radial = ((1.0 - lam) * a + lam * b
                          for a, b in zip(on_plane(k0), on_plane(k1)))
-    return (t - c[-1]) * mu - eps * dlast * radial
+    return (t - center[-1]) * mu - eps * dlast * radial
 
 
 def _plane_term(grid, plane_values, center, t, radii, supersample,

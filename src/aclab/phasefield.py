@@ -207,11 +207,23 @@ def build_layer_stack(grid: Grid, epsilon: float, spec: LayerSpec) -> ScalarFiel
     return ScalarField(grid, np.clip(u, -1.0, 1.0))
 
 
-def signed_distance_ball(grid: Grid, center, radius: float) -> np.ndarray:
-    """Analytic signed distance to a sphere (negative inside)."""
-    mesh = grid.meshgrid(sparse=True)
+def _ball_offsets(grid: Grid, center) -> list[np.ndarray]:
+    """The nodes' offsets x - c from a ball's center, one per axis in
+    `Grid.meshgrid(sparse=True)` shape: the one offset rule of a ball's
+    profile. A periodic axis takes the nearest image, d - L round(d/L)
+    with L its extent, so that a ball across a seam wraps round it."""
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    return np.sqrt(sum((m - ci) ** 2 for m, ci in zip(mesh, c))) - radius
+    offsets = [m - ci for m, ci in zip(grid.meshgrid(sparse=True), c)]
+    if grid.boundary == PERIODIC:
+        for d, length in zip(offsets, grid.extent):
+            d -= length * np.round(d / length)
+    return offsets
+
+
+def signed_distance_ball(grid: Grid, center, radius: float) -> np.ndarray:
+    """Analytic signed distance to a sphere (negative inside): the root of
+    the squared `_ball_offsets` summed in axis order, less the radius."""
+    return np.sqrt(sum(d * d for d in _ball_offsets(grid, center))) - radius
 
 
 def build_radial_layer(grid: Grid, epsilon: float, center, radius: float) -> ScalarField:
@@ -674,18 +686,12 @@ def spsolve(grid: Grid, epsilon: float, diag: np.ndarray, rhs: np.ndarray,
             dct(x)
             x *= inv_symbol
             dct(x, inverse=True)
-        return x.ravel()
-
-    if coarse is not None and coarse.weights.size:
-        plain = precondition
-
-        def precondition(y):
+        if coarse is not None and coarse.weights.size:
             # the correction works in the product matvec writes next: minres
             # holds only the other two when it preconditions
-            x = plain(y)
-            coarse.add_correction(y.reshape(shape), x.reshape(shape),
+            coarse.add_correction(y.reshape(shape), x,
                                   products[0].reshape(shape))
-            return x
+        return x.ravel()
 
     du, _ = minres(matvec, precondition, b, rtol=rtol,
                    maxiter=_LINEAR_MAXITER)

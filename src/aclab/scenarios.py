@@ -16,7 +16,7 @@ import numpy as np
 from .fields import Grid, ScalarField, ZERO_FLUX, _check_finite
 from .measures import AnalysisParams
 from .phasefield import (LayerSpec, PhaseFieldState, SolverError,
-                         build_layer_stack, build_radial_layer,
+                         _ball_offsets, build_layer_stack, build_radial_layer,
                          check_layer_fit, constants, make_state,
                          manufactured_forcing, resolution_floor,
                          signed_distance_ball, solve_stationary,
@@ -82,17 +82,17 @@ _BALLS = (RadialProfile, SolvedBubbleProfile, SolvedFromForcingProfile)
 _SOLVER_MAX_ITER = 80
 
 
-def check_epsilon_labels(epsilons):
-    """Refuse two epsilons that print alike: a run keys each epsilon's
-    results by its label f"{eps:g}" (`norms` rows, summary values and
-    flags), so one epsilon's results would hide the other's. Raises
-    ValueError naming both."""
-    labels = [f"{eps:g}" for eps in epsilons]
+def check_labels(values, key: str = "eps", plural: str = "epsilons"):
+    """Refuse two values that print alike: a run keys each epsilon's (or
+    gdelta delta's) results by its label f"{key}={value:g}" (CSV rows,
+    summary values and flags), so one value's results would hide the
+    other's. Raises ValueError naming both."""
+    labels = [f"{v:g}" for v in values]
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(
-                f"epsilons {epsilons[labels.index(label)]!r} and "
-                f"{epsilons[i]!r} share the label eps={label}")
+                f"{plural} {values[labels.index(label)]!r} and "
+                f"{values[i]!r} share the label {key}={label}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class Scenario:
             raise ValueError(
                 f"{self.name}: epsilon must be positive and finite")
         try:
-            check_epsilon_labels(eps)
+            check_labels(eps)
         except ValueError as exc:
             raise ValueError(f"{self.name}: {exc}") from None
         h = self.grid.h
@@ -130,21 +130,20 @@ class Scenario:
 
 def _check_bubble_grid(scenario: Scenario):
     """A solved bubble needs a curved interface (2 or 3 grid axes) and a
-    sphere with nodes on both sides. The node box's farthest and nearest
-    points to the centre bound every node's `signed_distance_ball` from
-    above and below in the same arithmetic, so a sphere is refused only
-    when every node lies inside it (distance < 0) or none does."""
+    sphere with nodes on both sides. Each axis's smallest and largest
+    squared `_ball_offsets`, summed in axis order as `signed_distance_ball`
+    sums them, are the nearest and the farthest node's, so a sphere is
+    refused exactly when every node lies inside it (distance < 0) or none
+    does."""
     g, prof = scenario.grid, scenario.profile
     if g.ndim < 2:
         raise ScenarioError(
             f"scenario {scenario.name!r}: a solved bubble needs a 2-d or "
             "3-d grid; in 1-d there is no curvature to balance")
     near = far = 0.0
-    for c, lo, n in zip(prof.center, g.lo, g.points):
-        hi = lo + g.h * (n - 1)  # the last node, as Grid.axis_coords has it
-        ends = ((lo - c) * (lo - c), (hi - c) * (hi - c))
-        near += 0.0 if lo <= c <= hi else min(ends)
-        far += max(ends)
+    for d in _ball_offsets(g, prof.center):
+        near += float(np.min(d * d))
+        far += float(np.max(d * d))
     inside = math.sqrt(far) - prof.radius < 0.0
     if inside or not math.sqrt(near) - prof.radius < 0.0:
         raise ScenarioError(
@@ -168,8 +167,8 @@ def check_bubble_radius(scenario: Scenario):
 
 
 def check_buildable(scenario: Scenario):
-    """The scalar preconditions of build(), checked without building an
-    array: a stack's layers must fit the grid at every epsilon, and a
+    """The scalar preconditions of build(), checked without building a
+    grid array: a stack's layers must fit the grid at every epsilon, and a
     solved bubble needs a curved interface (2 or 3 grid axes) that crosses
     the grid, of radius above 2.5 eps. Raises ScenarioError."""
     prof = scenario.profile
@@ -184,15 +183,6 @@ def check_buildable(scenario: Scenario):
         except ValueError as exc:
             raise ScenarioError(f"scenario {scenario.name!r} cannot build "
                                 f"at eps={eps:g}: {exc}") from exc
-
-
-def _analytic_field(grid: Grid, eps: float, profile) -> ScalarField:
-    """The field of a manufactured profile."""
-    if isinstance(profile, LayerSpec):
-        return build_layer_stack(grid, eps, profile)
-    if isinstance(profile, RadialProfile):
-        return build_radial_layer(grid, eps, profile.center, profile.radius)
-    return ScalarField(grid, np.full(grid.shape, float(profile.value)))
 
 
 def _guess_noise(shape: tuple, seed: int, amplitude: float) -> np.ndarray:
@@ -218,7 +208,12 @@ def _build_state(scenario: Scenario, eps: float) -> PhaseFieldState:
     g = scenario.grid
     prof = scenario.profile
     if isinstance(prof, (LayerSpec, RadialProfile, ConstantProfile)):
-        u = _analytic_field(g, eps, prof)
+        if isinstance(prof, LayerSpec):
+            u = build_layer_stack(g, eps, prof)
+        elif isinstance(prof, RadialProfile):
+            u = build_radial_layer(g, eps, prof.center, prof.radius)
+        else:
+            u = ScalarField(g, np.full(g.shape, float(prof.value)))
         return make_state(u, manufactured_forcing(u, eps), eps)
     if isinstance(prof, SolvedBubbleProfile):
         check_buildable(scenario)

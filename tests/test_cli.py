@@ -14,6 +14,7 @@ import aclab
 from aclab import build, cli
 from aclab.cli import (ANALYSES, ConfigError, _KEYS, load_config, main,
                        parse_config_text)
+from aclab.measures import HolderCheck
 
 SMALL_SCENARIO = """
 scenario.kind = planar
@@ -280,6 +281,83 @@ def test_epsilons_that_share_a_label_are_refused(tmp_path, capsys, body):
         assert re.match(r"config error: scenario\.epsilon: epsilons 0\.1 and "
                         r"0\.1\d* share the label eps=0\.1$", line), line
     assert not (tmp_path / "out").exists()
+
+
+def test_deltas_that_share_a_label_are_refused(tmp_path, capsys):
+    # gdelta.csv and summary.json key each delta's results by f"{delta:g}"
+    cfg = write_cfg(tmp_path, "scenario = constant-zero\nanalyses = gdelta\n"
+                    "gdelta.delta = 0.1, 0.1000001\n"
+                    f"out = {tmp_path/'out'}\n")
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: gdelta.delta: deltas 0.1 and 0.1000001 share the "
+            "label delta=0.1\n")
+    assert not (tmp_path / "out").exists()
+
+
+# Configs that validate at the edges of their numbers: a run prints no raw
+# numpy warning (warnings are errors in this suite, so one would fail the
+# analysis), an overflow is a flagged cell and an unusable number is refused
+# by its key.
+EDGE_CONFIGS = {
+    # f = -W'(0.5)/eps is 7.5e108, so |f|^3 overflows in the Hoelder chain
+    "holder-overflow": (
+        "scenario.kind = constant\nscenario.value = 0.5\n"
+        "scenario.epsilon = 1e-109\ngrid.extent = 1e-108, 1e-108\n"
+        "grid.points = 81, 81\nanalyses = norms\n", 0,
+        "warning: non-finite cells in norms.csv: row 11 (holder_rhs), "
+        "column value\n"),
+    # the conjugate exponent 1e7 overflows |eta|^q in the duality bound
+    "conjugate-overflow": (
+        SMALL_SCENARIO.replace("planar", "circle")
+        + "analysis.q0 = 1.0000001\nanalyses = firstvar\n", 0,
+        "warning: non-finite cells in firstvar.csv: row 1 (0), column "
+        "duality_bound; row 2 (1), column duality_bound;"),
+    # h = 2.5e-203, whose square underflows
+    "spacing-underflow": (
+        "scenario.kind = circle\nscenario.epsilon = 1e-202\n"
+        "scenario.radius = 2.5e-201\nscenario.center = 5e-201, 5e-201\n"
+        "grid.extent = 1e-200, 1e-200\ngrid.points = 401, 401\n"
+        "analyses = norms\n", 2,
+        "config error: grid.extent, grid.points: extent and points give a "
+        "spacing 2.5e-203 whose square underflows"),
+    # W(1e80) overflows
+    "huge-constant": (
+        SMALL_SCENARIO.replace("planar", "constant")
+        + "scenario.value = 1e80\nanalyses = norms, quantize\n", 2,
+        "config error: scenario.value: must be <= 1000000.0, got 1e+80\n"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, code, message", EDGE_CONFIGS.values(),
+                         ids=EDGE_CONFIGS.keys())
+def test_edge_configs_print_no_numpy_warning(tmp_path, capsys, body, code,
+                                             message):
+    cfg = write_cfg(tmp_path, body + f"out = {tmp_path/'out'}\n")
+    assert main(["validate", "--config", str(cfg)]) == code
+    assert main(["run", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "RuntimeWarning" not in err and "analysis failure" not in err
+    if code == 0:
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "warn"
+
+
+def test_a_broken_holder_chain_is_flagged(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "corollary_holder_check", lambda *args, **kw:
+                        HolderCheck(lhs=2.0, rhs=1.0, holds=False, q0=3.0,
+                                    c1=1.0, c2=1.0))
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO + "analyses = norms\n"
+                    f"out = {tmp_path/'out'}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    norms = summary["analyses"]["norms"]
+    assert norms["flags"]["holder"] == "warn"
+    assert norms["values"]["holder_holds"] == 0.0
+    assert summary["status"] == "warn"
 
 
 def sweep_flags(tmp_path, epsilons):

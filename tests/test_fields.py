@@ -39,7 +39,10 @@ def test_grid_rejects_anisotropy_and_small_axes():
     ({"extent": 1.0, "points": (65,)}, "extent"),
     ({"extent": (1.0,), "points": 65}, "points"),
     ({"extent": (2.0,), "points": (65,), "origin": (np.inf,)}, "origin"),
-    ({"extent": (2.0,), "points": (65,), "origin": (np.nan,)}, "origin")])
+    ({"extent": (2.0,), "points": (65,), "origin": (np.nan,)}, "origin"),
+    ({"extent": (2.0,), "points": (65,), "boundary": "open"}, "boundary"),
+    # h = 2.5e-203: h^2, by which the Laplacian divides, underflows
+    ({"extent": (1e-200,), "points": (401,)}, "extent and points")])
 def test_grid_refuses_bad_values_by_name(kwargs, field):
     with pytest.raises(ValueError, match=field):
         Grid(**kwargs)
@@ -294,6 +297,11 @@ def test_boundary_profile_needs_three_radii():
         radial_derivative(np.array([[0.1, 1.0], [0.2, 2.0]]))
 
 
+def test_boundary_profile_needs_uniform_radii():
+    with pytest.raises(ValueError, match="radii must be uniformly spaced"):
+        radial_derivative(np.array([[0.1, 1.0], [0.2, 2.0], [0.4, 3.0]]))
+
+
 def test_boundary_profile_zero():
     prof = np.column_stack([np.linspace(0.1, 0.3, 5), np.zeros(5)])
     assert np.all(radial_derivative(prof)[:, 1] == 0.0)
@@ -346,7 +354,8 @@ def test_line_sample_refuses_non_finite_by_name(boundary, name, bad):
 @pytest.mark.parametrize("samples,message", [
     (np.nan, "samples must be finite"), (np.inf, "samples must be finite"),
     (-np.inf, "samples must be finite"),
-    (2.5, "samples must be a whole number")], ids=str)
+    (2.5, "samples must be a whole number"),
+    (1, "need at least 2 samples")], ids=str)
 def test_line_sample_refuses_a_count_that_is_not_whole_by_name(samples,
                                                               message):
     g = grid2d(17, ZERO_FLUX)
@@ -363,6 +372,13 @@ def test_interpolate_refuses_non_finite_points(boundary, bad):
     g = grid2d(17, boundary)
     with pytest.raises(ValueError, match="^pts must be finite"):
         interpolate(ScalarField(g, np.zeros(g.shape)), [(0.0, 0.0), (bad, 0.1)])
+
+
+def test_line_sample_refuses_a_zero_direction():
+    g = grid2d(17, ZERO_FLUX)
+    with pytest.raises(ValueError, match="^direction must be nonzero"):
+        line_sample(ScalarField(g, np.zeros(g.shape)), (0.0, 0.0),
+                    (0.0, 0.0), 9, -0.4, 0.4)
 
 
 def test_line_sample_rejects_exit():

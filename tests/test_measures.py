@@ -258,6 +258,13 @@ def test_first_variation_trivial_state():
     assert res.lhs == 0.0 and res.rhs == 0.0
 
 
+def test_first_variation_refuses_a_field_on_another_grid():
+    st = constant_state(1.0)
+    other = Grid(extent=(2.0, 2.0), points=(41, 41), boundary=ZERO_FLUX)
+    with pytest.raises(ValueError, match="eta must live on the state's grid"):
+        first_variation_identity(st, smooth_test_field(other, seed=1))
+
+
 def test_first_variation_constant_eta_on_closed_interface(circle_state):
     # eta constant where the ring mass lives: grad eta = 0 kills the lhs and
     # the forcing term integrates the closed interface normal to ~0

@@ -730,6 +730,41 @@ def test_a_step_no_pseudo_timestep_accepts_is_refused(monkeypatch):
                          build_radial_layer(g, 0.2, (0.0, 0.0), 0.5))
 
 
+def test_solver_refuses_a_tolerance_not_positive_and_fields_off_its_grid():
+    g = centered_grid((41, 41), ZERO_FLUX)
+    other = centered_grid((33, 33), ZERO_FLUX)
+    zero = ScalarField(g, np.zeros(g.shape))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_stationary(g, 0.2, zero, zero, tol=0)
+    for f, guess in ((zero, ScalarField(other, np.zeros(other.shape))),
+                     (ScalarField(other, np.zeros(other.shape)), zero)):
+        with pytest.raises(ValueError,
+                           match="fields must live on the target grid"):
+            solve_stationary(g, 0.2, f, guess)
+
+
+def test_a_state_refuses_two_grids_and_a_residual_not_finite():
+    g = centered_grid((41, 41), ZERO_FLUX)
+    zero = ScalarField(g, np.zeros(g.shape))
+    other = centered_grid((33, 33), ZERO_FLUX)
+    with pytest.raises(ValueError, match="u and f must share a grid"):
+        phasefield.PhaseFieldState(
+            zero, ScalarField(other, np.zeros(other.shape)), 0.2, 0.0)
+    with pytest.raises(ValueError, match="residual_norm must be finite"):
+        phasefield.PhaseFieldState(zero, zero, 0.2, np.nan)
+
+
+def test_minres_refuses_an_indefinite_preconditioner_and_a_zero_rhs_is_0():
+    def never(v):
+        raise AssertionError("a matvec ran")
+
+    with pytest.raises(ValueError, match="indefinite preconditioner"):
+        phasefield.minres(never, lambda r: -r, np.ones(4), 1e-10, 10)
+    x, iterations = phasefield.minres(never, lambda r: r, np.zeros(4),
+                                      1e-10, 10)
+    assert iterations == 0 and np.array_equal(x, np.zeros(4))
+
+
 def test_solver_1d_two_layers_from_far_guess():
     eps = 0.05
     g = grid1d(201)

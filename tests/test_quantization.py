@@ -62,6 +62,16 @@ def test_detect_reflection_invariance(stack3_state):
 
 # ---------------------------------------------------------------- checks
 
+def test_a_line_needs_three_samples_and_a_check_one_line():
+    with pytest.raises(ValueError, match="need at least 3 samples per line"):
+        axis_line(samples=2)
+    g = Grid(extent=(2.0, 2.0), points=(81, 81), boundary=ZERO_FLUX,
+             origin=(-1.0, -1.0))
+    zero = ScalarField(g, np.zeros(g.shape))
+    with pytest.raises(ValueError, match="need at least one line"):
+        quantization_check(make_state(zero, zero, 0.1), [])
+
+
 def test_quantization_pure_phase():
     g = Grid(extent=(2.0, 2.0), points=(81, 81), boundary=ZERO_FLUX,
              origin=(-1.0, -1.0))

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from aclab import (AnalysisParams, ConstantProfile, Grid, LayerSpec,
                    PERIODIC, RadialProfile, ScalarField, Scenario,
                    ScenarioError, SolvedBubbleProfile, SolvedFromForcingProfile,
-                   ZERO_FLUX, build, make_state, manufactured_forcing)
+                   ZERO_FLUX, build, make_state, manufactured_forcing,
+                   norm_report, quantization_check)
 from aclab import scenarios
 from aclab.phasefield import SolverError, signed_distance_ball
 from aclab.scenarios import (_check_bubble, default_center, default_lines,
@@ -245,9 +246,9 @@ def _bubble_grids(draw):
 @settings(max_examples=300, deadline=None)
 @given(_bubble_grids())
 def test_bubble_refusal_agrees_with_the_signed_distance(problem):
-    # refused "inside" exactly when every node is inside (the farthest
-    # point of the box is a corner node), "outside" only when no node is,
-    # and exactly then when the nearest point of the box is a corner too
+    # refused "inside" exactly when every node is inside and "outside"
+    # exactly when none is: the nearest and the farthest node are summed
+    # from the same offsets as the signed distance
     grid, center, radius = problem
     sc = Scenario(name="b", grid=grid, epsilons=(4.0 * grid.h,),
                   profile=SolvedBubbleProfile(center=center, radius=radius))
@@ -258,11 +259,29 @@ def test_bubble_refusal_agrees_with_the_signed_distance(problem):
     except ScenarioError as exc:
         refused = "inside" if "lies inside" in str(exc) else "outside"
     assert (refused == "inside") == inside.all()
-    if refused == "outside":
-        assert not inside.any()
-    last = [lo + grid.h * (n - 1) for lo, n in zip(grid.lo, grid.points)]
-    if all(not lo <= c <= hi for c, lo, hi in zip(center, grid.lo, last)):
-        assert (refused is not None) == (inside.all() or not inside.any())
+    assert (refused == "outside") == (not inside.any())
+
+
+def periodic_circle(center):
+    grid = Grid(extent=(2.0, 2.0), points=(128, 128), boundary=PERIODIC,
+                origin=(-1.0, -1.0))
+    return Scenario(name="torus", grid=grid, epsilons=(0.1,),
+                    profile=RadialProfile(center=center, radius=0.5))
+
+
+def test_a_ball_on_a_periodic_grid_wraps_round_the_seam():
+    # the circle about (1, 0), on the seam x = -1 ~ 1, is the circle about
+    # (0, 0) shifted by half the torus: the same node values, a cyclic
+    # shift of half the axis-0 planes, and the same norms bit for bit
+    seam, = build(periodic_circle((1.0, 0.0)))
+    centred, = build(periodic_circle((0.0, 0.0)))
+    assert np.array_equal(seam.u.values,
+                          np.roll(centred.u.values, 64, axis=0))
+    want = norm_report(centred)
+    got = norm_report(seam)
+    assert (got.lambda_hat, got.total_energy) == (want.lambda_hat,
+                                                  want.total_energy)
+    assert want.lambda_hat == pytest.approx(16.916, abs=1e-3)
 
 
 def test_to_config_round_trip(tmp_path, corpus):
@@ -388,3 +407,14 @@ def test_default_geometry_helpers(corpus):
     assert len(lines) == 5
     circle_lines = default_lines(corpus["circle"], 0.05)
     assert len(circle_lines) == 8
+
+
+def test_a_1d_ball_is_sampled_both_ways_with_one_layer_each():
+    g = Grid(extent=(2.0,), points=(401,), boundary=ZERO_FLUX, origin=(-1.0,))
+    sc = Scenario(name="ball-1d", grid=g, epsilons=(0.05,),
+                  profile=RadialProfile(center=(0.0,), radius=0.5))
+    lines = default_lines(sc, 0.05)
+    assert [line.direction for line in lines] == [(1.0,), (-1.0,)]
+    rep = quantization_check(build(sc)[0], lines)
+    assert [(row.layer_count, row.nearest_k) for row in rep.rows] == [
+        (1, 1), (1, 1)]
